@@ -96,11 +96,7 @@ class Report:
             stream.write("[%s] %s%s\n" % (status, v["name"], tail))
 
 
-def _state_strings(s: st.StateVector) -> Dict[str, str]:
-    return s.as_strings()
-
-
-def cmd_verify(args, report: Report) -> int:
+def cmd_verify(args, report: Report, seed: int) -> int:
     table = load_table(args.file)
     report.result("input_digest", _digest(args.file))
     kind = args.kind or ("pea" if table.one is not None else "gpea")
@@ -133,7 +129,7 @@ def cmd_verify(args, report: Report) -> int:
     return 0
 
 
-def cmd_states(args, report: Report) -> int:
+def cmd_states(args, report: Report, seed: int) -> int:
     table = load_table(args.file)
     report.result("input_digest", _digest(args.file))
     space = st.solve_state_space(table)
@@ -149,7 +145,7 @@ def cmd_states(args, report: Report) -> int:
             [{e: str(v) for e, v in vec.items()} for vec in space.basis],
         )
         report.result("free_elements", list(space.free_elements))
-    report.result("extremal_states", [_state_strings(s) for s in space.extremal_states])
+    report.result("extremal_states", [s.as_strings() for s in space.extremal_states])
     report.verdict("state-space-solved", True)
     if args.extremal:
         for i, s in enumerate(space.extremal_states):
@@ -159,7 +155,7 @@ def cmd_states(args, report: Report) -> int:
         found = st.enumerate_discrete_states(table, args.discrete)
         report.result(
             "discrete_states_n%d" % args.discrete,
-            [_state_strings(s) for s in found],
+            [s.as_strings() for s in found],
         )
         for s in found:
             cls = st.classify_state(table, s)
@@ -168,7 +164,7 @@ def cmd_states(args, report: Report) -> int:
     return 0 if report.all_passed else 1
 
 
-def cmd_decompose(args, report: Report) -> int:
+def cmd_decompose(args, report: Report, seed: int) -> int:
     table = load_table(args.file)
     report.result("input_digest", _digest(args.file))
     pairs = dec.decomposition_state_bijection(table, args.n)
@@ -176,7 +172,7 @@ def cmd_decompose(args, report: Report) -> int:
         "decompositions",
         [[sorted(p) for p in D.parts] for D, _ in pairs],
     )
-    report.result("states", [_state_strings(s) for _, s in pairs])
+    report.result("states", [s.as_strings() for _, s in pairs])
     report.verdict("bijection-mutually-inverse", True)
     for i, (D, _) in enumerate(pairs):
         comp = dec.check_comparability(table, D)
@@ -188,7 +184,7 @@ def cmd_decompose(args, report: Report) -> int:
     return 0
 
 
-def cmd_ideals(args, report: Report) -> int:
+def cmd_ideals(args, report: Report, seed: int) -> int:
     table = load_table(args.file)
     report.result("input_digest", _digest(args.file))
     ideals = idl.enumerate_ideals(table)
@@ -212,7 +208,7 @@ def cmd_ideals(args, report: Report) -> int:
         report.result(
             "two_valued_partition",
             [
-                {"ideal": i.sorted_ids(), "state": _state_strings(s)}
+                {"ideal": i.sorted_ids(), "state": s.as_strings()}
                 for i, s in pairs
             ],
         )
@@ -220,7 +216,7 @@ def cmd_ideals(args, report: Report) -> int:
     return 0
 
 
-def cmd_quotient(args, report: Report) -> int:
+def cmd_quotient(args, report: Report, seed: int) -> int:
     table = load_table(args.file)
     report.result("input_digest", _digest(args.file))
     members = [m for m in args.ideal.split(",") if m]
@@ -235,7 +231,7 @@ def cmd_quotient(args, report: Report) -> int:
     return 0
 
 
-def cmd_unitize(args, report: Report) -> int:
+def cmd_unitize(args, report: Report, seed: int) -> int:
     table = load_table(args.file)
     report.result("input_digest", _digest(args.file))
     lifted = unitize(table)
@@ -308,31 +304,38 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("verify", help="axioms, order, complements, symmetry")
+    p.set_defaults(func=cmd_verify)
     p.add_argument("file")
     p.add_argument("--kind", choices=("pea", "gpea"), default=None)
 
     p = sub.add_parser("states", help="state space, discrete states, extremality")
+    p.set_defaults(func=cmd_states)
     p.add_argument("file")
     p.add_argument("--discrete", type=int, default=None, metavar="N")
     p.add_argument("--extremal", action="store_true")
 
     p = sub.add_parser("decompose", help="n-decompositions and their states")
+    p.set_defaults(func=cmd_decompose)
     p.add_argument("file")
     p.add_argument("n", type=int)
 
     p = sub.add_parser("ideals", help="ideal lattice, radicals, two-valued partition")
+    p.set_defaults(func=cmd_ideals)
     p.add_argument("file")
 
     p = sub.add_parser("quotient", help="quotient by a normal Riesz ideal")
+    p.set_defaults(func=cmd_quotient)
     p.add_argument("file")
     p.add_argument("--ideal", required=True, help="comma-separated member ids")
     p.add_argument("-o", "--output", default=None)
 
     p = sub.add_parser("unitize", help="unitization of a symmetric GPEA")
+    p.set_defaults(func=cmd_unitize)
     p.add_argument("file")
     p.add_argument("-o", "--output", default=None)
 
     p = sub.add_parser("construct", help="builtins and symbolic constructions")
+    p.set_defaults(func=cmd_construct)
     p.add_argument("--builtin", default=None,
                    help="diamond | boolean4 | chain:N | example46 | example47 | twisted_gamma")
     p.add_argument("--lex-product", type=int, default=None, metavar="N")
@@ -345,6 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default=None)
 
     p = sub.add_parser("suite", help="exhaustive small-model theorem suite")
+    p.set_defaults(func=cmd_suite)
     p.add_argument("--max-size", type=int, default=5)
     p.add_argument("--samples", type=int, default=2000)
     p.add_argument("--seed", type=int, default=argparse.SUPPRESS,
@@ -362,24 +366,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         seed = args.seed if args.seed is not None else _default_seed()
         report = Report(args.cmd, argv, seed)
-        if args.cmd == "verify":
-            code = cmd_verify(args, report)
-        elif args.cmd == "states":
-            code = cmd_states(args, report)
-        elif args.cmd == "decompose":
-            code = cmd_decompose(args, report)
-        elif args.cmd == "ideals":
-            code = cmd_ideals(args, report)
-        elif args.cmd == "quotient":
-            code = cmd_quotient(args, report)
-        elif args.cmd == "unitize":
-            code = cmd_unitize(args, report)
-        elif args.cmd == "construct":
-            code = cmd_construct(args, report, seed)
-        elif args.cmd == "suite":
-            code = cmd_suite(args, report, seed)
-        else:  # pragma: no cover
-            raise InputError("unknown command %r" % (args.cmd,))
+        code = args.func(args, report, seed)
     except InputError as exc:
         print("input error: %s" % (exc,), file=sys.stderr)
         return 2

@@ -20,8 +20,9 @@ from .core import (
     PartialAdditionTable,
     PealError,
     PreconditionError,
+    _differences,
+    _noncommuting_pair,
     check_axioms,
-    difference,
     induced_order,
     is_symmetric,
 )
@@ -112,25 +113,22 @@ def unitize(table: PartialAdditionTable) -> PartialAdditionTable:
     rep = check_axioms(table, "gpea")
     if not rep.passed:
         raise PreconditionError("unitization requires a GPEA: %r" % (rep.violations[:1],))
-    for a in table.elements:
-        for b in table.elements:
-            if table.defined(a, b) != table.defined(b, a):
-                raise NonSymmetricError(
-                    "GPEA is not weakly commutative at (%r, %r)" % (a, b)
-                )
-    sharp = {e: e + "#" for e in table.elements}
-    elements = list(table.elements) + [sharp[e] for e in table.elements]
-    order = induced_order(table)
+    pair = _noncommuting_pair(table)
+    if pair is not None:
+        raise NonSymmetricError("GPEA is not weakly commutative at (%r, %r)" % pair)
+    els = table.elements
+    sharp = [e + "#" for e in els]
+    ldiff, rdiff = _differences(table)
     sums: Dict[Tuple[str, str], str] = {}
-    for a in table.elements:
-        for b in table.elements:
-            c = table.add(a, b)
+    for a in range(table.size):
+        for b in range(table.size):
+            c = table.add_i(a, b)
             if c is not None:
-                sums[(a, b)] = c
-            if order.le(a, b):
-                sums[(a, sharp[b])] = sharp[difference(table, a, b, "left")]
-                sums[(sharp[b], a)] = sharp[difference(table, a, b, "right")]
-    lifted = PartialAdditionTable(elements, table.zero, sharp[table.zero], sums)
+                sums[(els[a], els[b])] = els[c]
+            if ldiff[b][a] is not None:  # a <= b
+                sums[(els[a], sharp[b])] = sharp[ldiff[b][a]]
+                sums[(sharp[b], els[a])] = sharp[rdiff[a][b]]
+    lifted = PartialAdditionTable(list(els) + sharp, table.zero, sharp[table.zero_i], sums)
     rep = check_axioms(lifted, "pea")
     if not rep.passed:
         raise InconsistencyError(
@@ -139,6 +137,7 @@ def unitize(table: PartialAdditionTable) -> PartialAdditionTable:
     if not is_symmetric(lifted).symmetric:
         raise InconsistencyError("unitization is not symmetric")
     # E must embed as an order ideal with the same induced order
+    order = induced_order(table)
     big_order = induced_order(lifted)
     carrier = set(table.elements)
     for x in lifted.elements:
@@ -203,6 +202,36 @@ class SampleVerdict:
     witness: Optional[str] = None
 
 
+def _first_witness(rng: random.Random, samples: int, probe: Callable):
+    """The first non-None result of ``probe(rng)`` in ``samples`` draws, or None."""
+    for _ in range(samples):
+        witness = probe(rng)
+        if witness is not None:
+            return witness
+    return None
+
+
+def _sampled(name: str, seed: int, samples: int, probe: Callable, rng=None) -> SampleVerdict:
+    """Verdict of ``probe`` on ``samples`` draws from a generator seeded with
+    ``seed``, or from ``rng`` when several verdicts share one stream."""
+    bad = _first_witness(random.Random(seed) if rng is None else rng, samples, probe)
+    return SampleVerdict(name, bad is None, samples, seed, bad)
+
+
+def _additivity_probe(E: "SymbolicPea", bound: int, additive: Callable) -> Callable:
+    """Probe drawing two members of E whose defined sum s breaks
+    ``additive(x, y, s)``."""
+
+    def probe(rng):
+        x = E.sample_member(rng, bound)
+        y = E.sample_member(rng, bound)
+        s = E.add(x, y)
+        if s is not None and not additive(x, y, s):
+            return "(%s, %s)" % (E.format(x), E.format(y))
+
+    return probe
+
+
 class SymbolicPea:
     """Symbolic PEA: a finite base PEA lex-extended by a po-group.
 
@@ -232,6 +261,7 @@ class SymbolicPea:
         if not check_axioms(base, "pea").passed:
             raise PreconditionError("symbolic base must be a PEA")
         self.base = base
+        self._ldiff, self._rdiff = _differences(base)
         self.group = group
         self.h = group.zero() if h is None else h
         if levels is None:
@@ -300,10 +330,7 @@ class SymbolicPea:
     def left_difference(self, x, a):
         """z with z + a = x, or None."""
         G = self.group
-        zb = next(
-            (d for d in range(self.base.size) if self.base.add_i(d, a[0]) == x[0]),
-            None,
-        )
+        zb = self._ldiff[x[0]][a[0]]
         if zb is None:
             return None
         zg = self._tw_inv(a[0], G.add(x[1], G.neg(a[1])))
@@ -315,10 +342,7 @@ class SymbolicPea:
     def right_difference(self, a, x):
         """v with a + v = x, or None."""
         G = self.group
-        vb = next(
-            (d for d in range(self.base.size) if self.base.add_i(a[0], d) == x[0]),
-            None,
-        )
+        vb = self._rdiff[a[0]][x[0]]
         if vb is None:
             return None
         vg = G.add(G.neg(self._tw(vb, a[1])), x[1])
@@ -369,10 +393,7 @@ class SymbolicPea:
     # -- sampled verification ------------------------------------------------
 
     def sampled_axiom_report(self, seed: int = 0, samples: int = 400, bound: int = 8) -> List[SampleVerdict]:
-        rng = random.Random(seed)
-        verdicts = []
-        bad = None
-        for _ in range(samples):
+        def pe1(rng):
             x = self.sample_member(rng, bound)
             y = self.sample_member(rng, bound)
             z = self.sample_member(rng, bound)
@@ -381,58 +402,53 @@ class SymbolicPea:
             lhs = xy is not None and self.add(xy, z) is not None
             rhs = yz is not None and self.add(x, yz) is not None
             if lhs != rhs or (lhs and self.add(xy, z) != self.add(x, yz)):
-                bad = "(%s, %s, %s)" % (self.format(x), self.format(y), self.format(z))
-                break
-        verdicts.append(SampleVerdict("PE1", bad is None, samples, seed, bad))
-        bad = None
-        for _ in range(samples):
+                return "(%s, %s, %s)" % (self.format(x), self.format(y), self.format(z))
+
+        def pe2(rng):
             x = self.sample_member(rng, bound)
             m = self.minus(x)
             t = self.tilde(x)
             if self.add(m, x) != self.one_el or self.add(x, t) != self.one_el:
-                bad = self.format(x)
-                break
-        verdicts.append(SampleVerdict("PE2", bad is None, samples, seed, bad))
-        bad = None
-        for _ in range(samples):
+                return self.format(x)
+
+        def pe3(rng):
             x = self.sample_member(rng, bound)
             y = self.sample_member(rng, bound)
             s = self.add(x, y)
-            if s is None:
-                continue
-            if self.left_difference(s, x) is None or self.right_difference(y, s) is None:
-                bad = "(%s, %s)" % (self.format(x), self.format(y))
-                break
-        verdicts.append(SampleVerdict("PE3", bad is None, samples, seed, bad))
-        bad = None
-        for _ in range(samples):
+            if s is not None and (
+                self.left_difference(s, x) is None or self.right_difference(y, s) is None
+            ):
+                return "(%s, %s)" % (self.format(x), self.format(y))
+
+        def pe4(rng):
             x = self.sample_member(rng, bound)
-            if x == self.zero_el:
-                continue
-            if self.add(x, self.one_el) is not None or self.add(self.one_el, x) is not None:
-                bad = self.format(x)
-                break
-        verdicts.append(SampleVerdict("PE4", bad is None, samples, seed, bad))
-        return verdicts
+            if x != self.zero_el and (
+                self.add(x, self.one_el) is not None or self.add(self.one_el, x) is not None
+            ):
+                return self.format(x)
+
+        rng = random.Random(seed)
+        return [
+            _sampled(name, seed, samples, probe, rng)
+            for name, probe in (("PE1", pe1), ("PE2", pe2), ("PE3", pe3), ("PE4", pe4))
+        ]
 
     def is_symmetric_sampled(self, seed: int = 0, samples: int = 2000, bound: int = 10):
         from .core import SymmetryReport
 
-        rng = random.Random(seed)
-        witness = None
-        for _ in range(samples):
+        def probe(rng):
             x = self.sample_member(rng, bound)
             if self.minus(x) != self.tilde(x):
-                witness = (
+                return (
                     self.format(x),
                     self.format(self.minus(x)),
                     self.format(self.tilde(x)),
                 )
-                break
             y = self.sample_member(rng, bound)
             if (self.add(x, y) is None) != (self.add(y, x) is None):
-                witness = (self.format(x), self.format(y))
-                break
+                return (self.format(x), self.format(y))
+
+        witness = _first_witness(random.Random(seed), samples, probe)
         return SymmetryReport(
             symmetric=witness is None,
             witness=witness,
@@ -445,14 +461,13 @@ class SymbolicPea:
         """Sampled version of the slice-chain property E_0 <= ... <= E_n."""
         from .decompositions import ComparabilityReport
 
-        rng = random.Random(seed)
-        witness = None
-        for _ in range(samples):
+        def probe(rng):
             x = self.sample_member(rng, bound)
             y = self.sample_member(rng, bound)
             if self.level(x) < self.level(y) and not self.le(x, y):
-                witness = (self.format(x), self.format(y))
-                break
+                return (self.format(x), self.format(y))
+
+        witness = _first_witness(random.Random(seed), samples, probe)
         return ComparabilityReport(
             comparable=witness is None,
             sums_exist=witness is None,
@@ -463,88 +478,67 @@ class SymbolicPea:
 
     def sampled_state_additivity(self, seed: int = 0, samples: int = 2000, bound: int = 10) -> SampleVerdict:
         """The canonical state x -> level(x)/n is additive on sampled sums."""
-        rng = random.Random(seed)
-        bad = None
-        for _ in range(samples):
-            x = self.sample_member(rng, bound)
-            y = self.sample_member(rng, bound)
-            s = self.add(x, y)
-            if s is None:
-                continue
-            if self.canonical_state(x) + self.canonical_state(y) != self.canonical_state(s):
-                bad = "(%s, %s)" % (self.format(x), self.format(y))
-                break
-        return SampleVerdict("canonical-state-additivity", bad is None, samples, seed, bad)
+        state = self.canonical_state
+        probe = _additivity_probe(self, bound, lambda x, y, s: state(x) + state(y) == state(s))
+        return _sampled("canonical-state-additivity", seed, samples, probe)
 
     def sampled_infinit_is_level0(self, seed: int = 0, samples: int = 500, bound: int = 8) -> SampleVerdict:
         """(n+1)-fold multiples exist exactly on the bottom slice."""
-        rng = random.Random(seed)
-        bad = None
-        for _ in range(samples):
+
+        def probe(rng):
             x = self.sample_member(rng, bound)
-            if x == self.zero_el:
-                continue
-            unbounded = self.scale(self.n + 1, x) is not None
-            if unbounded != (self.level(x) == 0):
-                bad = self.format(x)
-                break
-        return SampleVerdict("infinit-equals-level0", bad is None, samples, seed, bad)
+            if x != self.zero_el and (self.scale(self.n + 1, x) is not None) != (self.level(x) == 0):
+                return self.format(x)
+
+        return _sampled("infinit-equals-level0", seed, samples, probe)
 
     def sampled_ideal_predicate(self, pred: Callable, seed: int = 0, samples: int = 500, bound: int = 8) -> SampleVerdict:
         """Downward closure and sum closure of a membership predicate, on
         sampled witnesses."""
-        rng = random.Random(seed)
-        bad = None
-        for _ in range(samples):
+
+        def probe(rng):
             y = self.sample_member(rng, bound)
             d = self.sample_member(rng, bound)
             upper = self.add(y, d)
             if upper is not None and pred(upper) and not pred(y):
-                bad = "not downward closed at %s <= %s" % (
+                return "not downward closed at %s <= %s" % (
                     self.format(y), self.format(upper))
-                break
             i = self.sample_member(rng, bound)
             j = self.sample_member(rng, bound)
             s = self.add(i, j)
             if s is not None and pred(i) and pred(j) and not pred(s):
-                bad = "not sum closed at %s + %s" % (self.format(i), self.format(j))
-                break
-        return SampleVerdict("ideal-predicate", bad is None, samples, seed, bad)
+                return "not sum closed at %s + %s" % (self.format(i), self.format(j))
+
+        return _sampled("ideal-predicate", seed, samples, probe)
 
     def sampled_normal_predicate(self, pred: Callable, seed: int = 0, samples: int = 500, bound: int = 8) -> SampleVerdict:
         """Whenever x+i and j+x exist and agree, membership of i and j must
         agree; witnesses are constructed by solving for j exactly."""
-        rng = random.Random(seed)
-        bad = None
-        for _ in range(samples):
+
+        def probe(rng):
             x = self.sample_member(rng, bound)
             i = self.sample_member(rng, bound)
             s = self.add(x, i)
-            if s is None:
-                continue
-            j = self.left_difference(s, x)
-            if j is None:
-                continue
-            if pred(i) != pred(j):
-                bad = "%s vs %s around %s" % (
+            j = None if s is None else self.left_difference(s, x)
+            if j is not None and pred(i) != pred(j):
+                return "%s vs %s around %s" % (
                     self.format(i), self.format(j), self.format(x))
-                break
-        return SampleVerdict("normal-predicate", bad is None, samples, seed, bad)
+
+        return _sampled("normal-predicate", seed, samples, probe)
 
     def sampled_cyclic_uniqueness(self, c, seed: int = 0, samples: int = 500, bound: int = 8) -> SampleVerdict:
         """No sampled level-1 member other than c multiplies up to the unit."""
-        rng = random.Random(seed)
-        bad = None
         level1 = self.levels.index(1)
         if self.scale(self.n, c) != self.one_el:
-            bad = "candidate %s is not cyclic" % (self.format(c),)
-        else:
-            for _ in range(samples):
-                d = self.sample_member(rng, bound, base_index=level1)
-                if self.scale(self.n, d) == self.one_el and d != c:
-                    bad = self.format(d)
-                    break
-        return SampleVerdict("cyclic-uniqueness", bad is None, samples, seed, bad)
+            return SampleVerdict("cyclic-uniqueness", False, samples, seed,
+                                 "candidate %s is not cyclic" % (self.format(c),))
+
+        def probe(rng):
+            d = self.sample_member(rng, bound, base_index=level1)
+            if self.scale(self.n, d) == self.one_el and d != c:
+                return self.format(d)
+
+        return _sampled("cyclic-uniqueness", seed, samples, probe)
 
     def sampled_difference_consistency(self, seed: int = 0, samples: int = 300, bound: int = 6) -> SampleVerdict:
         """Group differences solved from two presentations of the same
@@ -770,18 +764,9 @@ class Measure:
                         "measure-additivity", False, 0, seed, "(%s, %s)" % (a, b)
                     )
             return SampleVerdict("measure-additivity", True, 0, seed, None)
-        rng = random.Random(seed)
-        bad = None
-        for _ in range(samples):
-            x = self.domain.sample_member(rng, bound)
-            y = self.domain.sample_member(rng, bound)
-            s = self.domain.add(x, y)
-            if s is None:
-                continue
-            if self.codomain.add(self.fn(x), self.fn(y)) != self.fn(s):
-                bad = "(%s, %s)" % (self.domain.format(x), self.domain.format(y))
-                break
-        return SampleVerdict("measure-additivity", bad is None, samples, seed, bad)
+        fn, K = self.fn, self.codomain
+        probe = _additivity_probe(self.domain, bound, lambda x, y, s: K.add(fn(x), fn(y)) == fn(s))
+        return _sampled("measure-additivity", seed, samples, probe)
 
 
 def _require_chain_presentation(E: SymbolicPea) -> None:
@@ -837,12 +822,16 @@ def strong_perfect_representation(
     if not central:
         raise NotStrongError("cyclic candidate is not central: witness %s" % (G.format(cw),))
     if E.ambient is not None and E.to_ambient is not None and not G.abelian:
-        rng = random.Random(seed)
+        A = E.ambient
         amb_c = E.to_ambient(c)
-        for _ in range(samples):
-            g = E.ambient.sample(rng, bound)
-            if E.ambient.add(amb_c, g) != E.ambient.add(g, amb_c):
-                raise NotStrongError("cyclic candidate not central in the ambient group")
+
+        def noncommuting(rng):
+            g = A.sample(rng, bound)
+            if A.add(amb_c, g) != A.add(g, amb_c):
+                return g
+
+        if _first_witness(random.Random(seed), samples, noncommuting) is not None:
+            raise NotStrongError("cyclic candidate not central in the ambient group")
     tf, tw = probe_torsion_free(G, samples=min(samples, 500), seed=seed)
     if not tf:
         raise NotStrongError("presentation group is not torsion-free: %r" % (tw,))
@@ -865,47 +854,41 @@ def strong_perfect_representation(
             raise InconsistencyError("phi left the target at %s" % (E.format(x),))
         return y
 
-    rng = random.Random(seed)
-    verdicts = []
-    bad = None
-    for _ in range(samples):
-        x = E.sample_member(rng, bound)
-        y = E.sample_member(rng, bound)
-        s = E.add(x, y)
-        if s is None:
-            continue
+    def phi_additive(x, y, s):
         t = target.add(phi(x), phi(y))
-        if t is None or t != phi(s):
-            bad = "(%s, %s)" % (E.format(x), E.format(y))
-            break
-    verdicts.append(SampleVerdict("phi-additivity", bad is None, samples, seed, bad))
-    bad = None
-    for _ in range(samples):
+        return t is not None and t == phi(s)
+
+    def order_reflected(rng):
         x = E.sample_member(rng, bound)
         y = E.sample_member(rng, bound)
         if E.le(x, y) != target.le(phi(x), phi(y)):
-            bad = "(%s, %s)" % (E.format(x), E.format(y))
-            break
-    verdicts.append(SampleVerdict("phi-order-reflection", bad is None, samples, seed, bad))
-    bad = None
-    for _ in range(samples):
+            return "(%s, %s)" % (E.format(x), E.format(y))
+
+    def injective(rng):
         x = E.sample_member(rng, bound)
         y = E.sample_member(rng, bound)
         if x != y and phi(x) == phi(y):
-            bad = "(%s, %s)" % (E.format(x), E.format(y))
-            break
-    verdicts.append(SampleVerdict("phi-injectivity", bad is None, samples, seed, bad))
-    bad = None
-    for _ in range(samples):
+            return "(%s, %s)" % (E.format(x), E.format(y))
+
+    def surjective(rng):
         t = target.sample_member(rng, bound)
         i = target.level(t)
         preimage = (E.levels.index(i), G.add(G.scale(i, c[1]), t[1]))
         if not E.is_member(preimage) or phi(preimage) != t:
-            bad = target.format(t)
-            break
-    verdicts.append(SampleVerdict("phi-surjectivity", bad is None, samples, seed, bad))
+            return target.format(t)
+
+    rng = random.Random(seed)
+    verdicts = tuple(
+        _sampled(name, seed, samples, probe, rng)
+        for name, probe in (
+            ("phi-additivity", _additivity_probe(E, bound, phi_additive)),
+            ("phi-order-reflection", order_reflected),
+            ("phi-injectivity", injective),
+            ("phi-surjectivity", surjective),
+        )
+    )
     report = RepresentationReport(
-        phi, target, c, tuple(verdicts),
+        phi, target, c, verdicts,
         assumptions=(
             "refinement property of the ambient group taken on trust from the presentation",
         ),
@@ -942,15 +925,17 @@ def lift_group_hom(
 
     The callable is first probed for additivity; the lift is then checked to
     preserve levels/membership and to be additive on sampled sums."""
-    rng = random.Random(seed)
-    for _ in range(samples):
+
+    def nonadditive(rng):
         a = domain_group.sample(rng, bound)
         b = domain_group.sample(rng, bound)
         if codomain_group.add(h(a), h(b)) != h(domain_group.add(a, b)):
-            raise InputError(
-                "callable is not additive at (%s, %s)"
-                % (domain_group.format(a), domain_group.format(b))
-            )
+            return "(%s, %s)" % (domain_group.format(a), domain_group.format(b))
+
+    rng = random.Random(seed)
+    bad = _first_witness(rng, samples, nonadditive)
+    if bad is not None:
+        raise InputError("callable is not additive at %s" % (bad,))
     E = SymbolicPea(chain_table(n), domain_group, ambient=LexExtensionGroup(domain_group),
                     to_ambient=lambda x: x)
     F = SymbolicPea(chain_table(n), codomain_group, ambient=LexExtensionGroup(codomain_group),
@@ -959,32 +944,23 @@ def lift_group_hom(
     def f(x):
         return (x[0], h(x[1]))
 
-    verdicts = []
-    bad = None
-    for _ in range(samples):
+    def level_preserved(rng):
         x = E.sample_member(rng, bound)
         y = f(x)
         if not F.is_member(y) or F.level(y) != E.level(x):
-            bad = E.format(x)
-            break
-    verdicts.append(SampleVerdict("level-preservation", bad is None, samples, seed, bad))
-    if bad is not None:
-        raise InputError("lift does not preserve levels/membership at %s" % (bad,))
-    bad = None
-    for _ in range(samples):
-        x = E.sample_member(rng, bound)
-        y = E.sample_member(rng, bound)
-        s = E.add(x, y)
-        if s is None:
-            continue
+            return E.format(x)
+
+    def f_additive(x, y, s):
         t = F.add(f(x), f(y))
-        if t is None or t != f(s):
-            bad = "(%s, %s)" % (E.format(x), E.format(y))
-            break
-    verdicts.append(SampleVerdict("lift-additivity", bad is None, samples, seed, bad))
-    if bad is not None:
-        raise InputError("lift is not additive at %s" % (bad,))
-    return LiftedMorphism(f, E, F, tuple(verdicts))
+        return t is not None and t == f(s)
+
+    levels = _sampled("level-preservation", seed, samples, level_preserved, rng)
+    if not levels.passed:
+        raise InputError("lift does not preserve levels/membership at %s" % (levels.witness,))
+    additivity = _sampled("lift-additivity", seed, samples, _additivity_probe(E, bound, f_additive), rng)
+    if not additivity.passed:
+        raise InputError("lift is not additive at %s" % (additivity.witness,))
+    return LiftedMorphism(f, E, F, (levels, additivity))
 
 
 @dataclass
@@ -1041,9 +1017,7 @@ def universal_group_extension(
         return eval_right(m, g1, g2)
 
     rng = random.Random(seed)
-    verdicts = []
-    pairs_done = 0
-    while pairs_done < presentation_pairs:
+    for _ in range(presentation_pairs):
         m = rng.randint(-2 * E.n, 2 * E.n)
         w = G.sample(rng, bound)
         (g1, g2), (g3, g4) = G.nonneg_presentations(rng, bound, w, 2)
@@ -1072,25 +1046,25 @@ def universal_group_extension(
                 (G.format(g1), G.format(g2)),
                 ("canonical",) ,
             )
-        pairs_done += 1
-    verdicts.append(SampleVerdict("well-definedness", True, presentation_pairs, seed, None))
-    bad = None
-    for _ in range(samples):
+
+    def homomorphic(rng):
         x = (rng.randint(-E.n, 2 * E.n), G.sample(rng, bound))
         y = (rng.randint(-E.n, 2 * E.n), G.sample(rng, bound))
         total = (x[0] + y[0], G.add(x[1], y[1]))
         if phi_star(total) != K.add(phi_star(x), phi_star(y)):
-            bad = "(%d,%s) + (%d,%s)" % (x[0], G.format(x[1]), y[0], G.format(y[1]))
-            break
-    verdicts.append(SampleVerdict("homomorphism", bad is None, samples, seed, bad))
-    bad = None
-    for _ in range(samples):
+            return "(%d,%s) + (%d,%s)" % (x[0], G.format(x[1]), y[0], G.format(y[1]))
+
+    def factors(rng):
         x = E.sample_member(rng, bound)
         if phi_star((E.level(x), x[1])) != phi(x):
-            bad = E.format(x)
-            break
-    verdicts.append(SampleVerdict("factors-through-embedding", bad is None, samples, seed, bad))
-    report = ExtensionReport(phi_star, tuple(verdicts))
+            return E.format(x)
+
+    verdicts = (
+        SampleVerdict("well-definedness", True, presentation_pairs, seed, None),
+        _sampled("homomorphism", seed, samples, homomorphic, rng),
+        _sampled("factors-through-embedding", seed, samples, factors, rng),
+    )
+    report = ExtensionReport(phi_star, verdicts)
     if not report.passed:
         raise InconsistencyError(
             "universal extension verification failed: %r"

@@ -480,17 +480,50 @@ def induced_order(table: PartialAdditionTable) -> OrderRelation:
 # -- complements, isotropic data, differences ---------------------------
 
 
+def _differences(table: PartialAdditionTable):
+    """Both difference tables of a GPEA, built once per table.
+
+    ``ldiff[b][a]`` is the x with x+a = b and ``rdiff[a][b]`` the x with
+    a+x = b; both are None unless a <= b.  Cancellation makes each entry
+    unique, so a second solution is reported as an inconsistency.
+    """
+    if "differences" in table._cache:
+        return table._cache["differences"]  # type: ignore[return-value]
+    _require_gpea(table)
+    k = table.size
+    ldiff: List[List[Optional[int]]] = [[None] * k for _ in range(k)]
+    rdiff: List[List[Optional[int]]] = [[None] * k for _ in range(k)]
+    for x, a, b in table.defined_sums():
+        if ldiff[b][a] is not None or rdiff[x][b] is not None:
+            raise InconsistencyError(
+                "difference of %r by %r is not unique" % (table.elements[b], table.elements[a])
+            )
+        ldiff[b][a] = x
+        rdiff[x][b] = a
+    result = (tuple(map(tuple, ldiff)), tuple(map(tuple, rdiff)))
+    table._cache["differences"] = result
+    return result
+
+
+def _noncommuting_pair(table: PartialAdditionTable) -> Optional[Tuple[str, str]]:
+    """The first (a, b) in element order where exactly one of a+b, b+a is
+    defined; None when condition (C), weak commutativity, holds."""
+    t = table._sums
+    k = table.size
+    for a in range(k):
+        for b in range(k):
+            if (t[a][b] is None) != (t[b][a] is None):
+                return table.elements[a], table.elements[b]
+    return None
+
+
 def complements(table: PartialAdditionTable, a: str) -> Tuple[str, str]:
     """Left and right complement (a-, a~) with a- + a = 1 and a + a~ = 1."""
     _require_pea(table)
-    t = table._sums
+    ldiff, rdiff = _differences(table)
     u = table.one_i
     i = table.index(a)
-    minus = [d for d in range(table.size) if t[d][i] == u]
-    tilde = [d for d in range(table.size) if t[i][d] == u]
-    if len(minus) != 1 or len(tilde) != 1:
-        raise InconsistencyError("complement of %r is not unique" % (a,))
-    return table.elements[minus[0]], table.elements[tilde[0]]
+    return table.elements[ldiff[u][i]], table.elements[rdiff[i][u]]
 
 
 def is_symmetric(table_or_symbolic, seed: int = 0, samples: int = 2000) -> SymmetryReport:
@@ -509,14 +542,7 @@ def is_symmetric(table_or_symbolic, seed: int = 0, samples: int = 2000) -> Symme
         if minus != tilde:
             comp_witness = (a, minus, tilde)
             break
-    cond_c_witness = None
-    for a in table.elements:
-        for b in table.elements:
-            if table.defined(a, b) != table.defined(b, a):
-                cond_c_witness = (a, b)
-                break
-        if cond_c_witness:
-            break
+    cond_c_witness = _noncommuting_pair(table)
     if (comp_witness is None) != (cond_c_witness is None):
         raise InconsistencyError(
             "symmetry criteria disagree: complements %r vs condition (C) %r"
@@ -571,17 +597,13 @@ def difference(table: PartialAdditionTable, a: str, b: str, side: str = "left") 
     order = induced_order(table)
     if not order.le(a, b):
         raise DifferenceUndefinedError("difference requires %r <= %r" % (a, b))
-    t = table._sums
+    ldiff, rdiff = _differences(table)
     i, j = table.index(a), table.index(b)
     if side == "left":
-        sols = [x for x in range(table.size) if t[x][i] == j]
-    elif side == "right":
-        sols = [x for x in range(table.size) if t[i][x] == j]
-    else:
-        raise InputError("side must be 'left' or 'right', got %r" % (side,))
-    if len(sols) != 1:
-        raise InconsistencyError("difference of %r by %r is not unique" % (b, a))
-    return table.elements[sols[0]]
+        return table.elements[ldiff[j][i]]
+    if side == "right":
+        return table.elements[rdiff[i][j]]
+    raise InputError("side must be 'left' or 'right', got %r" % (side,))
 
 
 # -- document serialization ---------------------------------------------

@@ -42,6 +42,12 @@ class Decomposition:
         )
 
 
+def _in_table_order(table: PartialAdditionTable, part) -> List[str]:
+    """The members of ``part`` in table element order, so that witnesses and
+    messages do not depend on set iteration order."""
+    return [e for e in table.elements if e in part]
+
+
 def validate_decomposition(table: PartialAdditionTable, D: Decomposition) -> None:
     """Check the partition conditions (disjoint, covering, complement-matched,
     additive) plus nonemptiness; raise on the first failure."""
@@ -52,19 +58,19 @@ def validate_decomposition(table: PartialAdditionTable, D: Decomposition) -> Non
     for i, part in enumerate(D.parts):
         if not part:
             raise InputError("part E_%d is empty" % (i,))
-        for a in part:
+        for a in _in_table_order(table, part):
             if a in seen:
                 raise InputError("element %r in both E_%d and E_%d" % (a, seen[a], i))
             seen[a] = i
-    if set(seen) != set(table.elements):
+    if set().union(*D.parts) != set(table.elements):
         raise InputError("parts do not cover the carrier")
-    for i, part in enumerate(D.parts):
-        for a in part:
-            minus, tilde = complements(table, a)
-            if seen[minus] != n - i or seen[tilde] != n - i:
-                raise InputError(
-                    "complements of %r land outside E_%d" % (a, n - i)
-                )
+    for a in table.elements:
+        i = seen[a]
+        minus, tilde = complements(table, a)
+        if seen[minus] != n - i or seen[tilde] != n - i:
+            raise InputError(
+                "complements of %r land outside E_%d" % (a, n - i)
+            )
     for ai, bj, s in table.defined_sums():
         a, b, c = table.elements[ai], table.elements[bj], table.elements[s]
         if seen[a] + seen[b] > n or seen[c] != seen[a] + seen[b]:
@@ -155,12 +161,13 @@ def check_comparability(table_or_symbolic, D: Decomposition, seed: int = 0, samp
     validate_decomposition(table, D)
     order = induced_order(table)
     n = D.n
+    parts = [_in_table_order(table, part) for part in D.parts]
     comparable = True
     witness = None
     for i in range(n + 1):
         for j in range(i + 1, n + 1):
-            for a in D.parts[i]:
-                for b in D.parts[j]:
+            for a in parts[i]:
+                for b in parts[j]:
                     if not order.le(a, b):
                         comparable = False
                         if witness is None:

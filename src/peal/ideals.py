@@ -11,6 +11,7 @@ from .core import (
     InconsistencyError,
     PartialAdditionTable,
     PreconditionError,
+    _differences,
     _require_gpea,
     _require_pea,
     check_axioms,
@@ -94,15 +95,16 @@ def is_normal(table: PartialAdditionTable, S: Iterable[str]):
     idx = _as_index_set(table, S)
     els = table.elements
     t = table._sums
+    ldiff = _differences(table)[0]
     k = table.size
     for a in range(k):
         for i in range(k):
             s = t[a][i]
             if s is None:
                 continue
-            for j in range(k):
-                if t[j][a] == s and (i in idx) != (j in idx):
-                    return False, (els[a], els[i], els[j])
+            j = ldiff[s][a]
+            if j is not None and (i in idx) != (j in idx):
+                return False, (els[a], els[i], els[j])
     return True, None
 
 
@@ -212,26 +214,20 @@ def check_r2(table: PartialAdditionTable, S: Iterable[str]):
     t = table._sums
     k = table.size
     leq = induced_order(table)._leq
+    ldiff, rdiff = _differences(table)
     els = table.elements
-
-    def left_diff(x, y):  # x \ y, the d with d + y = x
-        return next((d for d in range(k) if t[d][y] == x), None)
-
-    def right_diff(y, x):  # y / x, the d with y + d = x
-        return next((d for d in range(k) if t[y][d] == x), None)
-
     for i in idx:
         for a in range(k):
             if not leq[i][a]:
                 continue
-            ai = left_diff(a, i)
-            ia = right_diff(i, a)
+            ai = ldiff[a][i]
+            ia = rdiff[i][a]
             for b in range(k):
                 if ai is not None and t[ai][b] is not None:
                     ok = any(
                         leq[j][b]
-                        and right_diff(j, b) is not None
-                        and t[a][right_diff(j, b)] is not None
+                        and rdiff[j][b] is not None
+                        and t[a][rdiff[j][b]] is not None
                         for j in idx
                     )
                     if not ok:
@@ -239,8 +235,8 @@ def check_r2(table: PartialAdditionTable, S: Iterable[str]):
                 if ia is not None and t[b][ia] is not None:
                     ok = any(
                         leq[j][b]
-                        and left_diff(b, j) is not None
-                        and t[left_diff(b, j)][a] is not None
+                        and ldiff[b][j] is not None
+                        and t[ldiff[b][j]][a] is not None
                         for j in idx
                     )
                     if not ok:
@@ -273,17 +269,10 @@ def congruence_relation(table: PartialAdditionTable, I: Iterable[str]) -> List[L
     if not riesz:
         raise PreconditionError("congruence requires a Riesz ideal: %r" % (w,))
     idx = _as_index_set(table, members)
-    t = table._sums
     k = table.size
-    leq = induced_order(table)._leq
-    # diff[a] = {a \ i : i in I, i <= a}
-    diffs: List[Set[int]] = [set() for _ in range(k)]
-    for a in range(k):
-        for i in idx:
-            if leq[i][a]:
-                d = next((x for x in range(k) if t[x][i] == a), None)
-                if d is not None:
-                    diffs[a].add(d)
+    ldiff = _differences(table)[0]
+    # diffs[a] = {a \ i : i in I, i <= a}
+    diffs = [{ldiff[a][i] for i in idx} - {None} for a in range(k)]
     rel = [[bool(diffs[a] & diffs[b]) for b in range(k)] for a in range(k)]
     for a in range(k):
         if not rel[a][a]:
@@ -474,12 +463,19 @@ def two_valued_partition(table: PartialAdditionTable):
 
     if pairs and is_symmetric(table).symmetric:
         from .constructions import unitize
-        from .corpus import are_isomorphic
 
         for ide, _ in pairs:
+            # the theorem's isomorphism: x -> x on I and x# -> x~, where
+            # unitize lists the sharp copies after I in the same order
             sub = table.restrict(ide.members)
             lifted = unitize(sub)
-            if not are_isomorphic(lifted, table):
+            image = list(sub.elements) + [complements(table, x)[1] for x in sub.elements]
+            f = [table.index(x) for x in image]
+            if sorted(f) != list(range(table.size)) or any(
+                table._sums[f[p]][f[q]] != (None if r is None else f[r])
+                for p, row in enumerate(lifted._sums)
+                for q, r in enumerate(row)
+            ):
                 raise InconsistencyError(
                     "unitization of %r is not isomorphic to the algebra" % (ide,)
                 )

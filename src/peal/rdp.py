@@ -8,6 +8,7 @@ from typing import Optional, Tuple
 from .core import (
     InconsistencyError,
     PartialAdditionTable,
+    _differences,
     _require_pea,
     induced_order,
 )
@@ -28,11 +29,14 @@ class RdpReport:
 
 
 def check_rdp0(table: PartialAdditionTable) -> Tuple[bool, Optional[Tuple[str, ...]]]:
-    """(RDP)_0: every a <= b1 + b2 splits as a = d1 + d2 with d1 <= b1, d2 <= b2."""
+    """(RDP)_0: every a <= b1 + b2 splits as a = d1 + d2 with d1 <= b1, d2 <= b2.
+
+    Only d1 is searched: d2 is forced to be the difference d1/a."""
     _require_pea(table)
     t = table._sums
     k = table.size
     leq = induced_order(table)._leq
+    rdiff = _differences(table)[1]
     els = table.elements
     for b1 in range(k):
         for b2 in range(k):
@@ -43,9 +47,8 @@ def check_rdp0(table: PartialAdditionTable) -> Tuple[bool, Optional[Tuple[str, .
                 if not leq[a][s]:
                     continue
                 ok = any(
-                    leq[d1][b1] and leq[d2][b2] and t[d1][d2] == a
+                    leq[d1][b1] and rdiff[d1][a] is not None and leq[rdiff[d1][a]][b2]
                     for d1 in range(k)
-                    for d2 in range(k)
                 )
                 if not ok:
                     return False, (els[a], els[b1], els[b2])
@@ -59,19 +62,14 @@ def _refinement_matrices(table, a1, a2, b1, b2):
     c22 must solve both remaining equations.
     """
     t = table._sums
-    k = table.size
-    leq = induced_order(table)._leq
-    for c11 in range(k):
-        if not (leq[c11][a1] and leq[c11][b1]):
-            continue
-        c12 = next((x for x in range(k) if t[c11][x] == a1), None)
-        c21 = next((x for x in range(k) if t[c11][x] == b1), None)
+    rdiff = _differences(table)[1]
+    for c11 in range(table.size):
+        c12 = rdiff[c11][a1]
+        c21 = rdiff[c11][b1]
         if c12 is None or c21 is None:
             continue
-        c22 = next((x for x in range(k) if t[c21][x] == a2), None)
-        if c22 is None:
-            continue
-        if t[c12][c22] != b2:
+        c22 = rdiff[c21][a2]
+        if c22 is None or t[c12][c22] != b2:
             continue
         yield c11, c12, c21, c22
 

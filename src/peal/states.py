@@ -140,14 +140,6 @@ def _rref(rows: List[List[Fraction]]) -> Tuple[List[List[Fraction]], List[int], 
     return rows, pivots, consistent
 
 
-def _matrix_rank(rows: List[Sequence[Fraction]]) -> int:
-    if not rows:
-        return 0
-    work = [list(r) + [ZERO] for r in rows]
-    _, pivots, _ = _rref(work)
-    return len(pivots)
-
-
 def _nullspace_vector(rows: List[Sequence[Fraction]], dim: int) -> Optional[List[Fraction]]:
     """Some nonzero vector orthogonal to all rows, or None if rank is full."""
     work = [list(r) + [ZERO] for r in rows] or [[ZERO] * (dim + 1)]

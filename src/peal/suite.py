@@ -9,6 +9,7 @@ failing table.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -16,6 +17,7 @@ from . import decompositions as dec
 from . import ideals as idl
 from . import states as st
 from .constructions import (
+    _first_witness,
     builtin_pea,
     chain_table,
     lex_product_pea,
@@ -24,6 +26,7 @@ from .constructions import (
 from .core import (
     InputError,
     PartialAdditionTable,
+    _noncommuting_pair,
     check_axioms,
     complements,
     difference,
@@ -121,8 +124,7 @@ def _state_checks(report: SuiteReport, table: PartialAdditionTable, tag: str) ->
         if not st.is_extremal(table, s).extremal:
             ok, detail = False, "vertex state not extremal"
             break
-        st.kernel(table, s)  # asserts normal ideal
-        ker = st.kernel(table, s)
+        ker = st.kernel(table, s)  # asserts normal ideal
         if ker not in {i.members for i in idl.enumerate_ideals(table)}:
             ok, detail = False, "kernel missing from the ideal lattice"
             break
@@ -227,12 +229,7 @@ def _unitization_checks(report: SuiteReport, max_size: int) -> None:
     detail = ""
     symmetric_count = nonsymmetric_count = 0
     for g in generate_gpeas(min(max_size, 5)):
-        weakly_comm = all(
-            g.defined(a, b) == g.defined(b, a)
-            for a in g.elements
-            for b in g.elements
-        )
-        if weakly_comm:
+        if _noncommuting_pair(g) is None:
             symmetric_count += 1
             lifted = unitize(g)  # asserts PEA axioms, symmetry, order-ideal embedding
             if lifted.size != 2 * g.size:
@@ -294,16 +291,14 @@ def symbolic_battery(report: SuiteReport, seed: int, samples: int) -> None:
                   ex46.sampled_infinit_is_level0(seed=seed, samples=min(samples, 500)).passed, "")
 
     ex47 = builtin_pea("example47")
-    import random as _random
+    preds = ex47.ideal_predicates
 
-    rng = _random.Random(seed)
-    ok = True
-    for _ in range(samples):
+    def outside_intersection(rng):
         x = ex47.sample_member(rng, 10)
-        in_both = ex47.ideal_predicates["I_a"](x) and ex47.ideal_predicates["I_b"](x)
-        if in_both != ex47.ideal_predicates["E_0"](x):
-            ok = False
-            break
+        if (preds["I_a"](x) and preds["I_b"](x)) != preds["E_0"](x):
+            return x
+
+    ok = _first_witness(random.Random(seed), samples, outside_intersection) is None
     report.record("example47-E0-is-Ia-cap-Ib", ok, "%d samples" % samples)
     report.record("example47-infinit-level0",
                   ex47.sampled_infinit_is_level0(seed=seed, samples=min(samples, 500)).passed, "")

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -170,3 +173,19 @@ def test_document_byte_stability(docs):
     text = open(docs["diamond"]).read()
     doc = json.loads(text)
     assert dumps_document(table_to_document(table_from_document(doc))) == text
+
+
+def test_decompose_output_independent_of_hash_seed(tmp_path):
+    doc = tmp_path / "b3.json"
+    assert main(["construct", "--interval", "1,1,1", "--group", "z:3", "-o", str(doc)]) == 0
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    outputs = set()
+    for hash_seed in ("0", "1", "2", "3"):
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+        proc = subprocess.run(
+            [sys.executable, "-m", "peal.cli", "--format", "json", "decompose", str(doc), "2"],
+            env=env, capture_output=True, check=True,
+        )
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1

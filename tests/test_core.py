@@ -6,6 +6,8 @@ from peal.core import (
     DifferenceUndefinedError,
     InputError,
     PartialAdditionTable,
+    _differences,
+    _noncommuting_pair,
     check_axioms,
     complements,
     difference,
@@ -188,3 +190,29 @@ def test_document_roundtrip_over_corpus(pea_corpus_small):
 def test_rejects_degenerate_unit():
     with pytest.raises(InputError):
         PartialAdditionTable(["0"], "0", "0", {("0", "0"): "0"})
+
+
+def test_difference_kernel_matches_brute_scan(pea_corpus_small, gpea_corpus):
+    for table in list(pea_corpus_small) + list(gpea_corpus):
+        ldiff, rdiff = _differences(table)
+        k = table.size
+        for a in range(k):
+            for b in range(k):
+                left = [x for x in range(k) if table.add_i(x, a) == b]
+                right = [x for x in range(k) if table.add_i(a, x) == b]
+                assert left == ([] if ldiff[b][a] is None else [ldiff[b][a]])
+                assert right == ([] if rdiff[a][b] is None else [rdiff[a][b]])
+
+
+def test_noncommuting_pair_matches_brute_scan(pea_corpus_small, gpea_corpus):
+    for table in list(pea_corpus_small) + list(gpea_corpus):
+        expected = next(
+            (
+                (a, b)
+                for a in table.elements
+                for b in table.elements
+                if table.defined(a, b) != table.defined(b, a)
+            ),
+            None,
+        )
+        assert _noncommuting_pair(table) == expected

@@ -166,3 +166,14 @@ def test_partition_matches_direct_check(pea_corpus_small):
             universe = set(table.elements)
             assert ker | minus == universe and not ker & minus
             assert ker | tilde == universe and not ker & tilde
+
+
+def test_two_valued_partition_on_boolean_2_4():
+    from peal.constructions import gamma_interval_finite
+    from peal.groups import IntVectorGroup, UnitalPoGroup
+
+    table = gamma_interval_finite(UnitalPoGroup(IntVectorGroup(4), (1, 1, 1, 1)))
+    pairs = two_valued_partition(table)
+    assert len(pairs) == 4
+    for ide, s in pairs:
+        assert all(s(e) == (0 if e in ide.members else 1) for e in table.elements)

@@ -1,3 +1,5 @@
+import time
+
 from peal.constructions import chain_table
 from peal.core import induced_order
 from peal.rdp import check_rdp, check_rdp0, check_rdp1, rdp_report
@@ -96,3 +98,14 @@ def test_implication_chain_on_corpus(pea_corpus_small):
         rep = rdp_report(table)  # constructor enforces rdp1 => rdp => rdp0
         if all(table.add(a, b) == table.add(b, a) for a in table.elements for b in table.elements):
             assert rep.rdp == rep.rdp1
+
+
+def test_rdp0_matches_brute_oracle_with_witness(pea_corpus_small):
+    for table in pea_corpus_small:
+        assert check_rdp0(table) == brute_rdp0(table)
+
+
+def test_rdp0_on_chain80_is_fast():
+    start = time.perf_counter()
+    assert check_rdp0(chain_table(80)) == (True, None)
+    assert time.perf_counter() - start < 5.0
