@@ -106,9 +106,10 @@ def unitize(table: PartialAdditionTable) -> PartialAdditionTable:
 
     The three sum rules are applied verbatim: sums inside E are kept,
     a + b# = (b\\a)# and b# + a = (a/b)# whenever the differences exist, and
-    sharp elements never add to each other.  Non-symmetric input is rejected;
-    the output is certified to pass the PEA axioms with E sitting inside as
-    an order ideal.
+    sharp elements never add to each other.  The sharp copy of x is named x
+    followed by the shortest run of '#' that names no element of E.
+    Non-symmetric input is rejected; the output is certified to pass the PEA
+    axioms with E sitting inside as an order ideal.
     """
     rep = check_axioms(table, "gpea")
     if not rep.passed:
@@ -117,7 +118,11 @@ def unitize(table: PartialAdditionTable) -> PartialAdditionTable:
     if pair is not None:
         raise NonSymmetricError("GPEA is not weakly commutative at (%r, %r)" % pair)
     els = table.elements
-    sharp = [e + "#" for e in els]
+    names = set(els)
+    suffix = "#"
+    while any(e + suffix in names for e in els):
+        suffix += "#"
+    sharp = [e + suffix for e in els]
     ldiff, rdiff = _differences(table)
     sums: Dict[Tuple[str, str], str] = {}
     for a in range(table.size):

@@ -629,15 +629,23 @@ def table_from_document(doc: dict) -> PartialAdditionTable:
     for key in ("elements", "zero", "add"):
         if key not in doc:
             raise InputError("algebra document missing %r" % (key,))
+    elements, zero, one, add = doc["elements"], doc["zero"], doc.get("one"), doc["add"]
+    if not (isinstance(elements, (list, tuple)) and all(isinstance(e, str) for e in elements)):
+        raise InputError("elements must be a list of strings, got %r" % (elements,))
+    if not (isinstance(zero, str) and (one is None or isinstance(one, str))):
+        raise InputError("zero and one must be strings, got %r and %r" % (zero, one))
+    if not isinstance(add, (list, tuple)):
+        raise InputError("add must be a list of [a, b, c] triples, got %r" % (add,))
     sums = {}
-    for entry in doc["add"]:
-        if not (isinstance(entry, (list, tuple)) and len(entry) == 3):
-            raise InputError("add entries must be [a, b, c] triples, got %r" % (entry,))
+    for entry in add:
+        if not (isinstance(entry, (list, tuple)) and len(entry) == 3
+                and all(isinstance(x, str) for x in entry)):
+            raise InputError("add entries must be [a, b, c] string triples, got %r" % (entry,))
         a, b, c = entry
         if (a, b) in sums and sums[(a, b)] != c:
             raise InputError("conflicting add entries for (%r, %r)" % (a, b))
         sums[(a, b)] = c
-    return PartialAdditionTable(doc["elements"], doc["zero"], doc.get("one"), sums)
+    return PartialAdditionTable(elements, zero, one, sums)
 
 
 def dumps_document(doc: dict) -> str:

@@ -253,6 +253,28 @@ def _table_from_matrix(matrix: List[List[int]], unital: bool) -> PartialAddition
     return PartialAdditionTable(names, "0", "1" if unital else None, sums)
 
 
+def _classes(min_size: int, max_size: int, unital: bool) -> Tuple[PartialAdditionTable, ...]:
+    """One canonical table per isomorphism class found by the search, per
+    size in min_size..max_size, each size sorted by canonical key."""
+    kind = "pea" if unital else "gpea"
+    out: List[PartialAdditionTable] = []
+    for k in range(min_size, max_size + 1):
+        seen = set()
+        sized: List[Tuple[object, PartialAdditionTable]] = []
+        for matrix in _search(k, unital=unital):
+            table = _table_from_matrix(matrix, unital=unital)
+            if not check_axioms(table, kind).passed:
+                continue
+            key = canonical_key(table)
+            if key in seen:
+                continue
+            seen.add(key)
+            sized.append((key, canonical_table(table)))
+        sized.sort(key=lambda kv: kv[0])
+        out.extend(tb for _, tb in sized)
+    return tuple(out)
+
+
 @lru_cache(maxsize=None)
 def generate_peas(max_size: int, min_size: int = 2) -> Tuple[PartialAdditionTable, ...]:
     """All PEAs with min_size..max_size elements, one canonical table per
@@ -262,22 +284,7 @@ def generate_peas(max_size: int, min_size: int = 2) -> Tuple[PartialAdditionTabl
     """
     if max_size < 2:
         raise InputError("a PEA needs at least the two elements 0 and 1")
-    out: List[PartialAdditionTable] = []
-    for k in range(max(2, min_size), max_size + 1):
-        seen = set()
-        sized: List[Tuple[object, PartialAdditionTable]] = []
-        for matrix in _search(k, unital=True):
-            table = _table_from_matrix(matrix, unital=True)
-            if not check_axioms(table, "pea").passed:
-                continue
-            key = canonical_key(table)
-            if key in seen:
-                continue
-            seen.add(key)
-            sized.append((key, canonical_table(table)))
-        sized.sort(key=lambda kv: kv[0])
-        out.extend(tb for _, tb in sized)
-    return tuple(out)
+    return _classes(max(2, min_size), max_size, unital=True)
 
 
 @lru_cache(maxsize=None)
@@ -285,19 +292,4 @@ def generate_gpeas(max_size: int, min_size: int = 1) -> Tuple[PartialAdditionTab
     """All GPEAs with min_size..max_size elements up to isomorphism."""
     if max_size < 1:
         raise InputError("a GPEA needs at least the element 0")
-    out: List[PartialAdditionTable] = []
-    for k in range(max(1, min_size), max_size + 1):
-        seen = set()
-        sized: List[Tuple[object, PartialAdditionTable]] = []
-        for matrix in _search(k, unital=False):
-            table = _table_from_matrix(matrix, unital=False)
-            if not check_axioms(table, "gpea").passed:
-                continue
-            key = canonical_key(table)
-            if key in seen:
-                continue
-            seen.add(key)
-            sized.append((key, canonical_table(table)))
-        sized.sort(key=lambda kv: kv[0])
-        out.extend(tb for _, tb in sized)
-    return tuple(out)
+    return _classes(max(1, min_size), max_size, unital=False)

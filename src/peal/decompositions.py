@@ -77,18 +77,33 @@ def validate_decomposition(table: PartialAdditionTable, D: Decomposition) -> Non
             raise InputError("sum %r + %r = %r violates additivity of parts" % (a, b, c))
 
 
+def _parts(table: PartialAdditionTable, labels, n: int) -> Decomposition:
+    """The decomposition whose part E_i holds the elements labelled i."""
+    return Decomposition(tuple(
+        frozenset(e for e, l in zip(table.elements, labels) if l == i)
+        for i in range(n + 1)
+    ))
+
+
+def _sums_exist(table: PartialAdditionTable, D: Decomposition) -> bool:
+    """Whether every sum of E_i and E_j is defined when i + j < n."""
+    n = D.n
+    return all(
+        table.defined(a, b)
+        for i in range(n + 1)
+        for j in range(n + 1)
+        if i + j < n
+        for a in D.parts[i]
+        for b in D.parts[j]
+    )
+
+
 def find_decompositions(table: PartialAdditionTable, n: int) -> List[Decomposition]:
     """All n-decompositions, by the shared labeling search; each result is
     re-validated against the partition conditions before being returned."""
     result = []
     for labels in states_mod.discrete_labelings(table, n):
-        parts = tuple(
-            frozenset(
-                table.elements[i] for i in range(table.size) if labels[i] == v
-            )
-            for v in range(n + 1)
-        )
-        D = Decomposition(parts)
+        D = _parts(table, labels, n)
         validate_decomposition(table, D)
         result.append(D)
     return result
@@ -96,7 +111,9 @@ def find_decompositions(table: PartialAdditionTable, n: int) -> List[Decompositi
 
 def decomposition_state_bijection(table: PartialAdditionTable, n: int):
     """The bijection D_n(E) <-> S_n(E): each decomposition is paired with its
-    induced state and the two constructions are verified mutually inverse."""
+    induced state and the two constructions are verified mutually inverse.
+
+    Both lists follow the same sorted labelings, so they pair by position."""
     decomps = find_decompositions(table, n)
     states = states_mod.enumerate_discrete_states(table, n)
     if len(decomps) != len(states):
@@ -104,33 +121,13 @@ def decomposition_state_bijection(table: PartialAdditionTable, n: int):
             "|D_n| = %d but |S_n| = %d" % (len(decomps), len(states))
         )
     pairs = []
-    state_set = set(states)
-    for D in decomps:
-        vals = {}
-        for i, part in enumerate(D.parts):
-            for a in part:
-                vals[a] = Fraction(i, n)
-        s = states_mod.StateVector(table, vals)
-        if s not in state_set:
+    for D, s in zip(decomps, states):
+        induced = {a: Fraction(i, n) for i, part in enumerate(D.parts) for a in part}
+        if induced != s.values:
             raise InconsistencyError("decomposition-induced state not enumerated")
-        back = Decomposition(
-            tuple(
-                frozenset(e for e in table.elements if s(e) == Fraction(i, n))
-                for i in range(n + 1)
-            )
-        )
-        if back != D:
+        if _parts(table, [s(e) * n for e in table.elements], n) != D:
             raise InconsistencyError("state preimages do not recover the decomposition")
         pairs.append((D, s))
-    for s in states:
-        D = Decomposition(
-            tuple(
-                frozenset(e for e in table.elements if s(e) == Fraction(i, n))
-                for i in range(n + 1)
-            )
-        )
-        if D not in {d for d, _ in pairs}:
-            raise InconsistencyError("state has no matching decomposition")
     return pairs
 
 
@@ -172,14 +169,7 @@ def check_comparability(table_or_symbolic, D: Decomposition, seed: int = 0, samp
                         comparable = False
                         if witness is None:
                             witness = (a, b)
-    sums_exist = all(
-        table.defined(a, b)
-        for i in range(n + 1)
-        for j in range(n + 1)
-        if i + j < n
-        for a in D.parts[i]
-        for b in D.parts[j]
-    )
+    sums_exist = _sums_exist(table, D)
     if comparable != sums_exist:
         raise InconsistencyError(
             "comparability biconditional failed: chain %s, sums %s"
@@ -238,15 +228,7 @@ def is_n_perfect(table: PartialAdditionTable, n: int):
     if not decomps:
         return False, NPerfectCertificate(None, maximal, "no n-decomposition")
     for D in decomps:
-        sums_exist = all(
-            table.defined(a, b)
-            for i in range(n + 1)
-            for j in range(n + 1)
-            if i + j < n
-            for a in D.parts[i]
-            for b in D.parts[j]
-        )
-        if not sums_exist:
+        if not _sums_exist(table, D):
             continue
         if len(maximal) == 1 and set(maximal[0]) == set(D.parts[0]):
             return True, NPerfectCertificate(D, maximal)

@@ -1,10 +1,12 @@
 """Exact state-space computation on finite PEAs.
 
 States are rational-valued additive morphisms into [0,1].  The additivity
-equations are solved by exact Gaussian elimination; the resulting polytope's
-vertices (the extremal states) are enumerated with an incremental double
-description sweep.  Discrete states are found by the integer-labeling search
-suggested by the decomposition characterization, never by rounding.
+equations are solved by exact Gauss-Jordan elimination on sparse rows
+``{column: nonzero Fraction}`` (each equation has at most three nonzeros);
+the resulting polytope's vertices (the extremal states) are enumerated with
+an incremental double description sweep in which every vertex carries its
+set of tight constraints.  Discrete states are found by the integer-labeling
+search suggested by the decomposition characterization, never by rounding.
 """
 
 from __future__ import annotations
@@ -106,106 +108,121 @@ class StateSpace:
         return len(self.extremal_states) > 0
 
 
-# -- exact linear algebra -------------------------------------------------
+# -- exact sparse linear algebra -------------------------------------------
+#
+# A row is a dict {column: nonzero Fraction}; a system over ncols unknowns
+# keeps its right-hand side at column ncols.
+
+Row = Dict[int, Fraction]
 
 
-def _rref(rows: List[List[Fraction]]) -> Tuple[List[List[Fraction]], List[int], bool]:
-    """Reduced row echelon form; returns (rows, pivot column list, consistent).
+def _dot(row: Row, point: Sequence[Fraction]) -> Fraction:
+    return sum(v * point[c] for c, v in row.items())
 
-    The last column is the right-hand side; consistency means no row reduces
-    to 0 = nonzero.
+
+def _rref(rows: List[Row], ncols: int) -> Tuple[List[Row], List[int], bool]:
+    """Gauss-Jordan elimination, column by column, on sparse rows.
+
+    Returns the nonzero rows of the reduced row echelon form in pivot order,
+    their pivot columns, and whether the system is consistent (no row
+    reduces to 0 = nonzero).  The reduced form is unique, so the result does
+    not depend on the order of ``rows``.
     """
-    rows = [list(r) for r in rows]
-    ncols = len(rows[0]) if rows else 0
+    rest = [dict(r) for r in rows]
+    done: List[Row] = []
     pivots: List[int] = []
-    r = 0
-    for col in range(ncols - 1):
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if pivot_row is None:
+    for col in range(ncols):
+        at = next((i for i, r in enumerate(rest) if col in r), None)
+        if at is None:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = rows[r][col]
-        rows[r] = [x / inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        inv = rest[at][col]
+        pivot = {c: v / inv for c, v in rest.pop(at).items()}
+        for row in done + rest:
+            # row -= f * pivot (pivot[col] is 1); zero entries leave the row
+            f = row.pop(col, None)
+            if f is not None:
+                for c, v in pivot.items():
+                    if c != col:
+                        x = row.get(c, ZERO) - f * v
+                        if x:
+                            row[c] = x
+                        else:
+                            del row[c]
+        rest = [row for row in rest if row]
+        done.append(pivot)
         pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    consistent = all(
-        any(x != 0 for x in row[:-1]) or row[-1] == 0 for row in rows
-    )
-    return rows, pivots, consistent
+    # every surviving non-pivot row has only its right-hand side left
+    return done, pivots, not rest
 
 
-def _nullspace_vector(rows: List[Sequence[Fraction]], dim: int) -> Optional[List[Fraction]]:
+def _nullspace_vector(rows: List[Row], dim: int) -> Optional[Tuple[Fraction, ...]]:
     """Some nonzero vector orthogonal to all rows, or None if rank is full."""
-    work = [list(r) + [ZERO] for r in rows] or [[ZERO] * (dim + 1)]
-    red, pivots, _ = _rref(work)
+    red, pivots, _ = _rref(rows, dim)
     free = [c for c in range(dim) if c not in pivots]
     if not free:
         return None
     j = free[0]
-    vec = [ZERO] * dim
-    vec[j] = ONE
-    for rowi, col in enumerate(pivots):
-        vec[col] = -red[rowi][j]
-    return vec
+    vec = {j: ONE}
+    for row, col in zip(red, pivots):
+        vec[col] = -row.get(j, ZERO)
+    return tuple(vec.get(c, ZERO) for c in range(dim))
 
 
 # -- double description vertex sweep --------------------------------------
 
 
 def _dd_vertices(
-    constraints: List[Tuple[List[Fraction], Fraction]], dim: int
+    constraints: List[Tuple[Row, Fraction]], dim: int
 ) -> List[Tuple[Fraction, ...]]:
     """Vertices of {t : a.t <= b for all (a, b)} assuming the first 2*dim
     constraints are the unit box 0 <= t_i <= 1 (so the region is bounded)."""
-
-    def dot(a, t):
-        return sum(x * y for x, y in zip(a, t))
-
-    verts: List[Tuple[Fraction, ...]] = []
-    for mask in range(1 << dim):
-        verts.append(tuple(ONE if mask >> i & 1 else ZERO for i in range(dim)))
-    active = list(range(2 * dim))
-
-    def tight_set(v):
-        return frozenset(
-            ci for ci in active if dot(constraints[ci][0], v) == constraints[ci][1]
-        )
-
+    # (vertex, its tight set among the constraints swept so far)
+    verts: List[Tuple[Tuple[Fraction, ...], FrozenSet[int]]] = [
+        (tuple(ONE if mask >> i & 1 else ZERO for i in range(dim)),
+         frozenset(2 * i + (mask >> i & 1) for i in range(dim)))
+        for mask in range(1 << dim)
+    ]
     for ci in range(2 * dim, len(constraints)):
         a, b = constraints[ci]
-        vals = [dot(a, v) for v in verts]
-        keep = [v for v, val in zip(verts, vals) if val <= b]
-        inside = [(v, val) for v, val in zip(verts, vals) if val < b]
-        outside = [(v, val) for v, val in zip(verts, vals) if val > b]
-        if outside:
-            tights = {v: tight_set(v) for v in verts}
-            new_pts = set()
-            for u, uval in inside:
-                for w, wval in outside:
-                    common = tights[u] & tights[w]
-                    # combinatorial adjacency: no third vertex is tight on
-                    # everything u and w share
-                    adjacent = not any(
-                        v is not u and v is not w and common <= tights[v] for v in verts
-                    )
-                    if len(common) < dim - 1 or not adjacent:
-                        continue
-                    lam = (b - uval) / (wval - uval)
-                    new_pts.add(
-                        tuple(x + lam * (y - x) for x, y in zip(u, w))
-                    )
-            keep.extend(p for p in new_pts if p not in keep)
+        vals = [_dot(a, v) for v, _ in verts]
+        keep = [
+            (v, tight | {ci} if val == b else tight)
+            for (v, tight), val in zip(verts, vals)
+            if val <= b
+        ]
+        outside = [j for j, val in enumerate(vals) if val > b]
+        new_pts = set()
+        for i, ((u, tu), uval) in enumerate(zip(verts, vals)):
+            if uval >= b:
+                continue
+            for j in outside:
+                (w, tw), wval = verts[j], vals[j]
+                common = tu & tw
+                if len(common) < dim - 1:
+                    continue
+                # combinatorial adjacency: no third vertex is tight on
+                # everything u and w share
+                if any(
+                    common <= tight and m != i and m != j
+                    for m, (_, tight) in enumerate(verts)
+                ):
+                    continue
+                lam = (b - uval) / (wval - uval)
+                new_pts.add(tuple(x + lam * (y - x) for x, y in zip(u, w)))
+        if new_pts:
+            new_pts -= {v for v, _ in keep}
+        # a degenerate point may be tight on more than its parents share
+        keep.extend(
+            (p, frozenset(
+                cj for cj in range(ci + 1)
+                if _dot(constraints[cj][0], p) == constraints[cj][1]
+            ))
+            for p in new_pts
+        )
         verts = keep
-        active.append(ci)
         if not verts:
             return []
-    return sorted(set(verts))
+    return sorted(v for v, _ in verts)
 
 
 def _state_system(table: PartialAdditionTable):
@@ -213,35 +230,28 @@ def _state_system(table: PartialAdditionTable):
     free element list, consistent) with values per element."""
     k = table.size
     els = table.elements
-    rows: List[List[Fraction]] = []
-    row = [ZERO] * (k + 1)
-    row[table.zero_i] = ONE
-    rows.append(row)
+    rows: List[Row] = [{table.zero_i: ONE}]
     if table.one_i is not None:
-        row = [ZERO] * (k + 1)
-        row[table.one_i] = ONE
-        row[k] = ONE
-        rows.append(row)
+        rows.append({table.one_i: ONE, k: ONE})
     for i, j, s in table.defined_sums():
-        row = [ZERO] * (k + 1)
-        row[i] += ONE
-        row[j] += ONE
-        row[s] -= ONE
-        if any(x != 0 for x in row[:k]):
-            rows.append(row)
-    red, pivots, consistent = _rref(rows)
+        # s(a) + s(b) - s(a + b) = 0; the coefficients sum to 1, so a row
+        # never cancels entirely, but single entries do (0 + a = a)
+        row = {c: Fraction((c == i) + (c == j) - (c == s)) for c in (i, j, s)}
+        rows.append({c: v for c, v in row.items() if v})
+    red, pivots, consistent = _rref(rows, k)
     if not consistent:
         return None, [], [], False
-    free_cols = [c for c in range(k) if c not in pivots]
+    pivot_set = set(pivots)
+    free_cols = [c for c in range(k) if c not in pivot_set]
     particular = {els[c]: ZERO for c in free_cols}
-    for rowi, col in enumerate(pivots):
-        particular[els[col]] = red[rowi][k]
+    for row, col in zip(red, pivots):
+        particular[els[col]] = row.get(k, ZERO)
     basis = []
     for f in free_cols:
         vec = {els[c]: ZERO for c in range(k)}
         vec[els[f]] = ONE
-        for rowi, col in enumerate(pivots):
-            vec[els[col]] = -red[rowi][f]
+        for row, col in zip(red, pivots):
+            vec[els[col]] = -row.get(f, ZERO)
         basis.append(vec)
     return particular, basis, [els[f] for f in free_cols], True
 
@@ -249,27 +259,34 @@ def _state_system(table: PartialAdditionTable):
 def _box_constraints(table, particular, basis, free_els):
     """Inequalities 0 <= s(e) <= 1 in the free coordinates, unit box first."""
     d = len(free_els)
-    constraints: List[Tuple[List[Fraction], Fraction]] = []
+    constraints: List[Tuple[Row, Fraction]] = []
     for j in range(d):
-        row = [ZERO] * d
-        row[j] = -ONE
-        constraints.append((row, ZERO))
-        row = [ZERO] * d
-        row[j] = ONE
-        constraints.append((row, ONE))
+        constraints.append(({j: -ONE}, ZERO))
+        constraints.append(({j: ONE}, ONE))
+    free = set(free_els)
     for e in table.elements:
-        if e in free_els:
+        if e in free:
             continue
-        coeffs = [basis[j][e] for j in range(d)]
+        coeffs = {j: basis[j][e] for j in range(d) if basis[j][e]}
         p = particular[e]
-        if all(c == 0 for c in coeffs):
+        if not coeffs:
             if p < 0 or p > 1:
                 # forced value outside the box: encode as infeasible
-                constraints.append(([ZERO] * d, Fraction(-1)))
+                constraints.append(({}, Fraction(-1)))
             continue
-        constraints.append(([-c for c in coeffs], p))
-        constraints.append((list(coeffs), ONE - p))
+        constraints.append(({j: -c for j, c in coeffs.items()}, p))
+        constraints.append((coeffs, ONE - p))
     return constraints
+
+
+def _state_at(table: PartialAdditionTable, particular, basis, t) -> StateVector:
+    """The state at free coordinates ``t`` of the affine parametrization;
+    zero terms are skipped, as vertices are mostly 0/1 and bases sparse."""
+    moves = [(vec, x) for vec, x in zip(basis, t) if x]
+    return StateVector(table, {
+        e: particular[e] + sum(vec[e] * x for vec, x in moves if vec[e])
+        for e in table.elements
+    })
 
 
 def solve_state_space(table: PartialAdditionTable) -> StateSpace:
@@ -300,14 +317,9 @@ def solve_state_space(table: PartialAdditionTable) -> StateSpace:
         table._cache["state_space"] = space
         return space
     constraints = _box_constraints(table, particular, basis, free_els)
-    verts = _dd_vertices(constraints, d)
-    extremals = []
-    for v in verts:
-        vals = {
-            e: particular[e] + sum(basis[j][e] * v[j] for j in range(d))
-            for e in table.elements
-        }
-        extremals.append(StateVector(table, vals))
+    extremals = [
+        _state_at(table, particular, basis, v) for v in _dd_vertices(constraints, d)
+    ]
     space = StateSpace(
         table,
         True,
@@ -316,6 +328,7 @@ def solve_state_space(table: PartialAdditionTable) -> StateSpace:
         tuple(free_els),
         tuple(sorted(set(extremals), key=lambda s: s._key)),
     )
+    table._cache["state_constraints"] = constraints
     table._cache["state_space"] = space
     return space
 
@@ -328,11 +341,19 @@ def discrete_labelings(table: PartialAdditionTable, n: int) -> List[Tuple[int, .
     l(a)+l(b) = l(a+b) on defined sums, in lexicographic order.
 
     This is the shared search engine behind discrete states and
-    n-decompositions.
+    n-decompositions.  The search runs once per table and n; each call
+    returns a fresh list.
     """
     if n < 1:
         raise InputError("n must be a positive integer, got %r" % (n,))
     _require_pea(table)
+    key = "labelings_%d" % n
+    if key not in table._cache:
+        table._cache[key] = _labelings(table, n)
+    return list(table._cache[key])  # type: ignore[call-overload]
+
+
+def _labelings(table: PartialAdditionTable, n: int) -> Tuple[Tuple[int, ...], ...]:
     k = table.size
     labels = [-1] * k
     labels[table.zero_i] = 0
@@ -376,16 +397,15 @@ def discrete_labelings(table: PartialAdditionTable, n: int) -> List[Tuple[int, .
         labels[e] = -1
 
     rec(0)
-    return sorted(out)
+    return tuple(sorted(out))
 
 
 def enumerate_discrete_states(table: PartialAdditionTable, n: int) -> List[StateVector]:
     """All (n+1)-valued discrete states, via the integer-labeling search."""
-    states = []
-    for labels in discrete_labelings(table, n):
-        vals = {e: Fraction(labels[i], n) for i, e in enumerate(table.elements)}
-        states.append(StateVector(table, vals))
-    return states
+    return [
+        StateVector(table, {e: Fraction(l, n) for e, l in zip(table.elements, labels)})
+        for labels in discrete_labelings(table, n)
+    ]
 
 
 # -- classification and extremality ---------------------------------------
@@ -458,19 +478,15 @@ def is_extremal(table: PartialAdditionTable, s: StateVector) -> ExtremalityRepor
     if d == 0:
         return ExtremalityReport(True, None)
     t0 = [s(e) for e in space.free_elements]
-    constraints = _box_constraints(table, space.particular, list(space.basis), space.free_elements)
-
-    def dot(a, t):
-        return sum(x * y for x, y in zip(a, t))
-
-    tight = [a for a, b in constraints if dot(a, t0) == b]
+    constraints = table._cache["state_constraints"]
+    tight = [a for a, b in constraints if _dot(a, t0) == b]
     direction = _nullspace_vector(tight, d)
     if direction is None:
         return ExtremalityReport(True, None)
     lam_pos = lam_neg = None
     for a, b in constraints:
-        av = dot(a, direction)
-        slack = b - dot(a, t0)
+        av = _dot(a, direction)
+        slack = b - _dot(a, t0)
         if av > 0:
             bound = slack / av
             lam_pos = bound if lam_pos is None else min(lam_pos, bound)
@@ -480,17 +496,10 @@ def is_extremal(table: PartialAdditionTable, s: StateVector) -> ExtremalityRepor
     if lam_pos is None or lam_neg is None or lam_pos == 0 or lam_neg == 0:
         raise InconsistencyError("interior direction with no room to move")
     eps = min(lam_pos, lam_neg)
-
-    def state_at(t):
-        vals = {
-            e: space.particular[e]
-            + sum(space.basis[j][e] * t[j] for j in range(d))
-            for e in table.elements
-        }
-        return StateVector(table, vals)
-
-    s1 = state_at([x + eps * w for x, w in zip(t0, direction)])
-    s2 = state_at([x - eps * w for x, w in zip(t0, direction)])
+    s1 = _state_at(table, space.particular, space.basis,
+                   [x + eps * w for x, w in zip(t0, direction)])
+    s2 = _state_at(table, space.particular, space.basis,
+                   [x - eps * w for x, w in zip(t0, direction)])
     if s1 == s2:
         raise InconsistencyError("witness states collapsed")
     return ExtremalityReport(False, (s1, s2))

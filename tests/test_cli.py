@@ -122,6 +122,46 @@ def test_unitize_command(tmp_path, capsys):
     assert len(lifted["elements"]) == 4
 
 
+def test_unitize_sharp_names_avoid_existing_elements(tmp_path, capsys):
+    # x + "#" is already an element, so the sharp copies need "##"
+    doc = {"elements": ["0", "x", "x#"], "zero": "0",
+           "add": [["0", "0", "0"], ["0", "x", "x"], ["x", "0", "x"],
+                   ["0", "x#", "x#"], ["x#", "0", "x#"], ["x", "x", "x#"]]}
+    p = tmp_path / "gpea.json"
+    p.write_text(json.dumps(doc))
+    code, out = run(capsys, ["--format", "json", "unitize", str(p)])
+    assert code == 0
+    lifted = json.loads(out)["results"]["unitization_document"]
+    assert sorted(lifted["elements"]) == ["0", "0##", "x", "x#", "x##", "x###"]
+    assert lifted["one"] == "0##"
+
+
+MALFORMED_DOCUMENTS = {
+    "zero-not-a-string": {"elements": ["0", "1"], "zero": ["0"], "one": "1",
+                          "add": [["0", "1", "1"]]},
+    "list-inside-add-triple": {"elements": ["0", "1"], "zero": "0", "one": "1",
+                               "add": [["0", ["1"], "1"]]},
+    # a string would otherwise be split into the valid two-chain 0, 1
+    "elements-a-string": {"elements": "01", "zero": "0", "one": "1",
+                          "add": [["0", "0", "0"], ["0", "1", "1"], ["1", "0", "1"]]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_DOCUMENTS))
+def test_malformed_document_is_input_error(tmp_path, name):
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(MALFORMED_DOCUMENTS[name]))
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "peal.cli", "verify", str(p)],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert "input error" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_construct_builtin(tmp_path, capsys):
     out_path = tmp_path / "c4.json"
     code, _ = run(capsys, ["construct", "--builtin", "chain:4", "-o", str(out_path)])

@@ -1,21 +1,26 @@
+import time
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hyp
 
 from peal.constructions import chain_table
-from peal.core import InputError
+from peal.core import InputError, PartialAdditionTable
 from peal.ideals import enumerate_ideals, is_ideal, is_normal
 from peal.states import (
     StateVector,
+    _dd_vertices,
     classify_state,
     enumerate_discrete_states,
     is_extremal,
     kernel,
     solve_state_space,
 )
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 def brute_discrete_states(table, n):
@@ -35,6 +40,120 @@ def brute_discrete_states(table, n):
         if ok:
             found.append(tuple(combo))
     return found
+
+
+def dense_rref(rows):
+    """Reference dense Gauss-Jordan elimination (the last column is the
+    right-hand side): the reduced rows, the pivot columns, and whether no
+    row reduces to 0 = nonzero."""
+    rows = [list(r) for r in rows]
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for col in range(ncols - 1):
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = rows[r][col]
+        rows[r] = [x / inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(rows):
+            break
+    consistent = all(any(x != 0 for x in row[:-1]) or row[-1] == 0 for row in rows)
+    return rows, pivots, consistent
+
+
+def dense_state_system(table):
+    """Reference solution of the additivity equations over dense rows:
+    (particular, basis, free elements, consistent)."""
+    k = table.size
+    els = table.elements
+    rows = []
+    row = [ZERO] * (k + 1)
+    row[table.zero_i] = ONE
+    rows.append(row)
+    if table.one_i is not None:
+        row = [ZERO] * (k + 1)
+        row[table.one_i] = ONE
+        row[k] = ONE
+        rows.append(row)
+    for i, j, s in table.defined_sums():
+        row = [ZERO] * (k + 1)
+        row[i] += ONE
+        row[j] += ONE
+        row[s] -= ONE
+        if any(x != 0 for x in row[:k]):
+            rows.append(row)
+    red, pivots, consistent = dense_rref(rows)
+    if not consistent:
+        return None, [], [], False
+    free_cols = [c for c in range(k) if c not in pivots]
+    particular = {els[c]: ZERO for c in free_cols}
+    for rowi, col in enumerate(pivots):
+        particular[els[col]] = red[rowi][k]
+    basis = []
+    for f in free_cols:
+        vec = {els[c]: ZERO for c in range(k)}
+        vec[els[f]] = ONE
+        for rowi, col in enumerate(pivots):
+            vec[els[col]] = -red[rowi][f]
+        basis.append(vec)
+    return particular, basis, [els[f] for f in free_cols], True
+
+
+def brute_vertices(constraints, dim):
+    """Independent vertex oracle for {t : a.t <= b} with dense rows a: solve
+    every dim-subset of the constraints as equations and keep the unique
+    solutions that satisfy all constraints."""
+    points = set()
+    for subset in combinations(constraints, dim):
+        red, pivots, consistent = dense_rref([list(a) + [b] for a, b in subset])
+        if not consistent or pivots != list(range(dim)):
+            continue
+        t = tuple(row[dim] for row in red)
+        if all(sum(x * y for x, y in zip(a, t)) <= b for a, b in constraints):
+            points.add(t)
+    return sorted(points)
+
+
+def brute_extremal_keys(space):
+    """Value tuples of the vertices of the state polytope, rebuilt from the
+    public affine parametrization alone."""
+    table, d = space.table, space.dimension
+    constraints = []
+    for e in table.elements:
+        a = [space.basis[j][e] for j in range(d)]
+        constraints.append(([-x for x in a], space.particular[e]))
+        constraints.append((a, ONE - space.particular[e]))
+    return sorted(
+        tuple(
+            space.particular[e] + sum(space.basis[j][e] * t[j] for j in range(d))
+            for e in table.elements
+        )
+        for t in brute_vertices(constraints, d)
+    )
+
+
+def horizontal_sum(blocks, atoms):
+    """``blocks`` copies of the Boolean algebra 2^atoms glued at 0 and 1;
+    each block adds atoms - 1 free state parameters."""
+    top = (1 << atoms) - 1
+    elements, sums = ["0", "1"], {}
+    for b in range(blocks):
+        names = {x: "b%d.%d" % (b, x) for x in range(1, top)}
+        names[0], names[top] = "0", "1"
+        elements.extend(names[x] for x in range(1, top))
+        for x in range(1, top):
+            for y in range(1, top):
+                if x & y == 0:
+                    sums[(names[x], names[y])] = names[x | y]
+    return PartialAdditionTable.build(elements, "0", "1", sums)
 
 
 def test_diamond_unique_state(diamond):
@@ -182,3 +301,60 @@ def test_refuses_oversized_parameter_space():
     table = PartialAdditionTable.build(names, "0", "1", sums)
     with pytest.raises(PreconditionError):
         solve_state_space(table)
+
+
+def test_sparse_elimination_matches_dense_reference(pea_corpus_full):
+    for table in list(pea_corpus_full) + [chain_table(k) for k in range(1, 13)]:
+        space = solve_state_space(table)
+        particular, basis, free, consistent = dense_state_system(table)
+        assert space.consistent == consistent
+        if not consistent:
+            continue
+        assert list(space.particular.items()) == list(particular.items())
+        assert [list(b.items()) for b in space.basis] == [list(b.items()) for b in basis]
+        assert list(space.free_elements) == free
+
+
+def test_extremal_states_match_brute_vertices(pea_corpus_full):
+    tables = list(pea_corpus_full) + [
+        horizontal_sum(blocks, atoms) for blocks, atoms in ((2, 2), (3, 2), (4, 2), (2, 3))
+    ]
+    for table in tables:
+        space = solve_state_space(table)
+        if not space.consistent:
+            continue
+        assert space.dimension <= 4
+        found = sorted(tuple(s(e) for e in table.elements) for s in space.extremal_states)
+        assert found == brute_extremal_keys(space)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    dim=hyp.integers(min_value=1, max_value=3),
+    cuts=hyp.lists(
+        hyp.tuples(
+            hyp.lists(hyp.integers(min_value=-2, max_value=2), min_size=3, max_size=3),
+            hyp.integers(min_value=-1, max_value=4),
+        ),
+        max_size=4,
+    ),
+)
+def test_vertex_sweep_matches_brute_oracle(dim, cuts):
+    # small integer cuts through the unit box, many of them degenerate
+    constraints = []
+    for j in range(dim):
+        constraints.append(({j: -ONE}, ZERO))
+        constraints.append(({j: ONE}, ONE))
+    for coeffs, b in cuts:
+        constraints.append(
+            ({j: Fraction(c) for j, c in enumerate(coeffs[:dim]) if c}, Fraction(b, 2))
+        )
+    dense = [([a.get(j, ZERO) for j in range(dim)], b) for a, b in constraints]
+    assert _dd_vertices(constraints, dim) == brute_vertices(dense, dim)
+
+
+def test_chain80_state_space_is_fast():
+    start = time.perf_counter()
+    space = solve_state_space(chain_table(80))
+    assert time.perf_counter() - start < 10.0
+    assert space.consistent and space.dimension == 0 and len(space.extremal_states) == 1
