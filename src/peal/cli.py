@@ -38,7 +38,7 @@ from .core import (
     load_table,
     table_to_document,
 )
-from .groups import UnitalPoGroup, builtin_group
+from .groups import UnitalPoGroup, builtin_group, parse_element
 from .suite import run_suite
 
 
@@ -251,18 +251,19 @@ def _construct_object(args, seed: int):
         if not args.group:
             raise InputError("--lex-product requires --group")
         group = builtin_group(args.group, args.order)
-        h = tuple(int(x) for x in args.offset.split(",")) if args.offset else None
+        h = parse_element(group, args.offset) if args.offset else None
         return lex_product_pea(args.lex_product, group, h=h, seed=seed)
     if args.interval:
         if not args.group:
             raise InputError("--interval requires --group")
         group = builtin_group(args.group, args.order)
-        u = tuple(int(x) for x in args.interval.split(","))
-        return gamma_interval_finite(UnitalPoGroup(group, u))
+        return gamma_interval_finite(UnitalPoGroup(group, parse_element(group, args.interval)))
     raise InputError("construct needs --builtin, --lex-product, or --interval")
 
 
 def cmd_construct(args, report: Report, seed: int) -> int:
+    if args.samples < 1:
+        raise InputError("--samples must be at least 1, got %d" % (args.samples,))
     obj = _construct_object(args, seed)
     if isinstance(obj, PartialAdditionTable):
         doc = table_to_document(obj)

@@ -656,25 +656,6 @@ def lex_product_pea(
     return sym
 
 
-def base_lex_product(
-    base: PartialAdditionTable,
-    levels: Sequence[int],
-    group: PoGroupHandle,
-    h=None,
-    name: str = "",
-    ideal_predicates: Optional[Dict[str, Callable]] = None,
-) -> SymbolicPea:
-    """Lexicographic product of a finite base PEA with a po-group."""
-    return SymbolicPea(
-        base,
-        group,
-        h=h,
-        levels=levels,
-        name=name,
-        ideal_predicates=ideal_predicates,
-    )
-
-
 def twisted_gamma() -> SymbolicPea:
     """The interval below (1,0,0) in the parity-twisted Z^3, presented as a
     two-level symbolic algebra with the swap twist on the top level."""
@@ -712,19 +693,18 @@ def builtin_pea(name: str, group: Optional[PoGroupHandle] = None):
             raise InputError("bad chain spec %r" % (name,)) from None
         return chain_table(n)
     if name == "example46":
-        sym = base_lex_product(
+        return SymbolicPea(
             diamond_table(),
+            IntVectorGroup(1, "pointwise"),
             levels=(0, 1, 1, 2),
-            group=IntVectorGroup(1, "pointwise"),
             name="example46: diamond lex Z",
         )
-        return sym
     if name == "example47":
         g = group or IntVectorGroup(1, "pointwise")
-        sym = base_lex_product(
+        sym = SymbolicPea(
             boolean4_table(),
+            g,
             levels=(0, 1, 1, 2),
-            group=g,
             name="example47: boolean4 lex %s" % (g.name,),
         )
         a_i = sym.base.index("a")

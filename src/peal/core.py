@@ -7,12 +7,13 @@ identifiers and internally by dense indices; all algorithms work on indices
 and all arithmetic is exact.
 
 Tables are immutable after construction.  Derived structure (axiom reports,
-the induced order, complements, isotropic data) is memoised on the table, so
-repeated queries over the same table are cheap.
+the induced order, complements, isotropic data) is memoised on the table by
+:func:`derived`, so repeated queries over the same table are cheap.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -86,9 +87,6 @@ class OrderRelation:
     def le(self, a: str, b: str) -> bool:
         return self._leq[self.table.index(a)][self.table.index(b)]
 
-    def le_i(self, i: int, j: int) -> bool:
-        return self._leq[i][j]
-
     @property
     def pairs(self) -> FrozenSet[Tuple[str, str]]:
         els = self.table.elements
@@ -98,10 +96,6 @@ class OrderRelation:
             for j in range(len(els))
             if self._leq[i][j]
         )
-
-    @property
-    def strict_pairs(self) -> FrozenSet[Tuple[str, str]]:
-        return frozenset((a, b) for a, b in self.pairs if a != b)
 
     @property
     def covering_pairs(self) -> FrozenSet[Tuple[str, str]]:
@@ -124,11 +118,6 @@ class OrderRelation:
         return all(
             self._leq[i][j] or self._leq[j][i] for i in range(k) for j in range(k)
         )
-
-    def down_set(self, a: str) -> FrozenSet[str]:
-        j = self.table.index(a)
-        els = self.table.elements
-        return frozenset(els[i] for i in range(len(els)) if self._leq[i][j])
 
 
 class PartialAdditionTable:
@@ -181,7 +170,7 @@ class PartialAdditionTable:
         self.one = one
         self._sums = tuple(tuple(row) for row in table)
         self._index = index
-        self._cache: Dict[str, object] = {}
+        self._cache: Dict[tuple, object] = {}
 
     # -- basic access -------------------------------------------------
 
@@ -269,9 +258,31 @@ class PartialAdditionTable:
         return PartialAdditionTable(keep, self.zero, one, sums)
 
 
+def derived(fn):
+    """Memoise ``fn(table, *args)`` on the table, keyed by ``fn`` and the
+    positional ``args`` as passed.
+
+    Tables are immutable, so a derived value never goes stale.  A call that
+    raises stores nothing and raises again when repeated.
+    """
+
+    @functools.wraps(fn)
+    def memo(table: PartialAdditionTable, *args):
+        key = (fn, args)
+        try:
+            return table._cache[key]
+        except KeyError:
+            pass
+        value = table._cache[key] = fn(table, *args)
+        return value
+
+    return memo
+
+
 # -- axiom checking -----------------------------------------------------
 
 
+@derived
 def check_axioms(table: PartialAdditionTable, kind: str = "pea") -> AxiomReport:
     """Exhaustively verify the GPEA axioms (GP1-GP5) or PEA axioms (PE1-PE4).
 
@@ -282,9 +293,6 @@ def check_axioms(table: PartialAdditionTable, kind: str = "pea") -> AxiomReport:
     kind = kind.lower()
     if kind not in ("pea", "gpea"):
         raise InputError("kind must be 'pea' or 'gpea', got %r" % (kind,))
-    cache_key = "axioms_" + kind
-    if cache_key in table._cache:
-        return table._cache[cache_key]  # type: ignore[return-value]
     if kind == "pea" and table.one is None:
         raise InputError("PEA axiom check requires a table with a unit")
 
@@ -404,9 +412,7 @@ def check_axioms(table: PartialAdditionTable, kind: str = "pea") -> AxiomReport:
         if found:
             witness("PE4", found)
 
-    report = AxiomReport(kind=kind, passed=not violations, violations=tuple(violations))
-    table._cache[cache_key] = report
-    return report
+    return AxiomReport(kind=kind, passed=not violations, violations=tuple(violations))
 
 
 def _require_gpea(table: PartialAdditionTable) -> None:
@@ -426,14 +432,13 @@ def _require_pea(table: PartialAdditionTable) -> None:
 # -- induced order ------------------------------------------------------
 
 
+@derived
 def induced_order(table: PartialAdditionTable) -> OrderRelation:
     """Order with a <= b iff a + c = b for some c.
 
     The equivalent left-witness form (d + a = b for some d) is computed as
     well; a mismatch between the two is reported as an inconsistency.
     """
-    if "order" in table._cache:
-        return table._cache["order"]  # type: ignore[return-value]
     _require_gpea(table)
     t = table._sums
     k = table.size
@@ -472,14 +477,13 @@ def induced_order(table: PartialAdditionTable) -> OrderRelation:
         u = table.one_i
         if not all(right[a][u] for a in range(k)):
             raise InconsistencyError("unit is not the greatest element")
-    order = OrderRelation(table, right)
-    table._cache["order"] = order
-    return order
+    return OrderRelation(table, right)
 
 
 # -- complements, isotropic data, differences ---------------------------
 
 
+@derived
 def _differences(table: PartialAdditionTable):
     """Both difference tables of a GPEA, built once per table.
 
@@ -487,8 +491,6 @@ def _differences(table: PartialAdditionTable):
     a+x = b; both are None unless a <= b.  Cancellation makes each entry
     unique, so a second solution is reported as an inconsistency.
     """
-    if "differences" in table._cache:
-        return table._cache["differences"]  # type: ignore[return-value]
     _require_gpea(table)
     k = table.size
     ldiff: List[List[Optional[int]]] = [[None] * k for _ in range(k)]
@@ -500,9 +502,7 @@ def _differences(table: PartialAdditionTable):
             )
         ldiff[b][a] = x
         rdiff[x][b] = a
-    result = (tuple(map(tuple, ldiff)), tuple(map(tuple, rdiff)))
-    table._cache["differences"] = result
-    return result
+    return tuple(map(tuple, ldiff)), tuple(map(tuple, rdiff))
 
 
 def _noncommuting_pair(table: PartialAdditionTable) -> Optional[Tuple[str, str]]:
@@ -553,6 +553,7 @@ def is_symmetric(table_or_symbolic, seed: int = 0, samples: int = 2000) -> Symme
     return SymmetryReport(symmetric=False, witness=comp_witness)
 
 
+@derived
 def isotropic_data(
     table: PartialAdditionTable,
 ) -> Tuple[Dict[str, ElementInfo], FrozenSet[str]]:
@@ -561,8 +562,6 @@ def isotropic_data(
     The iteration is capped at |E|+1; reaching the cap in a finite table
     would contradict strict growth of multiples and raises an inconsistency.
     """
-    if "iota" in table._cache:
-        return table._cache["iota"]  # type: ignore[return-value]
     _require_gpea(table)
     t = table._sums
     z = table.zero_i
@@ -585,9 +584,7 @@ def isotropic_data(
             if count > table.size + 1:
                 raise InconsistencyError("isotropic index iteration exceeded cap at %r" % (a,))
         info[a] = ElementInfo(a, minus, tilde, count)
-    result = (info, frozenset(infinite))
-    table._cache["iota"] = result
-    return result
+    return info, frozenset(infinite)
 
 
 def difference(table: PartialAdditionTable, a: str, b: str, side: str = "left") -> str:

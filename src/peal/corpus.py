@@ -12,7 +12,7 @@ from functools import lru_cache
 from itertools import permutations
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .core import InputError, PartialAdditionTable, check_axioms, induced_order
+from .core import InputError, PartialAdditionTable, check_axioms, derived, induced_order
 
 UNDEC = -2
 UNDEF = -1
@@ -79,6 +79,7 @@ def _candidate_perms(table: PartialAdditionTable, middles: List[int]):
     yield from rec(0, [])
 
 
+@derived
 def _min_encoding(table: PartialAdditionTable):
     fixed = [table.zero_i]
     if table.one_i is not None and table.one_i != table.zero_i:
@@ -97,15 +98,12 @@ def _min_encoding(table: PartialAdditionTable):
     return fixed, middles, best, best_perm
 
 
+@derived
 def canonical_key(table: PartialAdditionTable):
     """Lexicographically minimal (element profiles, order, addition) encoding
     over relabelings that fix zero and, when present, the unit."""
-    if "canonical_key" in table._cache:
-        return table._cache["canonical_key"]
     _, _, best, _ = _min_encoding(table)
-    result = (table.size, table.one is not None, best)
-    table._cache["canonical_key"] = result
-    return result
+    return table.size, table.one is not None, best
 
 
 def canonical_table(table: PartialAdditionTable) -> PartialAdditionTable:

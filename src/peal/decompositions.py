@@ -13,6 +13,7 @@ from .core import (
     InputError,
     PartialAdditionTable,
     complements,
+    derived,
     induced_order,
     isotropic_data,
 )
@@ -30,12 +31,6 @@ class Decomposition:
     def n(self) -> int:
         return len(self.parts) - 1
 
-    def label_of(self, a: str) -> int:
-        for i, part in enumerate(self.parts):
-            if a in part:
-                return i
-        raise InputError("element %r not in any part" % (a,))
-
     def __repr__(self):
         return "Decomposition(%s)" % ", ".join(
             "{%s}" % ",".join(sorted(p)) for p in self.parts
@@ -48,9 +43,11 @@ def _in_table_order(table: PartialAdditionTable, part) -> List[str]:
     return [e for e in table.elements if e in part]
 
 
+@derived
 def validate_decomposition(table: PartialAdditionTable, D: Decomposition) -> None:
     """Check the partition conditions (disjoint, covering, complement-matched,
-    additive) plus nonemptiness; raise on the first failure."""
+    additive) plus nonemptiness; raise on the first failure.  A decomposition
+    that passed is not checked again."""
     n = D.n
     if n < 1:
         raise InputError("decomposition needs at least two parts")
@@ -149,8 +146,9 @@ def check_comparability(table_or_symbolic, D: Decomposition, seed: int = 0, samp
 
     Decides (A) E_0 <= ... <= E_n and (B) E_i + E_j exists whenever i+j < n,
     asserts A <=> B, and when they hold verifies the three consequences
-    (E_0 = Infinit(E) and normal; E_i + E_j = E_{i+j} below n; no sums above n).
-    Symbolic algebras get the sampled variant.
+    (E_0 = Infinit(E) and normal; E_i + E_j = E_{i+j} below n; no sums above
+    n, which validate_decomposition already guarantees).  Symbolic algebras
+    get the sampled variant.
     """
     if hasattr(table_or_symbolic, "sample_member"):
         return table_or_symbolic.check_comparability_sampled(seed=seed, samples=samples)
@@ -191,21 +189,13 @@ def check_comparability(table_or_symbolic, D: Decomposition, seed: int = 0, samp
             image = {table.add(a, b) for a in D.parts[i] for b in D.parts[j]}
             if image != set(D.parts[i + j]):
                 sums_onto = False
-    no_high = all(
-        not table.defined(a, b)
-        for i in range(n + 1)
-        for j in range(n + 1)
-        if i + j > n
-        for a in D.parts[i]
-        for b in D.parts[j]
-    )
-    if not (e0_is_infinit and e0_normal and sums_onto and no_high):
+    if not (e0_is_infinit and e0_normal and sums_onto):
         raise InconsistencyError(
-            "comparability consequences failed: infinit=%s normal=%s onto=%s high=%s"
-            % (e0_is_infinit, e0_normal, sums_onto, no_high)
+            "comparability consequences failed: infinit=%s normal=%s onto=%s"
+            % (e0_is_infinit, e0_normal, sums_onto)
         )
     return ComparabilityReport(
-        True, True, None, e0_is_infinit, e0_normal, sums_onto, no_high
+        True, True, None, e0_is_infinit, e0_normal, sums_onto, True
     )
 
 

@@ -382,6 +382,28 @@ def builtin_group(spec: str, order: str = "pointwise") -> PoGroupHandle:
     raise InputError("unknown group spec %r" % (spec,))
 
 
+def parse_element(group: PoGroupHandle, text: str):
+    """The element of a builtin group written as comma-separated integers:
+    K of them for Z^K, 3 for the twisted Z^3, and m, g1..gK for the element
+    (m, (g1..gK)) of the lex extension of Z^K."""
+    try:
+        ints = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise InputError("expected comma-separated integers, got %r" % (text,)) from None
+    lex = isinstance(group, LexExtensionGroup) and isinstance(group.inner, IntVectorGroup)
+    if lex:
+        width = 1 + group.inner.k
+    elif isinstance(group, (IntVectorGroup, TwistedZ3Group)):
+        width = group.k
+    else:
+        raise InputError("no element syntax for %s" % (group.name,))
+    if len(ints) != width:
+        raise InputError(
+            "%s needs %d comma-separated integers, got %r" % (group.name, width, text)
+        )
+    return (ints[0], ints[1:]) if lex else ints
+
+
 # -- probes ---------------------------------------------------------------
 
 

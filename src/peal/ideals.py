@@ -16,6 +16,7 @@ from .core import (
     _require_pea,
     check_axioms,
     complements,
+    derived,
     induced_order,
 )
 
@@ -123,12 +124,11 @@ def is_maximal(table: PartialAdditionTable, S: Iterable[str]):
     return True, None
 
 
+@derived
 def enumerate_ideals(table: PartialAdditionTable) -> List[IdealSet]:
     """All ideals, generated from antichains of the induced order (each
     downward-closed set is the down-closure of its antichain of maximal
     elements) and filtered by sum closure."""
-    if "ideals" in table._cache:
-        return table._cache["ideals"]  # type: ignore[return-value]
     _require_gpea(table)
     k = table.size
     leq = induced_order(table)._leq
@@ -154,10 +154,10 @@ def enumerate_ideals(table: PartialAdditionTable) -> List[IdealSet]:
         if all(t[i][j] is None or t[i][j] in down for i in down for j in down):
             result.append(IdealSet(table, frozenset(els[i] for i in down)))
     result.sort(key=lambda ide: (len(ide.members), ide.sorted_ids()))
-    table._cache["ideals"] = result
     return result
 
 
+@derived
 def _is_upwards_directed(table: PartialAdditionTable) -> bool:
     leq = induced_order(table)._leq
     k = table.size
@@ -289,7 +289,11 @@ def congruence_relation(table: PartialAdditionTable, I: Iterable[str]) -> List[L
 
 def congruence_classes(table: PartialAdditionTable, I: Iterable[str]) -> List[Tuple[str, ...]]:
     """Classes of ~_I, each sorted, ordered by smallest member index."""
-    rel = congruence_relation(table, I)
+    return _classes(table, congruence_relation(table, I))
+
+
+def _classes(table: PartialAdditionTable, rel: List[List[bool]]) -> List[Tuple[str, ...]]:
+    """Classes of an equivalence relation matrix, as in congruence_classes."""
     k = table.size
     els = table.elements
     seen = [False] * k
@@ -311,8 +315,8 @@ def quotient(table: PartialAdditionTable, I: Iterable[str]):
     representatives.  Condition (L) is checked exhaustively and asserted
     equivalent to the quotient order being total.
     """
-    classes = congruence_classes(table, I)
     rel = congruence_relation(table, I)
+    classes = _classes(table, rel)
     k = table.size
     els = table.elements
     t = table._sums

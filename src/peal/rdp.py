@@ -1,15 +1,21 @@
-"""Riesz decomposition properties on finite PEAs, decided by exhaustive search."""
+"""Riesz decomposition properties on finite PEAs, decided by exhaustive search.
+
+(RDP)_0 is searched directly.  (RDP) and (RDP)_1 share one scan over the
+equal sums a1+a2 = b1+b2 and their 2x2 refinements, run once per table.
+"""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .core import (
     InconsistencyError,
     PartialAdditionTable,
     _differences,
     _require_pea,
+    derived,
     induced_order,
 )
 
@@ -74,64 +80,63 @@ def _refinement_matrices(table, a1, a2, b1, b2):
         yield c11, c12, c21, c22
 
 
-def check_rdp(table: PartialAdditionTable) -> Tuple[bool, Optional[Tuple[str, ...]]]:
-    """(RDP): every pair of equal sums a1+a2 = b1+b2 has a 2x2 refinement
-    c11+c12 = a1, c21+c22 = a2, c11+c21 = b1, c12+c22 = b2."""
+@derived
+def _refinement_scan(table: PartialAdditionTable):
+    """The first quadruple (a1, a2, b1, b2) failing (RDP) and the first
+    failing (RDP)_1, each None when the property holds.
+
+    One pass over the equal sums a1+a2 = b1+b2 in element order; a
+    quadruple with no refinement fails both properties.  The (RDP)_1 side
+    condition is decided once per pair (c12, c21).
+    """
     _require_pea(table)
     t = table._sums
     k = table.size
+    leq = induced_order(table)._leq
     els = table.elements
-    for a1 in range(k):
-        for a2 in range(k):
-            s = t[a1][a2]
-            if s is None:
-                continue
-            for b1 in range(k):
-                for b2 in range(k):
-                    if t[b1][b2] != s:
-                        continue
-                    if next(_refinement_matrices(table, a1, a2, b1, b2), None) is None:
-                        return False, (els[a1], els[a2], els[b1], els[b2])
-    return True, None
+    below = [[x for x in range(k) if leq[x][c]] for c in range(k)]
+
+    @functools.cache
+    def side_condition(c12, c21):
+        # every x <= c12 and y <= c21 have x+y and y+x defined and equal
+        return all(
+            t[x][y] is not None and t[x][y] == t[y][x]
+            for x in below[c12]
+            for y in below[c21]
+        )
+
+    pairs_by_sum: Dict[int, List[Tuple[int, int]]] = {}
+    for b1, b2, s in table.defined_sums():
+        pairs_by_sum.setdefault(s, []).append((b1, b2))
+    rdp1_witness = None
+    for a1, a2, s in table.defined_sums():
+        for b1, b2 in pairs_by_sum[s]:
+            refinements = [
+                (c12, c21) for _, c12, c21, _ in _refinement_matrices(table, a1, a2, b1, b2)
+            ]
+            witness = (els[a1], els[a2], els[b1], els[b2])
+            if not refinements:
+                return witness, rdp1_witness or witness
+            if rdp1_witness is None and not any(
+                side_condition(c12, c21) for c12, c21 in refinements
+            ):
+                rdp1_witness = witness
+    return None, rdp1_witness
+
+
+def check_rdp(table: PartialAdditionTable) -> Tuple[bool, Optional[Tuple[str, ...]]]:
+    """(RDP): every pair of equal sums a1+a2 = b1+b2 has a 2x2 refinement
+    c11+c12 = a1, c21+c22 = a2, c11+c21 = b1, c12+c22 = b2."""
+    witness = _refinement_scan(table)[0]
+    return witness is None, witness
 
 
 def check_rdp1(table: PartialAdditionTable) -> Tuple[bool, Optional[Tuple[str, ...]]]:
     """(RDP)_1: as (RDP), but a refinement only counts when all x <= c12 and
     y <= c21 have x+y and y+x defined and equal.  All matrices are tried
     before a failure is declared."""
-    _require_pea(table)
-    t = table._sums
-    k = table.size
-    leq = induced_order(table)._leq
-    els = table.elements
-
-    def side_condition(c12, c21):
-        for x in range(k):
-            if not leq[x][c12]:
-                continue
-            for y in range(k):
-                if not leq[y][c21]:
-                    continue
-                if t[x][y] is None or t[y][x] is None or t[x][y] != t[y][x]:
-                    return False
-        return True
-
-    for a1 in range(k):
-        for a2 in range(k):
-            s = t[a1][a2]
-            if s is None:
-                continue
-            for b1 in range(k):
-                for b2 in range(k):
-                    if t[b1][b2] != s:
-                        continue
-                    ok = any(
-                        side_condition(c12, c21)
-                        for _, c12, c21, _ in _refinement_matrices(table, a1, a2, b1, b2)
-                    )
-                    if not ok:
-                        return False, (els[a1], els[a2], els[b1], els[b2])
-    return True, None
+    witness = _refinement_scan(table)[1]
+    return witness is None, witness
 
 
 def rdp_report(table: PartialAdditionTable) -> RdpReport:

@@ -21,6 +21,7 @@ from .core import (
     PartialAdditionTable,
     PreconditionError,
     _require_pea,
+    derived,
 )
 
 MAX_FREE_PARAMETERS = 12
@@ -102,10 +103,6 @@ class StateSpace:
     @property
     def dimension(self) -> int:
         return len(self.basis)
-
-    @property
-    def has_state(self) -> bool:
-        return len(self.extremal_states) > 0
 
 
 # -- exact sparse linear algebra -------------------------------------------
@@ -225,9 +222,10 @@ def _dd_vertices(
     return sorted(v for v, _ in verts)
 
 
+@derived
 def _state_system(table: PartialAdditionTable):
     """RREF data for the additivity equations: returns (particular, basis,
-    free element list, consistent) with values per element."""
+    free elements, consistent) with values per element."""
     k = table.size
     els = table.elements
     rows: List[Row] = [{table.zero_i: ONE}]
@@ -240,7 +238,7 @@ def _state_system(table: PartialAdditionTable):
         rows.append({c: v for c, v in row.items() if v})
     red, pivots, consistent = _rref(rows, k)
     if not consistent:
-        return None, [], [], False
+        return None, (), (), False
     pivot_set = set(pivots)
     free_cols = [c for c in range(k) if c not in pivot_set]
     particular = {els[c]: ZERO for c in free_cols}
@@ -253,11 +251,14 @@ def _state_system(table: PartialAdditionTable):
         for row, col in zip(red, pivots):
             vec[els[col]] = -row.get(f, ZERO)
         basis.append(vec)
-    return particular, basis, [els[f] for f in free_cols], True
+    return particular, tuple(basis), tuple(els[f] for f in free_cols), True
 
 
-def _box_constraints(table, particular, basis, free_els):
-    """Inequalities 0 <= s(e) <= 1 in the free coordinates, unit box first."""
+@derived
+def _box_constraints(table: PartialAdditionTable) -> List[Tuple[Row, Fraction]]:
+    """Inequalities 0 <= s(e) <= 1 in the free coordinates of a consistent
+    additivity system, unit box first."""
+    particular, basis, free_els, _ = _state_system(table)
     d = len(free_els)
     constraints: List[Tuple[Row, Fraction]] = []
     for j in range(d):
@@ -289,6 +290,7 @@ def _state_at(table: PartialAdditionTable, particular, basis, t) -> StateVector:
     })
 
 
+@derived
 def solve_state_space(table: PartialAdditionTable) -> StateSpace:
     """Solve the additivity system exactly and enumerate the extremal states.
 
@@ -296,14 +298,10 @@ def solve_state_space(table: PartialAdditionTable) -> StateSpace:
     free parameters (exactness over scalability).  An empty polytope is a
     legitimate outcome: stateless PEAs exist.
     """
-    if "state_space" in table._cache:
-        return table._cache["state_space"]  # type: ignore[return-value]
     _require_pea(table)
     particular, basis, free_els, consistent = _state_system(table)
     if not consistent:
-        space = StateSpace(table, False, None, (), (), ())
-        table._cache["state_space"] = space
-        return space
+        return StateSpace(table, False, None, (), (), ())
     d = len(free_els)
     if d > MAX_FREE_PARAMETERS:
         raise PreconditionError(
@@ -313,24 +311,19 @@ def solve_state_space(table: PartialAdditionTable) -> StateSpace:
     if d == 0:
         ok = all(0 <= particular[e] <= 1 for e in table.elements)
         extremals = (StateVector(table, particular),) if ok else ()
-        space = StateSpace(table, True, dict(particular), (), (), extremals)
-        table._cache["state_space"] = space
-        return space
-    constraints = _box_constraints(table, particular, basis, free_els)
+        return StateSpace(table, True, dict(particular), (), (), extremals)
     extremals = [
-        _state_at(table, particular, basis, v) for v in _dd_vertices(constraints, d)
+        _state_at(table, particular, basis, v)
+        for v in _dd_vertices(_box_constraints(table), d)
     ]
-    space = StateSpace(
+    return StateSpace(
         table,
         True,
         dict(particular),
         tuple(dict(b) for b in basis),
-        tuple(free_els),
+        free_els,
         tuple(sorted(set(extremals), key=lambda s: s._key)),
     )
-    table._cache["state_constraints"] = constraints
-    table._cache["state_space"] = space
-    return space
 
 
 # -- discrete states ------------------------------------------------------
@@ -347,12 +340,10 @@ def discrete_labelings(table: PartialAdditionTable, n: int) -> List[Tuple[int, .
     if n < 1:
         raise InputError("n must be a positive integer, got %r" % (n,))
     _require_pea(table)
-    key = "labelings_%d" % n
-    if key not in table._cache:
-        table._cache[key] = _labelings(table, n)
-    return list(table._cache[key])  # type: ignore[call-overload]
+    return list(_labelings(table, n))
 
 
+@derived
 def _labelings(table: PartialAdditionTable, n: int) -> Tuple[Tuple[int, ...], ...]:
     k = table.size
     labels = [-1] * k
@@ -478,7 +469,7 @@ def is_extremal(table: PartialAdditionTable, s: StateVector) -> ExtremalityRepor
     if d == 0:
         return ExtremalityReport(True, None)
     t0 = [s(e) for e in space.free_elements]
-    constraints = table._cache["state_constraints"]
+    constraints = _box_constraints(table)
     tight = [a for a, b in constraints if _dot(a, t0) == b]
     direction = _nullspace_vector(tight, d)
     if direction is None:

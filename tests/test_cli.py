@@ -147,19 +147,56 @@ MALFORMED_DOCUMENTS = {
 }
 
 
+def run_process(argv):
+    """``pea argv`` in a fresh interpreter, so that a traceback shows on stderr."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "peal.cli"] + argv,
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+    )
+
+
 @pytest.mark.parametrize("name", sorted(MALFORMED_DOCUMENTS))
 def test_malformed_document_is_input_error(tmp_path, name):
     p = tmp_path / "doc.json"
     p.write_text(json.dumps(MALFORMED_DOCUMENTS[name]))
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "peal.cli", "verify", str(p)],
-        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
-    )
+    proc = run_process(["verify", str(p)])
     assert proc.returncode == 2
     assert "input error" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+MALFORMED_CONSTRUCTIONS = {
+    "offset-not-integers": ["--lex-product", "2", "--group", "z:2", "--offset", "x"],
+    "interval-not-integers": ["--interval", "a,b", "--group", "z:2"],
+    "interval-too-short-for-z3": ["--interval", "1,1", "--group", "z:3"],
+    "interval-too-short-for-twisted-z3": ["--interval", "1", "--group", "twisted-z3"],
+    "interval-too-long-for-lex-z1": ["--interval", "0,1,2", "--group", "lex:z:1"],
+    # a short offset used to be zipped away and reported as a failed axiom
+    "offset-too-short-for-z2": ["--lex-product", "2", "--group", "z:2", "--offset", "1"],
+    "samples-zero": ["--lex-product", "2", "--group", "z:1", "--samples", "0"],
+    "samples-negative": ["--lex-product", "2", "--group", "z:1", "--samples", "-5"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_CONSTRUCTIONS))
+def test_malformed_construction_is_input_error(name):
+    proc = run_process(["construct"] + MALFORMED_CONSTRUCTIONS[name])
+    assert proc.returncode == 2
+    assert "input error" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_construct_lex_extension_elements(capsys):
+    # m, g1..gK is the element (m, (g1..gK)) of the lex extension of Z^K
+    code, out = run(capsys, ["--format", "json", "construct", "--interval", "0,1",
+                             "--group", "lex:z:1"])
+    assert code == 0
+    assert json.loads(out)["results"]["document"]["elements"] == ["(0,0)", "(0,1)"]
+    code, _ = run(capsys, ["construct", "--lex-product", "2", "--group", "lex:z:1",
+                           "--offset", "0,1", "--samples", "50"])
+    assert code == 0
 
 
 def test_construct_builtin(tmp_path, capsys):

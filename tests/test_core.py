@@ -179,6 +179,19 @@ def test_gpea_kind_checks():
         check_axioms(gpea, "pea")
 
 
+def test_derived_memo_keeps_no_failure_and_returns_the_stored_value():
+    gpea = PartialAdditionTable.build(["0", "a", "b"], "0", None, {("a", "a"): "b"})
+    report = check_axioms(gpea, "gpea")
+    before = dict(gpea._cache)
+    for _ in range(2):
+        with pytest.raises(InputError):
+            check_axioms(gpea, "pea")
+        assert gpea._cache == before
+    assert check_axioms(gpea, "gpea") is report
+    assert induced_order(gpea) is induced_order(gpea)
+    assert isotropic_data(gpea) is isotropic_data(gpea)
+
+
 def test_document_roundtrip_over_corpus(pea_corpus_small):
     for table in pea_corpus_small:
         text = dumps_document(table_to_document(table))

@@ -25,10 +25,23 @@ def brute_rdp0(table):
     return True, None
 
 
-def brute_rdp(table):
-    """Independent oracle: full quadruple search for the refinement matrix."""
+def brute_rdp(table, rdp1=False):
+    """Independent oracle: full quadruple search for the refinement matrix;
+    the first failing (a1, a2, b1, b2) is the witness.  With ``rdp1`` the
+    matrix must also have x + y and y + x defined and equal for all
+    x <= c12, y <= c21, as (RDP)_1 requires."""
     order = induced_order(table)
     els = table.elements
+
+    def commute_below(c12, c21):
+        return all(
+            table.add(x, y) is not None and table.add(x, y) == table.add(y, x)
+            for x in els
+            if order.le(x, c12)
+            for y in els
+            if order.le(y, c21)
+        )
+
     for a1 in els:
         for a2 in els:
             s = table.add(a1, a2)
@@ -43,14 +56,15 @@ def brute_rdp(table):
                         and table.add(c21, c22) == a2
                         and table.add(c11, c21) == b1
                         and table.add(c12, c22) == b2
+                        and (not rdp1 or commute_below(c12, c21))
                         for c11 in els
                         for c12 in els
                         for c21 in els
                         for c22 in els
                     )
                     if not found:
-                        return False
-    return True
+                        return False, (a1, a2, b1, b2)
+    return True, None
 
 
 def test_diamond_fails_rdp0(diamond):
@@ -82,14 +96,15 @@ def test_chains_satisfy_all():
 def test_diamond_fails_rdp_and_rdp1(diamond):
     assert not check_rdp(diamond)[0]
     assert not check_rdp1(diamond)[0]
-    assert brute_rdp(diamond) is False
+    assert brute_rdp(diamond)[0] is False
 
 
-def test_rdp_matches_brute_oracle(pea_corpus_small):
-    for table in pea_corpus_small:
+def test_rdp_matches_brute_oracle(pea_corpus_small, diamond):
+    for table in list(pea_corpus_small) + [diamond]:
         if table.size > 5:
             continue  # the quadruple-of-quadruples oracle is O(k^8)
-        assert check_rdp(table)[0] == brute_rdp(table)
+        assert check_rdp(table) == brute_rdp(table)
+        assert check_rdp1(table) == brute_rdp(table, rdp1=True)
         assert check_rdp0(table)[0] == brute_rdp0(table)[0]
 
 
