@@ -74,6 +74,11 @@ def validate_decomposition(table: PartialAdditionTable, D: Decomposition) -> Non
             raise InputError("sum %r + %r = %r violates additivity of parts" % (a, b, c))
 
 
+def _index_parts(table: PartialAdditionTable, D: Decomposition) -> List[List[int]]:
+    """Each part of ``D`` as element indices in table order."""
+    return [[i for i, e in enumerate(table.elements) if e in part] for part in D.parts]
+
+
 def _parts(table: PartialAdditionTable, labels, n: int) -> Decomposition:
     """The decomposition whose part E_i holds the elements labelled i."""
     return Decomposition(tuple(
@@ -85,13 +90,15 @@ def _parts(table: PartialAdditionTable, labels, n: int) -> Decomposition:
 def _sums_exist(table: PartialAdditionTable, D: Decomposition) -> bool:
     """Whether every sum of E_i and E_j is defined when i + j < n."""
     n = D.n
+    t = table._sums
+    parts = _index_parts(table, D)
     return all(
-        table.defined(a, b)
+        t[a][b] is not None
         for i in range(n + 1)
         for j in range(n + 1)
         if i + j < n
-        for a in D.parts[i]
-        for b in D.parts[j]
+        for a in parts[i]
+        for b in parts[j]
     )
 
 
@@ -154,19 +161,13 @@ def check_comparability(table_or_symbolic, D: Decomposition, seed: int = 0, samp
         return table_or_symbolic.check_comparability_sampled(seed=seed, samples=samples)
     table: PartialAdditionTable = table_or_symbolic
     validate_decomposition(table, D)
-    order = induced_order(table)
+    leq = induced_order(table)._leq
+    els = table.elements
     n = D.n
-    parts = [_in_table_order(table, part) for part in D.parts]
-    comparable = True
-    witness = None
-    for i in range(n + 1):
-        for j in range(i + 1, n + 1):
-            for a in parts[i]:
-                for b in parts[j]:
-                    if not order.le(a, b):
-                        comparable = False
-                        if witness is None:
-                            witness = (a, b)
+    parts = _index_parts(table, D)
+    witness = next(((els[a], els[b]) for i in range(n + 1) for j in range(i + 1, n + 1)
+                    for a in parts[i] for b in parts[j] if not leq[a][b]), None)
+    comparable = witness is None
     sums_exist = _sums_exist(table, D)
     if comparable != sums_exist:
         raise InconsistencyError(
@@ -230,13 +231,13 @@ def is_n_perfect(table: PartialAdditionTable, n: int):
 def check_condition_e(table: PartialAdditionTable, D: Decomposition) -> bool:
     """Per-part directedness, both directions."""
     validate_decomposition(table, D)
-    order = induced_order(table)
-    for part in D.parts:
+    leq = induced_order(table)._leq
+    for part in _index_parts(table, D):
         for x in part:
             for y in part:
-                if not any(order.le(x, z) and order.le(y, z) for z in part):
+                if not any(leq[x][z] and leq[y][z] for z in part):
                     return False
-                if not any(order.le(z, x) and order.le(z, y) for z in part):
+                if not any(leq[z][x] and leq[z][y] for z in part):
                     return False
     return True
 

@@ -5,7 +5,8 @@ two-valued-state partition theorems."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from functools import cached_property
+from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from .core import (
     InconsistencyError,
@@ -23,13 +24,11 @@ from .core import (
 
 @dataclass
 class IdealSet:
-    """An ideal with lazily computed structural flags."""
+    """An ideal; its structural flags are computed on first use and take no
+    part in equality."""
 
     table: PartialAdditionTable
     members: FrozenSet[str]
-    _normal: Optional[bool] = None
-    _maximal: Optional[bool] = None
-    _riesz: Optional[bool] = None
 
     @property
     def proper(self) -> bool:
@@ -37,23 +36,17 @@ class IdealSet:
             return self.table.one not in self.members
         return self.members != frozenset(self.table.elements)
 
-    @property
+    @cached_property
     def normal(self) -> bool:
-        if self._normal is None:
-            self._normal = is_normal(self.table, self.members)[0]
-        return self._normal
+        return is_normal(self.table, self.members)[0]
 
-    @property
+    @cached_property
     def maximal(self) -> bool:
-        if self._maximal is None:
-            self._maximal = is_maximal(self.table, self.members)[0]
-        return self._maximal
+        return is_maximal(self.table, self.members)[0]
 
-    @property
+    @cached_property
     def riesz(self) -> bool:
-        if self._riesz is None:
-            self._riesz = is_riesz_ideal(self.table, self.members)[0]
-        return self._riesz
+        return is_riesz_ideal(self.table, self.members)[0]
 
     def sorted_ids(self) -> List[str]:
         return sorted(self.members)
@@ -63,10 +56,7 @@ class IdealSet:
 
 
 def _as_index_set(table: PartialAdditionTable, S: Iterable[str]) -> Set[int]:
-    idx = set()
-    for a in S:
-        idx.add(table.index(a))
-    return idx
+    return {table.index(a) for a in S}
 
 
 def is_ideal(table: PartialAdditionTable, S: Iterable[str]):
@@ -115,8 +105,7 @@ def is_maximal(table: PartialAdditionTable, S: Iterable[str]):
     ok, witness = is_ideal(table, members)
     if not ok:
         return False, ("not-ideal",) + witness
-    probe = IdealSet(table, members)
-    if not probe.proper:
+    if not IdealSet(table, members).proper:
         return False, ("not-proper",)
     for other in enumerate_ideals(table):
         if other.proper and members < other.members:
@@ -124,35 +113,52 @@ def is_maximal(table: PartialAdditionTable, S: Iterable[str]):
     return True, None
 
 
+def _sum_close(table: PartialAdditionTable, idx: Set[int]) -> Set[int]:
+    """Add to ``idx``, in place, every defined sum of its members until none
+    is missing; returns ``idx``."""
+    t = table._sums
+    while True:
+        new = {t[i][j] for i in idx for j in idx} - idx - {None}
+        if not new:
+            return idx
+        idx |= new
+
+
+def _ideal_closure(table: PartialAdditionTable, idx: Iterable[int]) -> FrozenSet[int]:
+    """The least ideal containing the nonempty index set ``idx``:
+    down-close, then sum-close, until nothing changes."""
+    leq = induced_order(table)._leq
+    k = table.size
+    closed = idx
+    while True:
+        closed = {b for a in closed for b in range(k) if leq[b][a]}
+        size = len(closed)
+        if len(_sum_close(table, closed)) == size:
+            return frozenset(closed)
+
+
 @derived
 def enumerate_ideals(table: PartialAdditionTable) -> List[IdealSet]:
-    """All ideals, generated from antichains of the induced order (each
-    downward-closed set is the down-closure of its antichain of maximal
-    elements) and filtered by sum closure."""
+    """All ideals, by a search over the ideal closure: starting from the
+    closure of {0}, each ideal J found is extended by each minimal element
+    outside J and closed again.  Every ideal K above J contains such an
+    element (a minimal one of K minus J), so every ideal is reached."""
     _require_gpea(table)
     k = table.size
     leq = induced_order(table)._leq
-    t = table._sums
     els = table.elements
-    downsets: List[FrozenSet[int]] = []
-
-    def extend(antichain: List[int], start: int) -> None:
-        if antichain:
-            down = set()
-            for a in antichain:
-                down.update(b for b in range(k) if leq[b][a])
-            downsets.append(frozenset(down))
-        for nxt in range(start, k):
-            if all(not leq[nxt][a] and not leq[a][nxt] for a in antichain):
-                antichain.append(nxt)
-                extend(antichain, nxt + 1)
-                antichain.pop()
-
-    extend([], 0)
-    result = []
-    for down in downsets:
-        if all(t[i][j] is None or t[i][j] in down for i in down for j in down):
-            result.append(IdealSet(table, frozenset(els[i] for i in down)))
+    seen = {_ideal_closure(table, [table.zero_i])}
+    todo = list(seen)
+    while todo:
+        ideal = todo.pop()
+        for a in range(k):
+            if a in ideal or any(leq[b][a] and b != a and b not in ideal for b in range(k)):
+                continue
+            bigger = _ideal_closure(table, ideal | {a})
+            if bigger not in seen:
+                seen.add(bigger)
+                todo.append(bigger)
+    result = [IdealSet(table, frozenset(els[i] for i in ideal)) for ideal in seen]
     result.sort(key=lambda ide: (len(ide.members), ide.sorted_ids()))
     return result
 
@@ -391,21 +397,10 @@ def ideal_generated(table: PartialAdditionTable, I: Iterable[str], a: str) -> Id
         raise PreconditionError(
             "ideal_generated requires (RDP)_0; it fails with witness %r" % (w0,)
         )
-    idx = _as_index_set(table, members)
     leq = induced_order(table)._leq
     ai = table.index(a)
-    t = table._sums
-    seeds = set(idx) | {b for b in range(table.size) if leq[b][ai]}
-    closed = set(seeds)
-    frontier = True
-    while frontier:
-        frontier = False
-        for i in list(closed):
-            for j in list(closed):
-                s = t[i][j]
-                if s is not None and s not in closed:
-                    closed.add(s)
-                    frontier = True
+    closed = _sum_close(table, _as_index_set(table, members)
+                        | {b for b in range(table.size) if leq[b][ai]})
     result = frozenset(table.elements[i] for i in closed)
     ok, witness = is_ideal(table, result)
     if not ok:

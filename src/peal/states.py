@@ -412,12 +412,19 @@ class StateClassification:
     gap_witness: Optional[Tuple[Fraction, Fraction, Fraction]]
 
 
+def _as_state(table: PartialAdditionTable, s) -> StateVector:
+    """``s`` as a StateVector of ``table``, rebuilt (and so checked) when it
+    is a mapping or a state of another table."""
+    if isinstance(s, StateVector) and s.table is table:
+        return s
+    return StateVector(table, s.values if isinstance(s, StateVector) else s)
+
+
 def classify_state(table: PartialAdditionTable, s: StateVector) -> StateClassification:
     """Decide discreteness of a state by its image, checking that the three
     equivalent criteria (uniform image, sub-effect-algebra image, difference
     closure) agree on this instance."""
-    if not isinstance(s, StateVector) or s.table is not table:
-        s = StateVector(table, s.values if isinstance(s, StateVector) else s)
+    s = _as_state(table, s)
     img = s.image()
     n = len(img) - 1
     if n < 1:
@@ -460,8 +467,7 @@ class ExtremalityReport:
 def is_extremal(table: PartialAdditionTable, s: StateVector) -> ExtremalityReport:
     """Vertex test on the state polytope; a non-extremal state comes back
     with states s1 != s2 such that s = (s1 + s2) / 2."""
-    if not isinstance(s, StateVector) or s.table is not table:
-        s = StateVector(table, s.values if isinstance(s, StateVector) else s)
+    s = _as_state(table, s)
     space = solve_state_space(table)
     if not space.consistent:
         raise InconsistencyError("valid state supplied for an inconsistent system")
@@ -498,8 +504,7 @@ def is_extremal(table: PartialAdditionTable, s: StateVector) -> ExtremalityRepor
 
 def kernel(table: PartialAdditionTable, s: StateVector) -> FrozenSet[str]:
     """Ker(s) = {x : s(x) = 0}; certified to be a normal ideal."""
-    if not isinstance(s, StateVector) or s.table is not table:
-        s = StateVector(table, s.values if isinstance(s, StateVector) else s)
+    s = _as_state(table, s)
     ker = frozenset(e for e in table.elements if s(e) == 0)
     from . import ideals
 

@@ -346,6 +346,8 @@ def run_suite(max_size: int = 5, seed: int = 0, samples: int = 2000) -> SuiteRep
         raise InputError(
             "generation cap exceeded: max size is %d" % (MAX_SUITE_SIZE,)
         )
+    if samples < 1:
+        raise InputError("samples must be at least 1, got %d" % (samples,))
     report = SuiteReport(max_size=max_size, seed=seed)
     corpus = generate_peas(max_size)
     for table in corpus:

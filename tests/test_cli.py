@@ -232,6 +232,15 @@ def test_suite_cap(capsys):
     assert main(["suite", "--max-size", "9"]) == 2
 
 
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_suite_refuses_nonpositive_samples(samples):
+    # with no sample drawn, every sampled verdict would pass unwitnessed
+    proc = run_process(["suite", "--max-size", "3", "--samples", samples])
+    assert proc.returncode == 2
+    assert "input error" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_suite_deterministic(capsys):
     _, out1 = run(capsys, ["--format", "json", "--seed", "7", "suite",
                            "--max-size", "2", "--samples", "100"])

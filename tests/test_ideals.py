@@ -1,3 +1,4 @@
+import signal
 from itertools import combinations
 
 import pytest
@@ -6,6 +7,7 @@ from peal.constructions import chain_table
 from peal.core import PreconditionError, induced_order
 from peal.corpus import are_isomorphic
 from peal.ideals import (
+    IdealSet,
     check_r1,
     check_r2,
     congruence_classes,
@@ -52,10 +54,40 @@ def test_ideal_predicates(boolean4, diamond):
     assert not ok and witness[0] == "sum"
 
 
-def test_enumeration_matches_brute(pea_corpus_small):
-    for table in pea_corpus_small:
+def test_enumeration_matches_brute(pea_corpus_small, gpea_corpus):
+    for table in list(pea_corpus_small) + list(gpea_corpus):
         mine = [i.members for i in enumerate_ideals(table)]
         assert mine == brute_ideals(table)
+
+
+def test_enumeration_on_boolean_2_6():
+    """Down-closed and closed under disjoint sums means closed under joins,
+    so the ideals of 2^6 are its 64 principal down-sets. The antichain walk
+    this search replaced took more than 9 minutes on this algebra, hence
+    the guard."""
+    from peal.constructions import gamma_interval_finite
+    from peal.groups import IntVectorGroup, UnitalPoGroup
+
+    def too_slow(signum, frame):
+        raise TimeoutError("enumerate_ideals on 2^6 took more than 10 s")
+
+    table = gamma_interval_finite(UnitalPoGroup(IntVectorGroup(6), (1,) * 6))
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(10)
+    try:
+        mine = [i.members for i in enumerate_ideals(table)]
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    order = induced_order(table)
+    principal = {frozenset(b for b in table.elements if order.le(b, a)) for a in table.elements}
+    assert len(mine) == 64 and set(mine) == principal
+
+
+def test_ideal_equality_ignores_computed_flags(boolean4):
+    ide = enumerate_ideals(boolean4)[1]
+    assert (ide.normal, ide.maximal, ide.riesz) == (True, True, True)
+    assert ide == IdealSet(boolean4, ide.members)
 
 
 def test_enumeration_examples(boolean4, diamond, chain3):
