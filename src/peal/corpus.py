@@ -4,13 +4,22 @@ cap, canonical labeling, and isomorphism testing.
 Isomorphisms fix zero (and the unit); dedup works by lexicographic
 minimization of the (order relation, addition table) encoding over admissible
 relabelings.
+
+The search fixes the complement map before anything else.  By PE2 the unit
+cells a + a~ = 1 of the middle rows form a permutation of the middle
+elements, and relabeling by pi (fixing 0 and 1) conjugates it, so it only
+matters up to cycle type: the search pre-places one representative per
+partition of k-2 and backtracks over the remaining cells (the symmetry-breaking
+idea of McKay, "Isomorph-free exhaustive generation", J. Algorithms 26, 1998,
+applied to the unit cells only).  A class can still appear several times, so
+every leaf is certified by `check_axioms` and deduplicated by canonical key.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .core import InputError, PartialAdditionTable, check_axioms, derived, induced_order
 
@@ -59,11 +68,10 @@ def _element_profile(table: PartialAdditionTable, i: int):
     )
 
 
-def _candidate_perms(table: PartialAdditionTable, middles: List[int]):
+def _candidate_perms(middles: List[int], profiles: Dict[int, tuple]):
     """Permutations of the middle elements compatible with sorting by the
     invariant profile.  The profile tuple leads the canonical key, so the
     lexicographic minimum is attained inside this family."""
-    profiles = {i: _element_profile(table, i) for i in middles}
     blocks: List[List[int]] = []
     for i in sorted(middles, key=lambda i: profiles[i]):
         if blocks and profiles[blocks[-1][0]] == profiles[i]:
@@ -88,7 +96,7 @@ def _min_encoding(table: PartialAdditionTable):
     profiles = {i: _element_profile(table, i) for i in middles}
     best = None
     best_perm: Optional[List[int]] = None
-    for perm in _candidate_perms(table, middles):
+    for perm in _candidate_perms(middles, profiles):
         key = tuple(profiles[i] for i in perm) + _encode(table, perm, fixed + perm)
         if best is None or key < best:
             best, best_perm = key, perm
@@ -132,13 +140,48 @@ def are_isomorphic(t1: PartialAdditionTable, t2: PartialAdditionTable) -> bool:
     return canonical_key(t1) == canonical_key(t2)
 
 
-def _search(k: int, unital: bool) -> Iterator[List[List[int]]]:
-    """Backtracking enumeration of all valid k-element tables (labeled).
+def _unit_maps(m: int) -> Iterator[List[Tuple[int, int]]]:
+    """The unit cells (a, a~) of one complement map per cycle type on the m
+    middle elements 2..m+1: for each partition of m, largest part first, its
+    cycles are laid on consecutive indices."""
+    def partitions(rest: int, largest: int) -> Iterator[Tuple[int, ...]]:
+        if rest == 0:
+            yield ()
+        for part in range(min(rest, largest), 0, -1):
+            for tail in partitions(rest - part, part):
+                yield (part,) + tail
 
-    Sound pruning only (cancellation, partial associativity, complement
-    feasibility); completeness of each leaf is certified afterwards by the
-    real axiom checker.
+    for parts in partitions(m, m):
+        units: List[Tuple[int, int]] = []
+        start = 2
+        for part in parts:
+            units.extend((start + i, start + (i + 1) % part) for i in range(part))
+            start += part
+        yield units
+
+
+def _search(k: int, unital: bool) -> Iterator[List[List[int]]]:
+    """Backtracking enumeration of valid k-element tables (labeled), at least
+    one per isomorphism class.
+
+    For a PEA, PE2 gives each element a exactly one a~ with a + a~ = 1, so the
+    unit cells of the middle rows form a permutation sigma of the middle
+    elements 2..k-1, and a relabeling fixing 0 and 1 conjugates sigma.  Every
+    class therefore has a member whose sigma is the consecutive-cycle
+    representative of its cycle type: the search pre-places those unit cells,
+    one partition of k-2 at a time, and cancellation keeps 1 out of every
+    other cell.  A GPEA search runs once with no unit cells.
+
+    Sound pruning only (cancellation, partial associativity); completeness of
+    each leaf is certified afterwards by the real axiom checker.
     """
+    for units in _unit_maps(k - 2) if unital else [[]]:
+        yield from _complete(k, unital, units)
+
+
+def _complete(k: int, unital: bool, units: List[Tuple[int, int]]) -> Iterator[List[List[int]]]:
+    """Every table extending the fixed rows and columns of 0 (and of 1 when
+    unital) and the given unit cells that passes the search's pruning."""
     lo = 2 if unital else 1
     t = [[UNDEC] * k for _ in range(k)]
     for a in range(k):
@@ -148,14 +191,15 @@ def _search(k: int, unital: bool) -> Iterator[List[List[int]]]:
         for a in range(1, k):
             t[1][a] = UNDEF
             t[a][1] = UNDEF
-    cells = [(a, b) for a in range(lo, k) for b in range(lo, k)]
     pairs_by_value: List[List[Tuple[int, int]]] = [[] for _ in range(k)]
     for a in range(k):
         pairs_by_value[a].append((0, a))
         if a != 0:
             pairs_by_value[a].append((a, 0))
-    undec_row = [sum(1 for x in row if x == UNDEC) for row in t]
-    undec_col = [sum(1 for r in range(k) if t[r][c] == UNDEC) for c in range(k)]
+    for a, b in units:
+        t[a][b] = 1
+        pairs_by_value[1].append((a, b))
+    cells = [(a, b) for a in range(lo, k) for b in range(lo, k) if t[a][b] == UNDEC]
 
     def triple_ok(x: int, y: int, z: int) -> bool:
         xy = t[x][y]
@@ -213,27 +257,16 @@ def _search(k: int, unital: bool) -> Iterator[List[List[int]]]:
             candidates.append(v)
         for v in candidates:
             t[a][b] = v
-            undec_row[a] -= 1
-            undec_col[b] -= 1
-            ok = True
             if v >= 0:
                 pairs_by_value[v].append((a, b))
-            if unital:
-                # every non-unit row and column must eventually hit the unit
-                if undec_row[a] == 0 and 1 not in t[a]:
-                    ok = False
-                if ok and undec_col[b] == 0 and not any(t[r][b] == 1 for r in range(k)):
-                    ok = False
-            if ok:
-                ok = incident_ok(a, b)
-            if ok:
+            if incident_ok(a, b):
                 yield from rec(pos + 1)
             if v >= 0:
                 pairs_by_value[v].pop()
-            undec_row[a] += 1
-            undec_col[b] += 1
             t[a][b] = UNDEC
-    yield from rec(0)
+
+    if all(incident_ok(a, b) for a, b in units):
+        yield from rec(0)
 
 
 def _table_from_matrix(matrix: List[List[int]], unital: bool) -> PartialAdditionTable:

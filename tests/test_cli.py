@@ -229,7 +229,7 @@ def test_suite_small(capsys):
 
 
 def test_suite_cap(capsys):
-    assert main(["suite", "--max-size", "9"]) == 2
+    assert main(["suite", "--max-size", "10"]) == 2
 
 
 @pytest.mark.parametrize("samples", ["0", "-5"])
