@@ -206,11 +206,9 @@ class PartialAdditionTable:
     def defined(self, a: str, b: str) -> bool:
         return self._sums[self.index(a)][self.index(b)] is not None
 
-    def defined_sums(self) -> Iterable[Tuple[int, int, int]]:
-        for i, row in enumerate(self._sums):
-            for j, c in enumerate(row):
-                if c is not None:
-                    yield i, j, c
+    def defined_sums(self) -> Tuple[Tuple[int, int, int], ...]:
+        """Every defined sum as an index triple (i, j, i + j), row by row."""
+        return _defined_sums(self)
 
     def __eq__(self, other):
         return (
@@ -277,6 +275,16 @@ def derived(fn):
         return value
 
     return memo
+
+
+@derived
+def _defined_sums(table: PartialAdditionTable) -> Tuple[Tuple[int, int, int], ...]:
+    return tuple(
+        (i, j, c)
+        for i, row in enumerate(table._sums)
+        for j, c in enumerate(row)
+        if c is not None
+    )
 
 
 # -- axiom checking -----------------------------------------------------

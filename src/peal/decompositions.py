@@ -4,8 +4,8 @@ of finite n-perfect algebras."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .core import (
@@ -124,12 +124,18 @@ def decomposition_state_bijection(table: PartialAdditionTable, n: int):
         raise InconsistencyError(
             "|D_n| = %d but |S_n| = %d" % (len(decomps), len(states))
         )
+    index = table._index
     pairs = []
     for D, s in zip(decomps, states):
-        induced = {a: Fraction(i, n) for i, part in enumerate(D.parts) for a in part}
-        if induced != s.values:
+        # the state induced by D is labels / n, compared in lowest terms
+        labels = [0] * table.size
+        for i, part in enumerate(D.parts):
+            for a in part:
+                labels[index[a]] = i
+        g = math.gcd(n, *labels)
+        if s._den != n // g or s._num != tuple(l // g for l in labels):
             raise InconsistencyError("decomposition-induced state not enumerated")
-        if _parts(table, [s(e) * n for e in table.elements], n) != D:
+        if n % s._den or _parts(table, [x * (n // s._den) for x in s._num], n) != D:
             raise InconsistencyError("state preimages do not recover the decomposition")
         pairs.append((D, s))
     return pairs

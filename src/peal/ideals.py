@@ -430,8 +430,6 @@ def two_valued_partition(table: PartialAdditionTable):
     """All pairs (maximal normal ideal I, two-valued state) with
     E = I u I- = I u I~ disjointly; certified bijective with the 2-valued
     discrete states, and for symmetric tables checked against unitization."""
-    from fractions import Fraction
-
     from . import states as states_mod
     from .core import is_symmetric
 
@@ -447,12 +445,8 @@ def two_valued_partition(table: PartialAdditionTable):
             continue
         if ide.members | i_tilde != universe or ide.members & i_tilde:
             continue
-        vals = {
-            e: Fraction(0) if e in ide.members else Fraction(1)
-            for e in table.elements
-        }
-        s = states_mod.StateVector(table, vals)
-        pairs.append((ide, s))
+        vals = [0 if e in ide.members else 1 for e in table.elements]
+        pairs.append((ide, states_mod.StateVector._from_ints(table, vals, 1)))
 
     expected = states_mod.enumerate_discrete_states(table, 1)
     if {s for _, s in pairs} != set(expected):

@@ -1,19 +1,26 @@
 """Exact state-space computation on finite PEAs.
 
-States are rational-valued additive morphisms into [0,1].  The additivity
-equations are solved by exact Gauss-Jordan elimination on sparse rows
-``{column: nonzero Fraction}`` (each equation has at most three nonzeros);
-the resulting polytope's vertices (the extremal states) are enumerated with
-an incremental double description sweep in which every vertex carries its
+States are rational-valued additive morphisms into [0,1].  A state, and
+every point of the state polytope, is held as a tuple of ``int`` numerators
+over one positive common denominator, reduced by their gcd; only the public
+API (``StateVector.values``, ``__call__``, ``StateSpace``, the witness of a
+non-extremal state) speaks ``fractions.Fraction``.  Integers are only ever
+multiplied, added and compared, never divided with ``/``, so no float is
+ever formed.  The additivity equations are solved by exact Gauss-Jordan
+elimination on sparse rows ``{column: nonzero Fraction}`` (each equation
+has at most three nonzeros); the resulting polytope's vertices (the
+extremal states) are enumerated with an incremental double description
+sweep on integer-scaled constraint rows in which every vertex carries its
 set of tight constraints.  Discrete states are found by the integer-labeling
 search suggested by the decomposition characterization, never by rounding.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from .core import (
     InconsistencyError,
@@ -30,46 +37,91 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def _range_check(e: str, num: int, den: int) -> None:
+    if num < 0 or num > den:
+        raise InputError(
+            "state value %s for %r outside [0,1]" % (Fraction(num, den), e)
+        )
+
+
+def _fraction_string(num: int, den: int) -> str:
+    """``str(Fraction(num, den))`` without building the Fraction."""
+    g = math.gcd(num, den)
+    return str(num // g) if den == g else "%d/%d" % (num // g, den // g)
+
+
 class StateVector:
     """An exact state: element -> rational in [0,1], additive on defined sums.
 
+    The values are held as integer numerators (in table element order) over
+    one common denominator, reduced so that the pair is unique to the state.
     The invariants are re-checked at construction, so every StateVector in
     circulation is a genuine state of its table.
     """
 
-    __slots__ = ("table", "values", "_key")
+    __slots__ = ("table", "_num", "_den", "_values")
 
     def __init__(self, table: PartialAdditionTable, values: Dict[str, Fraction]):
-        vals = {}
+        nums, dens = [], []
         for e in table.elements:
             if e not in values:
                 raise InputError("state is missing a value for %r" % (e,))
             v = Fraction(values[e])
-            if v < 0 or v > 1:
-                raise InputError("state value %s for %r outside [0,1]" % (v, e))
-            vals[e] = v
-        if vals[table.zero] != 0:
+            _range_check(e, v.numerator, v.denominator)
+            nums.append(v.numerator)
+            dens.append(v.denominator)
+        den = math.lcm(*dens)
+        self._adopt(table, [x * (den // d) for x, d in zip(nums, dens)], den)
+
+    @classmethod
+    def _from_ints(cls, table: PartialAdditionTable, num: Sequence[int], den: int) -> "StateVector":
+        """The state with value ``num[i] / den`` at element i (``den`` > 0),
+        checked exactly as the constructor checks a mapping."""
+        for e, x in zip(table.elements, num):
+            _range_check(e, x, den)
+        self = cls.__new__(cls)
+        self._adopt(table, num, den)
+        return self
+
+    def _adopt(self, table: PartialAdditionTable, num: Sequence[int], den: int) -> None:
+        """Check zero, one and additivity on in-range numerators, then store
+        them reduced by their gcd with ``den``."""
+        if num[table.zero_i] != 0:
             raise InputError("state must send zero to 0")
-        if table.one is not None and vals[table.one] != 1:
+        if table.one is not None and num[table.one_i] != den:
             raise InputError("state must send one to 1")
         for i, j, s in table.defined_sums():
-            a, b, c = table.elements[i], table.elements[j], table.elements[s]
-            if vals[a] + vals[b] != vals[c]:
+            if num[i] + num[j] != num[s]:
+                els = table.elements
                 raise InputError(
-                    "state not additive at %r + %r = %r" % (a, b, c)
+                    "state not additive at %r + %r = %r" % (els[i], els[j], els[s])
                 )
+        g = math.gcd(den, *num)
         self.table = table
-        self.values = vals
-        self._key = tuple(vals[e] for e in table.elements)
+        self._num = tuple(x // g for x in num) if g > 1 else tuple(num)
+        self._den = den // g
+        self._values = None
+
+    @property
+    def values(self) -> Dict[str, Fraction]:
+        if self._values is None:
+            self._values = {
+                e: Fraction(x, self._den) for e, x in zip(self.table.elements, self._num)
+            }
+        return self._values
 
     def __call__(self, a: str) -> Fraction:
         return self.values[a]
 
     def __eq__(self, other):
-        return isinstance(other, StateVector) and self._key == other._key
+        return (
+            isinstance(other, StateVector)
+            and self._den == other._den
+            and self._num == other._num
+        )
 
     def __hash__(self):
-        return hash(self._key)
+        return hash((self._den, self._num))
 
     def __repr__(self):
         return "StateVector({%s})" % ", ".join(
@@ -77,10 +129,13 @@ class StateVector:
         )
 
     def image(self) -> List[Fraction]:
-        return sorted(set(self.values.values()))
+        return [Fraction(x, self._den) for x in sorted(set(self._num))]
 
     def as_strings(self) -> Dict[str, str]:
-        return {e: str(v) for e, v in self.values.items()}
+        return {
+            e: _fraction_string(x, self._den)
+            for e, x in zip(self.table.elements, self._num)
+        }
 
 
 @dataclass(frozen=True)
@@ -107,13 +162,14 @@ class StateSpace:
 
 # -- exact sparse linear algebra -------------------------------------------
 #
-# A row is a dict {column: nonzero Fraction}; a system over ncols unknowns
-# keeps its right-hand side at column ncols.
+# A row is a dict {column: nonzero entry}; a system over ncols unknowns
+# keeps its right-hand side at column ncols.  Elimination runs on Fraction
+# entries; the polytope's constraint rows and points are integers.
 
-Row = Dict[int, Fraction]
+Row = Dict[int, Union[int, Fraction]]
 
 
-def _dot(row: Row, point: Sequence[Fraction]) -> Fraction:
+def _dot(row: Row, point: Sequence[Union[int, Fraction]]) -> Union[int, Fraction]:
     return sum(v * point[c] for c, v in row.items())
 
 
@@ -123,9 +179,10 @@ def _rref(rows: List[Row], ncols: int) -> Tuple[List[Row], List[int], bool]:
     Returns the nonzero rows of the reduced row echelon form in pivot order,
     their pivot columns, and whether the system is consistent (no row
     reduces to 0 = nonzero).  The reduced form is unique, so the result does
-    not depend on the order of ``rows``.
+    not depend on the order of ``rows``.  Integer entries are taken as
+    Fractions.
     """
-    rest = [dict(r) for r in rows]
+    rest = [{c: Fraction(v) for c, v in r.items()} for r in rows]
     done: List[Row] = []
     pivots: List[int] = []
     for col in range(ncols):
@@ -168,32 +225,47 @@ def _nullspace_vector(rows: List[Row], dim: int) -> Optional[Tuple[Fraction, ...
 # -- double description vertex sweep --------------------------------------
 
 
+def _integer_row(a: Row, b: Union[int, Fraction]) -> Tuple[Row, int]:
+    """The constraint a.t <= b scaled by the least positive integer that
+    clears its denominators (ints count as denominator 1)."""
+    m = math.lcm(b.denominator, *(v.denominator for v in a.values()))
+    return (
+        {c: v.numerator * (m // v.denominator) for c, v in a.items()},
+        b.numerator * (m // b.denominator),
+    )
+
+
 def _dd_vertices(
-    constraints: List[Tuple[Row, Fraction]], dim: int
+    constraints: List[Tuple[Row, Union[int, Fraction]]], dim: int
 ) -> List[Tuple[Fraction, ...]]:
     """Vertices of {t : a.t <= b for all (a, b)} assuming the first 2*dim
-    constraints are the unit box 0 <= t_i <= 1 (so the region is bounded)."""
-    # (vertex, its tight set among the constraints swept so far)
-    verts: List[Tuple[Tuple[Fraction, ...], FrozenSet[int]]] = [
-        (tuple(ONE if mask >> i & 1 else ZERO for i in range(dim)),
+    constraints are the unit box 0 <= t_i <= 1 (so the region is bounded).
+
+    The sweep runs on integer rows and on points (numerators, denominator)
+    reduced by their gcd, so equal points are equal tuples."""
+    rows = [_integer_row(a, b) for a, b in constraints]
+    # ((numerators, denominator), its tight set among the constraints swept so far)
+    verts: List[Tuple[Tuple[Tuple[int, ...], int], FrozenSet[int]]] = [
+        ((tuple(mask >> i & 1 for i in range(dim)), 1),
          frozenset(2 * i + (mask >> i & 1) for i in range(dim)))
         for mask in range(1 << dim)
     ]
-    for ci in range(2 * dim, len(constraints)):
-        a, b = constraints[ci]
-        vals = [_dot(a, v) for v, _ in verts]
+    for ci in range(2 * dim, len(rows)):
+        a, b = rows[ci]
+        # slack b - a.v, times the point's denominator
+        slacks = [b * den - _dot(a, num) for (num, den), _ in verts]
         keep = [
-            (v, tight | {ci} if val == b else tight)
-            for (v, tight), val in zip(verts, vals)
-            if val <= b
+            (v, tight | {ci} if slack == 0 else tight)
+            for (v, tight), slack in zip(verts, slacks)
+            if slack >= 0
         ]
-        outside = [j for j, val in enumerate(vals) if val > b]
+        outside = [j for j, slack in enumerate(slacks) if slack < 0]
         new_pts = set()
-        for i, ((u, tu), uval) in enumerate(zip(verts, vals)):
-            if uval >= b:
+        for i, (((un, ud), tu), su) in enumerate(zip(verts, slacks)):
+            if su <= 0:
                 continue
             for j in outside:
-                (w, tw), wval = verts[j], vals[j]
+                ((wn, wd), tw), wx = verts[j], -slacks[j]
                 common = tu & tw
                 if len(common) < dim - 1:
                     continue
@@ -204,22 +276,29 @@ def _dd_vertices(
                     for m, (_, tight) in enumerate(verts)
                 ):
                     continue
-                lam = (b - uval) / (wval - uval)
-                new_pts.add(tuple(x + lam * (y - x) for x, y in zip(u, w)))
+                # the point of segment uw on a.t = b
+                num = [wx * x + su * y for x, y in zip(un, wn)]
+                den = wx * ud + su * wd
+                g = math.gcd(den, *num)
+                new_pts.add((tuple(x // g for x in num), den // g))
         if new_pts:
             new_pts -= {v for v, _ in keep}
         # a degenerate point may be tight on more than its parents share
         keep.extend(
             (p, frozenset(
                 cj for cj in range(ci + 1)
-                if _dot(constraints[cj][0], p) == constraints[cj][1]
+                if _dot(rows[cj][0], p[0]) == rows[cj][1] * p[1]
             ))
             for p in new_pts
         )
         verts = keep
         if not verts:
             return []
-    return sorted(v for v, _ in verts)
+    # sort as Fraction tuples would, by numerators over one common denominator
+    common = math.lcm(*(den for (_, den), _ in verts))
+    points = sorted((v for v, _ in verts),
+                    key=lambda v: tuple(x * (common // v[1]) for x in v[0]))
+    return [tuple(Fraction(x, den) for x in num) for num, den in points]
 
 
 @derived
@@ -228,13 +307,13 @@ def _state_system(table: PartialAdditionTable):
     free elements, consistent) with values per element."""
     k = table.size
     els = table.elements
-    rows: List[Row] = [{table.zero_i: ONE}]
+    rows: List[Row] = [{table.zero_i: 1}]
     if table.one_i is not None:
-        rows.append({table.one_i: ONE, k: ONE})
+        rows.append({table.one_i: 1, k: 1})
     for i, j, s in table.defined_sums():
         # s(a) + s(b) - s(a + b) = 0; the coefficients sum to 1, so a row
         # never cancels entirely, but single entries do (0 + a = a)
-        row = {c: Fraction((c == i) + (c == j) - (c == s)) for c in (i, j, s)}
+        row = {c: (c == i) + (c == j) - (c == s) for c in (i, j, s)}
         rows.append({c: v for c, v in row.items() if v})
     red, pivots, consistent = _rref(rows, k)
     if not consistent:
@@ -255,39 +334,67 @@ def _state_system(table: PartialAdditionTable):
 
 
 @derived
-def _box_constraints(table: PartialAdditionTable) -> List[Tuple[Row, Fraction]]:
+def _affine_map(table: PartialAdditionTable):
+    """The parametrization of a consistent additivity system on integers:
+    ``(p, cols, m)`` with s(e_i) = (p[i] + sum of c * t_j over (i, c) in
+    cols[j]) / m at free coordinates t; ``cols[j]`` lists the nonzero
+    coefficients of coordinate j in element order."""
+    particular, basis, _, _ = _state_system(table)
+    m = math.lcm(
+        *(v.denominator for v in particular.values()),
+        *(v.denominator for vec in basis for v in vec.values()),
+    )
+    p = tuple(particular[e].numerator * (m // particular[e].denominator)
+              for e in table.elements)
+    cols = tuple(
+        tuple((i, vec[e].numerator * (m // vec[e].denominator))
+              for i, e in enumerate(table.elements) if vec[e])
+        for vec in basis
+    )
+    return p, cols, m
+
+
+@derived
+def _box_constraints(table: PartialAdditionTable) -> List[Tuple[Row, int]]:
     """Inequalities 0 <= s(e) <= 1 in the free coordinates of a consistent
-    additivity system, unit box first."""
-    particular, basis, free_els, _ = _state_system(table)
-    d = len(free_els)
-    constraints: List[Tuple[Row, Fraction]] = []
+    additivity system, unit box first, as integer rows."""
+    p, cols, m = _affine_map(table)
+    free = set(_state_system(table)[2])
+    d = len(cols)
+    rows: List[Row] = [{} for _ in p]
+    for j, col in enumerate(cols):
+        for i, c in col:
+            rows[i][j] = c
+    constraints: List[Tuple[Row, int]] = []
     for j in range(d):
-        constraints.append(({j: -ONE}, ZERO))
-        constraints.append(({j: ONE}, ONE))
-    free = set(free_els)
-    for e in table.elements:
+        constraints.append(({j: -1}, 0))
+        constraints.append(({j: 1}, 1))
+    for e, pe, coeffs in zip(table.elements, p, rows):
         if e in free:
             continue
-        coeffs = {j: basis[j][e] for j in range(d) if basis[j][e]}
-        p = particular[e]
         if not coeffs:
-            if p < 0 or p > 1:
+            if pe < 0 or pe > m:
                 # forced value outside the box: encode as infeasible
-                constraints.append(({}, Fraction(-1)))
+                constraints.append(({}, -1))
             continue
-        constraints.append(({j: -c for j, c in coeffs.items()}, p))
-        constraints.append((coeffs, ONE - p))
+        constraints.append(({j: -c for j, c in coeffs.items()}, pe))
+        constraints.append((coeffs, m - pe))
     return constraints
 
 
-def _state_at(table: PartialAdditionTable, particular, basis, t) -> StateVector:
+def _state_at(table: PartialAdditionTable, t: Sequence[Fraction]) -> StateVector:
     """The state at free coordinates ``t`` of the affine parametrization;
-    zero terms are skipped, as vertices are mostly 0/1 and bases sparse."""
-    moves = [(vec, x) for vec, x in zip(basis, t) if x]
-    return StateVector(table, {
-        e: particular[e] + sum(vec[e] * x for vec, x in moves if vec[e])
-        for e in table.elements
-    })
+    zero coordinates are skipped, as vertices are mostly 0/1 and the map
+    sparse."""
+    p, cols, m = _affine_map(table)
+    den = math.lcm(*(x.denominator for x in t))
+    num = [pe * den for pe in p]
+    for col, x in zip(cols, t):
+        if x:
+            step = x.numerator * (den // x.denominator)
+            for i, c in col:
+                num[i] += c * step
+    return StateVector._from_ints(table, num, m * den)
 
 
 @derived
@@ -309,20 +416,22 @@ def solve_state_space(table: PartialAdditionTable) -> StateSpace:
             % (d, MAX_FREE_PARAMETERS)
         )
     if d == 0:
-        ok = all(0 <= particular[e] <= 1 for e in table.elements)
-        extremals = (StateVector(table, particular),) if ok else ()
+        p, _, m = _affine_map(table)
+        ok = all(0 <= x <= m for x in p)
+        extremals = (_state_at(table, ()),) if ok else ()
         return StateSpace(table, True, dict(particular), (), (), extremals)
-    extremals = [
-        _state_at(table, particular, basis, v)
-        for v in _dd_vertices(_box_constraints(table), d)
-    ]
+    extremals = set(
+        _state_at(table, v) for v in _dd_vertices(_box_constraints(table), d)
+    )
+    # order by value tuple: numerators over one denominator common to all
+    den = math.lcm(*(s._den for s in extremals))
     return StateSpace(
         table,
         True,
         dict(particular),
         tuple(dict(b) for b in basis),
         free_els,
-        tuple(sorted(set(extremals), key=lambda s: s._key)),
+        tuple(sorted(extremals, key=lambda s: tuple(x * (den // s._den) for x in s._num))),
     )
 
 
@@ -371,20 +480,30 @@ def _labelings(table: PartialAdditionTable, n: int) -> Tuple[Tuple[int, ...], ..
                     return False
         return True
 
+    # how many placed elements carry each label, and how many labels none do
+    count = [0] * (n + 1)
+    count[0] += 1
+    count[n] += 1
+    missing = count.count(0)
+
     def rec(pos: int) -> None:
+        nonlocal missing
         if pos == len(order):
-            if set(labels) == set(range(n + 1)):
+            if not missing:
                 out.append(tuple(labels))
             return
         # surjectivity cannot be rescued with fewer slots than missing labels
-        missing = len(set(range(n + 1)) - set(labels[i] for i in range(k) if labels[i] >= 0))
         if missing > len(order) - pos:
             return
         e = order[pos]
         for v in range(n + 1):
             labels[e] = v
             if local_ok(e):
+                count[v] += 1
+                missing -= count[v] == 1
                 rec(pos + 1)
+                count[v] -= 1
+                missing += count[v] == 0
         labels[e] = -1
 
     rec(0)
@@ -393,10 +512,7 @@ def _labelings(table: PartialAdditionTable, n: int) -> Tuple[Tuple[int, ...], ..
 
 def enumerate_discrete_states(table: PartialAdditionTable, n: int) -> List[StateVector]:
     """All (n+1)-valued discrete states, via the integer-labeling search."""
-    return [
-        StateVector(table, {e: Fraction(l, n) for e, l in zip(table.elements, labels)})
-        for labels in discrete_labelings(table, n)
-    ]
+    return [StateVector._from_ints(table, labels, n) for labels in discrete_labelings(table, n)]
 
 
 # -- classification and extremality ---------------------------------------
@@ -474,12 +590,14 @@ def is_extremal(table: PartialAdditionTable, s: StateVector) -> ExtremalityRepor
     d = space.dimension
     if d == 0:
         return ExtremalityReport(True, None)
-    t0 = [s(e) for e in space.free_elements]
+    # the state's free coordinates are its numerators there, over s._den
+    t0 = [s._num[table.index(e)] for e in space.free_elements]
     constraints = _box_constraints(table)
-    tight = [a for a, b in constraints if _dot(a, t0) == b]
+    tight = [a for a, b in constraints if _dot(a, t0) == b * s._den]
     direction = _nullspace_vector(tight, d)
     if direction is None:
         return ExtremalityReport(True, None)
+    t0 = [Fraction(x, s._den) for x in t0]
     lam_pos = lam_neg = None
     for a, b in constraints:
         av = _dot(a, direction)
@@ -493,10 +611,8 @@ def is_extremal(table: PartialAdditionTable, s: StateVector) -> ExtremalityRepor
     if lam_pos is None or lam_neg is None or lam_pos == 0 or lam_neg == 0:
         raise InconsistencyError("interior direction with no room to move")
     eps = min(lam_pos, lam_neg)
-    s1 = _state_at(table, space.particular, space.basis,
-                   [x + eps * w for x, w in zip(t0, direction)])
-    s2 = _state_at(table, space.particular, space.basis,
-                   [x - eps * w for x, w in zip(t0, direction)])
+    s1 = _state_at(table, [x + eps * w for x, w in zip(t0, direction)])
+    s2 = _state_at(table, [x - eps * w for x, w in zip(t0, direction)])
     if s1 == s2:
         raise InconsistencyError("witness states collapsed")
     return ExtremalityReport(False, (s1, s2))
@@ -505,7 +621,7 @@ def is_extremal(table: PartialAdditionTable, s: StateVector) -> ExtremalityRepor
 def kernel(table: PartialAdditionTable, s: StateVector) -> FrozenSet[str]:
     """Ker(s) = {x : s(x) = 0}; certified to be a normal ideal."""
     s = _as_state(table, s)
-    ker = frozenset(e for e in table.elements if s(e) == 0)
+    ker = frozenset(e for e, x in zip(table.elements, s._num) if x == 0)
     from . import ideals
 
     ok, witness = ideals.is_ideal(table, ker)

@@ -7,7 +7,12 @@ import pytest
 
 from peal.cli import main
 from peal.constructions import boolean4_table, diamond_table
-from peal.core import dumps_document, table_from_document, table_to_document
+from peal.core import (
+    PartialAdditionTable,
+    dumps_document,
+    table_from_document,
+    table_to_document,
+)
 
 
 @pytest.fixture()
@@ -147,14 +152,25 @@ MALFORMED_DOCUMENTS = {
 }
 
 
-def run_process(argv):
-    """``pea argv`` in a fresh interpreter, so that a traceback shows on stderr."""
+def run_process(argv, **env):
+    """``pea argv`` in a fresh interpreter, so that a traceback shows on
+    stderr; ``env`` adds environment variables."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "peal.cli"] + argv,
-        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path, **env), capture_output=True, text=True,
     )
+
+
+def outputs_under_hash_seeds(argv):
+    """The set of stdout texts of ``pea argv`` under PYTHONHASHSEED 0 to 3."""
+    outputs = set()
+    for hash_seed in ("0", "1", "2", "3"):
+        proc = run_process(argv, PYTHONHASHSEED=hash_seed)
+        assert proc.returncode == 0, proc.stderr
+        outputs.add(proc.stdout)
+    return outputs
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_DOCUMENTS))
@@ -264,14 +280,23 @@ def test_document_byte_stability(docs):
 def test_decompose_output_independent_of_hash_seed(tmp_path):
     doc = tmp_path / "b3.json"
     assert main(["construct", "--interval", "1,1,1", "--group", "z:3", "-o", str(doc)]) == 0
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    outputs = set()
-    for hash_seed in ("0", "1", "2", "3"):
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
-        proc = subprocess.run(
-            [sys.executable, "-m", "peal.cli", "--format", "json", "decompose", str(doc), "2"],
-            env=env, capture_output=True, check=True,
-        )
-        outputs.add(proc.stdout)
+    assert len(outputs_under_hash_seeds(["--format", "json", "decompose", str(doc), "2"])) == 1
+
+
+def test_states_output_independent_of_hash_seed(tmp_path):
+    # four Boolean 2^2 blocks glued at 0 and 1: 4 free parameters, 16
+    # extremal states and 3^4 - 2^4 = 65 three-valued discrete states
+    elements, sums = ["0", "1"], {}
+    for b in range(4):
+        x, y = "x%d" % b, "y%d" % b
+        elements += [x, y]
+        sums[(x, y)] = sums[(y, x)] = "1"
+    doc = tmp_path / "hsum.json"
+    doc.write_text(dumps_document(table_to_document(
+        PartialAdditionTable.build(elements, "0", "1", sums))))
+    outputs = outputs_under_hash_seeds(
+        ["--format", "json", "states", str(doc), "--extremal", "--discrete", "2"])
     assert len(outputs) == 1
+    results = json.loads(outputs.pop())["results"]
+    assert len(results["extremal_states"]) == 16
+    assert len(results["discrete_states_n2"]) == 65

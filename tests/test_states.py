@@ -122,6 +122,115 @@ def brute_vertices(constraints, dim):
     return sorted(points)
 
 
+def fraction_state_values(table, values):
+    """Reference state validation on Fractions (the checks and messages of
+    StateVector before it held integer numerators): the value dict, or
+    InputError."""
+    vals = {}
+    for e in table.elements:
+        if e not in values:
+            raise InputError("state is missing a value for %r" % (e,))
+        v = Fraction(values[e])
+        if v < 0 or v > 1:
+            raise InputError("state value %s for %r outside [0,1]" % (v, e))
+        vals[e] = v
+    if vals[table.zero] != 0:
+        raise InputError("state must send zero to 0")
+    if table.one is not None and vals[table.one] != 1:
+        raise InputError("state must send one to 1")
+    for i, j, s in table.defined_sums():
+        a, b, c = table.elements[i], table.elements[j], table.elements[s]
+        if vals[a] + vals[b] != vals[c]:
+            raise InputError("state not additive at %r + %r = %r" % (a, b, c))
+    return vals
+
+
+def fraction_dot(row, point):
+    return sum(v * point[c] for c, v in row.items())
+
+
+def fraction_dd_vertices(constraints, dim):
+    """Reference double description sweep on Fraction points (the sweep
+    before it ran on integer rows and points)."""
+    verts = [
+        (tuple(ONE if mask >> i & 1 else ZERO for i in range(dim)),
+         frozenset(2 * i + (mask >> i & 1) for i in range(dim)))
+        for mask in range(1 << dim)
+    ]
+    for ci in range(2 * dim, len(constraints)):
+        a, b = constraints[ci]
+        vals = [fraction_dot(a, v) for v, _ in verts]
+        keep = [
+            (v, tight | {ci} if val == b else tight)
+            for (v, tight), val in zip(verts, vals)
+            if val <= b
+        ]
+        outside = [j for j, val in enumerate(vals) if val > b]
+        new_pts = set()
+        for i, ((u, tu), uval) in enumerate(zip(verts, vals)):
+            if uval >= b:
+                continue
+            for j in outside:
+                (w, tw), wval = verts[j], vals[j]
+                common = tu & tw
+                if len(common) < dim - 1:
+                    continue
+                if any(
+                    common <= tight and m != i and m != j
+                    for m, (_, tight) in enumerate(verts)
+                ):
+                    continue
+                lam = (b - uval) / (wval - uval)
+                new_pts.add(tuple(x + lam * (y - x) for x, y in zip(u, w)))
+        if new_pts:
+            new_pts -= {v for v, _ in keep}
+        keep.extend(
+            (p, frozenset(
+                cj for cj in range(ci + 1)
+                if fraction_dot(constraints[cj][0], p) == constraints[cj][1]
+            ))
+            for p in new_pts
+        )
+        verts = keep
+        if not verts:
+            return []
+    return sorted(v for v, _ in verts)
+
+
+def fraction_extremal_keys(space):
+    """Value tuples of the extremal states in StateSpace order, computed the
+    way the Fraction state layer did: box constraints over Fractions, the
+    Fraction sweep, the affine map over Fractions, the Fraction validation,
+    sorted by value tuple."""
+    table, d = space.table, space.dimension
+    particular, basis, free = space.particular, space.basis, set(space.free_elements)
+    if d == 0:
+        if not all(0 <= particular[e] <= 1 for e in table.elements):
+            return []
+        return [tuple(fraction_state_values(table, particular).values())]
+    constraints = []
+    for j in range(d):
+        constraints.append(({j: -ONE}, ZERO))
+        constraints.append(({j: ONE}, ONE))
+    for e in table.elements:
+        if e in free:
+            continue
+        coeffs = {j: basis[j][e] for j in range(d) if basis[j][e]}
+        p = particular[e]
+        if not coeffs:
+            if p < 0 or p > 1:
+                constraints.append(({}, Fraction(-1)))
+            continue
+        constraints.append(({j: -c for j, c in coeffs.items()}, p))
+        constraints.append((coeffs, ONE - p))
+    keys = set()
+    for t in fraction_dd_vertices(constraints, d):
+        vals = {e: particular[e] + sum(basis[j][e] * t[j] for j in range(d))
+                for e in table.elements}
+        keys.add(tuple(fraction_state_values(table, vals).values()))
+    return sorted(keys)
+
+
 def brute_extremal_keys(space):
     """Value tuples of the vertices of the state polytope, rebuilt from the
     public affine parametrization alone."""
@@ -358,3 +467,82 @@ def test_chain80_state_space_is_fast():
     space = solve_state_space(chain_table(80))
     assert time.perf_counter() - start < 10.0
     assert space.consistent and space.dimension == 0 and len(space.extremal_states) == 1
+
+
+def hsum_tables():
+    return [horizontal_sum(blocks, atoms) for blocks, atoms in ((2, 2), (3, 2), (4, 2), (2, 3))]
+
+
+def test_extremal_states_match_frozen_fraction_layer(pea_corpus_full):
+    for table in list(pea_corpus_full) + hsum_tables():
+        space = solve_state_space(table)
+        if not space.consistent:
+            continue
+        found = [tuple(s(e) for e in table.elements) for s in space.extremal_states]
+        assert found == fraction_extremal_keys(space)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    dim=hyp.integers(min_value=1, max_value=3),
+    cuts=hyp.lists(
+        hyp.tuples(
+            hyp.lists(
+                hyp.tuples(hyp.integers(min_value=-3, max_value=3),
+                           hyp.integers(min_value=1, max_value=6)),
+                min_size=3, max_size=3,
+            ),
+            hyp.integers(min_value=-2, max_value=6),
+            hyp.integers(min_value=1, max_value=6),
+        ),
+        max_size=4,
+    ),
+)
+def test_vertex_sweep_matches_frozen_sweep_with_small_denominators(dim, cuts):
+    # cut coefficients and right-hand sides with denominators 1 to 6
+    constraints = []
+    for j in range(dim):
+        constraints.append(({j: -ONE}, ZERO))
+        constraints.append(({j: ONE}, ONE))
+    for coeffs, b, q in cuts:
+        row = {j: Fraction(c, cq) for j, (c, cq) in enumerate(coeffs[:dim]) if c}
+        constraints.append((row, Fraction(b, q)))
+    dense = [([a.get(j, ZERO) for j in range(dim)], b) for a, b in constraints]
+    found = _dd_vertices(constraints, dim)
+    assert found == fraction_dd_vertices(constraints, dim)
+    assert found == brute_vertices(dense, dim)
+
+
+def validation_outcome(fn):
+    try:
+        return "ok", tuple(fn().items())
+    except InputError as exc:
+        return "error", str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=hyp.data())
+def test_state_validation_matches_frozen_fraction_checks(pea_corpus_full, data):
+    table = data.draw(hyp.sampled_from(list(pea_corpus_full) + hsum_tables()[:2]))
+    states = list(solve_state_space(table).extremal_states)
+    for n in (1, 2, 3):
+        states.extend(enumerate_discrete_states(table, n))
+    if not states:
+        return
+    values = dict(data.draw(hyp.sampled_from(states)).values)
+    for _ in range(data.draw(hyp.integers(min_value=1, max_value=2))):
+        kind = data.draw(hyp.sampled_from(["remove", "outside", "value", "zero"]))
+        e = data.draw(hyp.sampled_from(table.elements))
+        if kind == "remove":
+            values.pop(e, None)
+        elif kind == "outside":
+            off = data.draw(hyp.fractions(min_value=Fraction(1, 6), max_value=2,
+                                          max_denominator=6))
+            values[e] = -off if data.draw(hyp.booleans()) else 1 + off
+        elif kind == "value":
+            values[e] = data.draw(hyp.fractions(min_value=0, max_value=1, max_denominator=12))
+        else:
+            values[table.zero] = data.draw(
+                hyp.fractions(min_value=0, max_value=1, max_denominator=12).filter(bool))
+    assert validation_outcome(lambda: StateVector(table, values).values) == \
+        validation_outcome(lambda: fraction_state_values(table, values))
