@@ -9,6 +9,11 @@ and all arithmetic is exact.
 Tables are immutable after construction.  Derived structure (axiom reports,
 the induced order, complements, isotropic data) is memoised on the table by
 :func:`derived`, so repeated queries over the same table are cheap.
+
+The induced order is stored once, as bitmasks over element indices
+(:class:`OrderRelation` ``up`` and ``down``).  Every other module reads
+those masks: down-sets, up-sets and common bounds are mask operations, and
+an index set such as an ideal is a mask too.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 
 class PealError(Exception):
@@ -78,46 +83,56 @@ class ElementInfo:
 
 
 class OrderRelation:
-    """The order induced by the partial addition: a <= b iff a + c = b for some c."""
+    """The order induced by the partial addition: a <= b iff a + c = b for some c.
 
-    def __init__(self, table: "PartialAdditionTable", leq: List[List[bool]]):
+    Stored once as bitmasks over element indices: bit j of ``up[i]`` is set
+    iff i <= j, and bit j of ``down[i]`` iff j <= i.  The methods below are
+    the name-level views of the same masks.
+    """
+
+    def __init__(self, table: "PartialAdditionTable", up: Tuple[int, ...], down: Tuple[int, ...]):
         self.table = table
-        self._leq = leq
+        self.up = up
+        self.down = down
 
     def le(self, a: str, b: str) -> bool:
-        return self._leq[self.table.index(a)][self.table.index(b)]
+        return self.up[self.table.index(a)] >> self.table.index(b) & 1 == 1
 
     @property
     def pairs(self) -> FrozenSet[Tuple[str, str]]:
         els = self.table.elements
-        return frozenset(
-            (els[i], els[j])
-            for i in range(len(els))
-            for j in range(len(els))
-            if self._leq[i][j]
-        )
+        return frozenset((els[i], els[j]) for i, row in enumerate(self.up) for j in _bits(row))
 
     @property
     def covering_pairs(self) -> FrozenSet[Tuple[str, str]]:
         """Pairs a < b with no element strictly between."""
-        leq = self._leq
         els = self.table.elements
-        k = len(els)
-        covers = set()
-        for i in range(k):
-            for j in range(k):
-                if i == j or not leq[i][j]:
-                    continue
-                if any(m != i and m != j and leq[i][m] and leq[m][j] for m in range(k)):
-                    continue
-                covers.add((els[i], els[j]))
-        return frozenset(covers)
+        return frozenset(
+            (els[i], els[j])
+            for i, row in enumerate(self.up)
+            for j in _bits(row & ~(1 << i))
+            if row & self.down[j] == (1 << i) | (1 << j)
+        )
 
     def is_total(self) -> bool:
-        k = len(self.table.elements)
-        return all(
-            self._leq[i][j] or self._leq[j][i] for i in range(k) for j in range(k)
-        )
+        full = (1 << len(self.up)) - 1
+        return all(u | d == full for u, d in zip(self.up, self.down))
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _mask(table: "PartialAdditionTable", names: Iterable[str]) -> int:
+    """The elements ``names`` of ``table`` as a bitmask over their indices."""
+    mask = 0
+    for a in names:
+        mask |= 1 << table.index(a)
+    return mask
 
 
 class PartialAdditionTable:
@@ -246,12 +261,13 @@ class PartialAdditionTable:
     def restrict(self, members: Iterable[str], one: Optional[str] = None) -> "PartialAdditionTable":
         """Sub-table on a subset of elements (sums kept when both operands and
         the result lie in the subset)."""
-        keep = [e for e in self.elements if e in set(members)]
+        members = set(members)
+        keep = [e for e in self.elements if e in members]
         sums = {}
         for a in keep:
             for b in keep:
                 c = self.add(a, b)
-                if c is not None and c in set(keep):
+                if c is not None and c in members:
                     sums[(a, b)] = c
         return PartialAdditionTable(keep, self.zero, one, sums)
 
@@ -448,44 +464,39 @@ def induced_order(table: PartialAdditionTable) -> OrderRelation:
     well; a mismatch between the two is reported as an inconsistency.
     """
     _require_gpea(table)
-    t = table._sums
     k = table.size
-    right = [[False] * k for _ in range(k)]
-    left = [[False] * k for _ in range(k)]
+    els = table.elements
+    right = [0] * k
+    left = [0] * k
+    down = [0] * k
+    for a, c, s in table.defined_sums():
+        right[a] |= 1 << s
+        left[c] |= 1 << s
+        down[s] |= 1 << a
     for a in range(k):
-        for c in range(k):
-            s = t[a][c]
-            if s is not None:
-                right[a][s] = True
-            s = t[c][a]
-            if s is not None:
-                left[a][s] = True
-    for a in range(k):
-        for b in range(k):
-            if right[a][b] != left[a][b]:
-                raise InconsistencyError(
-                    "order witness mismatch at (%s, %s): right %s, left %s"
-                    % (table.elements[a], table.elements[b], right[a][b], left[a][b])
-                )
+        mismatch = right[a] ^ left[a]
+        if mismatch:
+            b = next(_bits(mismatch))
+            raise InconsistencyError(
+                "order witness mismatch at (%s, %s): right %s, left %s"
+                % (els[a], els[b], right[a] >> b & 1 == 1, left[a] >> b & 1 == 1)
+            )
     # sanity: partial-order laws, guaranteed by the GPEA axioms
     for a in range(k):
-        if not right[a][a]:
+        if not right[a] >> a & 1:
             raise InconsistencyError("induced order not reflexive")
-        for b in range(k):
-            if a != b and right[a][b] and right[b][a]:
+        for b in _bits(right[a]):
+            if a != b and right[b] >> a & 1:
                 raise InconsistencyError("induced order not antisymmetric")
-            if right[a][b]:
-                for c in range(k):
-                    if right[b][c] and not right[a][c]:
-                        raise InconsistencyError("induced order not transitive")
-    z = table.zero_i
-    if not all(right[z][a] for a in range(k)):
+            if right[b] & ~right[a]:
+                raise InconsistencyError("induced order not transitive")
+    full = (1 << k) - 1
+    if right[table.zero_i] != full:
         raise InconsistencyError("zero is not the least element")
     if table.one is not None and check_axioms(table, "pea").passed:
-        u = table.one_i
-        if not all(right[a][u] for a in range(k)):
+        if down[table.one_i] != full:
             raise InconsistencyError("unit is not the greatest element")
-    return OrderRelation(table, right)
+    return OrderRelation(table, tuple(right), tuple(down))
 
 
 # -- complements, isotropic data, differences ---------------------------

@@ -35,20 +35,16 @@ def _middle_names(count: int) -> List[str]:
 
 def _encode(table: PartialAdditionTable, perm: Sequence[int], positions: Sequence[int]):
     """Key of the table relabeled so that old index positions[i] becomes i."""
-    old_of_new = list(positions)
     new_of_old = [0] * table.size
-    for new, old in enumerate(old_of_new):
+    for new, old in enumerate(positions):
         new_of_old[old] = new
-    leq = induced_order(table)._leq
+    up = induced_order(table).up
     t = table._sums
-    k = table.size
-    order_part = tuple(
-        leq[old_of_new[i]][old_of_new[j]] for i in range(k) for j in range(k)
-    )
+    order_part = tuple(up[a] >> b & 1 == 1 for a in positions for b in positions)
     add_part = tuple(
-        -1 if t[old_of_new[i]][old_of_new[j]] is None else new_of_old[t[old_of_new[i]][old_of_new[j]]]
-        for i in range(k)
-        for j in range(k)
+        -1 if t[a][b] is None else new_of_old[t[a][b]]
+        for a in positions
+        for b in positions
     )
     return order_part + add_part
 
@@ -56,14 +52,13 @@ def _encode(table: PartialAdditionTable, perm: Sequence[int], positions: Sequenc
 def _element_profile(table: PartialAdditionTable, i: int):
     """Isomorphism-invariant fingerprint of one element; used to cut the
     permutation search without changing the induced equivalence."""
-    leq = induced_order(table)._leq
+    order = induced_order(table)
     t = table._sums
-    k = table.size
     return (
-        sum(1 for j in range(k) if leq[j][i]),
-        sum(1 for j in range(k) if leq[i][j]),
-        sum(1 for j in range(k) if t[i][j] is not None),
-        sum(1 for j in range(k) if t[j][i] is not None),
+        order.down[i].bit_count(),
+        order.up[i].bit_count(),
+        sum(1 for s in t[i] if s is not None),
+        sum(1 for row in t if row[i] is not None),
         t[i][i] is not None,
     )
 

@@ -12,6 +12,10 @@ from .core import (
     InconsistencyError,
     InputError,
     PartialAdditionTable,
+    _bits,
+    _differences,
+    _mask,
+    _require_pea,
     complements,
     derived,
     induced_order,
@@ -61,10 +65,13 @@ def validate_decomposition(table: PartialAdditionTable, D: Decomposition) -> Non
             seen[a] = i
     if set().union(*D.parts) != set(table.elements):
         raise InputError("parts do not cover the carrier")
-    for a in table.elements:
+    _require_pea(table)
+    ldiff, rdiff = _differences(table)
+    els = table.elements
+    u = table.one_i
+    for x, a in enumerate(els):
         i = seen[a]
-        minus, tilde = complements(table, a)
-        if seen[minus] != n - i or seen[tilde] != n - i:
+        if seen[els[ldiff[u][x]]] != n - i or seen[els[rdiff[x][u]]] != n - i:
             raise InputError(
                 "complements of %r land outside E_%d" % (a, n - i)
             )
@@ -74,9 +81,9 @@ def validate_decomposition(table: PartialAdditionTable, D: Decomposition) -> Non
             raise InputError("sum %r + %r = %r violates additivity of parts" % (a, b, c))
 
 
-def _index_parts(table: PartialAdditionTable, D: Decomposition) -> List[List[int]]:
-    """Each part of ``D`` as element indices in table order."""
-    return [[i for i, e in enumerate(table.elements) if e in part] for part in D.parts]
+def _part_masks(table: PartialAdditionTable, D: Decomposition) -> List[int]:
+    """Each part of ``D`` as a bitmask over element indices."""
+    return [_mask(table, part) for part in D.parts]
 
 
 def _parts(table: PartialAdditionTable, labels, n: int) -> Decomposition:
@@ -91,14 +98,14 @@ def _sums_exist(table: PartialAdditionTable, D: Decomposition) -> bool:
     """Whether every sum of E_i and E_j is defined when i + j < n."""
     n = D.n
     t = table._sums
-    parts = _index_parts(table, D)
+    parts = _part_masks(table, D)
     return all(
         t[a][b] is not None
         for i in range(n + 1)
         for j in range(n + 1)
         if i + j < n
-        for a in parts[i]
-        for b in parts[j]
+        for a in _bits(parts[i])
+        for b in _bits(parts[j])
     )
 
 
@@ -167,12 +174,14 @@ def check_comparability(table_or_symbolic, D: Decomposition, seed: int = 0, samp
         return table_or_symbolic.check_comparability_sampled(seed=seed, samples=samples)
     table: PartialAdditionTable = table_or_symbolic
     validate_decomposition(table, D)
-    leq = induced_order(table)._leq
+    up = induced_order(table).up
     els = table.elements
     n = D.n
-    parts = _index_parts(table, D)
-    witness = next(((els[a], els[b]) for i in range(n + 1) for j in range(i + 1, n + 1)
-                    for a in parts[i] for b in parts[j] if not leq[a][b]), None)
+    parts = _part_masks(table, D)
+    # the elements of a higher part that are not above a
+    gaps = ((a, parts[j] & ~up[a]) for i in range(n + 1) for j in range(i + 1, n + 1)
+            for a in _bits(parts[i]))
+    witness = next(((els[a], els[next(_bits(gap))]) for a, gap in gaps if gap), None)
     comparable = witness is None
     sums_exist = _sums_exist(table, D)
     if comparable != sums_exist:
@@ -237,13 +246,13 @@ def is_n_perfect(table: PartialAdditionTable, n: int):
 def check_condition_e(table: PartialAdditionTable, D: Decomposition) -> bool:
     """Per-part directedness, both directions."""
     validate_decomposition(table, D)
-    leq = induced_order(table)._leq
-    for part in _index_parts(table, D):
-        for x in part:
-            for y in part:
-                if not any(leq[x][z] and leq[y][z] for z in part):
+    order = induced_order(table)
+    for part in _part_masks(table, D):
+        for x in _bits(part):
+            for y in _bits(part):
+                if not order.up[x] & order.up[y] & part:
                     return False
-                if not any(leq[z][x] and leq[z][y] for z in part):
+                if not order.down[x] & order.down[y] & part:
                     return False
     return True
 

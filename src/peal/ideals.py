@@ -6,13 +6,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Tuple
 
 from .core import (
     InconsistencyError,
     PartialAdditionTable,
     PreconditionError,
+    _bits,
     _differences,
+    _mask,
     _require_gpea,
     _require_pea,
     check_axioms,
@@ -55,27 +57,28 @@ class IdealSet:
         return "IdealSet({%s})" % ",".join(self.sorted_ids())
 
 
-def _as_index_set(table: PartialAdditionTable, S: Iterable[str]) -> Set[int]:
-    return {table.index(a) for a in S}
+def _members(table: PartialAdditionTable, mask: int) -> FrozenSet[str]:
+    return frozenset(table.elements[i] for i in _bits(mask))
 
 
 def is_ideal(table: PartialAdditionTable, S: Iterable[str]):
-    """Nonempty, downward closed, closed under defined sums."""
+    """Nonempty, downward closed, closed under defined sums.  The witness
+    is the first failure in table element order."""
     _require_gpea(table)
-    idx = _as_index_set(table, S)
+    I = _mask(table, S)
     els = table.elements
-    if not idx:
+    if not I:
         return False, ("empty",)
-    leq = induced_order(table)._leq
-    for i in idx:
-        for a in range(table.size):
-            if leq[a][i] and a not in idx:
-                return False, ("downward", els[a], els[i])
+    down = induced_order(table).down
+    for i in _bits(I):
+        outside = down[i] & ~I
+        if outside:
+            return False, ("downward", els[next(_bits(outside))], els[i])
     t = table._sums
-    for i in idx:
-        for j in idx:
+    for i in _bits(I):
+        for j in _bits(I):
             s = t[i][j]
-            if s is not None and s not in idx:
+            if s is not None and not I >> s & 1:
                 return False, ("sum", els[i], els[j])
     return True, None
 
@@ -83,7 +86,7 @@ def is_ideal(table: PartialAdditionTable, S: Iterable[str]):
 def is_normal(table: PartialAdditionTable, S: Iterable[str]):
     """Normality: whenever a+i = j+a, membership of i and j agree."""
     _require_gpea(table)
-    idx = _as_index_set(table, S)
+    I = _mask(table, S)
     els = table.elements
     t = table._sums
     ldiff = _differences(table)[0]
@@ -94,7 +97,7 @@ def is_normal(table: PartialAdditionTable, S: Iterable[str]):
             if s is None:
                 continue
             j = ldiff[s][a]
-            if j is not None and (i in idx) != (j in idx):
+            if j is not None and I >> i & 1 != I >> j & 1:
                 return False, (els[a], els[i], els[j])
     return True, None
 
@@ -113,28 +116,35 @@ def is_maximal(table: PartialAdditionTable, S: Iterable[str]):
     return True, None
 
 
-def _sum_close(table: PartialAdditionTable, idx: Set[int]) -> Set[int]:
-    """Add to ``idx``, in place, every defined sum of its members until none
-    is missing; returns ``idx``."""
+def _sum_close(table: PartialAdditionTable, I: int) -> int:
+    """The mask ``I`` with every defined sum of its members added, until
+    none is missing."""
     t = table._sums
     while True:
-        new = {t[i][j] for i in idx for j in idx} - idx - {None}
-        if not new:
-            return idx
-        idx |= new
+        members = list(_bits(I))
+        closed = I
+        for i in members:
+            row = t[i]
+            for j in members:
+                s = row[j]
+                if s is not None:
+                    closed |= 1 << s
+        if closed == I:
+            return I
+        I = closed
 
 
-def _ideal_closure(table: PartialAdditionTable, idx: Iterable[int]) -> FrozenSet[int]:
-    """The least ideal containing the nonempty index set ``idx``:
-    down-close, then sum-close, until nothing changes."""
-    leq = induced_order(table)._leq
-    k = table.size
-    closed = idx
+def _ideal_closure(table: PartialAdditionTable, I: int) -> int:
+    """The least ideal containing the nonempty mask ``I``: down-close, then
+    sum-close, until nothing changes."""
+    down = induced_order(table).down
     while True:
-        closed = {b for a in closed for b in range(k) if leq[b][a]}
-        size = len(closed)
-        if len(_sum_close(table, closed)) == size:
-            return frozenset(closed)
+        closed = 0
+        for a in _bits(I):
+            closed |= down[a]
+        I = _sum_close(table, closed)
+        if I == closed:
+            return I
 
 
 @derived
@@ -144,70 +154,63 @@ def enumerate_ideals(table: PartialAdditionTable) -> List[IdealSet]:
     outside J and closed again.  Every ideal K above J contains such an
     element (a minimal one of K minus J), so every ideal is reached."""
     _require_gpea(table)
-    k = table.size
-    leq = induced_order(table)._leq
-    els = table.elements
-    seen = {_ideal_closure(table, [table.zero_i])}
+    down = induced_order(table).down
+    seen = {_ideal_closure(table, 1 << table.zero_i)}
     todo = list(seen)
     while todo:
-        ideal = todo.pop()
-        for a in range(k):
-            if a in ideal or any(leq[b][a] and b != a and b not in ideal for b in range(k)):
-                continue
-            bigger = _ideal_closure(table, ideal | {a})
-            if bigger not in seen:
-                seen.add(bigger)
-                todo.append(bigger)
-    result = [IdealSet(table, frozenset(els[i] for i in ideal)) for ideal in seen]
+        J = todo.pop()
+        for a, below in enumerate(down):
+            # a lies outside J and everything strictly below a inside it
+            if below & ~J == 1 << a:
+                bigger = _ideal_closure(table, J | 1 << a)
+                if bigger not in seen:
+                    seen.add(bigger)
+                    todo.append(bigger)
+    result = [IdealSet(table, _members(table, J)) for J in seen]
     result.sort(key=lambda ide: (len(ide.members), ide.sorted_ids()))
     return result
 
 
 @derived
 def _is_upwards_directed(table: PartialAdditionTable) -> bool:
-    leq = induced_order(table)._leq
-    k = table.size
-    return all(
-        any(leq[a][c] and leq[b][c] for c in range(k))
-        for a in range(k)
-        for b in range(k)
-    )
+    up = induced_order(table).up
+    return all(a & b for a in up for b in up)
 
 
 def check_r1(table: PartialAdditionTable, S: Iterable[str]):
     """(R1): every ideal element below a sum a+b is below some sum j+k of
-    ideal elements j <= a, k <= b."""
+    ideal elements j <= a, k <= b.
+
+    Each defined sum a+b = s starts with the ideal elements below s as lost
+    and clears the down-set of every j+k; the witness is the failure with
+    the lowest ideal element, then the first sum in element order."""
     members = frozenset(S)
     ok, witness = is_ideal(table, members)
     if not ok:
         raise PreconditionError("(R1) test requires an ideal: %r" % (witness,))
-    idx = _as_index_set(table, members)
+    I = _mask(table, members)
     t = table._sums
-    k = table.size
-    leq = induced_order(table)._leq
+    down = induced_order(table).down
     els = table.elements
-    for i in idx:
-        for a in range(k):
-            for b in range(k):
-                s = t[a][b]
-                if s is None or not leq[i][s]:
-                    continue
-                ok = False
-                for j in idx:
-                    if not leq[j][a]:
-                        continue
-                    for kk in idx:
-                        if not leq[kk][b]:
-                            continue
-                        jk = t[j][kk]
-                        if jk is not None and leq[i][jk]:
-                            ok = True
-                            break
-                    if ok:
-                        break
-                if not ok:
-                    return False, ("R1", els[i], els[a], els[b])
-    return True, None
+    witness = None
+    for a, b, s in table.defined_sums():
+        lost = down[s] & I
+        for j in _bits(down[a] & I):
+            row = t[j]
+            for k in _bits(down[b] & I):
+                jk = row[k]
+                if jk is not None:
+                    lost &= ~down[jk]
+            if not lost:
+                break
+        if lost:
+            i = next(_bits(lost))
+            if witness is None or i < witness[0]:
+                witness = (i, a, b)
+    if witness is None:
+        return True, None
+    i, a, b = witness
+    return False, ("R1", els[i], els[a], els[b])
 
 
 def check_r2(table: PartialAdditionTable, S: Iterable[str]):
@@ -216,35 +219,22 @@ def check_r2(table: PartialAdditionTable, S: Iterable[str]):
     ok, witness = is_ideal(table, members)
     if not ok:
         raise PreconditionError("(R2) test requires an ideal: %r" % (witness,))
-    idx = _as_index_set(table, members)
+    I = _mask(table, members)
     t = table._sums
-    k = table.size
-    leq = induced_order(table)._leq
+    order = induced_order(table)
     ldiff, rdiff = _differences(table)
     els = table.elements
-    for i in idx:
-        for a in range(k):
-            if not leq[i][a]:
-                continue
+    for i in _bits(I):
+        for a in _bits(order.up[i]):
             ai = ldiff[a][i]
             ia = rdiff[i][a]
-            for b in range(k):
-                if ai is not None and t[ai][b] is not None:
-                    ok = any(
-                        leq[j][b]
-                        and rdiff[j][b] is not None
-                        and t[a][rdiff[j][b]] is not None
-                        for j in idx
-                    )
+            for b, below in enumerate(order.down):
+                if t[ai][b] is not None:
+                    ok = any(t[a][rdiff[j][b]] is not None for j in _bits(below & I))
                     if not ok:
                         return False, ("R2a", els[i], els[a], els[b])
-                if ia is not None and t[b][ia] is not None:
-                    ok = any(
-                        leq[j][b]
-                        and ldiff[b][j] is not None
-                        and t[ldiff[b][j]][a] is not None
-                        for j in idx
-                    )
+                if t[b][ia] is not None:
+                    ok = any(t[ldiff[b][j]][a] is not None for j in _bits(below & I))
                     if not ok:
                         return False, ("R2b", els[i], els[a], els[b])
     return True, None
@@ -274,11 +264,11 @@ def congruence_relation(table: PartialAdditionTable, I: Iterable[str]) -> List[L
     riesz, w = is_riesz_ideal(table, members)
     if not riesz:
         raise PreconditionError("congruence requires a Riesz ideal: %r" % (w,))
-    idx = _as_index_set(table, members)
+    I = _mask(table, members)
     k = table.size
     ldiff = _differences(table)[0]
     # diffs[a] = {a \ i : i in I, i <= a}
-    diffs = [{ldiff[a][i] for i in idx} - {None} for a in range(k)]
+    diffs = [{ldiff[a][i] for i in _bits(I)} - {None} for a in range(k)]
     rel = [[bool(diffs[a] & diffs[b]) for b in range(k)] for a in range(k)]
     for a in range(k):
         if not rel[a][a]:
@@ -397,11 +387,8 @@ def ideal_generated(table: PartialAdditionTable, I: Iterable[str], a: str) -> Id
         raise PreconditionError(
             "ideal_generated requires (RDP)_0; it fails with witness %r" % (w0,)
         )
-    leq = induced_order(table)._leq
-    ai = table.index(a)
-    closed = _sum_close(table, _as_index_set(table, members)
-                        | {b for b in range(table.size) if leq[b][ai]})
-    result = frozenset(table.elements[i] for i in closed)
+    down = induced_order(table).down
+    result = _members(table, _sum_close(table, _mask(table, members) | down[table.index(a)]))
     ok, witness = is_ideal(table, result)
     if not ok:
         raise InconsistencyError("generated-set formula did not yield an ideal: %r" % (witness,))

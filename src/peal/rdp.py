@@ -13,6 +13,7 @@ from typing import Dict, List, Optional, Tuple
 from .core import (
     InconsistencyError,
     PartialAdditionTable,
+    _bits,
     _differences,
     _require_pea,
     derived,
@@ -37,27 +38,21 @@ class RdpReport:
 def check_rdp0(table: PartialAdditionTable) -> Tuple[bool, Optional[Tuple[str, ...]]]:
     """(RDP)_0: every a <= b1 + b2 splits as a = d1 + d2 with d1 <= b1, d2 <= b2.
 
-    Only d1 is searched: d2 is forced to be the difference d1/a."""
+    For a fixed d1 the sums d1 + d2 with d2 <= b2 are exactly the interval
+    [d1, d1 + b2] (cancellation), so each defined sum b1 + b2 clears those
+    intervals from its down-set; an element left over fails."""
     _require_pea(table)
+    order = induced_order(table)
     t = table._sums
-    k = table.size
-    leq = induced_order(table)._leq
-    rdiff = _differences(table)[1]
     els = table.elements
-    for b1 in range(k):
-        for b2 in range(k):
-            s = t[b1][b2]
-            if s is None:
-                continue
-            for a in range(k):
-                if not leq[a][s]:
-                    continue
-                ok = any(
-                    leq[d1][b1] and rdiff[d1][a] is not None and leq[rdiff[d1][a]][b2]
-                    for d1 in range(k)
-                )
-                if not ok:
-                    return False, (els[a], els[b1], els[b2])
+    for b1, b2, s in table.defined_sums():
+        lost = order.down[s]
+        for d1 in _bits(order.down[b1]):
+            lost &= ~(order.up[d1] & order.down[t[d1][b2]])
+            if not lost:
+                break
+        if lost:
+            return False, (els[next(_bits(lost))], els[b1], els[b2])
     return True, None
 
 
@@ -91,18 +86,16 @@ def _refinement_scan(table: PartialAdditionTable):
     """
     _require_pea(table)
     t = table._sums
-    k = table.size
-    leq = induced_order(table)._leq
+    down = induced_order(table).down
     els = table.elements
-    below = [[x for x in range(k) if leq[x][c]] for c in range(k)]
 
     @functools.cache
     def side_condition(c12, c21):
         # every x <= c12 and y <= c21 have x+y and y+x defined and equal
         return all(
             t[x][y] is not None and t[x][y] == t[y][x]
-            for x in below[c12]
-            for y in below[c21]
+            for x in _bits(down[c12])
+            for y in _bits(down[c21])
         )
 
     pairs_by_sum: Dict[int, List[Tuple[int, int]]] = {}

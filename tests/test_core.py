@@ -80,6 +80,36 @@ def test_induced_order_diamond(diamond):
     assert not order.le("a", "b") and not order.le("b", "a")
 
 
+def brute_order(table):
+    """Independent oracle: a <= b iff a + c = b for some c, by exhaustive
+    witness search on ``table.add``."""
+    els = table.elements
+    return {(a, b) for a in els for b in els if any(table.add(a, c) == b for c in els)}
+
+
+def test_order_views_match_witness_search(pea_corpus_small, gpea_corpus):
+    from peal.constructions import chain_table, gamma_interval_finite
+    from peal.groups import IntVectorGroup, UnitalPoGroup
+
+    boolean5 = gamma_interval_finite(UnitalPoGroup(IntVectorGroup(5), (1,) * 5))
+    for table in list(pea_corpus_small) + list(gpea_corpus) + [chain_table(40), boolean5]:
+        els = table.elements
+        expected = brute_order(table)
+        covers = {
+            (a, b) for a, b in expected
+            if a != b and not any(
+                m not in (a, b) and (a, m) in expected and (m, b) in expected for m in els
+            )
+        }
+        order = induced_order(table)
+        assert order.pairs == expected
+        assert order.covering_pairs == covers
+        assert order.is_total() == all(
+            (a, b) in expected or (b, a) in expected for a in els for b in els
+        )
+        assert all(order.le(a, b) == ((a, b) in expected) for a in els for b in els)
+
+
 def test_order_reflexive_on_corpus(pea_corpus_small):
     for table in pea_corpus_small:
         order = induced_order(table)
@@ -198,6 +228,15 @@ def test_document_roundtrip_over_corpus(pea_corpus_small):
         again = table_from_document(json.loads(text))
         assert again == table
         assert dumps_document(table_to_document(again)) == text
+
+
+def test_restrict_takes_a_one_shot_iterable():
+    from peal.constructions import chain_table
+
+    table = chain_table(3)
+    sub = table.restrict(e for e in ["0", "1/3"])
+    assert sub.elements == ("0", "1/3")
+    assert sub == table.restrict(["0", "1/3"])
 
 
 def test_rejects_degenerate_unit():

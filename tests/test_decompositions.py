@@ -1,7 +1,7 @@
 import pytest
 
 from peal.constructions import boolean4_table, chain_table, diamond_table
-from peal.core import InputError
+from peal.core import InputError, PealError, complements
 from peal.corpus import are_isomorphic
 from peal.decompositions import (
     Decomposition,
@@ -45,6 +45,66 @@ def test_validate_rejects_bad_partition(boolean4):
             boolean4,
             Decomposition((frozenset({"0", "a"}), frozenset({"0", "a'", "1"}))),
         )
+
+
+def frozen_validate_decomposition(table, D):
+    """Reference copy of ``validate_decomposition`` as it stood with one
+    ``complements`` call per element."""
+    n = D.n
+    if n < 1:
+        raise InputError("decomposition needs at least two parts")
+    seen = {}
+    for i, part in enumerate(D.parts):
+        if not part:
+            raise InputError("part E_%d is empty" % (i,))
+        for a in [e for e in table.elements if e in part]:
+            if a in seen:
+                raise InputError("element %r in both E_%d and E_%d" % (a, seen[a], i))
+            seen[a] = i
+    if set().union(*D.parts) != set(table.elements):
+        raise InputError("parts do not cover the carrier")
+    for a in table.elements:
+        i = seen[a]
+        minus, tilde = complements(table, a)
+        if seen[minus] != n - i or seen[tilde] != n - i:
+            raise InputError("complements of %r land outside E_%d" % (a, n - i))
+    for ai, bj, s in table.defined_sums():
+        a, b, c = table.elements[ai], table.elements[bj], table.elements[s]
+        if seen[a] + seen[b] > n or seen[c] != seen[a] + seen[b]:
+            raise InputError("sum %r + %r = %r violates additivity of parts" % (a, b, c))
+
+
+def validation_outcome(check, table, D):
+    try:
+        check(table, D)
+    except PealError as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+def test_validation_matches_frozen_checks(pea_corpus_small, gpea_corpus):
+    """Every decomposition with one element moved to another part, alone or
+    with its complements moved to the mirrored part, and two partitions of
+    each GPEA, get the same error as before."""
+    cases = []
+    for table in pea_corpus_small:
+        for n in (1, 2, 3):
+            for D in find_decompositions(table, n):
+                for a in table.elements:
+                    minus, tilde = complements(table, a)
+                    for p in range(n + 1):
+                        for moved in ({a: p}, {a: p, minus: n - p, tilde: n - p}):
+                            parts = [part - set(moved) for part in D.parts]
+                            for e, q in moved.items():
+                                parts[q] |= {e}
+                            cases.append((table, Decomposition(tuple(parts))))
+    for table in gpea_corpus:
+        cases.append((table, Decomposition((frozenset(table.elements), frozenset()))))
+        cases.append((table, Decomposition(
+            (frozenset([table.zero]), frozenset(table.elements) - {table.zero}))))
+    for table, D in cases:
+        assert validation_outcome(validate_decomposition, table, D) == \
+            validation_outcome(frozen_validate_decomposition, table, D)
 
 
 def test_bijection_counts(pea_corpus_small):

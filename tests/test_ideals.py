@@ -45,6 +45,85 @@ def brute_ideals(table):
     return sorted(out, key=lambda s: (len(s), sorted(s)))
 
 
+def leq_matrix(table):
+    order = induced_order(table)
+    return [[order.le(a, b) for b in table.elements] for a in table.elements]
+
+
+def frozen_is_ideal(table, S):
+    """Reference copy of ``is_ideal`` as it stood on an order matrix.  It
+    walked a set of indices; on tables of at most 8 elements such a set
+    iterates in ascending order, which ``sorted`` fixes here."""
+    idx = sorted({table.index(a) for a in S})
+    els = table.elements
+    if not idx:
+        return False, ("empty",)
+    leq = leq_matrix(table)
+    for i in idx:
+        for a in range(table.size):
+            if leq[a][i] and a not in idx:
+                return False, ("downward", els[a], els[i])
+    t = table._sums
+    for i in idx:
+        for j in idx:
+            s = t[i][j]
+            if s is not None and s not in idx:
+                return False, ("sum", els[i], els[j])
+    return True, None
+
+
+def frozen_check_r1(table, S):
+    """Reference copy of ``check_r1`` as it stood on an order matrix (each
+    ideal element against each sum, then a search over pairs of ideal
+    elements), index set in ascending order as in ``frozen_is_ideal``."""
+    idx = sorted({table.index(a) for a in S})
+    t = table._sums
+    k = table.size
+    leq = leq_matrix(table)
+    els = table.elements
+    for i in idx:
+        for a in range(k):
+            for b in range(k):
+                s = t[a][b]
+                if s is None or not leq[i][s]:
+                    continue
+                ok = False
+                for j in idx:
+                    if not leq[j][a]:
+                        continue
+                    for kk in idx:
+                        if not leq[kk][b]:
+                            continue
+                        jk = t[j][kk]
+                        if jk is not None and leq[i][jk]:
+                            ok = True
+                            break
+                    if ok:
+                        break
+                if not ok:
+                    return False, ("R1", els[i], els[a], els[b])
+    return True, None
+
+
+def literal_r1(table, S):
+    """(R1) read off its definition: for i in I and a, b with i <= a + b
+    there are j, k in I with j <= a, k <= b and i <= j + k.  The order comes
+    from a witness search on ``table.add``."""
+    els = table.elements
+    le = {(x, y) for x in els for y in els if any(table.add(x, c) == y for c in els)}
+    sums = [(a, b, table.add(a, b)) for a in els for b in els if table.add(a, b) is not None]
+    return all(
+        any(
+            (j, a) in le and (k, b) in le and (i, table.add(j, k)) in le
+            for j in S
+            for k in S
+        )
+        for i in S
+        for a, b, s in sums
+        if (i, s) in le
+    )
+
+
 def test_ideal_predicates(boolean4, diamond):
     assert is_ideal(boolean4, {"0", "a"})[0]
     assert is_normal(boolean4, {"0", "a"})[0]
@@ -108,6 +187,32 @@ def test_riesz(boolean4, pea_corpus_small):
         for ide in enumerate_ideals(table):
             if check_r1(table, ide.members)[0]:
                 assert check_r2(table, ide.members)[0]
+
+
+def test_check_r1_matches_frozen_and_literal(pea_corpus_full, gpea_corpus):
+    failures = []
+    for corpus in (pea_corpus_full, gpea_corpus):
+        failed = 0
+        for table in corpus:
+            for ide in enumerate_ideals(table):
+                got = check_r1(table, ide.members)
+                assert got == frozen_check_r1(table, ide.members)
+                assert got[0] == literal_r1(table, ide.members)
+                failed += not got[0]
+        failures.append(failed)
+    assert failures == [75, 5]
+
+
+def test_is_ideal_witness_matches_frozen(pea_corpus_full, gpea_corpus):
+    """Every ideal minus one member, and every subset of the tables of at
+    most 6 elements, gets the witness of the frozen copy."""
+    for table in list(pea_corpus_full) + list(gpea_corpus):
+        cases = [ide.members - {a} for ide in enumerate_ideals(table) for a in ide.members]
+        if table.size <= 6:
+            cases += [frozenset(c) for r in range(table.size + 1)
+                      for c in combinations(table.elements, r)]
+        for S in cases:
+            assert is_ideal(table, S) == frozen_is_ideal(table, S)
 
 
 def test_congruence_classes(boolean4, chain3):
