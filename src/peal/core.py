@@ -310,9 +310,25 @@ def _defined_sums(table: PartialAdditionTable) -> Tuple[Tuple[int, int, int], ..
 def check_axioms(table: PartialAdditionTable, kind: str = "pea") -> AxiomReport:
     """Exhaustively verify the GPEA axioms (GP1-GP5) or PEA axioms (PE1-PE4).
 
-    One minimal witness is reported per violated axiom.  Malformed input
-    (asking for PEA checks on a table with no unit) raises
-    :class:`InputError` instead of producing a report.
+    One minimal witness is reported per violated axiom: the first in element
+    order, as a scan of every pair (for associativity, every triple) would
+    find it.  Malformed input (asking for PEA checks on a table with no
+    unit) raises :class:`InputError` instead of producing a report.
+
+    The scan walks only the defined sums.  A triple (a, b, c) breaks the
+    associativity biconditional only when one side is defined, so for each
+    a, in element order, two walks cover every candidate: one tests each
+    defined (a+b)+c against a+(b+c), the other each defined a+(b+c)
+    against (a+b)+c.  When the first walk finds no violation, every triple
+    it saw has a+(b+c) defined and equal, so the second walk can find one
+    only if it has more triples to see, which a count of the sums b+c
+    decides; it runs only then, or once the first walk has a witness, and
+    so at most once.  Both walks go through (b, c) in row order and stop at
+    their first violation, and the lesser of the two is kept, so the report
+    holds the least violating a with its least (b, c): the triple a scan of
+    all k^3 triples reports first.  The shift axiom tests each defined sum
+    against per-row and per-column value sets; cancellation and GP4 scan a
+    line only when its value set shows a violation is there.
     """
     kind = kind.lower()
     if kind not in ("pea", "gpea"):
@@ -320,123 +336,124 @@ def check_axioms(table: PartialAdditionTable, kind: str = "pea") -> AxiomReport:
     if kind == "pea" and table.one is None:
         raise InputError("PEA axiom check requires a table with a unit")
 
+    els = table.elements
+    if kind == "pea":
+        tags = ("PE1", "PE3", "GP3", "GP4", "GP5")
+    else:
+        tags = ("GP1", "GP2", "GP3", "GP4", "GP5")
+    found = list(zip(tags, _axiom_witnesses(table)))
+
+    if kind == "pea":
+        t = table._sums
+        k = table.size
+        z = table.zero_i
+        u = table.one_i
+        column_units = [col.count(u) for col in zip(*t)]
+        found.append(("PE2", next(
+            ((a,) for a in range(k) if t[a].count(u) != 1 or column_units[a] != 1), None)))
+        found.append(("PE4", next(
+            ((a,) for a in range(k) if a != z and (t[u][a] is not None or t[a][u] is not None)),
+            None)))
+
+    violations = tuple((tag, tuple(map(els.__getitem__, w))) for tag, w in found if w is not None)
+    return AxiomReport(kind=kind, passed=not violations, violations=violations)
+
+
+@derived
+def _axiom_witnesses(table: PartialAdditionTable):
+    """Index witnesses (None where the axiom holds) of associativity, the
+    shift axiom, cancellation, GP4 and GP5: the checks both kinds share."""
     t = table._sums
     k = table.size
-    els = table.elements
     z = table.zero_i
-    violations: List[Tuple[str, Tuple[str, ...]]] = []
+    rows = [[(j, s) for j, s in enumerate(row) if s is not None] for row in t]
+    cols = list(zip(*t))
+    row_values = [set(row) for row in t]
+    col_values = [set(col) for col in cols]
+    return (
+        _associativity_witness(t, rows),
+        _shift_witness(rows, row_values, col_values),
+        _duplicate_witness(t, row_values) or _duplicate_witness(cols, col_values),
+        _positivity_witness(t, z, row_values),
+        next(((a,) for a in range(k) if t[a][z] != a or t[z][a] != a), None),
+    )
 
-    def witness(tag, idxs):
-        violations.append((tag, tuple(els[i] for i in idxs)))
 
-    assoc_tag = "PE1" if kind == "pea" else "GP1"
-    shift_tag = "PE3" if kind == "pea" else "GP2"
-
-    # associativity biconditional
-    found = None
-    for a in range(k):
-        for b in range(k):
-            ab = t[a][b]
-            for c in range(k):
-                lhs = ab is not None and t[ab][c] is not None
-                bc = t[b][c]
-                rhs = bc is not None and t[a][bc] is not None
-                if lhs != rhs or (lhs and t[ab][c] != t[a][bc]):
-                    found = (a, b, c)
+def _associativity_witness(t, rows) -> Optional[Tuple[int, int, int]]:
+    """The least (a, b, c) where exactly one of (a+b)+c and a+(b+c) is
+    defined, or both are and differ; see :func:`check_axioms`."""
+    sum_counts = [0] * len(t)
+    for row in rows:
+        for _, s in row:
+            sum_counts[s] += 1
+    for a, row_a in enumerate(rows):
+        ta = t[a]
+        best = None
+        seen = 0
+        for b, ab in row_a:
+            tb = t[b]
+            row_ab = rows[ab]
+            seen += len(row_ab)
+            for c, abc in row_ab:
+                bc = tb[c]
+                if bc is None or ta[bc] != abc:
+                    best = (b, c)
                     break
-            if found:
+            if best is not None:
                 break
-        if found:
-            break
-    if found:
-        witness(assoc_tag, found)
-
-    # shift representation: a+b = d+a = b+e for some d, e
-    found = None
-    for a in range(k):
-        for b in range(k):
-            s = t[a][b]
-            if s is None:
+        if best is None and sum(sum_counts[s] for s, _ in row_a) == seen:
+            continue
+        # the least (b, c) with a+(b+c) defined and (a+b)+c undefined or different
+        for b, row_b in enumerate(rows):
+            if best is not None and b > best[0]:
+                break
+            ab = ta[b]
+            for c, bc in row_b:
+                abc = ta[bc]
+                if abc is not None and (ab is None or t[ab][c] != abc):
+                    best = min(best or (b, c), (b, c))
+                    break
+            else:
                 continue
-            if not any(t[d][a] == s for d in range(k)):
-                found = (a, b)
-                break
-            if not any(t[b][e] == s for e in range(k)):
-                found = (a, b)
-                break
-        if found:
             break
-    if found:
-        witness(shift_tag, found)
+        return (a,) + best
+    return None
 
-    # cancellation
-    found = None
-    for a in range(k):
+
+def _shift_witness(rows, row_values, col_values) -> Optional[Tuple[int, int]]:
+    """The first defined a+b with no d+a or no b+e equal to it."""
+    for a, row in enumerate(rows):
+        left = col_values[a]
+        for b, s in row:
+            if s not in left or s not in row_values[b]:
+                return a, b
+    return None
+
+
+def _duplicate_witness(lines, values) -> Optional[Tuple[int, int, int]]:
+    """Cancellation along rows or columns: the first line a holding one
+    value twice, as (a, first position, second position)."""
+    for a, line in enumerate(lines):
+        if len(line) - line.count(None) == len(values[a]) - (None in values[a]):
+            continue
         seen: Dict[int, int] = {}
-        for b in range(k):
-            s = t[a][b]
+        for b, s in enumerate(line):
             if s is None:
                 continue
             if s in seen:
-                found = (a, seen[s], b)
-                break
+                return a, seen[s], b
             seen[s] = b
-        if found:
-            break
-    if not found:
-        for a in range(k):
-            seen = {}
-            for b in range(k):
-                s = t[b][a]
-                if s is None:
-                    continue
-                if s in seen:
-                    found = (a, seen[s], b)
-                    break
-                seen[s] = b
-            if found:
-                break
-    if found:
-        witness("GP3", found)
+    return None
 
-    # positivity: a + b = 0 only for a = b = 0
-    found = None
-    for a in range(k):
-        for b in range(k):
-            if t[a][b] == z and (a != z or b != z):
-                found = (a, b)
-                break
-        if found:
-            break
-    if found:
-        witness("GP4", found)
 
-    # unit laws (held by construction; re-checked for completeness)
-    for a in range(k):
-        if t[a][z] != a or t[z][a] != a:
-            witness("GP5", (a,))
-            break
-
-    if kind == "pea":
-        u = table.one_i
-        found = None
-        for a in range(k):
-            ds = [d for d in range(k) if t[a][d] == u]
-            es = [e for e in range(k) if t[e][a] == u]
-            if len(ds) != 1 or len(es) != 1:
-                found = (a,)
-                break
-        if found:
-            witness("PE2", found)
-        found = None
-        for a in range(k):
-            if a != z and (t[u][a] is not None or t[a][u] is not None):
-                found = (a,)
-                break
-        if found:
-            witness("PE4", found)
-
-    return AxiomReport(kind=kind, passed=not violations, violations=tuple(violations))
+def _positivity_witness(t, z, row_values) -> Optional[Tuple[int, int]]:
+    """The first a + b = 0 other than 0 + 0."""
+    for a, row in enumerate(t):
+        if z in row_values[a]:
+            for b, s in enumerate(row):
+                if s == z and (a != z or b != z):
+                    return a, b
+    return None
 
 
 def _require_gpea(table: PartialAdditionTable) -> None:

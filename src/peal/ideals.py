@@ -192,12 +192,16 @@ def check_r1(table: PartialAdditionTable, S: Iterable[str]):
     t = table._sums
     down = induced_order(table).down
     els = table.elements
+    below = [list(_bits(d & I)) for d in down]
     witness = None
     for a, b, s in table.defined_sums():
         lost = down[s] & I
-        for j in _bits(down[a] & I):
+        if not lost:
+            continue
+        below_b = below[b]
+        for j in below[a]:
             row = t[j]
-            for k in _bits(down[b] & I):
+            for k in below_b:
                 jk = row[k]
                 if jk is not None:
                     lost &= ~down[jk]

@@ -56,23 +56,19 @@ def check_rdp0(table: PartialAdditionTable) -> Tuple[bool, Optional[Tuple[str, .
     return True, None
 
 
-def _refinement_matrices(table, a1, a2, b1, b2):
-    """All 2x2 refinements of a1+a2 = b1+b2.
+def _refinement_matrices(t, rdiff, down, a1, a2, b1, b2):
+    """All 2x2 refinements of a1+a2 = b1+b2, as their (c12, c21).
 
-    Only c11 is searched: the sum equations pin c12, c21 by cancellation and
-    c22 must solve both remaining equations.
+    Only c11 is searched, over the common lower bounds of a1 and b1: the
+    sum equations pin c12, c21 by cancellation and c22 must solve both
+    remaining equations.
     """
-    t = table._sums
-    rdiff = _differences(table)[1]
-    for c11 in range(table.size):
+    for c11 in _bits(down[a1] & down[b1]):
         c12 = rdiff[c11][a1]
         c21 = rdiff[c11][b1]
-        if c12 is None or c21 is None:
-            continue
         c22 = rdiff[c21][a2]
-        if c22 is None or t[c12][c22] != b2:
-            continue
-        yield c11, c12, c21, c22
+        if c22 is not None and t[c12][c22] == b2:
+            yield c12, c21
 
 
 @derived
@@ -81,12 +77,15 @@ def _refinement_scan(table: PartialAdditionTable):
     failing (RDP)_1, each None when the property holds.
 
     One pass over the equal sums a1+a2 = b1+b2 in element order; a
-    quadruple with no refinement fails both properties.  The (RDP)_1 side
-    condition is decided once per pair (c12, c21).
+    quadruple with no refinement fails both properties.  Refinements are
+    tried until one meets the (RDP)_1 side condition, or until the first
+    one once an (RDP)_1 witness is known; the side condition is decided
+    once per pair (c12, c21).
     """
     _require_pea(table)
     t = table._sums
     down = induced_order(table).down
+    rdiff = _differences(table)[1]
     els = table.elements
 
     @functools.cache
@@ -104,15 +103,15 @@ def _refinement_scan(table: PartialAdditionTable):
     rdp1_witness = None
     for a1, a2, s in table.defined_sums():
         for b1, b2 in pairs_by_sum[s]:
-            refinements = [
-                (c12, c21) for _, c12, c21, _ in _refinement_matrices(table, a1, a2, b1, b2)
-            ]
-            witness = (els[a1], els[a2], els[b1], els[b2])
-            if not refinements:
-                return witness, rdp1_witness or witness
-            if rdp1_witness is None and not any(
-                side_condition(c12, c21) for c12, c21 in refinements
-            ):
+            refined = False
+            for c12, c21 in _refinement_matrices(t, rdiff, down, a1, a2, b1, b2):
+                refined = True
+                if rdp1_witness is not None or side_condition(c12, c21):
+                    break
+            else:
+                witness = (els[a1], els[a2], els[b1], els[b2])
+                if not refined:
+                    return witness, rdp1_witness or witness
                 rdp1_witness = witness
     return None, rdp1_witness
 

@@ -1,8 +1,13 @@
 import json
+import signal
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hyp
 
 from peal.core import (
+    AxiomReport,
     DifferenceUndefinedError,
     InputError,
     PartialAdditionTable,
@@ -268,3 +273,211 @@ def test_noncommuting_pair_matches_brute_scan(pea_corpus_small, gpea_corpus):
             None,
         )
         assert _noncommuting_pair(table) == expected
+
+
+def frozen_check_axioms(table, kind="pea"):
+    """Reference copy of the k^3 scan that ``check_axioms`` replaced, kept
+    verbatim apart from the memo decorator."""
+    kind = kind.lower()
+    if kind not in ("pea", "gpea"):
+        raise InputError("kind must be 'pea' or 'gpea', got %r" % (kind,))
+    if kind == "pea" and table.one is None:
+        raise InputError("PEA axiom check requires a table with a unit")
+
+    t = table._sums
+    k = table.size
+    els = table.elements
+    z = table.zero_i
+    violations = []
+
+    def witness(tag, idxs):
+        violations.append((tag, tuple(els[i] for i in idxs)))
+
+    assoc_tag = "PE1" if kind == "pea" else "GP1"
+    shift_tag = "PE3" if kind == "pea" else "GP2"
+
+    # associativity biconditional
+    found = None
+    for a in range(k):
+        for b in range(k):
+            ab = t[a][b]
+            for c in range(k):
+                lhs = ab is not None and t[ab][c] is not None
+                bc = t[b][c]
+                rhs = bc is not None and t[a][bc] is not None
+                if lhs != rhs or (lhs and t[ab][c] != t[a][bc]):
+                    found = (a, b, c)
+                    break
+            if found:
+                break
+        if found:
+            break
+    if found:
+        witness(assoc_tag, found)
+
+    # shift representation: a+b = d+a = b+e for some d, e
+    found = None
+    for a in range(k):
+        for b in range(k):
+            s = t[a][b]
+            if s is None:
+                continue
+            if not any(t[d][a] == s for d in range(k)):
+                found = (a, b)
+                break
+            if not any(t[b][e] == s for e in range(k)):
+                found = (a, b)
+                break
+        if found:
+            break
+    if found:
+        witness(shift_tag, found)
+
+    # cancellation
+    found = None
+    for a in range(k):
+        seen = {}
+        for b in range(k):
+            s = t[a][b]
+            if s is None:
+                continue
+            if s in seen:
+                found = (a, seen[s], b)
+                break
+            seen[s] = b
+        if found:
+            break
+    if not found:
+        for a in range(k):
+            seen = {}
+            for b in range(k):
+                s = t[b][a]
+                if s is None:
+                    continue
+                if s in seen:
+                    found = (a, seen[s], b)
+                    break
+                seen[s] = b
+            if found:
+                break
+    if found:
+        witness("GP3", found)
+
+    # positivity: a + b = 0 only for a = b = 0
+    found = None
+    for a in range(k):
+        for b in range(k):
+            if t[a][b] == z and (a != z or b != z):
+                found = (a, b)
+                break
+        if found:
+            break
+    if found:
+        witness("GP4", found)
+
+    # unit laws (held by construction; re-checked for completeness)
+    for a in range(k):
+        if t[a][z] != a or t[z][a] != a:
+            witness("GP5", (a,))
+            break
+
+    if kind == "pea":
+        u = table.one_i
+        found = None
+        for a in range(k):
+            ds = [d for d in range(k) if t[a][d] == u]
+            es = [e for e in range(k) if t[e][a] == u]
+            if len(ds) != 1 or len(es) != 1:
+                found = (a,)
+                break
+        if found:
+            witness("PE2", found)
+        found = None
+        for a in range(k):
+            if a != z and (t[u][a] is not None or t[a][u] is not None):
+                found = (a,)
+                break
+        if found:
+            witness("PE4", found)
+
+    return AxiomReport(kind=kind, passed=not violations, violations=tuple(violations))
+
+
+def matrix_table(elements, zero, one, matrix):
+    """The table whose sum i + j is ``matrix[i][j]`` (an index, or None)."""
+    sums = {
+        (elements[i], elements[j]): elements[s]
+        for i, row in enumerate(matrix)
+        for j, s in enumerate(row)
+        if s is not None
+    }
+    return PartialAdditionTable(elements, zero, one, sums)
+
+
+def assert_reports_match_frozen(table):
+    kinds = ("gpea", "pea") if table.one is not None else ("gpea",)
+    for kind in kinds:
+        assert check_axioms(table, kind) == frozen_check_axioms(table, kind)
+
+
+def boolean_table(n):
+    """Boolean 2^n as subsets (bitmasks) with disjoint union, built directly."""
+    els = [str(m) for m in range(1 << n)]
+    sums = {(els[a], els[b]): els[a | b] for a in range(1 << n) for b in range(1 << n) if not a & b}
+    return PartialAdditionTable(els, els[0], els[-1], sums)
+
+
+def test_axiom_reports_match_frozen_on_every_table_up_to_three_elements():
+    """Every sum table on at most 3 elements, with every choice of unit.
+    Among them is the table that separates the two walks: on 0, a, b with
+    a+a = b and nothing else, (a, b, a) fails only on the a+(b+c) side,
+    since a+a = b but b+a is undefined."""
+    names = ("0", "a", "b")
+    for k in (1, 2, 3):
+        free = [(i, j) for i in range(1, k) for j in range(1, k)]
+        for values in product([None] + list(range(k)), repeat=len(free)):
+            matrix = [[j if i == 0 else (i if j == 0 else None) for j in range(k)] for i in range(k)]
+            for (i, j), v in zip(free, values):
+                matrix[i][j] = v
+            for one in (None,) + names[1:k]:
+                assert_reports_match_frozen(matrix_table(names[:k], "0", one, matrix))
+
+
+def test_axiom_reports_match_frozen_on_corpus_and_large_tables(pea_corpus_full, gpea_corpus):
+    from peal.constructions import chain_table
+
+    for table in list(pea_corpus_full) + list(gpea_corpus) + [chain_table(40), boolean_table(5)]:
+        assert_reports_match_frozen(table)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=hyp.data())
+def test_axiom_reports_match_frozen_on_mutated_corpus_tables(pea_corpus_full, gpea_corpus, data):
+    tables = [t for t in list(pea_corpus_full) + list(gpea_corpus) if t.size > 1]
+    table = data.draw(hyp.sampled_from(tables))
+    k = table.size
+    matrix = [list(row) for row in table._sums]
+    for _ in range(data.draw(hyp.integers(min_value=1, max_value=2))):
+        # the zero row and column are kept: the constructor rejects broken unit laws
+        i = data.draw(hyp.integers(min_value=1, max_value=k - 1))
+        j = data.draw(hyp.integers(min_value=1, max_value=k - 1))
+        matrix[i][j] = data.draw(hyp.sampled_from([None] + list(range(k))))
+    assert_reports_match_frozen(matrix_table(table.elements, table.zero, table.one, matrix))
+
+
+def test_check_axioms_on_boolean_2_8():
+    """Boolean 2^8 has 4^8 defined triples among 2^24; the k^3 scan took
+    several seconds on it, hence the guard."""
+
+    def too_slow(signum, frame):
+        raise TimeoutError("check_axioms on 2^8 took more than 1 s")
+
+    table = boolean_table(8)
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(1)
+    try:
+        reports = [check_axioms(table, kind) for kind in ("pea", "gpea")]
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert all(report.passed for report in reports)
