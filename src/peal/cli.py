@@ -244,6 +244,8 @@ def cmd_unitize(args, report: Report, seed: int) -> int:
 
 
 def _construct_object(args, seed: int):
+    if args.offset is not None and args.lex_product is None:
+        raise InputError("--offset applies only to --lex-product")
     if args.builtin:
         group = builtin_group(args.group, args.order) if args.group else None
         return builtin_pea(args.builtin, group)
@@ -337,12 +339,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="builtins and symbolic constructions")
     p.set_defaults(func=cmd_construct)
-    p.add_argument("--builtin", default=None,
-                   help="diamond | boolean4 | chain:N | example46 | example47 | twisted_gamma")
-    p.add_argument("--lex-product", type=int, default=None, metavar="N")
-    p.add_argument("--interval", default=None, metavar="U",
-                   help="comma-separated unit coordinates for a finite interval")
-    p.add_argument("--group", default=None, help="z:K | lex:z:K | twisted-z3")
+    what = p.add_mutually_exclusive_group()
+    what.add_argument("--builtin", default=None,
+                      help="diamond | boolean4 | chain:N | example46 | example47 | twisted_gamma")
+    what.add_argument("--lex-product", type=int, default=None, metavar="N")
+    what.add_argument("--interval", default=None, metavar="U",
+                      help="comma-separated unit coordinates for a finite interval")
+    p.add_argument("--group", default=None,
+                   help="z:K | lex:z:K | twisted-z3 (with --builtin, example47 only)")
     p.add_argument("--order", default="pointwise", choices=("pointwise", "lex"))
     p.add_argument("--offset", default=None, help="comma-separated offset coordinates")
     p.add_argument("--samples", type=int, default=400)

@@ -34,6 +34,7 @@ from .groups import (
     PoGroupHandle,
     TwistedZ3Group,
     UnitalPoGroup,
+    _randint,
     is_commutator,
     probe_pogroup,
     probe_torsion_free,
@@ -141,18 +142,16 @@ def unitize(table: PartialAdditionTable) -> PartialAdditionTable:
         )
     if not is_symmetric(lifted).symmetric:
         raise InconsistencyError("unitization is not symmetric")
-    # E must embed as an order ideal with the same induced order
+    # E must embed as an order ideal with the same induced order; E keeps
+    # the indices 0..k-1 in the lift, so both tests are mask tests
     order = induced_order(table)
     big_order = induced_order(lifted)
-    carrier = set(table.elements)
-    for x in lifted.elements:
-        for y in table.elements:
-            if big_order.le(x, y) and x not in carrier:
-                raise InconsistencyError("E is not downward closed in its unitization")
-    for a in table.elements:
-        for b in table.elements:
-            if big_order.le(a, b) != order.le(a, b):
-                raise InconsistencyError("order of E changed inside the unitization")
+    k = table.size
+    if any(big_order.down[j] >> k for j in range(k)):
+        raise InconsistencyError("E is not downward closed in its unitization")
+    low = (1 << k) - 1
+    if any(big_order.up[a] & low != order.up[a] for a in range(k)):
+        raise InconsistencyError("order of E changed inside the unitization")
     return lifted
 
 
@@ -266,6 +265,11 @@ class SymbolicPea:
         if not check_axioms(base, "pea").passed:
             raise PreconditionError("symbolic base must be a PEA")
         self.base = base
+        # the base table is immutable: its shape is read once, here
+        self._size = base.size
+        self._zero_i = base.zero_i
+        self._one_i = base.one_i
+        self._sums = base._sums
         self._ldiff, self._rdiff = _differences(base)
         self.group = group
         self.h = group.zero() if h is None else h
@@ -273,6 +277,8 @@ class SymbolicPea:
             levels = tuple(range(base.size))
         self.levels = tuple(levels)
         self.n = self.levels[base.one_i]
+        if self.n < 1:
+            raise InputError("the base unit must sit at a level >= 1, got %r" % (self.n,))
         self.twist = twist or {}
         self.twist_inv = twist_inv or {}
         self.name = name or "Gamma(base=%s, %s, h=%s)" % (
@@ -311,13 +317,12 @@ class SymbolicPea:
 
     def is_member(self, x) -> bool:
         b, g = x
-        if not (0 <= b < self.base.size):
-            return False
-        if b == self.base.zero_i:
+        if b == self._zero_i:
             return self.group.is_positive(g)
-        if b == self.base.one_i:
-            return self.group.is_positive(self.group.add(self.h, self.group.neg(g)))
-        return True
+        if b == self._one_i:
+            G = self.group
+            return G.is_positive(G.add(self.h, G.neg(g)))
+        return 0 <= b < self._size
 
     def level(self, x) -> int:
         return self.levels[x[0]]
@@ -325,11 +330,10 @@ class SymbolicPea:
     def add(self, x, y):
         bx, gx = x
         by, gy = y
-        bs = self.base.add_i(bx, by)
+        bs = self._sums[bx][by]
         if bs is None:
             return None
-        part = self.group.add(self._tw(by, gx), gy)
-        cand = (bs, part)
+        cand = (bs, self.group.add(self._tw(by, gx), gy))
         return cand if self.is_member(cand) else None
 
     def left_difference(self, x, a):
@@ -387,11 +391,11 @@ class SymbolicPea:
     # -- samplers ----------------------------------------------------------
 
     def sample_member(self, rng: random.Random, bound: int = 10, base_index: Optional[int] = None):
-        b = rng.randrange(self.base.size) if base_index is None else base_index
+        b = _randint(rng, 0, self._size - 1) if base_index is None else base_index
         G = self.group
-        if b == self.base.zero_i:
+        if b == self._zero_i:
             return (b, G.sample_nonneg(rng, bound))
-        if b == self.base.one_i:
+        if b == self._one_i:
             return (b, G.add(self.h, G.neg(G.sample_nonneg(rng, bound))))
         return (b, G.sample(rng, bound))
 
@@ -482,9 +486,12 @@ class SymbolicPea:
         )
 
     def sampled_state_additivity(self, seed: int = 0, samples: int = 2000, bound: int = 10) -> SampleVerdict:
-        """The canonical state x -> level(x)/n is additive on sampled sums."""
-        state = self.canonical_state
-        probe = _additivity_probe(self, bound, lambda x, y, s: state(x) + state(y) == state(s))
+        """The canonical state x -> level(x)/n is additive on sampled sums.
+
+        Compared on integer levels: level(x)/n + level(y)/n = level(s)/n
+        iff level(x) + level(y) = level(s), as n >= 1."""
+        lv = self.levels
+        probe = _additivity_probe(self, bound, lambda x, y, s: lv[x[0]] + lv[y[0]] == lv[s[0]])
         return _sampled("canonical-state-additivity", seed, samples, probe)
 
     def sampled_infinit_is_level0(self, seed: int = 0, samples: int = 500, bound: int = 8) -> SampleVerdict:
@@ -558,15 +565,15 @@ class SymbolicPea:
             w = self.sample_member(rng, bound)
             if self.level(w) == 0:
                 continue
-            a = self.sample_member(rng, bound, base_index=self.base.zero_i)
-            b = self.sample_member(rng, bound, base_index=self.base.zero_i)
+            a = self.sample_member(rng, bound, base_index=self._zero_i)
+            b = self.sample_member(rng, bound, base_index=self._zero_i)
             x = self.add(w, a)
             y = self.add(w, b)
             if x is None or y is None:
                 continue
             # second presentation: c = s + a with s >= 0, then d solves w2 + d = y
             s = G.sample_nonneg(rng, bound)
-            c = (self.base.zero_i, G.add(s, a[1]))
+            c = (self._zero_i, G.add(s, a[1]))
             w2 = self.left_difference(x, c)
             if w2 is None:
                 continue
@@ -592,11 +599,11 @@ class SymbolicPea:
             x2 = self.add(e, w)
             y2 = self.add(f, w)
             if x2 is not None and y2 is not None:
-                g2 = (self.base.zero_i, G.add(s, e[1]))
+                g2 = (self._zero_i, G.add(s, e[1]))
                 v2 = self.right_difference(g2, x2)
                 if v2 is not None:
                     h2g = self._tw_inv(v2[0], G.add(y2[1], G.neg(v2[1])))
-                    h2 = (self.base.zero_i, h2g)
+                    h2 = (self._zero_i, h2g)
                     if self.is_member(h2) and self.right_difference(h2, y2) == v2:
                         if G.add(e[1], G.neg(f[1])) != G.add(g2[1], G.neg(h2[1])):
                             bad = "dual half at %s" % self.format(x2)
@@ -680,8 +687,11 @@ def twisted_gamma() -> SymbolicPea:
 
 def builtin_pea(name: str, group: Optional[PoGroupHandle] = None):
     """Builtin algebras: finite tables (diamond, boolean4, chain:n) and the
-    symbolic worked examples (example46, example47, twisted_gamma)."""
+    symbolic worked examples (example46, example47, twisted_gamma).  Only
+    example47 takes a group (Z by default)."""
     name = name.lower()
+    if group is not None and name != "example47":
+        raise InputError("only the builtin example47 takes a group, not %r" % (name,))
     if name == "diamond":
         return diamond_table()
     if name == "boolean4":
@@ -1003,7 +1013,7 @@ def universal_group_extension(
 
     rng = random.Random(seed)
     for _ in range(presentation_pairs):
-        m = rng.randint(-2 * E.n, 2 * E.n)
+        m = _randint(rng, -2 * E.n, 2 * E.n)
         w = G.sample(rng, bound)
         (g1, g2), (g3, g4) = G.nonneg_presentations(rng, bound, w, 2)
         first = eval_right(m, g1, g2)
@@ -1033,8 +1043,8 @@ def universal_group_extension(
             )
 
     def homomorphic(rng):
-        x = (rng.randint(-E.n, 2 * E.n), G.sample(rng, bound))
-        y = (rng.randint(-E.n, 2 * E.n), G.sample(rng, bound))
+        x = (_randint(rng, -E.n, 2 * E.n), G.sample(rng, bound))
+        y = (_randint(rng, -E.n, 2 * E.n), G.sample(rng, bound))
         total = (x[0] + y[0], G.add(x[1], y[1]))
         if phi_star(total) != K.add(phi_star(x), phi_star(y)):
             return "(%d,%s) + (%d,%s)" % (x[0], G.format(x[1]), y[0], G.format(y[1]))

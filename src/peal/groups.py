@@ -10,6 +10,7 @@ pass to a universal claim.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
@@ -23,6 +24,44 @@ class InfiniteIntervalError(PealError):
 
 class BoundExceededError(PealError):
     """Enumeration exceeded the requested cap."""
+
+
+def _randint(rng: random.Random, lo: int, hi: int) -> int:
+    """A uniform integer in [lo, hi], drawn exactly as ``Random.randint`` draws it.
+
+    This is the rejection loop of ``Random._randbelow_with_getrandbits``:
+    ``getrandbits(k)`` with k the bit length of the range width, redrawn
+    while it falls outside the range.  So it makes the same calls on the
+    generator as ``Random.randint`` and ``Random.randrange`` do on Python
+    >= 3.10 and leaves it in the same state, and a sampled verdict depends
+    only on its seed and sample count.  Only the overhead of the call chain
+    randint -> randrange -> _randbelow is gone.
+    """
+    n = hi - lo + 1
+    if n <= 0:
+        raise ValueError("empty range [%d, %d]" % (lo, hi))
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return lo + r
+
+
+def _randints(rng: random.Random, lo: int, hi: int, count: int) -> Tuple[int, ...]:
+    """``count`` successive draws of ``_randint(rng, lo, hi)``; the loop is
+    inlined because the vector samplers are the hot path of every probe."""
+    n = hi - lo + 1
+    if n <= 0:
+        raise ValueError("empty range [%d, %d]" % (lo, hi))
+    k = n.bit_length()
+    getrandbits = rng.getrandbits
+    out = []
+    for _ in range(count):
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        out.append(lo + r)
+    return tuple(out)
 
 
 class PoGroupHandle:
@@ -108,14 +147,14 @@ class IntVectorGroup(PoGroupHandle):
         return (0,) * self.k
 
     def add(self, x, y):
-        return tuple(a + b for a, b in zip(x, y))
+        return tuple(map(operator.add, x, y))
 
     def neg(self, x):
-        return tuple(-a for a in x)
+        return tuple(map(operator.neg, x))
 
     def is_positive(self, x) -> bool:
         if self.order == "pointwise":
-            return all(a >= 0 for a in x)
+            return min(x) >= 0
         for a in x:
             if a != 0:
                 return a > 0
@@ -127,23 +166,24 @@ class IntVectorGroup(PoGroupHandle):
         return "(%s)" % ",".join(str(a) for a in x)
 
     def sample(self, rng, bound):
-        return tuple(rng.randint(-bound, bound) for _ in range(self.k))
+        return _randints(rng, -bound, bound, self.k)
 
     def sample_nonneg(self, rng, bound):
         if self.order == "pointwise":
-            return tuple(rng.randint(0, bound) for _ in range(self.k))
-        lead = rng.randint(0, bound)
-        if lead == 0:
-            if self.k == 1:
-                return (0,)
-            return (0,) + IntVectorGroup(self.k - 1, "lex").sample_nonneg(rng, bound)
-        return (lead,) + tuple(rng.randint(-bound, bound) for _ in range(self.k - 1))
+            return _randints(rng, 0, bound, self.k)
+        # lex: zero leading coordinates, each drawn from [0, bound], up to
+        # the first positive one; the coordinates after it are free
+        for zeros in range(self.k):
+            lead = _randint(rng, 0, bound)
+            if lead:
+                return (0,) * zeros + (lead,) + _randints(rng, -bound, bound, self.k - zeros - 1)
+        return (0,) * self.k
 
     def sample_dominating(self, rng, bound, g):
         if self.order == "pointwise":
-            return tuple(max(-a, 0) + rng.randint(0, bound) for a in g)
-        lead = abs(g[0]) + 1 + rng.randint(0, bound)
-        return (lead,) + tuple(rng.randint(-bound, bound) for _ in range(self.k - 1))
+            return tuple(max(-a, 0) + r for a, r in zip(g, _randints(rng, 0, bound, len(g))))
+        lead = abs(g[0]) + 1 + _randint(rng, 0, bound)
+        return (lead,) + _randints(rng, -bound, bound, self.k - 1)
 
     def upper_bound(self, x, y):
         if self.order == "pointwise":
@@ -214,17 +254,17 @@ class TwistedZ3Group(PoGroupHandle):
         return "(%s)" % ",".join(str(a) for a in x)
 
     def sample(self, rng, bound):
-        return tuple(rng.randint(-bound, bound) for _ in range(3))
+        return _randints(rng, -bound, bound, 3)
 
     def sample_nonneg(self, rng, bound):
-        lead = rng.randint(0, bound)
+        lead = _randint(rng, 0, bound)
         if lead == 0:
-            return (0, rng.randint(0, bound), rng.randint(0, bound))
-        return (lead, rng.randint(-bound, bound), rng.randint(-bound, bound))
+            return (0,) + _randints(rng, 0, bound, 2)
+        return (lead,) + _randints(rng, -bound, bound, 2)
 
     def sample_dominating(self, rng, bound, g):
-        lead = abs(g[0]) + 1 + rng.randint(0, bound)
-        return (lead, rng.randint(-bound, bound), rng.randint(-bound, bound))
+        lead = abs(g[0]) + 1 + _randint(rng, 0, bound)
+        return (lead,) + _randints(rng, -bound, bound, 2)
 
     def upper_bound(self, x, y):
         return (max(x[0], y[0]) + 1, 0, 0)
@@ -269,16 +309,16 @@ class LexExtensionGroup(PoGroupHandle):
         return "(%d,%s)" % (x[0], self.inner.format(x[1]))
 
     def sample(self, rng, bound):
-        return (rng.randint(-bound, bound), self.inner.sample(rng, bound))
+        return (_randint(rng, -bound, bound), self.inner.sample(rng, bound))
 
     def sample_nonneg(self, rng, bound):
-        lead = rng.randint(0, bound)
+        lead = _randint(rng, 0, bound)
         if lead == 0:
             return (0, self.inner.sample_nonneg(rng, bound))
         return (lead, self.inner.sample(rng, bound))
 
     def sample_dominating(self, rng, bound, g):
-        lead = abs(g[0]) + 1 + rng.randint(0, bound)
+        lead = abs(g[0]) + 1 + _randint(rng, 0, bound)
         return (lead, self.inner.sample(rng, bound))
 
     def upper_bound(self, x, y):

@@ -88,17 +88,11 @@ def is_normal(table: PartialAdditionTable, S: Iterable[str]):
     _require_gpea(table)
     I = _mask(table, S)
     els = table.elements
-    t = table._sums
     ldiff = _differences(table)[0]
-    k = table.size
-    for a in range(k):
-        for i in range(k):
-            s = t[a][i]
-            if s is None:
-                continue
-            j = ldiff[s][a]
-            if j is not None and I >> i & 1 != I >> j & 1:
-                return False, (els[a], els[i], els[j])
+    for a, i, s in table.defined_sums():
+        j = ldiff[s][a]
+        if j is not None and I >> i & 1 != I >> j & 1:
+            return False, (els[a], els[i], els[j])
     return True, None
 
 

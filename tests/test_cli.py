@@ -193,6 +193,14 @@ MALFORMED_CONSTRUCTIONS = {
     "offset-too-short-for-z2": ["--lex-product", "2", "--group", "z:2", "--offset", "1"],
     "samples-zero": ["--lex-product", "2", "--group", "z:1", "--samples", "0"],
     "samples-negative": ["--lex-product", "2", "--group", "z:1", "--samples", "-5"],
+    # flags a construction does not read used to be ignored with exit 0
+    "group-with-builtin-example46": ["--builtin", "example46", "--group", "z:2"],
+    "group-with-builtin-twisted-gamma": ["--builtin", "twisted_gamma", "--group", "z:1"],
+    "group-with-builtin-diamond": ["--builtin", "diamond", "--group", "z:1"],
+    "group-with-builtin-boolean4": ["--builtin", "boolean4", "--group", "twisted-z3"],
+    "group-with-builtin-chain": ["--builtin", "chain:4", "--group", "z:1"],
+    "offset-with-builtin": ["--builtin", "example47", "--offset", "1"],
+    "offset-with-interval": ["--interval", "1,1", "--group", "z:2", "--offset", "1,1"],
 }
 
 
@@ -234,6 +242,23 @@ def test_construct_symbolic(capsys):
 
 def test_construct_usage_error(capsys):
     assert main(["construct"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--builtin", "diamond", "--lex-product", "2", "--group", "z:1"],
+    ["--lex-product", "2", "--interval", "1", "--group", "z:1"],
+    ["--builtin", "chain:3", "--interval", "1", "--group", "z:1"],
+])
+def test_construct_takes_one_object(capsys, argv):
+    assert main(["construct"] + argv) == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+def test_construct_example47_reads_its_group(capsys):
+    code, out = run(capsys, ["--format", "json", "construct", "--builtin", "example47",
+                             "--group", "twisted-z3", "--samples", "50"])
+    assert code == 0
+    assert json.loads(out)["results"]["symbolic"]["group"] == "twisted-Z3"
 
 
 def test_suite_small(capsys):

@@ -1,9 +1,13 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from peal.constructions import (
     Measure,
+    SymbolicPea,
+    _additivity_probe,
+    _sampled,
     NonSymmetricError,
     NotCyclicError,
     NotStrongError,
@@ -29,6 +33,7 @@ from peal.core import (
 from peal.corpus import are_isomorphic
 from peal.groups import (
     DerivedConeGroup,
+    PoGroupHandle,
     IntVectorGroup,
     LexExtensionGroup,
     TwistedZ3Group,
@@ -387,3 +392,230 @@ def test_universal_extension_examples():
     pair = Measure(E, IntVectorGroup(2), lambda x: (x[0], x[1][0]))
     ext3 = universal_group_extension(pair, samples=150, presentation_pairs=120, seed=0)
     assert ext3.phi_star((-2, (7,))) == (-2, 7)
+
+
+# -- the sampling stream: frozen samplers ----------------------------------
+#
+# The samplers, group arithmetic and SymbolicPea.add/is_member/sample_member
+# and sampled_state_additivity as they were when every draw called
+# Random.randint/randrange.  The current code must take the same draws from
+# the same generator, so every sampled verdict and witness stays the same.
+
+
+class FrozenIntVectorGroup(IntVectorGroup):
+    def add(self, x, y):
+        return tuple(a + b for a, b in zip(x, y))
+
+    def neg(self, x):
+        return tuple(-a for a in x)
+
+    def is_positive(self, x) -> bool:
+        if self.order == "pointwise":
+            return all(a >= 0 for a in x)
+        for a in x:
+            if a != 0:
+                return a > 0
+        return True
+
+    def sample(self, rng, bound):
+        return tuple(rng.randint(-bound, bound) for _ in range(self.k))
+
+    def sample_nonneg(self, rng, bound):
+        if self.order == "pointwise":
+            return tuple(rng.randint(0, bound) for _ in range(self.k))
+        lead = rng.randint(0, bound)
+        if lead == 0:
+            if self.k == 1:
+                return (0,)
+            return (0,) + FrozenIntVectorGroup(self.k - 1, "lex").sample_nonneg(rng, bound)
+        return (lead,) + tuple(rng.randint(-bound, bound) for _ in range(self.k - 1))
+
+    def sample_dominating(self, rng, bound, g):
+        if self.order == "pointwise":
+            return tuple(max(-a, 0) + rng.randint(0, bound) for a in g)
+        lead = abs(g[0]) + 1 + rng.randint(0, bound)
+        return (lead,) + tuple(rng.randint(-bound, bound) for _ in range(self.k - 1))
+
+
+class FrozenTwistedZ3Group(TwistedZ3Group):
+    def sample(self, rng, bound):
+        return tuple(rng.randint(-bound, bound) for _ in range(3))
+
+    def sample_nonneg(self, rng, bound):
+        lead = rng.randint(0, bound)
+        if lead == 0:
+            return (0, rng.randint(0, bound), rng.randint(0, bound))
+        return (lead, rng.randint(-bound, bound), rng.randint(-bound, bound))
+
+    def sample_dominating(self, rng, bound, g):
+        lead = abs(g[0]) + 1 + rng.randint(0, bound)
+        return (lead, rng.randint(-bound, bound), rng.randint(-bound, bound))
+
+
+class FrozenLexExtensionGroup(LexExtensionGroup):
+    def sample(self, rng, bound):
+        return (rng.randint(-bound, bound), self.inner.sample(rng, bound))
+
+    def sample_nonneg(self, rng, bound):
+        lead = rng.randint(0, bound)
+        if lead == 0:
+            return (0, self.inner.sample_nonneg(rng, bound))
+        return (lead, self.inner.sample(rng, bound))
+
+    def sample_dominating(self, rng, bound, g):
+        lead = abs(g[0]) + 1 + rng.randint(0, bound)
+        return (lead, self.inner.sample(rng, bound))
+
+
+class FrozenSymbolicPea(SymbolicPea):
+    def is_member(self, x) -> bool:
+        b, g = x
+        if not (0 <= b < self.base.size):
+            return False
+        if b == self.base.zero_i:
+            return self.group.is_positive(g)
+        if b == self.base.one_i:
+            return self.group.is_positive(self.group.add(self.h, self.group.neg(g)))
+        return True
+
+    def add(self, x, y):
+        bx, gx = x
+        by, gy = y
+        bs = self.base.add_i(bx, by)
+        if bs is None:
+            return None
+        part = self.group.add(self._tw(by, gx), gy)
+        cand = (bs, part)
+        return cand if self.is_member(cand) else None
+
+    def sample_member(self, rng, bound=10, base_index=None):
+        b = rng.randrange(self.base.size) if base_index is None else base_index
+        G = self.group
+        if b == self.base.zero_i:
+            return (b, G.sample_nonneg(rng, bound))
+        if b == self.base.one_i:
+            return (b, G.add(self.h, G.neg(G.sample_nonneg(rng, bound))))
+        return (b, G.sample(rng, bound))
+
+    def sampled_state_additivity(self, seed=0, samples=2000, bound=10):
+        state = self.canonical_state
+        probe = _additivity_probe(self, bound, lambda x, y, s: state(x) + state(y) == state(s))
+        return _sampled("canonical-state-additivity", seed, samples, probe)
+
+
+def frozen_group(group: PoGroupHandle) -> PoGroupHandle:
+    if type(group) is IntVectorGroup:
+        return FrozenIntVectorGroup(group.k, group.order)
+    if type(group) is TwistedZ3Group:
+        return FrozenTwistedZ3Group()
+    if type(group) is LexExtensionGroup:
+        return FrozenLexExtensionGroup(frozen_group(group.inner))
+    raise AssertionError("no frozen twin for %r" % (group,))
+
+
+def frozen_pea(sym: SymbolicPea) -> FrozenSymbolicPea:
+    """A twin of ``sym`` running the frozen code, with the same base, levels,
+    twist, offset and predicates."""
+    twin = object.__new__(FrozenSymbolicPea)
+    twin.__dict__.update(sym.__dict__)
+    twin.group = frozen_group(sym.group)
+    return twin
+
+
+STREAM_GROUPS = [
+    IntVectorGroup(1), IntVectorGroup(3), IntVectorGroup(1, "lex"), IntVectorGroup(3, "lex"),
+    TwistedZ3Group(), LexExtensionGroup(IntVectorGroup(2)),
+    LexExtensionGroup(IntVectorGroup(2, "lex")), LexExtensionGroup(TwistedZ3Group()),
+]
+
+
+def stream_fixtures():
+    return [
+        builtin_pea("example46"),
+        builtin_pea("example47"),
+        twisted_gamma(),
+        lex_product_pea(3, IntVectorGroup(2)),
+        lex_product_pea(2, LexExtensionGroup(IntVectorGroup(2))),
+        lex_product_pea(2, IntVectorGroup(2, "lex"), h=(0, 3)),
+        # levels that break additivity, one with a sum above the level of
+        # its terms and one below, so that failing verdicts are compared too
+        SymbolicPea(diamond_table(), IntVectorGroup(1), levels=(0, 1, 2, 2), name="high"),
+        SymbolicPea(diamond_table(), IntVectorGroup(1), levels=(0, 1, 1, 3), name="low"),
+    ]
+
+
+@pytest.mark.parametrize("group", STREAM_GROUPS, ids=lambda g: g.name)
+def test_group_samplers_match_frozen_draw_for_draw(group):
+    old = frozen_group(group)
+    for seed in range(12):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for bound in (0, 1, 3, 10):
+            for _ in range(20):
+                x = group.sample(ours, bound)
+                assert x == old.sample(theirs, bound)
+                p = group.sample_nonneg(ours, bound)
+                assert p == old.sample_nonneg(theirs, bound)
+                assert group.sample_dominating(ours, bound, x) == old.sample_dominating(theirs, bound, x)
+                assert ours.getstate() == theirs.getstate()
+                assert group.add(x, p) == old.add(x, p) and group.neg(x) == old.neg(x)
+                assert group.is_positive(x) == old.is_positive(x)
+                assert group.is_positive(p) == old.is_positive(p)
+
+
+def test_symbolic_operations_match_frozen_draw_for_draw():
+    for sym in stream_fixtures():
+        old = frozen_pea(sym)
+        for seed in range(6):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            for bound in (0, 2, 10):
+                for _ in range(60):
+                    x = sym.sample_member(ours, bound)
+                    assert x == old.sample_member(theirs, bound)
+                    y = sym.sample_member(ours, bound, base_index=sym.base.zero_i)
+                    assert y == old.sample_member(theirs, bound, base_index=sym.base.zero_i)
+                    assert ours.getstate() == theirs.getstate()
+                    for a, b in ((x, y), (y, x), (x, x), (x, sym.one_el), (sym.zero_el, x)):
+                        assert sym.add(a, b) == old.add(a, b)
+                    # members and non-members: parts outside the cone, and
+                    # base indices outside the base
+                    for z in (x, y, (x[0], sym.group.neg(x[1])), (sym.base.size, x[1]), (-1, x[1])):
+                        assert sym.is_member(z) == old.is_member(z)
+
+
+def sampled_reports(sym, seed):
+    """Every sampled verdict of ``sym`` at ``seed``."""
+    out = list(sym.sampled_axiom_report(seed=seed, samples=150))
+    out.append(sym.is_symmetric_sampled(seed=seed, samples=300))
+    out.append(sym.check_comparability_sampled(seed=seed, samples=300))
+    out.append(sym.sampled_state_additivity(seed=seed, samples=300))
+    out.append(sym.sampled_infinit_is_level0(seed=seed, samples=150))
+    preds = dict(sym.ideal_predicates)
+    preds["level0"] = lambda x: sym.level(x) == 0
+    preds["level>=1"] = lambda x: sym.level(x) >= 1        # not downward closed
+    preds["part-in-cone"] = lambda x: sym.group.is_positive(x[1])
+    for _, pred in sorted(preds.items()):
+        out.append(sym.sampled_ideal_predicate(pred, seed=seed, samples=150))
+        out.append(sym.sampled_normal_predicate(pred, seed=seed, samples=150))
+    if 1 in sym.levels:
+        c = (sym.levels.index(1), sym.group.zero())
+        out.append(sym.sampled_cyclic_uniqueness(c, seed=seed, samples=150))
+    out.append(sym.sampled_difference_consistency(seed=seed, samples=60))
+    return out
+
+
+def test_sampled_verdicts_match_frozen():
+    witnesses = 0
+    for sym in stream_fixtures():
+        old = frozen_pea(sym)
+        for seed in (0, 7, 100):
+            ours, theirs = sampled_reports(sym, seed), sampled_reports(old, seed)
+            assert ours == theirs, sym.name
+            witnesses += sum(getattr(v, "witness", None) is not None for v in ours)
+    # the comparison covers failing verdicts and their witnesses as well
+    assert witnesses >= 20
+
+
+def test_state_additivity_needs_a_positive_unit_level():
+    assert Fraction(1, 2) == builtin_pea("example46").canonical_state((1, (0,)))
+    with pytest.raises(InputError):
+        SymbolicPea(diamond_table(), IntVectorGroup(1), levels=(0, 1, 1, 0))

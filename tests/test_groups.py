@@ -1,3 +1,7 @@
+import os
+import random
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hyp
@@ -12,6 +16,8 @@ from peal.groups import (
     PoGroupHandle,
     TwistedZ3Group,
     UnitalPoGroup,
+    _randint,
+    _randints,
     builtin_group,
     is_commutator,
     probe_directed,
@@ -166,3 +172,67 @@ def test_positive_presentations():
             for g1, g2 in handle.nonneg_presentations(rng, 10, g, 3):
                 assert handle.is_positive(g1) and handle.is_positive(g2)
                 assert handle.add(g1, handle.neg(g2)) == g
+
+
+# -- the one draw -----------------------------------------------------------
+
+# widths 1, 2, 2^j and 2^j +- 1, each at a few offsets; width 1 at offset 0
+# is the range [0, 0] that a bound of 0 draws from
+WIDTHS = sorted({1, 2} | {w for j in range(2, 9) for w in (2 ** j - 1, 2 ** j, 2 ** j + 1)})
+RANGES = [(lo, lo + w - 1) for w in WIDTHS for lo in (0, -(w // 2), -w, 7)]
+
+
+def test_randint_takes_the_stream_of_random_randint():
+    for seed in range(50):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for lo, hi in RANGES:
+            assert _randint(ours, lo, hi) == theirs.randint(lo, hi)
+            assert ours.getstate() == theirs.getstate()
+            assert _randint(ours, 0, hi - lo) == theirs.randrange(hi - lo + 1)
+            assert ours.getstate() == theirs.getstate()
+            assert _randints(ours, lo, hi, 3) == tuple(theirs.randint(lo, hi) for _ in range(3))
+            assert ours.getstate() == theirs.getstate()
+
+
+def test_randint_rejects_an_empty_range():
+    rng = random.Random(0)
+    for lo, hi in ((1, 0), (1, -1), (5, 3)):
+        with pytest.raises(ValueError):
+            _randint(rng, lo, hi)
+        with pytest.raises(ValueError):
+            _randints(rng, lo, hi, 2)
+
+
+def test_randint_interleaves_with_user_samplers():
+    # a user cone sampler still calls Random.randint on the shared stream
+    reversed_z = DerivedConeGroup(
+        IntVectorGroup(1),
+        lambda g: g[0] <= 0,
+        "Z-reversed",
+        sample_nonneg=lambda rng, bound: (-rng.randint(0, bound),),
+    )
+    lex = LexExtensionGroup(reversed_z)
+    for seed in range(50):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for bound in (0, 1, 3, 10):
+            assert _randint(ours, -bound, bound) == theirs.randint(-bound, bound)
+            assert reversed_z.sample_nonneg(ours, bound) == reversed_z.sample_nonneg(theirs, bound)
+            lead = theirs.randint(0, bound)
+            expected = (0, reversed_z.sample_nonneg(theirs, bound)) if lead == 0 else (
+                lead, (theirs.randint(-bound, bound),))
+            assert lex.sample_nonneg(ours, bound) == expected
+            assert ours.getstate() == theirs.getstate()
+
+
+def test_samplers_draw_only_through_randint():
+    """Every draw in peal goes through ``groups._randint``/``_randints``, so no
+    module may call the Random methods whose stream those reproduce."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src", "peal")
+    calls = re.compile(r"\.(randint|randrange)\(")
+    offenders = []
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                offenders += ["%s:%d" % (name, i) for i, line in enumerate(fh, 1)
+                              if calls.search(line)]
+    assert offenders == []

@@ -203,6 +203,40 @@ def test_check_r1_matches_frozen_and_literal(pea_corpus_full, gpea_corpus):
     assert failures == [75, 5]
 
 
+def frozen_is_normal(table, S):
+    """Reference copy of ``is_normal`` as it stood: every pair (a, i) in
+    index order, with the j of j + a = a + i found by search."""
+    I = {table.index(x) for x in S}
+    els = table.elements
+    k = table.size
+    for a in range(k):
+        for i in range(k):
+            s = table.add_i(a, i)
+            if s is None:
+                continue
+            js = [j for j in range(k) if table.add_i(j, a) == s]
+            if js and (i in I) != (js[0] in I):
+                return False, (els[a], els[i], els[js[0]])
+    return True, None
+
+
+def test_is_normal_witness_matches_frozen(pea_corpus_full, gpea_corpus):
+    """Every ideal, every ideal minus one member, and every subset of the
+    tables of at most 5 elements, gets the witness of the frozen copy."""
+    abnormal = 0
+    for table in list(pea_corpus_full) + list(gpea_corpus):
+        ideals = [ide.members for ide in enumerate_ideals(table)]
+        cases = ideals + [S - {a} for S in ideals for a in S]
+        if table.size <= 5:
+            cases += [frozenset(c) for r in range(table.size + 1)
+                      for c in combinations(table.elements, r)]
+        for S in cases:
+            got = is_normal(table, S)
+            assert got == frozen_is_normal(table, S)
+            abnormal += not got[0]
+    assert abnormal > 0
+
+
 def test_is_ideal_witness_matches_frozen(pea_corpus_full, gpea_corpus):
     """Every ideal minus one member, and every subset of the tables of at
     most 6 elements, gets the witness of the frozen copy."""
