@@ -246,19 +246,22 @@ def cmd_unitize(args, report: Report, seed: int) -> int:
 def _construct_object(args, seed: int):
     if args.offset is not None and args.lex_product is None:
         raise InputError("--offset applies only to --lex-product")
+    if args.order is not None and not args.group:
+        raise InputError("--order applies only with --group")
+    order = args.order or "pointwise"
     if args.builtin:
-        group = builtin_group(args.group, args.order) if args.group else None
+        group = builtin_group(args.group, order) if args.group else None
         return builtin_pea(args.builtin, group)
     if args.lex_product is not None:
         if not args.group:
             raise InputError("--lex-product requires --group")
-        group = builtin_group(args.group, args.order)
+        group = builtin_group(args.group, order)
         h = parse_element(group, args.offset) if args.offset else None
         return lex_product_pea(args.lex_product, group, h=h, seed=seed)
     if args.interval:
         if not args.group:
             raise InputError("--interval requires --group")
-        group = builtin_group(args.group, args.order)
+        group = builtin_group(args.group, order)
         return gamma_interval_finite(UnitalPoGroup(group, parse_element(group, args.interval)))
     raise InputError("construct needs --builtin, --lex-product, or --interval")
 
@@ -276,6 +279,11 @@ def cmd_construct(args, report: Report, seed: int) -> int:
                 fh.write(dumps_document(doc))
         return 0
     assert isinstance(obj, SymbolicPea)
+    if args.output:
+        raise InputError(
+            "-o/--output writes a finite table; %s is symbolic and has none"
+            % (obj.name,)
+        )
     report.result("symbolic", obj.describe())
     for verdict in obj.sampled_axiom_report(seed=seed, samples=args.samples):
         report.verdict("sampled-%s" % verdict.name, verdict.passed, verdict.witness or "")
@@ -347,10 +355,12 @@ def build_parser() -> argparse.ArgumentParser:
                       help="comma-separated unit coordinates for a finite interval")
     p.add_argument("--group", default=None,
                    help="z:K | lex:z:K | twisted-z3 (with --builtin, example47 only)")
-    p.add_argument("--order", default="pointwise", choices=("pointwise", "lex"))
+    p.add_argument("--order", default=None, choices=("pointwise", "lex"),
+                   help="order of the --group (default: pointwise)")
     p.add_argument("--offset", default=None, help="comma-separated offset coordinates")
     p.add_argument("--samples", type=int, default=400)
-    p.add_argument("-o", "--output", default=None)
+    p.add_argument("-o", "--output", default=None,
+                   help="write the table document (finite constructions only)")
 
     p = sub.add_parser("suite", help="exhaustive small-model theorem suite")
     p.set_defaults(func=cmd_suite)

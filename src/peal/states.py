@@ -8,11 +8,29 @@ non-extremal state) speaks ``fractions.Fraction``.  Integers are only ever
 multiplied, added and compared, never divided with ``/``, so no float is
 ever formed.  The additivity equations are solved by exact Gauss-Jordan
 elimination on sparse rows ``{column: nonzero Fraction}`` (each equation
-has at most three nonzeros); the resulting polytope's vertices (the
-extremal states) are enumerated with an incremental double description
-sweep on integer-scaled constraint rows in which every vertex carries its
-set of tight constraints.  Discrete states are found by the integer-labeling
-search suggested by the decomposition characterization, never by rounding.
+has at most three nonzeros).
+
+The state polytope is separable.  Two free coordinates are linked when one
+box constraint 0 <= s(e) <= 1 involves both, and the polytope is the product
+of the polytopes of the linked blocks (Ziegler, *Lectures on Polytopes*,
+1995).  Each block's vertices are enumerated by an incremental double
+description sweep on integer-scaled constraint rows in which every vertex
+carries its tight constraints as an ``int`` bitmask (Fukuda & Prodon,
+"Double description method revisited", 1996); the extremal states are the
+tuples of block vertices, built straight from integer numerators.
+``MAX_FREE_PARAMETERS`` bounds the total number of free coordinates, not
+each block's, since a product of d segments already has 2^d vertices.
+
+A state is extremal exactly when the box rows it makes tight (an element
+valued 0 or 1 makes its row tight) have full rank.  ``is_extremal`` decides
+that on integers, apart from the sweep: unit rows of free coordinates settle
+most coordinates at once and fraction-free elimination the rest.  Only a
+state below full rank goes on to Fractions, to build its witness.
+
+Discrete states are found by the integer-labeling search suggested by the
+decomposition characterization, never by rounding: the middle elements
+split into the blocks that defined sums link, each block is searched on its
+own, and the block labelings are combined under global surjectivity.
 """
 
 from __future__ import annotations
@@ -20,13 +38,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+from itertools import product
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .core import (
     InconsistencyError,
     InputError,
     PartialAdditionTable,
     PreconditionError,
+    _bits,
     _require_pea,
     derived,
 )
@@ -143,9 +163,12 @@ class StateSpace:
     """Affine parametrization of the additivity system plus the polytope's vertices.
 
     ``particular`` and ``basis`` describe all solutions of the linear system
-    (ignoring the [0,1] box); ``extremal_states`` are the vertices of the
-    polytope cut out by the box.  ``consistent`` is False when the equations
-    alone are already unsolvable.
+    (ignoring the [0,1] box), solved as one system; ``extremal_states`` are
+    the vertices of the polytope cut out by the box, in increasing order of
+    their value tuples.  The vertices are found block by block: the polytope
+    is the product of the polytopes of the linked blocks of free
+    coordinates, and each vertex is a tuple of block vertices.
+    ``consistent`` is False when the equations alone are already unsolvable.
     """
 
     table: PartialAdditionTable
@@ -235,48 +258,49 @@ def _integer_row(a: Row, b: Union[int, Fraction]) -> Tuple[Row, int]:
     )
 
 
-def _dd_vertices(
-    constraints: List[Tuple[Row, Union[int, Fraction]]], dim: int
-) -> List[Tuple[Fraction, ...]]:
-    """Vertices of {t : a.t <= b for all (a, b)} assuming the first 2*dim
-    constraints are the unit box 0 <= t_i <= 1 (so the region is bounded).
-
-    The sweep runs on integer rows and on points (numerators, denominator)
-    reduced by their gcd, so equal points are equal tuples."""
-    rows = [_integer_row(a, b) for a, b in constraints]
-    # ((numerators, denominator), its tight set among the constraints swept so far)
-    verts: List[Tuple[Tuple[Tuple[int, ...], int], FrozenSet[int]]] = [
+def _dd_points(
+    rows: List[Tuple[Row, int]], dim: int
+) -> List[Tuple[Tuple[int, ...], int]]:
+    """Vertices of {t : a.t <= b for all integer rows (a, b)} as points
+    (numerators, denominator) reduced by their gcd, so equal points are equal
+    tuples; the first 2*dim rows must be the unit box 0 <= t_i <= 1 (so the
+    region is bounded).  The points come in no particular order."""
+    # (point, its tight set among the rows swept so far as a bitmask)
+    verts: List[Tuple[Tuple[Tuple[int, ...], int], int]] = [
         ((tuple(mask >> i & 1 for i in range(dim)), 1),
-         frozenset(2 * i + (mask >> i & 1) for i in range(dim)))
+         sum(1 << (2 * i + (mask >> i & 1)) for i in range(dim)))
         for mask in range(1 << dim)
     ]
     for ci in range(2 * dim, len(rows)):
         a, b = rows[ci]
+        bit = 1 << ci
         # slack b - a.v, times the point's denominator
         slacks = [b * den - _dot(a, num) for (num, den), _ in verts]
         keep = [
-            (v, tight | {ci} if slack == 0 else tight)
+            (v, tight | bit if slack == 0 else tight)
             for (v, tight), slack in zip(verts, slacks)
             if slack >= 0
         ]
         outside = [j for j, slack in enumerate(slacks) if slack < 0]
+        tights = [tight for _, tight in verts]
         new_pts = set()
         for i, (((un, ud), tu), su) in enumerate(zip(verts, slacks)):
             if su <= 0:
                 continue
             for j in outside:
-                ((wn, wd), tw), wx = verts[j], -slacks[j]
-                common = tu & tw
-                if len(common) < dim - 1:
+                common = tu & tights[j]
+                if common.bit_count() < dim - 1:
                     continue
                 # combinatorial adjacency: no third vertex is tight on
                 # everything u and w share
                 if any(
-                    common <= tight and m != i and m != j
-                    for m, (_, tight) in enumerate(verts)
+                    not common & ~tight and m != i and m != j
+                    for m, tight in enumerate(tights)
                 ):
                     continue
                 # the point of segment uw on a.t = b
+                (wn, wd), _ = verts[j]
+                wx = -slacks[j]
                 num = [wx * x + su * y for x, y in zip(un, wn)]
                 den = wx * ud + su * wd
                 g = math.gcd(den, *num)
@@ -285,8 +309,8 @@ def _dd_vertices(
             new_pts -= {v for v, _ in keep}
         # a degenerate point may be tight on more than its parents share
         keep.extend(
-            (p, frozenset(
-                cj for cj in range(ci + 1)
+            (p, sum(
+                1 << cj for cj in range(ci + 1)
                 if _dot(rows[cj][0], p[0]) == rows[cj][1] * p[1]
             ))
             for p in new_pts
@@ -294,11 +318,35 @@ def _dd_vertices(
         verts = keep
         if not verts:
             return []
+    return [v for v, _ in verts]
+
+
+def _dd_vertices(
+    constraints: List[Tuple[Row, Union[int, Fraction]]], dim: int
+) -> List[Tuple[Fraction, ...]]:
+    """Vertices of {t : a.t <= b for all (a, b)} with rational rows, in
+    increasing order, assuming the first 2*dim constraints are the unit box;
+    the rows are scaled to integers and swept by ``_dd_points``."""
+    points = _dd_points([_integer_row(a, b) for a, b in constraints], dim)
     # sort as Fraction tuples would, by numerators over one common denominator
-    common = math.lcm(*(den for (_, den), _ in verts))
-    points = sorted((v for v, _ in verts),
-                    key=lambda v: tuple(x * (common // v[1]) for x in v[0]))
+    common = math.lcm(*(den for _, den in points))
+    points.sort(key=lambda v: tuple(x * (common // v[1]) for x in v[0]))
     return [tuple(Fraction(x, den) for x in num) for num, den in points]
+
+
+def _split(links: Iterable[int]) -> List[int]:
+    """The connected components of a family of index sets (bitmasks): two
+    indices share a component when a chain of overlapping sets joins them.
+    Components come back ordered by their lowest index."""
+    blocks: List[int] = []
+    for mask in links:
+        if not mask:
+            continue
+        for block in [b for b in blocks if b & mask]:
+            blocks.remove(block)
+            mask |= block
+        blocks.append(mask)
+    return sorted(blocks, key=lambda b: b & -b)
 
 
 @derived
@@ -355,22 +403,33 @@ def _affine_map(table: PartialAdditionTable):
 
 
 @derived
+def _coefficient_rows(table: PartialAdditionTable) -> Tuple[Tuple[int, int, Dict[int, int]], ...]:
+    """The elements whose value moves with the free coordinates, in element
+    order: (element index, its free coordinate or -1, its row {coordinate:
+    coefficient}) with s(e_i) = (p[i] + row . t) / m in ``_affine_map``."""
+    _, cols, _ = _affine_map(table)
+    coordinate = {table.index(e): j for j, e in enumerate(_state_system(table)[2])}
+    rows: Dict[int, Dict[int, int]] = {}
+    for j, col in enumerate(cols):
+        for i, c in col:
+            rows.setdefault(i, {})[j] = c
+    return tuple((i, coordinate.get(i, -1), rows[i]) for i in sorted(rows))
+
+
+@derived
 def _box_constraints(table: PartialAdditionTable) -> List[Tuple[Row, int]]:
     """Inequalities 0 <= s(e) <= 1 in the free coordinates of a consistent
     additivity system, unit box first, as integer rows."""
     p, cols, m = _affine_map(table)
-    free = set(_state_system(table)[2])
-    d = len(cols)
-    rows: List[Row] = [{} for _ in p]
-    for j, col in enumerate(cols):
-        for i, c in col:
-            rows[i][j] = c
+    rows = {i: (j, row) for i, j, row in _coefficient_rows(table)}
     constraints: List[Tuple[Row, int]] = []
-    for j in range(d):
+    for j in range(len(cols)):
         constraints.append(({j: -1}, 0))
         constraints.append(({j: 1}, 1))
-    for e, pe, coeffs in zip(table.elements, p, rows):
-        if e in free:
+    for i, pe in enumerate(p):
+        coordinate, coeffs = rows.get(i, (-1, None))
+        if coordinate >= 0:
+            # a free element's box is the unit box above
             continue
         if not coeffs:
             if pe < 0 or pe > m:
@@ -382,10 +441,44 @@ def _box_constraints(table: PartialAdditionTable) -> List[Tuple[Row, int]]:
     return constraints
 
 
+@derived
+def _polytope_blocks(table: PartialAdditionTable):
+    """The box constraints split into blocks of linked free coordinates, or
+    None when a forced value lies outside [0,1].
+
+    A block is (dimension, rows, elements): its rows in local coordinates
+    (numbered in increasing global order), unit box first, and per element
+    whose value depends on the block, (element index, ((local coordinate,
+    coefficient), ...))."""
+    constraints = _box_constraints(table)
+    if any(not a for a, _ in constraints):
+        return None
+    blocks = []
+    for block in _split(sum(1 << j for j in a) for a, _ in constraints):
+        local = {j: x for x, j in enumerate(_bits(block))}
+        rows = [({local[j]: c for j, c in a.items()}, b)
+                for a, b in constraints if block >> next(iter(a)) & 1]
+        elements = tuple((i, tuple((local[j], c) for j, c in row.items()))
+                         for i, _, row in _coefficient_rows(table)
+                         if block >> next(iter(row)) & 1)
+        blocks.append((len(local), rows, elements))
+    return blocks
+
+
+def _block_values(p: Sequence[int], block) -> List[Tuple[int, Tuple[Tuple[int, int], ...]]]:
+    """Per vertex of one block: (its denominator den, ((i, numerator), ...))
+    with s(e_i) = numerator / (m * den) on the block's elements."""
+    dim, rows, elements = block
+    return [
+        (den, tuple((i, p[i] * den + sum(c * num[x] for x, c in terms))
+                    for i, terms in elements))
+        for num, den in _dd_points(rows, dim)
+    ]
+
+
 def _state_at(table: PartialAdditionTable, t: Sequence[Fraction]) -> StateVector:
     """The state at free coordinates ``t`` of the affine parametrization;
-    zero coordinates are skipped, as vertices are mostly 0/1 and the map
-    sparse."""
+    zero coordinates are skipped, as the map is sparse."""
     p, cols, m = _affine_map(table)
     den = math.lcm(*(x.denominator for x in t))
     num = [pe * den for pe in p]
@@ -401,9 +494,11 @@ def _state_at(table: PartialAdditionTable, t: Sequence[Fraction]) -> StateVector
 def solve_state_space(table: PartialAdditionTable) -> StateSpace:
     """Solve the additivity system exactly and enumerate the extremal states.
 
-    Refuses tables whose solution space has more than MAX_FREE_PARAMETERS
-    free parameters (exactness over scalability).  An empty polytope is a
-    legitimate outcome: stateless PEAs exist.
+    The vertices are the products of the vertices of the blocks of linked
+    free coordinates, each block swept on its own.  Refuses tables whose
+    solution space has more than MAX_FREE_PARAMETERS free parameters in
+    total (exactness over scalability).  An empty polytope is a legitimate
+    outcome: stateless PEAs exist.
     """
     _require_pea(table)
     particular, basis, free_els, consistent = _state_system(table)
@@ -415,23 +510,30 @@ def solve_state_space(table: PartialAdditionTable) -> StateSpace:
             "state space has %d free parameters; refusing beyond %d"
             % (d, MAX_FREE_PARAMETERS)
         )
-    if d == 0:
-        p, _, m = _affine_map(table)
-        ok = all(0 <= x <= m for x in p)
-        extremals = (_state_at(table, ()),) if ok else ()
-        return StateSpace(table, True, dict(particular), (), (), extremals)
-    extremals = set(
-        _state_at(table, v) for v in _dd_vertices(_box_constraints(table), d)
-    )
+    p, _, m = _affine_map(table)
+    blocks = _polytope_blocks(table)
+    extremals = []
+    if blocks is not None:
+        factors = [_block_values(p, block) for block in blocks]
+        # one vertex per tuple of block vertices, over their common denominator
+        for combo in product(*factors):
+            den = math.lcm(*(bd for bd, _ in combo))
+            num = [x * den for x in p]
+            for bd, values in combo:
+                scale = den // bd
+                for i, x in values:
+                    num[i] = x * scale
+            extremals.append(StateVector._from_ints(table, num, m * den))
     # order by value tuple: numerators over one denominator common to all
     den = math.lcm(*(s._den for s in extremals))
+    extremals.sort(key=lambda s: tuple(x * (den // s._den) for x in s._num))
     return StateSpace(
         table,
         True,
         dict(particular),
         tuple(dict(b) for b in basis),
         free_els,
-        tuple(sorted(extremals, key=lambda s: tuple(x * (den // s._den) for x in s._num))),
+        tuple(extremals),
     )
 
 
@@ -444,26 +546,38 @@ def discrete_labelings(table: PartialAdditionTable, n: int) -> List[Tuple[int, .
 
     This is the shared search engine behind discrete states and
     n-decompositions.  The search runs once per table and n; each call
-    returns a fresh list.
+    returns a fresh list.  With more labels than elements (n + 1 > |E|)
+    none is surjective, and the answer is empty at once.
     """
     if n < 1:
         raise InputError("n must be a positive integer, got %r" % (n,))
     _require_pea(table)
+    if n + 1 > table.size:
+        return []
     return list(_labelings(table, n))
 
 
 @derived
 def _labelings(table: PartialAdditionTable, n: int) -> Tuple[Tuple[int, ...], ...]:
+    """The labelings of ``discrete_labelings``, found block by block.
+
+    Defined sums link the middle elements (all but 0 and 1) into blocks
+    that share no equation.  Each block's additive labelings into {0..n},
+    not necessarily onto, are grouped by the set of labels they use (a
+    bitmask); a labeling of E is one labeling per block, and it is
+    surjective when those sets and {0, n} cover {0..n}."""
     k = table.size
     labels = [-1] * k
     labels[table.zero_i] = 0
     labels[table.one_i] = n
-    order = [i for i in range(k) if labels[i] == -1]
+    middle = (1 << k) - 1 & ~(1 << table.zero_i | 1 << table.one_i)
+    links = [1 << e for e in _bits(middle)]
     incident: List[List[Tuple[int, int, int]]] = [[] for _ in range(k)]
     for i, j, s in table.defined_sums():
         for e in {i, j, s}:
             incident[e].append((i, j, s))
-    out: List[Tuple[int, ...]] = []
+        links.append((1 << i | 1 << j | 1 << s) & middle)
+    blocks = [tuple(_bits(b)) for b in _split(links)]
 
     def local_ok(e: int) -> bool:
         for i, j, s in incident[e]:
@@ -480,33 +594,78 @@ def _labelings(table: PartialAdditionTable, n: int) -> Tuple[Tuple[int, ...], ..
                     return False
         return True
 
-    # how many placed elements carry each label, and how many labels none do
+    # how many placed elements carry each label (0 and 1 are placed)
     count = [0] * (n + 1)
     count[0] += 1
     count[n] += 1
-    missing = count.count(0)
 
-    def rec(pos: int) -> None:
-        nonlocal missing
-        if pos == len(order):
-            if not missing:
+    def search(block: Tuple[int, ...], spare: int) -> Dict[int, List[Tuple[int, ...]]]:
+        """The labelings of ``block`` by label set.  A branch is cut when
+        more labels are missing than elements are left to place, here and
+        in the ``spare`` elements of the other blocks."""
+        found: Dict[int, List[Tuple[int, ...]]] = {}
+        missing = count.count(0)
+
+        def rec(pos: int) -> None:
+            nonlocal missing
+            if pos == len(block):
+                vals = tuple(labels[e] for e in block)
+                used = 0
+                for v in vals:
+                    used |= 1 << v
+                found.setdefault(used, []).append(vals)
+                return
+            if missing > len(block) - pos + spare:
+                return
+            e = block[pos]
+            for v in range(n + 1):
+                labels[e] = v
+                if local_ok(e):
+                    count[v] += 1
+                    missing -= count[v] == 1
+                    rec(pos + 1)
+                    count[v] -= 1
+                    missing += count[v] == 0
+            labels[e] = -1
+
+        rec(0)
+        return found
+
+    groups = []
+    for block in blocks:
+        found = search(block, middle.bit_count() - len(block))
+        if not found:
+            return ()
+        groups.append(found)
+    # reach[b], room[b]: the labels blocks b.. can use, and at most how many
+    full = (1 << n + 1) - 1
+    reach = [0] * (len(groups) + 1)
+    room = [0] * (len(groups) + 1)
+    for b in reversed(range(len(groups))):
+        reach[b] = reach[b + 1]
+        for used in groups[b]:
+            reach[b] |= used
+        room[b] = room[b + 1] + max(used.bit_count() for used in groups[b])
+    out: List[Tuple[int, ...]] = []
+    picked: List[int] = []
+
+    def combine(b: int, have: int) -> None:
+        missing = full & ~have
+        if missing & ~reach[b] or missing.bit_count() > room[b]:
+            return
+        if b == len(groups):
+            for parts in product(*(g[used] for g, used in zip(groups, picked))):
+                for block, vals in zip(blocks, parts):
+                    for e, v in zip(block, vals):
+                        labels[e] = v
                 out.append(tuple(labels))
             return
-        # surjectivity cannot be rescued with fewer slots than missing labels
-        if missing > len(order) - pos:
-            return
-        e = order[pos]
-        for v in range(n + 1):
-            labels[e] = v
-            if local_ok(e):
-                count[v] += 1
-                missing -= count[v] == 1
-                rec(pos + 1)
-                count[v] -= 1
-                missing += count[v] == 0
-        labels[e] = -1
+        for used in groups[b]:
+            picked.append(used)
+            combine(b + 1, have | used)
+            picked.pop()
 
-    rec(0)
+    combine(0, 1 | 1 << n)
     return tuple(sorted(out))
 
 
@@ -580,15 +739,69 @@ class ExtremalityReport:
     witness: Optional[Tuple[StateVector, StateVector]]
 
 
+def _int_rank(rows: List[Dict[int, int]]) -> int:
+    """Rank of integer rows by fraction-free elimination: a pivot clears its
+    column from the other rows by cross-multiplication, and each new row is
+    divided by the gcd of its entries, so no Fraction is formed."""
+    rank = 0
+    rows = [row for row in rows if row]
+    while rows:
+        pivot = rows.pop()
+        col, a = next(iter(pivot.items()))
+        rank += 1
+        rest = []
+        for row in rows:
+            f = row.get(col)
+            if f is not None:
+                row = {c: a * row.get(c, 0) - f * pivot.get(c, 0)
+                       for c in row.keys() | pivot.keys()}
+                row = {c: x for c, x in row.items() if x}
+                if not row:
+                    continue
+                g = math.gcd(*row.values())
+                if g > 1:
+                    row = {c: x // g for c, x in row.items()}
+            rest.append(row)
+        rows = rest
+    return rank
+
+
+def _tight_rank_full(table: PartialAdditionTable, s: StateVector) -> bool:
+    """Whether the box rows tight at ``s`` have rank d, read from the
+    state's values alone: an element valued 0 or 1 makes its row tight.
+    A tight free element is a unit row and settles its coordinate; the
+    tight rows of the other elements, on the unsettled coordinates, go
+    through integer elimination."""
+    num, den = s._num, s._den
+    settled = 0
+    rest = []
+    for i, coordinate, row in _coefficient_rows(table):
+        if num[i] == 0 or num[i] == den:
+            if coordinate >= 0:
+                settled |= 1 << coordinate
+            else:
+                rest.append(row)
+    unsettled = (1 << len(_affine_map(table)[1])) - 1 & ~settled
+    if not unsettled:
+        return True
+    rest = [{j: c for j, c in row.items() if unsettled >> j & 1} for row in rest]
+    return _int_rank(rest) == unsettled.bit_count()
+
+
 def is_extremal(table: PartialAdditionTable, s: StateVector) -> ExtremalityReport:
     """Vertex test on the state polytope; a non-extremal state comes back
-    with states s1 != s2 such that s = (s1 + s2) / 2."""
+    with states s1 != s2 such that s = (s1 + s2) / 2.
+
+    The verdict is an integer certificate independent of the vertex sweep:
+    ``s`` is a vertex exactly when the box rows it makes tight have full
+    rank.  Below full rank a Fraction null-space direction of those rows,
+    cut at the nearest box face, builds the witness."""
     s = _as_state(table, s)
     space = solve_state_space(table)
     if not space.consistent:
         raise InconsistencyError("valid state supplied for an inconsistent system")
     d = space.dimension
-    if d == 0:
+    if d == 0 or _tight_rank_full(table, s):
         return ExtremalityReport(True, None)
     # the state's free coordinates are its numerators there, over s._den
     t0 = [s._num[table.index(e)] for e in space.free_elements]
@@ -596,7 +809,7 @@ def is_extremal(table: PartialAdditionTable, s: StateVector) -> ExtremalityRepor
     tight = [a for a, b in constraints if _dot(a, t0) == b * s._den]
     direction = _nullspace_vector(tight, d)
     if direction is None:
-        return ExtremalityReport(True, None)
+        raise InconsistencyError("integer and Fraction rank of the tight rows disagree")
     t0 = [Fraction(x, s._den) for x in t0]
     lam_pos = lam_neg = None
     for a, b in constraints:

@@ -152,7 +152,7 @@ MALFORMED_DOCUMENTS = {
 }
 
 
-def run_process(argv, **env):
+def run_process(argv, cwd=None, **env):
     """``pea argv`` in a fresh interpreter, so that a traceback shows on
     stderr; ``env`` adds environment variables."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -160,6 +160,7 @@ def run_process(argv, **env):
     return subprocess.run(
         [sys.executable, "-m", "peal.cli"] + argv,
         env=dict(os.environ, PYTHONPATH=path, **env), capture_output=True, text=True,
+        cwd=cwd,
     )
 
 
@@ -201,15 +202,54 @@ MALFORMED_CONSTRUCTIONS = {
     "group-with-builtin-chain": ["--builtin", "chain:4", "--group", "z:1"],
     "offset-with-builtin": ["--builtin", "example47", "--offset", "1"],
     "offset-with-interval": ["--interval", "1,1", "--group", "z:2", "--offset", "1,1"],
+    "order-with-builtin-diamond": ["--builtin", "diamond", "--order", "lex"],
+    "order-with-builtin-example47": ["--builtin", "example47", "--order", "pointwise"],
+    # a symbolic construction has no table to write
+    "output-with-lex-product": ["--lex-product", "2", "--group", "z:1", "-o", "sym.json"],
+    "output-with-builtin-example46": ["--builtin", "example46", "-o", "sym.json"],
+    "output-with-builtin-example47": ["--builtin", "example47", "-o", "sym.json"],
+    "output-with-builtin-twisted-gamma": ["--builtin", "twisted_gamma", "-o", "sym.json"],
 }
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_CONSTRUCTIONS))
-def test_malformed_construction_is_input_error(name):
-    proc = run_process(["construct"] + MALFORMED_CONSTRUCTIONS[name])
+def test_malformed_construction_is_input_error(name, tmp_path):
+    proc = run_process(["construct"] + MALFORMED_CONSTRUCTIONS[name], cwd=tmp_path)
     assert proc.returncode == 2
     assert "input error" in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "sym.json").exists()
+
+
+def test_construct_output_refusal_names_the_symbolic_object(tmp_path, capsys):
+    target = tmp_path / "sym.json"
+    assert main(["construct", "--lex-product", "2", "--group", "z:1", "--samples", "20",
+                 "-o", str(target)]) == 2
+    assert "symbolic" in capsys.readouterr().err
+    assert not target.exists()
+
+
+def test_construct_order_goes_with_a_group(capsys):
+    code, out = run(capsys, ["--format", "json", "construct", "--builtin", "example47",
+                             "--group", "z:1", "--order", "lex", "--samples", "20"])
+    assert code == 0
+    lex = json.loads(out)["results"]["symbolic"]["group"]
+    code, out = run(capsys, ["--format", "json", "construct", "--builtin", "example47",
+                             "--group", "z:1", "--samples", "20"])
+    assert code == 0
+    assert json.loads(out)["results"]["symbolic"]["group"] != lex
+
+
+@pytest.mark.parametrize("argv", [
+    ["states", "{doc}", "--discrete", "10000000000"],
+    ["decompose", "{doc}", "10000000000"],
+])
+def test_more_labels_than_elements_give_empty_lists(docs, capsys, argv):
+    code, out = run(capsys, ["--format", "json"] + [a.replace("{doc}", docs["diamond"])
+                                                    for a in argv])
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results.get("discrete_states_n10000000000", results.get("decompositions")) == []
 
 
 def test_construct_lex_extension_elements(capsys):

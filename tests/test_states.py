@@ -1,3 +1,4 @@
+import math
 import time
 from fractions import Fraction
 from itertools import combinations, product
@@ -7,12 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as hyp
 
 from peal.constructions import chain_table
-from peal.core import InputError, PartialAdditionTable
+from peal.core import InputError, PartialAdditionTable, check_axioms
 from peal.ideals import enumerate_ideals, is_ideal, is_normal
 from peal.states import (
     StateVector,
+    _affine_map,
     _dd_vertices,
+    _nullspace_vector,
+    _tight_rank_full,
     classify_state,
+    discrete_labelings,
     enumerate_discrete_states,
     is_extremal,
     kernel,
@@ -546,3 +551,320 @@ def test_state_validation_matches_frozen_fraction_checks(pea_corpus_full, data):
                 hyp.fractions(min_value=0, max_value=1, max_denominator=12).filter(bool))
     assert validation_outcome(lambda: StateVector(table, values).values) == \
         validation_outcome(lambda: fraction_state_values(table, values))
+
+
+# -- the separable polytope against frozen copies of the single sweep -------
+
+
+def frozen_dd_points(rows, dim):
+    """Reference double description sweep over the whole polytope with
+    frozenset tight sets (the sweep before the polytope was split into
+    blocks): sorted points (numerators, denominator) of integer rows."""
+    verts = [
+        ((tuple(mask >> i & 1 for i in range(dim)), 1),
+         frozenset(2 * i + (mask >> i & 1) for i in range(dim)))
+        for mask in range(1 << dim)
+    ]
+    for ci in range(2 * dim, len(rows)):
+        a, b = rows[ci]
+        slacks = [b * den - fraction_dot(a, num) for (num, den), _ in verts]
+        keep = [
+            (v, tight | {ci} if slack == 0 else tight)
+            for (v, tight), slack in zip(verts, slacks)
+            if slack >= 0
+        ]
+        outside = [j for j, slack in enumerate(slacks) if slack < 0]
+        new_pts = set()
+        for i, (((un, ud), tu), su) in enumerate(zip(verts, slacks)):
+            if su <= 0:
+                continue
+            for j in outside:
+                ((wn, wd), tw), wx = verts[j], -slacks[j]
+                common = tu & tw
+                if len(common) < dim - 1:
+                    continue
+                if any(
+                    common <= tight and m != i and m != j
+                    for m, (_, tight) in enumerate(verts)
+                ):
+                    continue
+                num = [wx * x + su * y for x, y in zip(un, wn)]
+                den = wx * ud + su * wd
+                g = math.gcd(den, *num)
+                new_pts.add((tuple(x // g for x in num), den // g))
+        if new_pts:
+            new_pts -= {v for v, _ in keep}
+        keep.extend(
+            (p, frozenset(
+                cj for cj in range(ci + 1)
+                if fraction_dot(rows[cj][0], p[0]) == rows[cj][1] * p[1]
+            ))
+            for p in new_pts
+        )
+        verts = keep
+        if not verts:
+            return []
+    common = math.lcm(*(den for (_, den), _ in verts))
+    return sorted((v for v, _ in verts),
+                  key=lambda v: tuple(x * (common // v[1]) for x in v[0]))
+
+
+def frozen_box_constraints(table):
+    """Reference integer box rows 0 <= s(e) <= 1 in the free coordinates,
+    unit box first, built from the integer affine map."""
+    p, cols, m = _affine_map(table)
+    free = set(solve_state_space(table).free_elements)
+    rows = [{} for _ in p]
+    for j, col in enumerate(cols):
+        for i, c in col:
+            rows[i][j] = c
+    constraints = []
+    for j in range(len(cols)):
+        constraints.append(({j: -1}, 0))
+        constraints.append(({j: 1}, 1))
+    for e, pe, coeffs in zip(table.elements, p, rows):
+        if e in free:
+            continue
+        if not coeffs:
+            if pe < 0 or pe > m:
+                constraints.append(({}, -1))
+            continue
+        constraints.append(({j: -c for j, c in coeffs.items()}, pe))
+        constraints.append((coeffs, m - pe))
+    return constraints
+
+
+def frozen_extremal_keys(table):
+    """Value tuples of the extremal states in StateSpace order, by one sweep
+    over the whole d-dimensional polytope."""
+    p, cols, m = _affine_map(table)
+    if not cols:
+        return [tuple(Fraction(x, m) for x in p)] if all(0 <= x <= m for x in p) else []
+    keys = set()
+    for num, den in frozen_dd_points(frozen_box_constraints(table), len(cols)):
+        vals = [pe * den for pe in p]
+        for col, x in zip(cols, num):
+            for i, c in col:
+                vals[i] += c * x
+        keys.add(tuple(Fraction(v, m * den) for v in vals))
+    return sorted(keys)
+
+
+def frozen_labelings(table, n):
+    """Reference labeling search over all middle elements at once (the
+    search before it ran block by block)."""
+    k = table.size
+    labels = [-1] * k
+    labels[table.zero_i] = 0
+    labels[table.one_i] = n
+    order = [i for i in range(k) if labels[i] == -1]
+    incident = [[] for _ in range(k)]
+    for i, j, s in table.defined_sums():
+        for e in {i, j, s}:
+            incident[e].append((i, j, s))
+    out = []
+
+    def local_ok(e):
+        for i, j, s in incident[e]:
+            li, lj, ls = labels[i], labels[j], labels[s]
+            if li >= 0 and lj >= 0:
+                if li + lj > n:
+                    return False
+                if ls >= 0 and li + lj != ls:
+                    return False
+            elif ls >= 0:
+                if li >= 0 and ls < li:
+                    return False
+                if lj >= 0 and ls < lj:
+                    return False
+        return True
+
+    count = [0] * (n + 1)
+    count[0] += 1
+    count[n] += 1
+    missing = count.count(0)
+
+    def rec(pos):
+        nonlocal missing
+        if pos == len(order):
+            if not missing:
+                out.append(tuple(labels))
+            return
+        if missing > len(order) - pos:
+            return
+        e = order[pos]
+        for v in range(n + 1):
+            labels[e] = v
+            if local_ok(e):
+                count[v] += 1
+                missing -= count[v] == 1
+                rec(pos + 1)
+                count[v] -= 1
+                missing += count[v] == 0
+        labels[e] = -1
+
+    rec(0)
+    return sorted(out)
+
+
+def fraction_rank_full(table, s):
+    """Reference vertex test: the box rows tight at ``s`` have full rank,
+    decided by Fraction elimination (``_nullspace_vector``)."""
+    space = solve_state_space(table)
+    t0 = [s._num[table.index(e)] for e in space.free_elements]
+    tight = [a for a, b in frozen_box_constraints(table) if fraction_dot(a, t0) == b * s._den]
+    return _nullspace_vector(tight, space.dimension) is None
+
+
+def glue(tables):
+    """Horizontal sum of PEAs: disjoint copies of their middle elements,
+    with one shared 0 and 1; block b renames element x to "b.x"."""
+    elements, sums = ["0", "1"], {}
+    for b, table in enumerate(tables):
+        name = {e: "%d.%s" % (b, e) for e in table.elements}
+        name[table.zero], name[table.one] = "0", "1"
+        elements.extend(name[e] for e in table.elements if e not in (table.zero, table.one))
+        for i, j, s in table.defined_sums():
+            x, y, z = (name[table.elements[c]] for c in (i, j, s))
+            sums[(x, y)] = z
+    glued = PartialAdditionTable.build(elements, "0", "1", sums)
+    assert check_axioms(glued, "pea").passed
+    return glued
+
+
+def midpoint(table, s1, s2):
+    return StateVector(table, {e: (s1(e) + s2(e)) / 2 for e in table.elements})
+
+
+def extremal_values(space):
+    return [tuple(s(e) for e in space.table.elements) for s in space.extremal_states]
+
+
+def test_block_product_matches_frozen_single_sweep(pea_corpus_full):
+    tables = list(pea_corpus_full) + hsum_tables() + [chain_table(k) for k in range(1, 13)]
+    for table in tables:
+        space = solve_state_space(table)
+        if space.consistent:
+            assert extremal_values(space) == frozen_extremal_keys(table)
+
+
+def small_blocks(pea_corpus_small):
+    """Corpus tables of at most 6 elements with at least one free parameter,
+    and a table of 4 elements without one."""
+    moving = [t for t in pea_corpus_small if solve_state_space(t).dimension >= 1]
+    fixed = next(t for t in pea_corpus_small
+                 if t.size == 4 and solve_state_space(t).dimension == 0)
+    return moving, fixed
+
+
+def test_glued_sums_match_brute_vertices(pea_corpus_small):
+    moving, fixed = small_blocks(pea_corpus_small)
+    sums = [glue(pair) for pair in combinations(moving + [fixed], 2)]
+    sums += [glue((t, t)) for t in moving]
+    sums += [glue((moving[0], fixed, moving[1])), glue((moving[0],) * 3)]
+    for table in sums:
+        space = solve_state_space(table)
+        assert space.consistent and 1 <= space.dimension <= 4
+        found = extremal_values(space)
+        assert found == frozen_extremal_keys(table)
+        assert sorted(found) == brute_extremal_keys(space)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=hyp.data())
+def test_hypothesis_glued_sums_match_oracles(pea_corpus_small, data):
+    parts = data.draw(hyp.lists(hyp.sampled_from(list(pea_corpus_small)), min_size=2, max_size=3))
+    table = glue(parts)
+    space = solve_state_space(table)
+    assert space.dimension == sum(solve_state_space(t).dimension for t in parts)
+    found = extremal_values(space)
+    assert found == frozen_extremal_keys(table)
+    # a vertex of the sum is one vertex of each part
+    assert len(found) == math.prod(len(solve_state_space(t).extremal_states) for t in parts)
+    if space.dimension <= 3:
+        assert sorted(found) == brute_extremal_keys(space)
+    for s in space.extremal_states:
+        assert is_extremal(table, s).extremal and fraction_rank_full(table, s)
+
+
+def test_integer_certificate_matches_fraction_rank(pea_corpus_full, pea_corpus_small):
+    moving, fixed = small_blocks(pea_corpus_small)
+    tables = list(pea_corpus_full) + hsum_tables() + [
+        glue(pair) for pair in combinations(moving + [fixed], 2)]
+    checked = 0
+    for table in tables:
+        space = solve_state_space(table)
+        if not space.consistent or space.dimension == 0:
+            continue
+        states = list(space.extremal_states)
+        states += [midpoint(table, states[0], s) for s in states[1:]]
+        for s in states:
+            assert _tight_rank_full(table, s) == fraction_rank_full(table, s)
+            checked += 1
+    assert checked > 100
+
+
+def test_midpoint_of_two_vertices_gets_a_witness(pea_corpus_full):
+    tested = 0
+    for table in pea_corpus_full:
+        space = solve_state_space(table)
+        if not space.consistent or space.dimension == 0:
+            continue
+        first, last = space.extremal_states[0], space.extremal_states[-1]
+        s = midpoint(table, first, last)
+        rep = is_extremal(table, s)
+        assert not rep.extremal
+        s1, s2 = rep.witness
+        assert s1 != s2
+        for e in table.elements:
+            assert 2 * s(e) == s1(e) + s2(e)
+        tested += 1
+    assert tested == 14
+
+
+def test_labelings_match_frozen_search(pea_corpus_full):
+    for table in list(pea_corpus_full) + hsum_tables():
+        for n in (1, 2, 3):
+            assert discrete_labelings(table, n) == frozen_labelings(table, n)
+
+
+def test_labelings_with_more_labels_than_elements_are_empty(diamond):
+    start = time.perf_counter()
+    assert discrete_labelings(diamond, 10 ** 12) == []
+    assert enumerate_discrete_states(diamond, diamond.size) == []
+    assert time.perf_counter() - start < 1.0
+
+
+def test_extremality_on_vertices_forms_no_fraction(monkeypatch):
+    table = horizontal_sum(4, 3)
+    vertices = solve_state_space(table).extremal_states
+    assert len(vertices) == 81
+    made = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    verdicts = [is_extremal(table, s).extremal for s in vertices]
+    monkeypatch.undo()
+    assert all(verdicts)
+    assert made == []
+
+
+@pytest.mark.parametrize("blocks, atoms, vertices", [(6, 3, 729), (4, 4, 256)])
+def test_twelve_parameter_horizontal_sums_are_fast(blocks, atoms, vertices):
+    table = horizontal_sum(blocks, atoms)
+    start = time.perf_counter()
+    space = solve_state_space(table)
+    assert all(is_extremal(table, s).extremal for s in space.extremal_states)
+    assert time.perf_counter() - start < 5.0
+    assert space.dimension == 12 and len(space.extremal_states) == vertices
+
+
+def test_total_free_parameter_cap_refuses_fourteen():
+    from peal.core import PreconditionError
+
+    with pytest.raises(PreconditionError):
+        solve_state_space(horizontal_sum(7, 3))
