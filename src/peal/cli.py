@@ -9,6 +9,7 @@ fractions only.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -304,7 +305,10 @@ def cmd_suite(args, report: Report, seed: int) -> int:
     return 0 if suite.passed else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``pea`` parser, built once per process: parsing leaves it as it
+    was, so every call of ``main`` can share it."""
     parser = argparse.ArgumentParser(
         prog="pea",
         description="Exact-arithmetic analysis of pseudo-effect algebras.",

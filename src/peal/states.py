@@ -6,9 +6,11 @@ over one positive common denominator, reduced by their gcd; only the public
 API (``StateVector.values``, ``__call__``, ``StateSpace``, the witness of a
 non-extremal state) speaks ``fractions.Fraction``.  Integers are only ever
 multiplied, added and compared, never divided with ``/``, so no float is
-ever formed.  The additivity equations are solved by exact Gauss-Jordan
-elimination on sparse rows ``{column: nonzero Fraction}`` (each equation
-has at most three nonzeros).
+ever formed.  The additivity equations are solved by fraction-free
+Gauss-Jordan elimination on sparse ``int`` rows ``{column: nonzero int}``
+(each equation has at most three nonzeros, and equal equations are kept
+once); Fractions are formed only for the public ``particular`` and
+``basis``, by dividing each reduced row by its pivot entry.
 
 The state polytope is separable.  Two free coordinates are linked when one
 box constraint 0 <= s(e) <= 1 involves both, and the polytope is the product
@@ -24,8 +26,9 @@ each block's, since a product of d segments already has 2^d vertices.
 A state is extremal exactly when the box rows it makes tight (an element
 valued 0 or 1 makes its row tight) have full rank.  ``is_extremal`` decides
 that on integers, apart from the sweep: unit rows of free coordinates settle
-most coordinates at once and fraction-free elimination the rest.  Only a
-state below full rank goes on to Fractions, to build its witness.
+most coordinates at once and the same fraction-free elimination the rest.
+Only a state below full rank goes on to Fractions, to build its witness
+from an integer null-space direction of its tight rows.
 
 Discrete states are found by the integer-labeling search suggested by the
 decomposition characterization, never by rounding: the middle elements
@@ -185,70 +188,94 @@ class StateSpace:
 
 # -- exact sparse linear algebra -------------------------------------------
 #
-# A row is a dict {column: nonzero entry}; a system over ncols unknowns
-# keeps its right-hand side at column ncols.  Elimination runs on Fraction
-# entries; the polytope's constraint rows and points are integers.
+# A row is a dict {column: nonzero int}; a system over ncols unknowns keeps
+# its right-hand side at column ncols.  Elimination is fraction-free, so the
+# rows stay integers; the public ``particular`` and ``basis`` divide by the
+# pivot entries at the very end.
 
-Row = Dict[int, Union[int, Fraction]]
+Row = Dict[int, int]
 
 
 def _dot(row: Row, point: Sequence[Union[int, Fraction]]) -> Union[int, Fraction]:
     return sum(v * point[c] for c, v in row.items())
 
 
-def _rref(rows: List[Row], ncols: int) -> Tuple[List[Row], List[int], bool]:
-    """Gauss-Jordan elimination, column by column, on sparse rows.
+def _eliminate(rows: Iterable[Row], ncols: int) -> Tuple[List[Row], List[int], bool]:
+    """Fraction-free Gauss-Jordan elimination, column by column, on sparse
+    integer rows (Bareiss, "Sylvester's identity and multistep
+    integer-preserving Gaussian elimination", 1968).
 
-    Returns the nonzero rows of the reduced row echelon form in pivot order,
+    A pivot, the shortest row holding its column, clears that column from
+    every other row by cross-multiplication, and each row is divided by the
+    gcd of its entries.  Returns the nonzero rows in pivot order, each the
+    primitive positive multiple of its row of the reduced row echelon form,
     their pivot columns, and whether the system is consistent (no row
-    reduces to 0 = nonzero).  The reduced form is unique, so the result does
-    not depend on the order of ``rows``.  Integer entries are taken as
-    Fractions.
+    reduces to 0 = nonzero).  The reduced form is unique, so the result of a
+    consistent system does not depend on the order of ``rows``, which are
+    not modified; no pivot is taken on the right-hand side, so that of an
+    inconsistent one may.
     """
-    rest = [{c: Fraction(v) for c, v in r.items()} for r in rows]
+    # a pending row holds no column left of the current one, so it waits
+    # under its first column; rows with only a right-hand side wait at ncols
+    pending: List[List[Row]] = [[] for _ in range(ncols + 1)]
+    for r in map(dict, rows):
+        if r:
+            pending[min(r)].append(r)
     done: List[Row] = []
     pivots: List[int] = []
     for col in range(ncols):
-        at = next((i for i, r in enumerate(rest) if col in r), None)
-        if at is None:
+        hit = pending[col]
+        if not hit:
             continue
-        inv = rest[at][col]
-        pivot = {c: v / inv for c, v in rest.pop(at).items()}
-        for row in done + rest:
-            # row -= f * pivot (pivot[col] is 1); zero entries leave the row
-            f = row.pop(col, None)
-            if f is not None:
-                for c, v in pivot.items():
-                    if c != col:
-                        x = row.get(c, ZERO) - f * v
-                        if x:
-                            row[c] = x
-                        else:
-                            del row[c]
-        rest = [row for row in rest if row]
+        at = min(range(len(hit)), key=lambda i: len(hit[i]))
+        g = math.gcd(*hit[at].values()) * (1 if hit[at][col] > 0 else -1)
+        pivot = {c: v // g for c, v in hit.pop(at).items()}
+        a = pivot[col]
+        for row in [row for row in done if col in row] + hit:
+            # row := a * row - f * pivot, which clears col; zeros leave the row
+            f = row.pop(col)
+            if a != 1:
+                for c in row:
+                    row[c] *= a
+            for c, v in pivot.items():
+                if c != col:
+                    x = row.get(c, 0) - f * v
+                    if x:
+                        row[c] = x
+                    else:
+                        del row[c]
+            g = math.gcd(*row.values())
+            if g > 1:
+                for c in row:
+                    row[c] //= g
+        for row in hit:
+            if row:
+                pending[min(row)].append(row)
         done.append(pivot)
         pivots.append(col)
-    # every surviving non-pivot row has only its right-hand side left
-    return done, pivots, not rest
+    return done, pivots, not pending[ncols]
 
 
-def _nullspace_vector(rows: List[Row], dim: int) -> Optional[Tuple[Fraction, ...]]:
-    """Some nonzero vector orthogonal to all rows, or None if rank is full."""
-    red, pivots, _ = _rref(rows, dim)
+def _nullspace_vector(rows: List[Row], dim: int) -> Optional[Tuple[int, ...]]:
+    """Some nonzero integer vector orthogonal to all rows, or None if rank
+    is full: the first free column's null-space basis vector of the reduced
+    form, scaled by a positive integer to clear its denominators."""
+    red, pivots, _ = _eliminate(rows, dim)
     free = [c for c in range(dim) if c not in pivots]
     if not free:
         return None
     j = free[0]
-    vec = {j: ONE}
+    scale = math.lcm(*(row[col] for row, col in zip(red, pivots) if j in row))
+    vec = {j: scale}
     for row, col in zip(red, pivots):
-        vec[col] = -row.get(j, ZERO)
-    return tuple(vec.get(c, ZERO) for c in range(dim))
+        vec[col] = -row.get(j, 0) * (scale // row[col])
+    return tuple(vec.get(c, 0) for c in range(dim))
 
 
 # -- double description vertex sweep --------------------------------------
 
 
-def _integer_row(a: Row, b: Union[int, Fraction]) -> Tuple[Row, int]:
+def _integer_row(a: Dict[int, Fraction], b: Union[int, Fraction]) -> Tuple[Row, int]:
     """The constraint a.t <= b scaled by the least positive integer that
     clears its denominators (ints count as denominator 1)."""
     m = math.lcm(b.denominator, *(v.denominator for v in a.values()))
@@ -322,7 +349,7 @@ def _dd_points(
 
 
 def _dd_vertices(
-    constraints: List[Tuple[Row, Union[int, Fraction]]], dim: int
+    constraints: List[Tuple[Dict[int, Fraction], Union[int, Fraction]]], dim: int
 ) -> List[Tuple[Fraction, ...]]:
     """Vertices of {t : a.t <= b for all (a, b)} with rational rows, in
     increasing order, assuming the first 2*dim constraints are the unit box;
@@ -355,28 +382,26 @@ def _state_system(table: PartialAdditionTable):
     free elements, consistent) with values per element."""
     k = table.size
     els = table.elements
-    rows: List[Row] = [{table.zero_i: 1}]
-    if table.one_i is not None:
-        rows.append({table.one_i: 1, k: 1})
+    rows = {((table.zero_i, 1),): None, ((table.one_i, 1), (k, 1)): None}
     for i, j, s in table.defined_sums():
-        # s(a) + s(b) - s(a + b) = 0; the coefficients sum to 1, so a row
-        # never cancels entirely, but single entries do (0 + a = a)
-        row = {c: (c == i) + (c == j) - (c == s) for c in (i, j, s)}
-        rows.append({c: v for c, v in row.items() if v})
-    red, pivots, consistent = _rref(rows, k)
+        # s(a) + s(b) - s(a + b) = 0, kept once for a + b and b + a and for
+        # every 0 + a; single entries cancel (0 + a = a), never a whole row
+        row = {c: (c == i) + (c == j) - (c == s) for c in sorted({i, j, s})}
+        rows[tuple((c, v) for c, v in row.items() if v)] = None
+    red, pivots, consistent = _eliminate(map(dict, rows), k)
     if not consistent:
         return None, (), (), False
     pivot_set = set(pivots)
     free_cols = [c for c in range(k) if c not in pivot_set]
     particular = {els[c]: ZERO for c in free_cols}
     for row, col in zip(red, pivots):
-        particular[els[col]] = row.get(k, ZERO)
+        particular[els[col]] = Fraction(row.get(k, 0), row[col])
     basis = []
     for f in free_cols:
         vec = {els[c]: ZERO for c in range(k)}
         vec[els[f]] = ONE
         for row, col in zip(red, pivots):
-            vec[els[col]] = -row.get(f, ZERO)
+            vec[els[col]] = Fraction(-row.get(f, 0), row[col])
         basis.append(vec)
     return particular, tuple(basis), tuple(els[f] for f in free_cols), True
 
@@ -739,39 +764,12 @@ class ExtremalityReport:
     witness: Optional[Tuple[StateVector, StateVector]]
 
 
-def _int_rank(rows: List[Dict[int, int]]) -> int:
-    """Rank of integer rows by fraction-free elimination: a pivot clears its
-    column from the other rows by cross-multiplication, and each new row is
-    divided by the gcd of its entries, so no Fraction is formed."""
-    rank = 0
-    rows = [row for row in rows if row]
-    while rows:
-        pivot = rows.pop()
-        col, a = next(iter(pivot.items()))
-        rank += 1
-        rest = []
-        for row in rows:
-            f = row.get(col)
-            if f is not None:
-                row = {c: a * row.get(c, 0) - f * pivot.get(c, 0)
-                       for c in row.keys() | pivot.keys()}
-                row = {c: x for c, x in row.items() if x}
-                if not row:
-                    continue
-                g = math.gcd(*row.values())
-                if g > 1:
-                    row = {c: x // g for c, x in row.items()}
-            rest.append(row)
-        rows = rest
-    return rank
-
-
 def _tight_rank_full(table: PartialAdditionTable, s: StateVector) -> bool:
     """Whether the box rows tight at ``s`` have rank d, read from the
     state's values alone: an element valued 0 or 1 makes its row tight.
     A tight free element is a unit row and settles its coordinate; the
     tight rows of the other elements, on the unsettled coordinates, go
-    through integer elimination."""
+    through the fraction-free elimination."""
     num, den = s._num, s._den
     settled = 0
     rest = []
@@ -781,11 +779,12 @@ def _tight_rank_full(table: PartialAdditionTable, s: StateVector) -> bool:
                 settled |= 1 << coordinate
             else:
                 rest.append(row)
-    unsettled = (1 << len(_affine_map(table)[1])) - 1 & ~settled
+    d = len(_affine_map(table)[1])
+    unsettled = (1 << d) - 1 & ~settled
     if not unsettled:
         return True
     rest = [{j: c for j, c in row.items() if unsettled >> j & 1} for row in rest]
-    return _int_rank(rest) == unsettled.bit_count()
+    return len(_eliminate(rest, d)[1]) == unsettled.bit_count()
 
 
 def is_extremal(table: PartialAdditionTable, s: StateVector) -> ExtremalityReport:
@@ -808,8 +807,8 @@ def is_extremal(table: PartialAdditionTable, s: StateVector) -> ExtremalityRepor
     constraints = _box_constraints(table)
     tight = [a for a, b in constraints if _dot(a, t0) == b * s._den]
     direction = _nullspace_vector(tight, d)
-    if direction is None:
-        raise InconsistencyError("integer and Fraction rank of the tight rows disagree")
+    if direction is None or not any(direction) or any(_dot(a, direction) for a in tight):
+        raise InconsistencyError("witness direction is not a nonzero null vector of the tight rows")
     t0 = [Fraction(x, s._den) for x in t0]
     lam_pos = lam_neg = None
     for a, b in constraints:

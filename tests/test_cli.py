@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from peal.cli import main
+from peal.cli import build_parser, main
 from peal.constructions import boolean4_table, diamond_table
 from peal.core import (
     PartialAdditionTable,
@@ -328,6 +328,24 @@ def test_suite_deterministic(capsys):
     _, out2 = run(capsys, ["--format", "json", "--seed", "7", "suite",
                            "--max-size", "2", "--samples", "100"])
     assert out1 == out2
+
+
+def test_commands_in_one_process_match_fresh_processes(docs, capsys):
+    # main shares one parser across calls; no call may see another's options
+    runs = [
+        ["states"],
+        ["--format", "json", "suite", "--seed", "3", "--max-size", "3"],
+        ["--seed", "5", "--format", "json", "states", docs["diamond"], "--discrete", "2"],
+    ]
+    codes = []
+    for argv in runs:
+        code = main(argv)
+        out, err = capsys.readouterr()
+        proc = run_process(argv)
+        assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr)
+        codes.append(code)
+    assert codes == [2, 0, 0]
+    assert build_parser() is build_parser()
 
 
 def test_seed_env_override(docs, capsys, monkeypatch):

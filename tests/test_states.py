@@ -7,13 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hyp
 
-from peal.constructions import chain_table
-from peal.core import InputError, PartialAdditionTable, check_axioms
+from peal import states
+from peal.constructions import chain_table, gamma_interval_finite
+from peal.core import InconsistencyError, InputError, PartialAdditionTable, check_axioms
+from peal.groups import IntVectorGroup, UnitalPoGroup
 from peal.ideals import enumerate_ideals, is_ideal, is_normal
 from peal.states import (
     StateVector,
     _affine_map,
     _dd_vertices,
+    _eliminate,
     _nullspace_vector,
     _tight_rank_full,
     classify_state,
@@ -429,6 +432,112 @@ def test_sparse_elimination_matches_dense_reference(pea_corpus_full):
         assert list(space.free_elements) == free
 
 
+def frozen_rref(rows, ncols):
+    """Reference sparse Gauss-Jordan elimination on Fractions (the state
+    layer's elimination before it became fraction-free): the rows of the
+    reduced form in pivot order, their pivot columns, and whether no row
+    reduces to 0 = nonzero."""
+    rest = [{c: Fraction(v) for c, v in r.items()} for r in rows]
+    done = []
+    pivots = []
+    for col in range(ncols):
+        at = next((i for i, r in enumerate(rest) if col in r), None)
+        if at is None:
+            continue
+        inv = rest[at][col]
+        pivot = {c: v / inv for c, v in rest.pop(at).items()}
+        for row in done + rest:
+            f = row.pop(col, None)
+            if f is not None:
+                for c, v in pivot.items():
+                    if c != col:
+                        x = row.get(c, ZERO) - f * v
+                        if x:
+                            row[c] = x
+                        else:
+                            del row[c]
+        rest = [row for row in rest if row]
+        done.append(pivot)
+        pivots.append(col)
+    return done, pivots, not rest
+
+
+def additivity_rows(table):
+    """The additivity equations of ``table`` as sparse integer rows, every
+    defined sum in turn, repeats included."""
+    k = table.size
+    rows = [{table.zero_i: 1}, {table.one_i: 1, k: 1}]
+    for i, j, s in table.defined_sums():
+        row = {c: (c == i) + (c == j) - (c == s) for c in (i, j, s)}
+        rows.append({c: v for c, v in row.items() if v})
+    return rows, k
+
+
+def assert_kernel_matches_frozen(rows, ncols):
+    before = [dict(r) for r in rows]
+    red, pivots, consistent = _eliminate(rows, ncols)
+    assert rows == before
+    for row, col in zip(red, pivots):
+        assert all(type(v) is int for v in row.values())
+        assert row[col] > 0 and math.gcd(*row.values()) == 1
+    # an empty row says 0 = 0; the frozen elimination would keep it as a
+    # leftover row and call the system inconsistent, so it does not see one
+    frozen, frozen_pivots, frozen_consistent = frozen_rref([r for r in rows if r], ncols)
+    assert (pivots, consistent) == (frozen_pivots, frozen_consistent)
+    again, again_pivots, again_consistent = _eliminate(list(reversed(rows)) + rows[:3], ncols)
+    assert (again_pivots, again_consistent) == (pivots, consistent)
+    if consistent:
+        # the primitive rows are unique, whatever the order and repeats of the input
+        assert again == red
+    # with 0 = 1 among the rows no pivot is taken on the right-hand side, so
+    # the right-hand sides depend on the pivot order
+    last = ncols + consistent
+    scaled = [{c: Fraction(v, row[col]) for c, v in row.items() if c < last}
+              for row, col in zip(red, pivots)]
+    assert scaled == [{c: v for c, v in row.items() if c < last} for row in frozen]
+
+
+def test_kernel_matches_frozen_fraction_rref(pea_corpus_full):
+    tables = list(pea_corpus_full) + [chain_table(k) for k in range(1, 41)] + [
+        gamma_interval_finite(UnitalPoGroup(IntVectorGroup(2), (5, 5))),
+        gamma_interval_finite(UnitalPoGroup(IntVectorGroup(5), (1,) * 5)),
+    ]
+    for table in tables:
+        assert_kernel_matches_frozen(*additivity_rows(table))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=hyp.data())
+def test_hypothesis_kernel_matches_frozen_fraction_rref(data):
+    ncols = data.draw(hyp.integers(1, 6))
+    entry = hyp.one_of(hyp.integers(-3, 3), hyp.integers(-10 ** 20, 10 ** 20))
+    row = hyp.dictionaries(hyp.integers(0, ncols), entry.filter(bool), max_size=ncols + 1)
+    rows = data.draw(hyp.lists(row, max_size=8))
+    # repeats, multiples and combinations of drawn rows: rank-deficient
+    # systems, and inconsistent ones when a combination's right-hand side moves
+    for _ in range(data.draw(hyp.integers(0, 4))):
+        if not rows:
+            break
+        x, y = data.draw(hyp.sampled_from(rows)), data.draw(hyp.sampled_from(rows))
+        fx, fy = data.draw(entry), data.draw(entry)
+        combo = {c: fx * x.get(c, 0) + fy * y.get(c, 0) for c in x.keys() | y.keys()}
+        combo = {c: v for c, v in combo.items() if v}
+        shift = data.draw(hyp.integers(-2, 2))
+        if shift:
+            combo[ncols] = combo.get(ncols, 0) + shift
+            combo = {c: v for c, v in combo.items() if v}
+        rows.append(combo)
+    assert_kernel_matches_frozen(rows, ncols)
+    # the witness direction: an integer null vector exactly below full rank
+    lhs = [{c: v for c, v in r.items() if c < ncols} for r in rows]
+    direction = _nullspace_vector(lhs, ncols)
+    if len(frozen_rref([r for r in lhs if r], ncols)[1]) == ncols:
+        assert direction is None
+    else:
+        assert any(direction) and all(type(x) is int for x in direction)
+        assert all(fraction_dot(r, direction) == 0 for r in lhs)
+
+
 def test_extremal_states_match_brute_vertices(pea_corpus_full):
     tables = list(pea_corpus_full) + [
         horizontal_sum(blocks, atoms) for blocks, atoms in ((2, 2), (3, 2), (4, 2), (2, 3))
@@ -709,11 +818,13 @@ def frozen_labelings(table, n):
 
 def fraction_rank_full(table, s):
     """Reference vertex test: the box rows tight at ``s`` have full rank,
-    decided by Fraction elimination (``_nullspace_vector``)."""
+    decided by the dense Fraction elimination ``dense_rref``."""
     space = solve_state_space(table)
+    d = space.dimension
     t0 = [s._num[table.index(e)] for e in space.free_elements]
     tight = [a for a, b in frozen_box_constraints(table) if fraction_dot(a, t0) == b * s._den]
-    return _nullspace_vector(tight, space.dimension) is None
+    _, pivots, _ = dense_rref([[Fraction(a.get(c, 0)) for c in range(d)] + [ZERO] for a in tight])
+    return len(pivots) == d
 
 
 def glue(tables):
@@ -851,6 +962,20 @@ def test_extremality_on_vertices_forms_no_fraction(monkeypatch):
     monkeypatch.undo()
     assert all(verdicts)
     assert made == []
+
+
+@pytest.mark.parametrize("wrong", [None, "zero", "ones"])
+def test_witness_direction_is_certified(monkeypatch, wrong):
+    # block 0 at a vertex, block 1 at the midpoint of its two vertices: the
+    # tight rows settle block 0's coordinate, so (1, 1) is not a null vector
+    table = horizontal_sum(2, 2)
+    v = solve_state_space(table).extremal_states
+    s = midpoint(table, v[0], next(w for w in v if w("b0.1") == v[0]("b0.1") and w != v[0]))
+    assert not is_extremal(table, s).extremal
+    direction = {None: None, "zero": (0, 0), "ones": (1, 1)}[wrong]
+    monkeypatch.setattr(states, "_nullspace_vector", lambda rows, dim: direction)
+    with pytest.raises(InconsistencyError, match="not a nonzero null vector"):
+        is_extremal(table, s)
 
 
 @pytest.mark.parametrize("blocks, atoms, vertices", [(6, 3, 729), (4, 4, 256)])
