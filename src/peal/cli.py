@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Dict, List, Optional
 
 from . import decompositions as dec
@@ -36,19 +37,105 @@ from .core import (
     induced_order,
     is_symmetric,
     isotropic_data,
-    load_table,
+    read_table,
     table_to_document,
 )
 from .groups import UnitalPoGroup, builtin_group, parse_element
 from .suite import run_suite
 
 
-def _digest(path: str) -> str:
+def _load(args, report: "Report") -> PartialAdditionTable:
+    """The table in ``args.file``; the digest of its bytes is reported."""
+    table, raw = read_table(args.file)
+    report.result("input_digest", hashlib.sha256(raw).hexdigest())
+    return table
+
+
+def _write_document(path: str, table: PartialAdditionTable) -> None:
     try:
-        with open(path, "rb") as fh:
-            return hashlib.sha256(fh.read()).hexdigest()
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(dumps_document(table_to_document(table)))
     except OSError as exc:
-        raise InputError("cannot read %r: %s" % (path, exc)) from None
+        raise InputError("cannot write %r: %s" % (path, exc)) from None
+
+
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+@functools.cache
+def _flat_encoder(depth: int) -> json.JSONEncoder:
+    """The C encoder that puts the items of a container of scalars one per
+    line at indent ``depth``, leaving out the brackets' own lines."""
+    return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * depth, ": "))
+
+
+def _key(key) -> str:
+    """A dict key as ``json`` renders it: str, int, float, bool or None."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, (int, float)) or key is None:
+        return _flat_encoder(0).encode(key)
+    raise TypeError("keys must be str, int, float, bool or None, not %s"
+                    % (key.__class__.__name__,))
+
+
+def _holds_scalars(value) -> bool:
+    """Whether ``value`` is a nonempty dict, list or tuple of scalars."""
+    if type(value) is dict:
+        value = value.values()
+    elif type(value) is not list and type(value) is not tuple:
+        return False
+    return bool(value) and _SCALARS.issuperset(map(type, value))
+
+
+def _indented(value, depth: int, out: List[str]) -> None:
+    """Append the text of ``json.dumps(value, sort_keys=True, indent=2)`` at
+    nesting ``depth`` to ``out``.
+
+    Scalars, empty containers and containers of scalars take one call of
+    the C encoder, and so does a list of containers of scalars of one kind:
+    it is laid out with its children's item separator, and a child's closing
+    bracket followed by that separator, which holds a raw newline that no
+    encoded string has, marks a separator between children.  Python recurses
+    only over the other containers that hold containers."""
+    pad = "\n" + "  " * depth
+    inner = pad + "  "
+    if _holds_scalars(value):
+        text = _flat_encoder(depth + 1).encode(value)
+        out.append(text[0] + inner + text[1:-1] + pad + text[-1])
+    elif isinstance(value, dict) and value:
+        sep = "{" + inner
+        for key, v in sorted(value.items()):
+            out.append(sep + encode_basestring_ascii(_key(key)) + ": ")
+            _indented(v, depth + 1, out)
+            sep = "," + inner
+        out.append(pad + "}")
+    elif isinstance(value, (list, tuple)) and value:
+        kinds = set(map(type, value))
+        if (kinds == {dict} or kinds <= {list, tuple}) and all(map(_holds_scalars, value)):
+            text = _flat_encoder(depth + 2).encode(value)
+            start, end = text[1], text[-2]
+            text = text.replace(end + "," + inner + "  " + start,
+                                inner + end + "," + inner + start + inner + "  ")
+            out.append("[" + inner + start + inner + "  " + text[2:-2] + inner + end + pad + "]")
+            return
+        sep = "[" + inner
+        for v in value:
+            out.append(sep)
+            _indented(v, depth + 1, out)
+            sep = "," + inner
+        out.append(pad + "]")
+    else:
+        out.append(_flat_encoder(0).encode(value))
+
+
+def _dumps_report(data) -> str:
+    """Exactly ``json.dumps(data, sort_keys=True, indent=2)``, but laid out
+    by the C encoder: the stdlib falls back to its pure-Python encoder
+    whenever ``indent`` is set."""
+    out: List[str] = []
+    _indented(data, 0, out)
+    return "".join(out)
 
 
 def _default_seed() -> int:
@@ -86,8 +173,7 @@ class Report:
     def emit(self, fmt: str, stream=None) -> None:
         stream = stream or sys.stdout
         if fmt == "json":
-            json.dump(self.data, stream, sort_keys=True, indent=2)
-            stream.write("\n")
+            stream.write(_dumps_report(self.data) + "\n")
             return
         for key in sorted(self.data["results"]):
             stream.write("%s: %s\n" % (key, json.dumps(self.data["results"][key], sort_keys=True)))
@@ -98,8 +184,7 @@ class Report:
 
 
 def cmd_verify(args, report: Report, seed: int) -> int:
-    table = load_table(args.file)
-    report.result("input_digest", _digest(args.file))
+    table = _load(args, report)
     kind = args.kind or ("pea" if table.one is not None else "gpea")
     axioms = check_axioms(table, kind)
     report.verdict(
@@ -131,8 +216,7 @@ def cmd_verify(args, report: Report, seed: int) -> int:
 
 
 def cmd_states(args, report: Report, seed: int) -> int:
-    table = load_table(args.file)
-    report.result("input_digest", _digest(args.file))
+    table = _load(args, report)
     space = st.solve_state_space(table)
     report.result("consistent", space.consistent)
     report.result("free_parameters", space.dimension)
@@ -166,8 +250,7 @@ def cmd_states(args, report: Report, seed: int) -> int:
 
 
 def cmd_decompose(args, report: Report, seed: int) -> int:
-    table = load_table(args.file)
-    report.result("input_digest", _digest(args.file))
+    table = _load(args, report)
     pairs = dec.decomposition_state_bijection(table, args.n)
     report.result(
         "decompositions",
@@ -186,8 +269,7 @@ def cmd_decompose(args, report: Report, seed: int) -> int:
 
 
 def cmd_ideals(args, report: Report, seed: int) -> int:
-    table = load_table(args.file)
-    report.result("input_digest", _digest(args.file))
+    table = _load(args, report)
     ideals = idl.enumerate_ideals(table)
     report.result(
         "ideals",
@@ -218,8 +300,7 @@ def cmd_ideals(args, report: Report, seed: int) -> int:
 
 
 def cmd_quotient(args, report: Report, seed: int) -> int:
-    table = load_table(args.file)
-    report.result("input_digest", _digest(args.file))
+    table = _load(args, report)
     members = [m for m in args.ideal.split(",") if m]
     q, linear, mapping = idl.quotient(table, members)
     report.result("quotient_document", table_to_document(q))
@@ -227,20 +308,17 @@ def cmd_quotient(args, report: Report, seed: int) -> int:
     report.result("class_of", mapping)
     report.verdict("quotient-well-defined", True)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(dumps_document(table_to_document(q)))
+        _write_document(args.output, q)
     return 0
 
 
 def cmd_unitize(args, report: Report, seed: int) -> int:
-    table = load_table(args.file)
-    report.result("input_digest", _digest(args.file))
+    table = _load(args, report)
     lifted = unitize(table)
     report.result("unitization_document", table_to_document(lifted))
     report.verdict("unitization-is-symmetric-pea", True)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(dumps_document(table_to_document(lifted)))
+        _write_document(args.output, lifted)
     return 0
 
 
@@ -272,12 +350,10 @@ def cmd_construct(args, report: Report, seed: int) -> int:
         raise InputError("--samples must be at least 1, got %d" % (args.samples,))
     obj = _construct_object(args, seed)
     if isinstance(obj, PartialAdditionTable):
-        doc = table_to_document(obj)
-        report.result("document", doc)
+        report.result("document", table_to_document(obj))
         report.verdict("construction", True)
         if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(dumps_document(doc))
+            _write_document(args.output, obj)
         return 0
     assert isinstance(obj, SymbolicPea)
     if args.output:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
+from operator import add, eq, itemgetter
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 
@@ -301,6 +302,36 @@ def _defined_sums(table: PartialAdditionTable) -> Tuple[Tuple[int, int, int], ..
         for j, c in enumerate(row)
         if c is not None
     )
+
+
+def _picker(indices: Sequence[int]):
+    """``seq -> tuple(seq[i] for i in indices)``, in C for any length."""
+    if len(indices) == 1:
+        return lambda seq, i=indices[0]: (seq[i],)
+    return itemgetter(*indices) if indices else (lambda seq: ())
+
+
+@derived
+def _sum_columns(table: PartialAdditionTable):
+    """Pickers of the left operands, right operands and results of the
+    distinct equations v(i) + v(j) = v(i + j) of the defined sums of
+    nonzero elements: i + j and j + i give one equation when they agree,
+    and every sum with 0 holds exactly when v(0) = 0."""
+    z = table.zero_i
+    equations = sorted({(min(i, j), max(i, j), s) for i, j, s in table.defined_sums()
+                        if z != i and z != j})
+    return tuple(_picker([e[c] for e in equations]) for c in range(3))
+
+
+def _nonadditive(table: PartialAdditionTable, values: Sequence[int]) -> Optional[Tuple[int, int, int]]:
+    """The first defined sum i + j = s with values[i] + values[j] !=
+    values[s], or None when ``values`` is additive on every defined sum."""
+    left, right, result = _sum_columns(table)
+    if values[table.zero_i] == 0 and all(
+            map(eq, map(add, left(values), right(values)), result(values))):
+        return None
+    return next((i, j, s) for i, j, s in table.defined_sums()
+                if values[i] + values[j] != values[s])
 
 
 # -- axiom checking -----------------------------------------------------
@@ -689,12 +720,23 @@ def dumps_document(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def load_table(path: str) -> PartialAdditionTable:
+def read_table(path: str) -> Tuple[PartialAdditionTable, bytes]:
+    """The table in the UTF-8 JSON document at ``path``, read once, and the
+    bytes it was parsed from."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise InputError("cannot read %r: %s" % (path, exc)) from None
-    except json.JSONDecodeError as exc:
+    try:
+        table = table_from_document(json.loads(raw.decode("utf-8")))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError("cannot parse %r: %s" % (path, exc)) from None
-    return table_from_document(doc)
+    except RecursionError:
+        raise InputError("cannot parse %r: nested too deeply" % (path,)) from None
+    return table, raw
+
+
+def load_table(path: str) -> PartialAdditionTable:
+    """The table in the UTF-8 JSON document at ``path``."""
+    return read_table(path)[0]

@@ -15,6 +15,7 @@ from .core import (
     _bits,
     _differences,
     _mask,
+    _nonadditive,
     _require_pea,
     complements,
     derived,
@@ -48,10 +49,39 @@ def _in_table_order(table: PartialAdditionTable, part) -> List[str]:
 
 
 @derived
-def validate_decomposition(table: PartialAdditionTable, D: Decomposition) -> None:
-    """Check the partition conditions (disjoint, covering, complement-matched,
-    additive) plus nonemptiness; raise on the first failure.  A decomposition
-    that passed is not checked again."""
+def _checked(table: PartialAdditionTable) -> Dict[Decomposition, Tuple[Tuple[int, ...], List[int]]]:
+    """The decompositions of ``table`` validated so far, each with the part
+    index of every element and its parts as bitmasks over element indices."""
+    return {}
+
+
+def _check_labels(table: PartialAdditionTable, labels: Tuple[int, ...], n: int) -> None:
+    """Raise unless the complements of an element labelled i are labelled
+    n - i and the labels add on every defined sum.  ``labels`` lie in 0..n,
+    so a sum of labels above n fails the second test."""
+    _require_pea(table)
+    if labels[table.one_i] == n and _nonadditive(table, labels) is None:
+        return  # a- + a = a + a~ = 1 are defined sums, so complements hold
+    ldiff, rdiff = _differences(table)
+    u = table.one_i
+    for x, a in enumerate(table.elements):
+        i = labels[x]
+        if labels[ldiff[u][x]] != n - i or labels[rdiff[x][u]] != n - i:
+            raise InputError("complements of %r land outside E_%d" % (a, n - i))
+    bad = _nonadditive(table, labels)
+    if bad is not None:
+        raise InputError(
+            "sum %r + %r = %r violates additivity of parts"
+            % tuple(table.elements[x] for x in bad)
+        )
+
+
+def _validated(table: PartialAdditionTable, D: Decomposition) -> Tuple[Tuple[int, ...], List[int]]:
+    """The labels and part masks of ``D``, after the checks of
+    ``validate_decomposition``."""
+    checked = _checked(table)
+    if D in checked:
+        return checked[D]
     n = D.n
     if n < 1:
         raise InputError("decomposition needs at least two parts")
@@ -65,84 +95,88 @@ def validate_decomposition(table: PartialAdditionTable, D: Decomposition) -> Non
             seen[a] = i
     if set().union(*D.parts) != set(table.elements):
         raise InputError("parts do not cover the carrier")
-    _require_pea(table)
-    ldiff, rdiff = _differences(table)
-    els = table.elements
-    u = table.one_i
-    for x, a in enumerate(els):
-        i = seen[a]
-        if seen[els[ldiff[u][x]]] != n - i or seen[els[rdiff[x][u]]] != n - i:
-            raise InputError(
-                "complements of %r land outside E_%d" % (a, n - i)
-            )
-    for ai, bj, s in table.defined_sums():
-        a, b, c = table.elements[ai], table.elements[bj], table.elements[s]
-        if seen[a] + seen[b] > n or seen[c] != seen[a] + seen[b]:
-            raise InputError("sum %r + %r = %r violates additivity of parts" % (a, b, c))
+    labels = tuple(map(seen.__getitem__, table.elements))
+    _check_labels(table, labels, n)
+    entry = checked[D] = labels, [_mask(table, part) for part in D.parts]
+    return entry
+
+
+def validate_decomposition(table: PartialAdditionTable, D: Decomposition) -> None:
+    """Check the partition conditions (disjoint, covering, complement-matched,
+    additive) plus nonemptiness; raise on the first failure.  A decomposition
+    that passed is not checked again."""
+    _validated(table, D)
 
 
 def _part_masks(table: PartialAdditionTable, D: Decomposition) -> List[int]:
-    """Each part of ``D`` as a bitmask over element indices."""
-    return [_mask(table, part) for part in D.parts]
+    """Each part of the validated ``D`` as a bitmask over element indices."""
+    return _validated(table, D)[1]
 
 
-def _parts(table: PartialAdditionTable, labels, n: int) -> Decomposition:
-    """The decomposition whose part E_i holds the elements labelled i."""
-    return Decomposition(tuple(
-        frozenset(e for e, l in zip(table.elements, labels) if l == i)
-        for i in range(n + 1)
-    ))
+def _from_labels(table: PartialAdditionTable, labels: Tuple[int, ...], n: int) -> Decomposition:
+    """The decomposition whose part E_i holds the elements labelled i, after
+    the checks of ``validate_decomposition`` on the labels themselves (with
+    the same messages); it is recorded as validated."""
+    used = set(labels)
+    if len(used) != n + 1 or min(used) != 0 or max(used) != n:
+        empty = next((i for i in range(n + 1) if i not in used), None)
+        if empty is not None:
+            raise InputError("part E_%d is empty" % (empty,))
+        raise InputError("parts do not cover the carrier")
+    _check_labels(table, labels, n)
+    members: List[List[str]] = [[] for _ in range(n + 1)]
+    masks = [0] * (n + 1)
+    for x, (e, l) in enumerate(zip(table.elements, labels)):
+        members[l].append(e)
+        masks[l] |= 1 << x
+    D = Decomposition(tuple(map(frozenset, members)))
+    _checked(table)[D] = labels, masks
+    return D
 
 
-def _sums_exist(table: PartialAdditionTable, D: Decomposition) -> bool:
-    """Whether every sum of E_i and E_j is defined when i + j < n."""
-    n = D.n
+def _sums_exist(table: PartialAdditionTable, parts: List[int]) -> bool:
+    """Whether every sum of E_i and E_j is defined when i + j < n, for the
+    part masks ``parts`` of a decomposition."""
+    n = len(parts) - 1
     t = table._sums
-    parts = _part_masks(table, D)
     return all(
         t[a][b] is not None
-        for i in range(n + 1)
-        for j in range(n + 1)
-        if i + j < n
+        for i in range(n)
+        for j in range(n - i)
         for a in _bits(parts[i])
         for b in _bits(parts[j])
     )
 
 
 def find_decompositions(table: PartialAdditionTable, n: int) -> List[Decomposition]:
-    """All n-decompositions, by the shared labeling search; each result is
-    re-validated against the partition conditions before being returned."""
-    result = []
-    for labels in states_mod.discrete_labelings(table, n):
-        D = _parts(table, labels, n)
-        validate_decomposition(table, D)
-        result.append(D)
-    return result
+    """All n-decompositions, by the shared labeling search; each labeling is
+    validated against the partition conditions before its decomposition is
+    returned."""
+    return [_from_labels(table, labels, n)
+            for labels in states_mod.discrete_labelings(table, n)]
 
 
 def decomposition_state_bijection(table: PartialAdditionTable, n: int):
     """The bijection D_n(E) <-> S_n(E): each decomposition is paired with its
     induced state and the two constructions are verified mutually inverse.
 
-    Both lists follow the same sorted labelings, so they pair by position."""
+    Both lists follow the same sorted labelings, so they pair by position,
+    and each pair is compared on the labels of its decomposition."""
     decomps = find_decompositions(table, n)
     states = states_mod.enumerate_discrete_states(table, n)
     if len(decomps) != len(states):
         raise InconsistencyError(
             "|D_n| = %d but |S_n| = %d" % (len(decomps), len(states))
         )
-    index = table._index
     pairs = []
     for D, s in zip(decomps, states):
         # the state induced by D is labels / n, compared in lowest terms
-        labels = [0] * table.size
-        for i, part in enumerate(D.parts):
-            for a in part:
-                labels[index[a]] = i
+        labels = _validated(table, D)[0]
         g = math.gcd(n, *labels)
-        if s._den != n // g or s._num != tuple(l // g for l in labels):
+        if s._den != n // g or s._num != (labels if g == 1 else tuple(l // g for l in labels)):
             raise InconsistencyError("decomposition-induced state not enumerated")
-        if n % s._den or _parts(table, [x * (n // s._den) for x in s._num], n) != D:
+        k = n // s._den
+        if n % s._den or (s._num if k == 1 else tuple(x * k for x in s._num)) != labels:
             raise InconsistencyError("state preimages do not recover the decomposition")
         pairs.append((D, s))
     return pairs
@@ -173,17 +207,16 @@ def check_comparability(table_or_symbolic, D: Decomposition, seed: int = 0, samp
     if hasattr(table_or_symbolic, "sample_member"):
         return table_or_symbolic.check_comparability_sampled(seed=seed, samples=samples)
     table: PartialAdditionTable = table_or_symbolic
-    validate_decomposition(table, D)
+    parts = _part_masks(table, D)
     up = induced_order(table).up
     els = table.elements
     n = D.n
-    parts = _part_masks(table, D)
     # the elements of a higher part that are not above a
     gaps = ((a, parts[j] & ~up[a]) for i in range(n + 1) for j in range(i + 1, n + 1)
             for a in _bits(parts[i]))
     witness = next(((els[a], els[next(_bits(gap))]) for a, gap in gaps if gap), None)
     comparable = witness is None
-    sums_exist = _sums_exist(table, D)
+    sums_exist = _sums_exist(table, parts)
     if comparable != sums_exist:
         raise InconsistencyError(
             "comparability biconditional failed: chain %s, sums %s"
@@ -234,7 +267,7 @@ def is_n_perfect(table: PartialAdditionTable, n: int):
     if not decomps:
         return False, NPerfectCertificate(None, maximal, "no n-decomposition")
     for D in decomps:
-        if not _sums_exist(table, D):
+        if not _sums_exist(table, _part_masks(table, D)):
             continue
         if len(maximal) == 1 and set(maximal[0]) == set(D.parts[0]):
             return True, NPerfectCertificate(D, maximal)
@@ -245,9 +278,9 @@ def is_n_perfect(table: PartialAdditionTable, n: int):
 
 def check_condition_e(table: PartialAdditionTable, D: Decomposition) -> bool:
     """Per-part directedness, both directions."""
-    validate_decomposition(table, D)
+    parts = _part_masks(table, D)
     order = induced_order(table)
-    for part in _part_masks(table, D):
+    for part in parts:
         for x in _bits(part):
             for y in _bits(part):
                 if not order.up[x] & order.up[y] & part:

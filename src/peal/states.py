@@ -50,6 +50,7 @@ from .core import (
     PartialAdditionTable,
     PreconditionError,
     _bits,
+    _nonadditive,
     _require_pea,
     derived,
 )
@@ -100,8 +101,9 @@ class StateVector:
     def _from_ints(cls, table: PartialAdditionTable, num: Sequence[int], den: int) -> "StateVector":
         """The state with value ``num[i] / den`` at element i (``den`` > 0),
         checked exactly as the constructor checks a mapping."""
-        for e, x in zip(table.elements, num):
-            _range_check(e, x, den)
+        if min(num) < 0 or max(num) > den:
+            for e, x in zip(table.elements, num):
+                _range_check(e, x, den)
         self = cls.__new__(cls)
         self._adopt(table, num, den)
         return self
@@ -113,12 +115,11 @@ class StateVector:
             raise InputError("state must send zero to 0")
         if table.one is not None and num[table.one_i] != den:
             raise InputError("state must send one to 1")
-        for i, j, s in table.defined_sums():
-            if num[i] + num[j] != num[s]:
-                els = table.elements
-                raise InputError(
-                    "state not additive at %r + %r = %r" % (els[i], els[j], els[s])
-                )
+        bad = _nonadditive(table, num)
+        if bad is not None:
+            raise InputError(
+                "state not additive at %r + %r = %r" % tuple(table.elements[x] for x in bad)
+            )
         g = math.gcd(den, *num)
         self.table = table
         self._num = tuple(x // g for x in num) if g > 1 else tuple(num)
@@ -155,10 +156,8 @@ class StateVector:
         return [Fraction(x, self._den) for x in sorted(set(self._num))]
 
     def as_strings(self) -> Dict[str, str]:
-        return {
-            e: _fraction_string(x, self._den)
-            for e, x in zip(self.table.elements, self._num)
-        }
+        text = {x: _fraction_string(x, self._den) for x in set(self._num)}
+        return dict(zip(self.table.elements, map(text.__getitem__, self._num)))
 
 
 @dataclass(frozen=True)

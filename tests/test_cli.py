@@ -1,10 +1,14 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hyp
 
+from peal import cli
 from peal.cli import build_parser, main
 from peal.constructions import boolean4_table, diamond_table
 from peal.core import (
@@ -405,3 +409,112 @@ def test_quotient_refusal_independent_of_hash_seed(tmp_path):
     assert len(outputs) == 1
     (code, _, err), = outputs
     assert code == 1 and "('downward', 'm0', 'm2')" in err
+
+
+# -- the JSON report emitter ---------------------------------------------------
+
+TEXT = hyp.text(
+    hyp.one_of(hyp.sampled_from('"\\\n\t\r\x00\x1f\x7f[]{},: \u00e9\u20ac\U0001f600'),
+               hyp.characters()),
+    max_size=6,
+)
+LEAVES = hyp.one_of(hyp.none(), hyp.booleans(), hyp.integers(), TEXT)
+
+
+def containers(children):
+    return hyp.one_of(
+        hyp.lists(children, max_size=4),
+        hyp.lists(children, max_size=4).map(tuple),
+        hyp.dictionaries(TEXT, children, max_size=4),
+        hyp.dictionaries(hyp.integers(), children, max_size=4),
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(hyp.recursive(LEAVES, containers, max_leaves=40))
+def test_emitter_matches_stdlib_indent(value):
+    assert cli._dumps_report(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    {True: [1], False: {"a": 1}},
+    {None: [[]]},
+    {1.5: [["x"]], 2: [{}]},
+    [[["a"], ["b", "c"]], [{"k": "]"}, {"l": "}"}]],
+    [["a"], []],
+    [{"a": 1}, ["b"]],
+    {"a": [[1], [2]], "b": [{"c": 1}], "d": "]\n"},
+])
+def test_emitter_matches_stdlib_on_mixed_keys_and_children(value):
+    assert cli._dumps_report(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def frozen_emit(self, fmt, stream=None):
+    """``Report.emit`` for JSON as it stood on the stdlib's indenting encoder."""
+    assert fmt == "json"
+    stream = stream or sys.stdout
+    json.dump(self.data, stream, sort_keys=True, indent=2)
+    stream.write("\n")
+
+
+def test_every_subcommand_report_matches_frozen_emitter(docs, tmp_path, capsys, monkeypatch):
+    argvs = [
+        ["verify", docs["boolean4"]],
+        ["states", docs["boolean4"], "--extremal", "--discrete", "2"],
+        ["decompose", docs["diamond"], "2"],
+        ["decompose", docs["boolean4"], "1"],
+        ["ideals", docs["boolean4"]],
+        ["quotient", docs["boolean4"], "--ideal", "0,a"],
+        ["unitize", docs["boolean4"]],
+        ["construct", "--builtin", "chain:3"],
+        ["construct", "--builtin", "example46", "--samples", "30"],
+        ["suite", "--max-size", "3", "--samples", "30"],
+        ["verify", docs["boolean4"], "--kind", "gpea"],
+    ]
+    outputs = []
+    for argv in argvs:
+        code = main(["--format", "json"] + argv)
+        outputs.append((code, capsys.readouterr().out))
+    monkeypatch.setattr(cli.Report, "emit", frozen_emit)
+    for argv, output in zip(argvs, outputs):
+        code = main(["--format", "json"] + argv)
+        assert (code, capsys.readouterr().out) == output, argv
+
+
+# -- unreadable documents and unwritable outputs ------------------------------
+
+
+def test_input_digest_is_of_the_bytes_read(docs, capsys):
+    code, out = run(capsys, ["--format", "json", "verify", docs["diamond"]])
+    with open(docs["diamond"], "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    assert json.loads(out)["results"]["input_digest"] == digest
+
+
+@pytest.mark.parametrize("raw", [
+    b'{"elements": ["0", "\xff"], "zero": "0", "add": []}',  # not UTF-8
+    b"[" * 100000 + b"]" * 100000,  # nested past the recursion limit
+    b'{"elements": ' + b"[" * 980 + b"]" * 980 + b', "zero": "0", "add": []}',
+], ids=["not-utf8", "nested-100k", "nested-elements"])
+def test_unreadable_document_is_input_error(tmp_path, raw):
+    p = tmp_path / "doc.json"
+    p.write_bytes(raw)
+    proc = run_process(["states", str(p)])
+    assert proc.returncode == 2
+    assert "input error" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--builtin", "diamond"],
+    ["unitize", "{doc}"],
+    ["quotient", "{doc}", "--ideal", "0"],
+], ids=["construct", "unitize", "quotient"])
+def test_unwritable_output_is_input_error(docs, tmp_path, argv):
+    target = tmp_path / "missing" / "x.json"
+    argv = [a.replace("{doc}", docs["boolean4"]) for a in argv] + ["-o", str(target)]
+    proc = run_process(argv)
+    assert proc.returncode == 2
+    assert "input error: cannot write" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not target.exists()

@@ -1,10 +1,13 @@
+import math
+
 import pytest
 
 from peal.constructions import boolean4_table, chain_table, diamond_table
-from peal.core import InputError, PealError, complements
+from peal.core import InconsistencyError, InputError, PealError, complements
 from peal.corpus import are_isomorphic
 from peal.decompositions import (
     Decomposition,
+    _from_labels,
     canonical_chain_report,
     check_comparability,
     check_condition_e,
@@ -13,7 +16,8 @@ from peal.decompositions import (
     is_n_perfect,
     validate_decomposition,
 )
-from peal.states import enumerate_discrete_states
+from peal.states import discrete_labelings, enumerate_discrete_states
+from test_states import horizontal_sum
 
 
 def test_diamond_two_decomposition(diamond):
@@ -176,3 +180,98 @@ def test_perfect_with_e_collapses_to_chain(pea_corpus_small):
             if check_condition_e(table, cert.decomposition):
                 assert canonical_chain_report(table, n).ok
                 assert are_isomorphic(table, chain_table(n))
+
+
+# -- frozen frozenset path ---------------------------------------------------
+#
+# ``find_decompositions`` and ``decomposition_state_bijection`` as they stood
+# when each labeling was turned into frozensets of names and re-validated by
+# name with ``frozen_validate_decomposition``.
+
+
+def frozen_parts(table, labels, n):
+    return Decomposition(tuple(
+        frozenset(e for e, l in zip(table.elements, labels) if l == i)
+        for i in range(n + 1)
+    ))
+
+
+def frozen_find_decompositions(table, n):
+    result = []
+    for labels in discrete_labelings(table, n):
+        D = frozen_parts(table, labels, n)
+        frozen_validate_decomposition(table, D)
+        result.append(D)
+    return result
+
+
+def frozen_bijection(table, n):
+    decomps = frozen_find_decompositions(table, n)
+    states = enumerate_discrete_states(table, n)
+    if len(decomps) != len(states):
+        raise InconsistencyError("|D_n| = %d but |S_n| = %d" % (len(decomps), len(states)))
+    index = table._index
+    pairs = []
+    for D, s in zip(decomps, states):
+        labels = [0] * table.size
+        for i, part in enumerate(D.parts):
+            for a in part:
+                labels[index[a]] = i
+        g = math.gcd(n, *labels)
+        if s._den != n // g or s._num != tuple(l // g for l in labels):
+            raise InconsistencyError("decomposition-induced state not enumerated")
+        if n % s._den or frozen_parts(table, [x * (n // s._den) for x in s._num], n) != D:
+            raise InconsistencyError("state preimages do not recover the decomposition")
+        pairs.append((D, s))
+    return pairs
+
+
+def oracle_tables(pea_corpus_full):
+    return (list(pea_corpus_full) + [chain_table(k) for k in range(1, 13)]
+            + [horizontal_sum(3, 2), horizontal_sum(2, 3)])
+
+
+def test_decompositions_match_frozen_path(pea_corpus_full):
+    """Equal lists in the same order, for every n below the size."""
+    checked = 0
+    for table in oracle_tables(pea_corpus_full):
+        for n in range(1, table.size):
+            found = find_decompositions(table, n)
+            assert found == frozen_find_decompositions(table, n)
+            assert decomposition_state_bijection(table, n) == frozen_bijection(table, n)
+            checked += len(found)
+    assert checked > 1000
+
+
+def labeling_outcome(table, labels, n):
+    """The error ``find_decompositions`` raises on ``labels``, or None."""
+    try:
+        _from_labels(table, tuple(labels), n)
+    except PealError as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+def test_mutated_labelings_raise_the_frozen_messages(pea_corpus_full):
+    """A label set to another value (a broken complement, or a part left
+    empty or a label outside 0..n), and an element moved together with its
+    complements to the mirrored label (complements match, a sum breaks), are
+    refused with the frozen validator's message."""
+    messages = set()
+    for table in oracle_tables(pea_corpus_full)[::3]:
+        for n in range(1, min(table.size, 4)):
+            for labels in discrete_labelings(table, n)[:6]:
+                for a in table.elements:
+                    minus, tilde = complements(table, a)
+                    for p in range(-1, n + 2):
+                        for moved in ({a: p}, {a: p, minus: n - p, tilde: n - p}):
+                            mutated = list(labels)
+                            for e, q in moved.items():
+                                mutated[table.index(e)] = q
+                            outcome = labeling_outcome(table, mutated, n)
+                            assert outcome == validation_outcome(
+                                frozen_validate_decomposition, table, frozen_parts(table, mutated, n))
+                            if outcome:
+                                messages.add(outcome[1].split(" ")[-1])
+    assert messages >= {"carrier", "parts", "empty"}
+    assert any(m.startswith("E_") for m in messages)  # complements of x land outside E_i

@@ -658,8 +658,13 @@ def test_state_validation_matches_frozen_fraction_checks(pea_corpus_full, data):
         else:
             values[table.zero] = data.draw(
                 hyp.fractions(min_value=0, max_value=1, max_denominator=12).filter(bool))
-    assert validation_outcome(lambda: StateVector(table, values).values) == \
-        validation_outcome(lambda: fraction_state_values(table, values))
+    expected = validation_outcome(lambda: fraction_state_values(table, values))
+    assert validation_outcome(lambda: StateVector(table, values).values) == expected
+    if len(values) == table.size:
+        # the same checks on integer numerators over a common denominator
+        den = math.lcm(*(Fraction(v).denominator for v in values.values()))
+        num = [int(Fraction(values[e]) * den) for e in table.elements]
+        assert validation_outcome(lambda: StateVector._from_ints(table, num, den).values) == expected
 
 
 # -- the separable polytope against frozen copies of the single sweep -------
