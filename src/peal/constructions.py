@@ -9,6 +9,7 @@ statement.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -206,29 +207,60 @@ class SampleVerdict:
     witness: Optional[str] = None
 
 
-def _first_witness(rng: random.Random, samples: int, probe: Callable):
-    """The first non-None result of ``probe(rng)`` in ``samples`` draws, or None."""
-    for _ in range(samples):
-        witness = probe(rng)
-        if witness is not None:
-            return witness
+# samples drawn and tested per block by the verdict loop; bounds the values
+# held at once to _BLOCK times the probe's arity
+_BLOCK = 256
+
+
+def _first_witness(rng: random.Random, samples: int, probe: Callable, draw: Callable,
+                   arity: int = 1):
+    """The first non-None result of ``probe`` over ``samples`` samples, or None.
+
+    Each sample is ``arity`` values, drawn by ``draw(rng, count=...)`` ahead
+    of ``probe(*values)``: a probe draws all its values before it tests
+    them.  Values are drawn in blocks of at most ``_BLOCK`` samples and
+    tested in order, so the first witness is the one sample by sample
+    drawing finds.  When a witness ends a block early, the generator is
+    rewound to the start of the block and only the draws up to the witness
+    are taken again, so a verdict that shares the generator with later ones
+    leaves it where sample by sample drawing would.
+    """
+    left = samples
+    while left > 0:
+        block = min(left, _BLOCK)
+        state = rng.getstate()
+        values = iter(draw(rng, count=block * arity))
+        for used, args in enumerate(zip(*[values] * arity), 1):
+            witness = probe(*args)
+            if witness is not None:
+                if used < block:
+                    rng.setstate(state)
+                    draw(rng, count=used * arity)
+                return witness
+        left -= block
     return None
 
 
-def _sampled(name: str, seed: int, samples: int, probe: Callable, rng=None) -> SampleVerdict:
-    """Verdict of ``probe`` on ``samples`` draws from a generator seeded with
-    ``seed``, or from ``rng`` when several verdicts share one stream."""
-    bad = _first_witness(random.Random(seed) if rng is None else rng, samples, probe)
+def _repeated_draw(sample: Callable) -> Callable:
+    """``draw(rng, count=...)``: ``count`` successive ``sample(rng)`` calls."""
+    return lambda rng, count: [sample(rng) for _ in range(count)]
+
+
+def _sampled(name: str, seed: int, samples: int, probe: Callable, draw: Callable,
+             arity: int = 1, rng=None) -> SampleVerdict:
+    """Verdict of ``probe`` (as ``_first_witness`` runs it) on ``samples``
+    samples from a generator seeded with ``seed``, or from ``rng`` when
+    several verdicts share one stream."""
+    rng = random.Random(seed) if rng is None else rng
+    bad = _first_witness(rng, samples, probe, draw, arity)
     return SampleVerdict(name, bad is None, samples, seed, bad)
 
 
-def _additivity_probe(E: "SymbolicPea", bound: int, additive: Callable) -> Callable:
-    """Probe drawing two members of E whose defined sum s breaks
-    ``additive(x, y, s)``."""
+def _additivity_probe(E: "SymbolicPea", additive: Callable) -> Callable:
+    """Probe of two members of E whose defined sum s breaks
+    ``additive(x, y, s)``; arity 2."""
 
-    def probe(rng):
-        x = E.sample_member(rng, bound)
-        y = E.sample_member(rng, bound)
+    def probe(x, y):
         s = E.add(x, y)
         if s is not None and not additive(x, y, s):
             return "(%s, %s)" % (E.format(x), E.format(y))
@@ -247,6 +279,10 @@ class SymbolicPea:
 
     Covers the canonical products of chains with po-groups, the worked
     diamond/boolean examples over a group, and the twisted-group interval.
+
+    The group arithmetic, the twists and the membership test of each slice
+    are bound once, at construction, in tables indexed by base element, so
+    the group, offset and twists of an algebra are fixed when it is built.
     """
 
     def __init__(
@@ -294,15 +330,19 @@ class SymbolicPea:
             g = group.zero()
             if probe(g) != g:
                 raise InputError("twist at the base zero must be the identity")
-
-    # twist application helpers
-    def _tw(self, key: int, g):
-        fn = self.twist.get(key)
-        return g if fn is None else fn(g)
-
-    def _tw_inv(self, key: int, g):
-        fn = self.twist_inv.get(key)
-        return g if fn is None else fn(g)
+        # per base index: the twist and its inverse (None for the identity)
+        # and the membership test of the group part (None where every part
+        # is a member); the unit's test is set first, so the zero's wins
+        # where the two coincide, as in sample_member
+        self._gadd, self._gneg = group.add, group.neg
+        self._twists = [self.twist.get(b) for b in range(base.size)]
+        self._twists_inv = [self.twist_inv.get(b) for b in range(base.size)]
+        positive, add, neg, top = group.is_positive, group.add, group.neg, self.h
+        tests = [None] * base.size
+        tests[base.one_i] = lambda g: positive(add(top, neg(g)))
+        tests[base.zero_i] = positive
+        self._tests = tests
+        self._plans: Dict[int, List[Tuple]] = {}
 
     def describe(self) -> Dict[str, str]:
         return {
@@ -317,12 +357,10 @@ class SymbolicPea:
 
     def is_member(self, x) -> bool:
         b, g = x
-        if b == self._zero_i:
-            return self.group.is_positive(g)
-        if b == self._one_i:
-            G = self.group
-            return G.is_positive(G.add(self.h, G.neg(g)))
-        return 0 <= b < self._size
+        if not 0 <= b < self._size:
+            return False
+        test = self._tests[b]
+        return test is None or test(g)
 
     def level(self, x) -> int:
         return self.levels[x[0]]
@@ -333,32 +371,37 @@ class SymbolicPea:
         bs = self._sums[bx][by]
         if bs is None:
             return None
-        cand = (bs, self.group.add(self._tw(by, gx), gy))
-        return cand if self.is_member(cand) else None
+        tw = self._twists[by]
+        g = self._gadd(gx if tw is None else tw(gx), gy)
+        test = self._tests[bs]
+        return (bs, g) if test is None or test(g) else None
 
     def left_difference(self, x, a):
         """z with z + a = x, or None."""
-        G = self.group
-        zb = self._ldiff[x[0]][a[0]]
+        ab, ag = a
+        zb = self._ldiff[x[0]][ab]
         if zb is None:
             return None
-        zg = self._tw_inv(a[0], G.add(x[1], G.neg(a[1])))
-        z = (zb, zg)
-        if not self.is_member(z) or self.add(z, a) != x:
+        zg = self._gadd(x[1], self._gneg(ag))
+        inv = self._twists_inv[ab]
+        if inv is not None:
+            zg = inv(zg)
+        test = self._tests[zb]
+        if (test is not None and not test(zg)) or self.add((zb, zg), a) != x:
             return None
-        return z
+        return (zb, zg)
 
     def right_difference(self, a, x):
         """v with a + v = x, or None."""
-        G = self.group
         vb = self._rdiff[a[0]][x[0]]
         if vb is None:
             return None
-        vg = G.add(G.neg(self._tw(vb, a[1])), x[1])
-        v = (vb, vg)
-        if not self.is_member(v) or self.add(a, v) != x:
+        tw = self._twists[vb]
+        vg = self._gadd(self._gneg(a[1] if tw is None else tw(a[1])), x[1])
+        test = self._tests[vb]
+        if (test is not None and not test(vg)) or self.add(a, (vb, vg)) != x:
             return None
-        return v
+        return (vb, vg)
 
     def le(self, x, y) -> bool:
         return self.right_difference(x, y) is not None
@@ -390,74 +433,133 @@ class SymbolicPea:
 
     # -- samplers ----------------------------------------------------------
 
-    def sample_member(self, rng: random.Random, bound: int = 10, base_index: Optional[int] = None):
-        b = _randint(rng, 0, self._size - 1) if base_index is None else base_index
+    def _plan(self, b: int, bound: int) -> Tuple:
+        """How ``sample_members`` draws the group part at base index ``b``:
+        (sampler, lo, n, bits, k, top).  A box sampler has ``sampler`` None
+        and draws k coordinates lo + r, r uniform below n from ``bits``-bit
+        draws; any other sampler is called.  ``top`` marks the base unit,
+        whose part is h minus the draw."""
         G = self.group
-        if b == self._zero_i:
-            return (b, G.sample_nonneg(rng, bound))
-        if b == self._one_i:
-            return (b, G.add(self.h, G.neg(G.sample_nonneg(rng, bound))))
-        return (b, G.sample(rng, bound))
+        nonneg = b == self._zero_i or b == self._one_i
+        lo = 0 if nonneg else -bound
+        n = bound - lo + 1
+        # an empty range goes to the sampler, which refuses it
+        k = G.sample_box(nonneg) if n > 0 else None
+        sampler = None if k is not None else G.sample_nonneg if nonneg else G.sample
+        return sampler, lo, n, n.bit_length(), k, b != self._zero_i and b == self._one_i
+
+    def sample_members(self, rng: random.Random, bound: int = 10, count: int = 1,
+                       base_index: Optional[int] = None) -> List[Tuple]:
+        """``count`` members with the values, and the generator state, of
+        ``count`` successive calls of ``sample_member``.
+
+        The base index is ``_randint(rng, 0, size - 1)``, or ``base_index``.
+        The group part is a ``sample_nonneg`` draw over the base zero, h
+        minus one over the base unit and a ``sample`` draw elsewhere.  The
+        draws of a box sampler (``PoGroupHandle.sample_box``) are taken here,
+        each by ``_randint``'s ``getrandbits`` rejection loop; any other
+        sampler is called as it is.
+        """
+        size = self._size
+        plans = self._plans.get(bound)
+        if plans is None:
+            plans = self._plans[bound] = [self._plan(b, bound) for b in range(size)]
+        if base_index is not None and not 0 <= base_index < size:
+            plans = {base_index: self._plan(base_index, bound)}
+        getrandbits = rng.getrandbits
+        size_bits = size.bit_length()
+        h, add, neg = self.h, self._gadd, self._gneg
+        out = []
+        for _ in range(count):
+            if base_index is None:
+                b = getrandbits(size_bits)
+                while b >= size:
+                    b = getrandbits(size_bits)
+            else:
+                b = base_index
+            sampler, lo, n, bits, k, top = plans[b]
+            if sampler is None:
+                part = []
+                for _ in range(k):
+                    r = getrandbits(bits)
+                    while r >= n:
+                        r = getrandbits(bits)
+                    part.append(lo + r)
+                part = tuple(part)
+            else:
+                part = sampler(rng, bound)
+            out.append((b, add(h, neg(part)) if top else part))
+        return out
+
+    def sample_member(self, rng: random.Random, bound: int = 10, base_index: Optional[int] = None):
+        return self.sample_members(rng, bound, 1, base_index)[0]
+
+    def _member_draw(self, bound: int, base_index: Optional[int] = None) -> Callable:
+        """``draw(rng, count=...)`` for ``_first_witness``: members of this
+        algebra at ``bound``."""
+        return functools.partial(self.sample_members, bound=bound, base_index=base_index)
 
     # -- sampled verification ------------------------------------------------
+    #
+    # Each probe takes the members of one sample, drawn ahead of it (see
+    # _first_witness).  The probes of is_symmetric_sampled and
+    # sampled_ideal_predicate use their last members only when a first test
+    # passes, yet draw them always; that leaves the witness unchanged only
+    # because those verdicts own their generator.
 
     def sampled_axiom_report(self, seed: int = 0, samples: int = 400, bound: int = 8) -> List[SampleVerdict]:
-        def pe1(rng):
-            x = self.sample_member(rng, bound)
-            y = self.sample_member(rng, bound)
-            z = self.sample_member(rng, bound)
+        def pe1(x, y, z):
+            # (x + y) + z and x + (y + z): both undefined, or both equal
             xy = self.add(x, y)
             yz = self.add(y, z)
-            lhs = xy is not None and self.add(xy, z) is not None
-            rhs = yz is not None and self.add(x, yz) is not None
-            if lhs != rhs or (lhs and self.add(xy, z) != self.add(x, yz)):
+            if (None if xy is None else self.add(xy, z)) != (
+                None if yz is None else self.add(x, yz)
+            ):
                 return "(%s, %s, %s)" % (self.format(x), self.format(y), self.format(z))
 
-        def pe2(rng):
-            x = self.sample_member(rng, bound)
+        def pe2(x):
             m = self.minus(x)
             t = self.tilde(x)
             if self.add(m, x) != self.one_el or self.add(x, t) != self.one_el:
                 return self.format(x)
 
-        def pe3(rng):
-            x = self.sample_member(rng, bound)
-            y = self.sample_member(rng, bound)
+        def pe3(x, y):
             s = self.add(x, y)
             if s is not None and (
                 self.left_difference(s, x) is None or self.right_difference(y, s) is None
             ):
                 return "(%s, %s)" % (self.format(x), self.format(y))
 
-        def pe4(rng):
-            x = self.sample_member(rng, bound)
+        def pe4(x):
             if x != self.zero_el and (
                 self.add(x, self.one_el) is not None or self.add(self.one_el, x) is not None
             ):
                 return self.format(x)
 
+        # the four verdicts share one stream
         rng = random.Random(seed)
+        draw = self._member_draw(bound)
         return [
-            _sampled(name, seed, samples, probe, rng)
-            for name, probe in (("PE1", pe1), ("PE2", pe2), ("PE3", pe3), ("PE4", pe4))
+            _sampled(name, seed, samples, probe, draw, arity, rng)
+            for name, probe, arity in (("PE1", pe1, 3), ("PE2", pe2, 1),
+                                       ("PE3", pe3, 2), ("PE4", pe4, 1))
         ]
 
     def is_symmetric_sampled(self, seed: int = 0, samples: int = 2000, bound: int = 10):
         from .core import SymmetryReport
 
-        def probe(rng):
-            x = self.sample_member(rng, bound)
+        def probe(x, y):
             if self.minus(x) != self.tilde(x):
                 return (
                     self.format(x),
                     self.format(self.minus(x)),
                     self.format(self.tilde(x)),
                 )
-            y = self.sample_member(rng, bound)
             if (self.add(x, y) is None) != (self.add(y, x) is None):
                 return (self.format(x), self.format(y))
 
-        witness = _first_witness(random.Random(seed), samples, probe)
+        witness = _first_witness(random.Random(seed), samples, probe,
+                                 self._member_draw(bound), 2)
         return SymmetryReport(
             symmetric=witness is None,
             witness=witness,
@@ -470,13 +572,14 @@ class SymbolicPea:
         """Sampled version of the slice-chain property E_0 <= ... <= E_n."""
         from .decompositions import ComparabilityReport
 
-        def probe(rng):
-            x = self.sample_member(rng, bound)
-            y = self.sample_member(rng, bound)
-            if self.level(x) < self.level(y) and not self.le(x, y):
+        lv = self.levels
+
+        def probe(x, y):
+            if lv[x[0]] < lv[y[0]] and not self.le(x, y):
                 return (self.format(x), self.format(y))
 
-        witness = _first_witness(random.Random(seed), samples, probe)
+        witness = _first_witness(random.Random(seed), samples, probe,
+                                 self._member_draw(bound), 2)
         return ComparabilityReport(
             comparable=witness is None,
             sums_exist=witness is None,
@@ -491,52 +594,47 @@ class SymbolicPea:
         Compared on integer levels: level(x)/n + level(y)/n = level(s)/n
         iff level(x) + level(y) = level(s), as n >= 1."""
         lv = self.levels
-        probe = _additivity_probe(self, bound, lambda x, y, s: lv[x[0]] + lv[y[0]] == lv[s[0]])
-        return _sampled("canonical-state-additivity", seed, samples, probe)
+        probe = _additivity_probe(self, lambda x, y, s: lv[x[0]] + lv[y[0]] == lv[s[0]])
+        return _sampled("canonical-state-additivity", seed, samples, probe,
+                        self._member_draw(bound), 2)
 
     def sampled_infinit_is_level0(self, seed: int = 0, samples: int = 500, bound: int = 8) -> SampleVerdict:
         """(n+1)-fold multiples exist exactly on the bottom slice."""
+        lv = self.levels
 
-        def probe(rng):
-            x = self.sample_member(rng, bound)
-            if x != self.zero_el and (self.scale(self.n + 1, x) is not None) != (self.level(x) == 0):
+        def probe(x):
+            if x != self.zero_el and (self.scale(self.n + 1, x) is not None) != (lv[x[0]] == 0):
                 return self.format(x)
 
-        return _sampled("infinit-equals-level0", seed, samples, probe)
+        return _sampled("infinit-equals-level0", seed, samples, probe, self._member_draw(bound))
 
     def sampled_ideal_predicate(self, pred: Callable, seed: int = 0, samples: int = 500, bound: int = 8) -> SampleVerdict:
         """Downward closure and sum closure of a membership predicate, on
         sampled witnesses."""
 
-        def probe(rng):
-            y = self.sample_member(rng, bound)
-            d = self.sample_member(rng, bound)
+        def probe(y, d, i, j):
             upper = self.add(y, d)
             if upper is not None and pred(upper) and not pred(y):
                 return "not downward closed at %s <= %s" % (
                     self.format(y), self.format(upper))
-            i = self.sample_member(rng, bound)
-            j = self.sample_member(rng, bound)
             s = self.add(i, j)
             if s is not None and pred(i) and pred(j) and not pred(s):
                 return "not sum closed at %s + %s" % (self.format(i), self.format(j))
 
-        return _sampled("ideal-predicate", seed, samples, probe)
+        return _sampled("ideal-predicate", seed, samples, probe, self._member_draw(bound), 4)
 
     def sampled_normal_predicate(self, pred: Callable, seed: int = 0, samples: int = 500, bound: int = 8) -> SampleVerdict:
         """Whenever x+i and j+x exist and agree, membership of i and j must
         agree; witnesses are constructed by solving for j exactly."""
 
-        def probe(rng):
-            x = self.sample_member(rng, bound)
-            i = self.sample_member(rng, bound)
+        def probe(x, i):
             s = self.add(x, i)
             j = None if s is None else self.left_difference(s, x)
             if j is not None and pred(i) != pred(j):
                 return "%s vs %s around %s" % (
                     self.format(i), self.format(j), self.format(x))
 
-        return _sampled("normal-predicate", seed, samples, probe)
+        return _sampled("normal-predicate", seed, samples, probe, self._member_draw(bound), 2)
 
     def sampled_cyclic_uniqueness(self, c, seed: int = 0, samples: int = 500, bound: int = 8) -> SampleVerdict:
         """No sampled level-1 member other than c multiplies up to the unit."""
@@ -545,40 +643,45 @@ class SymbolicPea:
             return SampleVerdict("cyclic-uniqueness", False, samples, seed,
                                  "candidate %s is not cyclic" % (self.format(c),))
 
-        def probe(rng):
-            d = self.sample_member(rng, bound, base_index=level1)
+        def probe(d):
             if self.scale(self.n, d) == self.one_el and d != c:
                 return self.format(d)
 
-        return _sampled("cyclic-uniqueness", seed, samples, probe)
+        return _sampled("cyclic-uniqueness", seed, samples, probe, self._member_draw(bound, level1))
 
     def sampled_difference_consistency(self, seed: int = 0, samples: int = 300, bound: int = 6) -> SampleVerdict:
         """Group differences solved from two presentations of the same
-        algebra differences must agree, in both difference directions."""
+        algebra differences must agree, in both difference directions.
+
+        Which draws a sample takes depends on the values drawn, so members
+        are drawn one at a time.  Passing needs at least
+        ``max(1, samples // 4)`` usable samples."""
+        if samples < 1:
+            raise InputError("samples must be at least 1, got %d" % (samples,))
         G = self.group
         rng = random.Random(seed)
+        lv, zero_i, inverse = self.levels, self._zero_i, self._twists_inv
         checked = 0
         bad = None
         attempts = 0
         while checked < samples and attempts < samples * 20:
             attempts += 1
             w = self.sample_member(rng, bound)
-            if self.level(w) == 0:
+            if lv[w[0]] == 0:
                 continue
-            a = self.sample_member(rng, bound, base_index=self._zero_i)
-            b = self.sample_member(rng, bound, base_index=self._zero_i)
+            a, b = self.sample_members(rng, bound, 2, zero_i)
             x = self.add(w, a)
             y = self.add(w, b)
             if x is None or y is None:
                 continue
             # second presentation: c = s + a with s >= 0, then d solves w2 + d = y
             s = G.sample_nonneg(rng, bound)
-            c = (self._zero_i, G.add(s, a[1]))
+            c = (zero_i, G.add(s, a[1]))
             w2 = self.left_difference(x, c)
             if w2 is None:
                 continue
             d = self.right_difference(w2, y)
-            if d is None or self.level(d) != 0:
+            if d is None or lv[d[0]] != 0:
                 continue
             # premises: x\a = y\b = w and x\c = w2 = y\d; conclusions in G
             if self.left_difference(y, d) != w2 or self.left_difference(x, a) != w:
@@ -599,11 +702,13 @@ class SymbolicPea:
             x2 = self.add(e, w)
             y2 = self.add(f, w)
             if x2 is not None and y2 is not None:
-                g2 = (self._zero_i, G.add(s, e[1]))
+                g2 = (zero_i, G.add(s, e[1]))
                 v2 = self.right_difference(g2, x2)
                 if v2 is not None:
-                    h2g = self._tw_inv(v2[0], G.add(y2[1], G.neg(v2[1])))
-                    h2 = (self._zero_i, h2g)
+                    h2g = G.add(y2[1], G.neg(v2[1]))
+                    if inverse[v2[0]] is not None:
+                        h2g = inverse[v2[0]](h2g)
+                    h2 = (zero_i, h2g)
                     if self.is_member(h2) and self.right_difference(h2, y2) == v2:
                         if G.add(e[1], G.neg(f[1])) != G.add(g2[1], G.neg(h2[1])):
                             bad = "dual half at %s" % self.format(x2)
@@ -612,7 +717,7 @@ class SymbolicPea:
                             bad = "dual half at %s" % self.format(x2)
                             break
             checked += 1
-        if checked < samples // 4 and bad is None:
+        if checked < max(1, samples // 4) and bad is None:
             bad = "insufficient usable samples (%d)" % checked
         return SampleVerdict("difference-consistency", bad is None, checked, seed, bad)
 
@@ -760,8 +865,9 @@ class Measure:
                     )
             return SampleVerdict("measure-additivity", True, 0, seed, None)
         fn, K = self.fn, self.codomain
-        probe = _additivity_probe(self.domain, bound, lambda x, y, s: K.add(fn(x), fn(y)) == fn(s))
-        return _sampled("measure-additivity", seed, samples, probe)
+        probe = _additivity_probe(self.domain, lambda x, y, s: K.add(fn(x), fn(y)) == fn(s))
+        return _sampled("measure-additivity", seed, samples, probe,
+                        self.domain._member_draw(bound), 2)
 
 
 def _require_chain_presentation(E: SymbolicPea) -> None:
@@ -820,12 +926,12 @@ def strong_perfect_representation(
         A = E.ambient
         amb_c = E.to_ambient(c)
 
-        def noncommuting(rng):
-            g = A.sample(rng, bound)
+        def noncommuting(g):
             if A.add(amb_c, g) != A.add(g, amb_c):
                 return g
 
-        if _first_witness(random.Random(seed), samples, noncommuting) is not None:
+        draw = _repeated_draw(lambda rng: A.sample(rng, bound))
+        if _first_witness(random.Random(seed), samples, noncommuting, draw) is not None:
             raise NotStrongError("cyclic candidate not central in the ambient group")
     tf, tw = probe_torsion_free(G, samples=min(samples, 500), seed=seed)
     if not tf:
@@ -853,33 +959,29 @@ def strong_perfect_representation(
         t = target.add(phi(x), phi(y))
         return t is not None and t == phi(s)
 
-    def order_reflected(rng):
-        x = E.sample_member(rng, bound)
-        y = E.sample_member(rng, bound)
+    def order_reflected(x, y):
         if E.le(x, y) != target.le(phi(x), phi(y)):
             return "(%s, %s)" % (E.format(x), E.format(y))
 
-    def injective(rng):
-        x = E.sample_member(rng, bound)
-        y = E.sample_member(rng, bound)
+    def injective(x, y):
         if x != y and phi(x) == phi(y):
             return "(%s, %s)" % (E.format(x), E.format(y))
 
-    def surjective(rng):
-        t = target.sample_member(rng, bound)
+    def surjective(t):
         i = target.level(t)
         preimage = (E.levels.index(i), G.add(G.scale(i, c[1]), t[1]))
         if not E.is_member(preimage) or phi(preimage) != t:
             return target.format(t)
 
     rng = random.Random(seed)
+    draw = E._member_draw(bound)
     verdicts = tuple(
-        _sampled(name, seed, samples, probe, rng)
-        for name, probe in (
-            ("phi-additivity", _additivity_probe(E, bound, phi_additive)),
-            ("phi-order-reflection", order_reflected),
-            ("phi-injectivity", injective),
-            ("phi-surjectivity", surjective),
+        _sampled(name, seed, samples, probe, members, arity, rng)
+        for name, probe, members, arity in (
+            ("phi-additivity", _additivity_probe(E, phi_additive), draw, 2),
+            ("phi-order-reflection", order_reflected, draw, 2),
+            ("phi-injectivity", injective, draw, 2),
+            ("phi-surjectivity", surjective, target._member_draw(bound), 1),
         )
     )
     report = RepresentationReport(
@@ -921,14 +1023,13 @@ def lift_group_hom(
     The callable is first probed for additivity; the lift is then checked to
     preserve levels/membership and to be additive on sampled sums."""
 
-    def nonadditive(rng):
-        a = domain_group.sample(rng, bound)
-        b = domain_group.sample(rng, bound)
+    def nonadditive(a, b):
         if codomain_group.add(h(a), h(b)) != h(domain_group.add(a, b)):
             return "(%s, %s)" % (domain_group.format(a), domain_group.format(b))
 
     rng = random.Random(seed)
-    bad = _first_witness(rng, samples, nonadditive)
+    bad = _first_witness(rng, samples, nonadditive,
+                         _repeated_draw(lambda rng: domain_group.sample(rng, bound)), 2)
     if bad is not None:
         raise InputError("callable is not additive at %s" % (bad,))
     E = SymbolicPea(chain_table(n), domain_group, ambient=LexExtensionGroup(domain_group),
@@ -939,8 +1040,7 @@ def lift_group_hom(
     def f(x):
         return (x[0], h(x[1]))
 
-    def level_preserved(rng):
-        x = E.sample_member(rng, bound)
+    def level_preserved(x):
         y = f(x)
         if not F.is_member(y) or F.level(y) != E.level(x):
             return E.format(x)
@@ -949,10 +1049,12 @@ def lift_group_hom(
         t = F.add(f(x), f(y))
         return t is not None and t == f(s)
 
-    levels = _sampled("level-preservation", seed, samples, level_preserved, rng)
+    draw = E._member_draw(bound)
+    levels = _sampled("level-preservation", seed, samples, level_preserved, draw, rng=rng)
     if not levels.passed:
         raise InputError("lift does not preserve levels/membership at %s" % (levels.witness,))
-    additivity = _sampled("lift-additivity", seed, samples, _additivity_probe(E, bound, f_additive), rng)
+    additivity = _sampled("lift-additivity", seed, samples, _additivity_probe(E, f_additive),
+                          draw, 2, rng)
     if not additivity.passed:
         raise InputError("lift is not additive at %s" % (additivity.witness,))
     return LiftedMorphism(f, E, F, (levels, additivity))
@@ -1042,22 +1144,22 @@ def universal_group_extension(
                 ("canonical",) ,
             )
 
-    def homomorphic(rng):
-        x = (_randint(rng, -E.n, 2 * E.n), G.sample(rng, bound))
-        y = (_randint(rng, -E.n, 2 * E.n), G.sample(rng, bound))
+    def homomorphic(x, y):
         total = (x[0] + y[0], G.add(x[1], y[1]))
         if phi_star(total) != K.add(phi_star(x), phi_star(y)):
             return "(%d,%s) + (%d,%s)" % (x[0], G.format(x[1]), y[0], G.format(y[1]))
 
-    def factors(rng):
-        x = E.sample_member(rng, bound)
+    def factors(x):
         if phi_star((E.level(x), x[1])) != phi(x):
             return E.format(x)
 
     verdicts = (
         SampleVerdict("well-definedness", True, presentation_pairs, seed, None),
-        _sampled("homomorphism", seed, samples, homomorphic, rng),
-        _sampled("factors-through-embedding", seed, samples, factors, rng),
+        _sampled("homomorphism", seed, samples, homomorphic,
+                 _repeated_draw(lambda rng: (_randint(rng, -E.n, 2 * E.n), G.sample(rng, bound))),
+                 2, rng),
+        _sampled("factors-through-embedding", seed, samples, factors, E._member_draw(bound),
+                 rng=rng),
     )
     report = ExtensionReport(phi_star, verdicts)
     if not report.passed:

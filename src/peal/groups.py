@@ -101,6 +101,15 @@ class PoGroupHandle:
     def sample_nonneg(self, rng: random.Random, bound: int):
         raise NotImplementedError
 
+    def sample_box(self, nonneg: bool = False) -> Optional[int]:
+        """k when ``sample`` (``sample_nonneg`` with ``nonneg``) is a box
+        sampler: it draws k coordinates, each ``_randint(rng, -bound, bound)``
+        (``_randint(rng, 0, bound)``), in order, and nothing else.  None for
+        any other sampler.  The symbolic layer inlines the draws of a box
+        sampler instead of calling it, so a subclass that overrides a box
+        sampler overrides this as well."""
+        return None
+
     def sample_dominating(self, rng: random.Random, bound: int, g):
         """Some d >= 0 with g + d >= 0 (used for positive presentations)."""
         raise NotImplementedError
@@ -146,15 +155,28 @@ class IntVectorGroup(PoGroupHandle):
     def zero(self):
         return (0,) * self.k
 
+    # add, neg and the pointwise cone are unrolled for k = 1 and 2, the
+    # dimensions of the symbolic fixtures, where they are the hot path of
+    # every sampled verdict
     def add(self, x, y):
+        k = self.k
+        if k == 1:
+            return (x[0] + y[0],)
+        if k == 2:
+            return (x[0] + y[0], x[1] + y[1])
         return tuple(map(operator.add, x, y))
 
     def neg(self, x):
+        k = self.k
+        if k == 1:
+            return (-x[0],)
+        if k == 2:
+            return (-x[0], -x[1])
         return tuple(map(operator.neg, x))
 
     def is_positive(self, x) -> bool:
         if self.order == "pointwise":
-            return min(x) >= 0
+            return x[0] >= 0 if self.k == 1 else min(x) >= 0
         for a in x:
             if a != 0:
                 return a > 0
@@ -167,6 +189,9 @@ class IntVectorGroup(PoGroupHandle):
 
     def sample(self, rng, bound):
         return _randints(rng, -bound, bound, self.k)
+
+    def sample_box(self, nonneg=False):
+        return None if nonneg and self.order != "pointwise" else self.k
 
     def sample_nonneg(self, rng, bound):
         if self.order == "pointwise":
@@ -255,6 +280,9 @@ class TwistedZ3Group(PoGroupHandle):
 
     def sample(self, rng, bound):
         return _randints(rng, -bound, bound, 3)
+
+    def sample_box(self, nonneg=False):
+        return None if nonneg else 3
 
     def sample_nonneg(self, rng, bound):
         lead = _randint(rng, 0, bound)

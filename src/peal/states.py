@@ -722,38 +722,38 @@ def _as_state(table: PartialAdditionTable, s) -> StateVector:
 def classify_state(table: PartialAdditionTable, s: StateVector) -> StateClassification:
     """Decide discreteness of a state by its image, checking that the three
     equivalent criteria (uniform image, sub-effect-algebra image, difference
-    closure) agree on this instance."""
+    closure) agree on this instance.
+
+    The criteria are decided on the image's integer numerators over the
+    state's one denominator; Fractions are formed only for the result."""
     s = _as_state(table, s)
-    img = s.image()
+    den = s._den
+    img = sorted(set(s._num))
     n = len(img) - 1
     if n < 1:
         raise InputError("state image must contain 0 and 1")
     img_set = set(img)
     # (iii): differences of comparable image values stay in the image
-    cond_iii = True
-    gap = None
-    for ti in img:
-        for u in img:
-            if ti <= u and u - ti not in img_set:
-                cond_iii = False
-                if gap is None:
-                    gap = (ti, u, u - ti)
+    gap = next(((t, u, u - t) for t in img for u in img
+                if t <= u and u - t not in img_set), None)
+    cond_iii = gap is None
     # (ii): the image is a sub-effect algebra of [0,1]
-    cond_ii = all(1 - v in img_set for v in img) and all(
-        u + v in img_set for u in img for v in img if u + v <= 1
+    cond_ii = all(den - v in img_set for v in img) and all(
+        u + v in img_set for u in img for v in img if u + v <= den
     )
-    uniform = img == [Fraction(i, n) for i in range(n + 1)]
+    uniform = all(x * n == i * den for i, x in enumerate(img))
+    image = tuple(Fraction(x, den) for x in img)
     if not (cond_ii == cond_iii == uniform):
         raise InconsistencyError(
-            "discreteness criteria disagree on image %r" % (img,)
+            "discreteness criteria disagree on image %r" % (list(image),)
         )
     return StateClassification(
         discrete=uniform,
         n=n if uniform else None,
-        image=tuple(img),
+        image=image,
         condition_ii=cond_ii,
         condition_iii=cond_iii,
-        gap_witness=gap,
+        gap_witness=None if gap is None else tuple(Fraction(x, den) for x in gap),
     )
 
 

@@ -293,12 +293,12 @@ def symbolic_battery(report: SuiteReport, seed: int, samples: int) -> None:
     ex47 = builtin_pea("example47")
     preds = ex47.ideal_predicates
 
-    def outside_intersection(rng):
-        x = ex47.sample_member(rng, 10)
+    def outside_intersection(x):
         if (preds["I_a"](x) and preds["I_b"](x)) != preds["E_0"](x):
             return x
 
-    ok = _first_witness(random.Random(seed), samples, outside_intersection) is None
+    ok = _first_witness(random.Random(seed), samples, outside_intersection,
+                        ex47._member_draw(10)) is None
     report.record("example47-E0-is-Ia-cap-Ib", ok, "%d samples" % samples)
     report.record("example47-infinit-level0",
                   ex47.sampled_infinit_is_level0(seed=seed, samples=min(samples, 500)).passed, "")
@@ -330,7 +330,8 @@ def symbolic_battery(report: SuiteReport, seed: int, samples: int) -> None:
                                          samples=min(samples, 500)).passed, "")
     for fixture, fname in ((tg, "twisted-gamma"), (ex46, "example46"),
                            (ex47, "example47"), (z2prod, "z2-product")):
-        verdict = fixture.sampled_difference_consistency(seed=seed, samples=min(samples // 4, 300))
+        verdict = fixture.sampled_difference_consistency(
+            seed=seed, samples=max(1, min(samples // 4, 300)))
         report.record("difference-consistency-%s" % fname, verdict.passed, verdict.witness or "")
 
     one_product = lex_product_pea(1, IntVectorGroup(1), seed=seed)

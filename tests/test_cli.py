@@ -518,3 +518,37 @@ def test_unwritable_output_is_input_error(docs, tmp_path, argv):
     assert "input error: cannot write" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not target.exists()
+
+
+# SHA-256 of the stdout of sampled reports, recorded before the batched
+# sampling kernels.  A change to one of them is a verdict change, not a
+# test update, and must be explained where the change is recorded.
+PINNED_SAMPLED_REPORTS = {
+    ("--seed", "0", "suite", "--max-size", "5", "--samples", "300"):
+        "d3ea06d998976195823da05646c4d00eacb3fb2b8fb9e14125bf903ec599857d",
+    ("--seed", "7", "suite", "--max-size", "5", "--samples", "300"):
+        "50be9b107dbc3b23e94877044e1f6c9e96ea85ad93c4bbffee1d0c517e56dadd",
+    ("--seed", "3", "construct", "--lex-product", "3", "--group", "z:2", "--samples", "500"):
+        "8ea0ff498f0e2c4e42367e0bc546219077420d799e473141aac27ce6c576cd1c",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_SAMPLED_REPORTS), ids=" ".join)
+def test_sampled_reports_keep_their_pinned_bytes(argv):
+    proc = run_process(["--format", "json"] + list(argv), PYTHONHASHSEED="0")
+    assert proc.returncode == 0 and proc.stderr == ""
+    digest = hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest()
+    assert digest == PINNED_SAMPLED_REPORTS[argv]
+
+
+def test_difference_consistency_needs_a_usable_sample(capsys):
+    # --samples 3 once gave the difference-consistency checks 0 samples,
+    # which passed; with no usable sample in its attempts, twisted_gamma's
+    # check now fails and says so
+    code, out = run(capsys, ["--format", "json", "--seed", "7", "suite",
+                             "--max-size", "2", "--samples", "3"])
+    verdicts = {v["name"]: v for v in json.loads(out)["verdicts"]}
+    twisted = verdicts["difference-consistency-twisted-gamma"]
+    assert not twisted["passed"]
+    assert twisted["detail"] == "insufficient usable samples (0)"
+    assert code == 1

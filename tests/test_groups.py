@@ -1,3 +1,4 @@
+import ast
 import os
 import random
 import re
@@ -224,15 +225,65 @@ def test_randint_interleaves_with_user_samplers():
             assert ours.getstate() == theirs.getstate()
 
 
+# the functions that call Random.getrandbits, each by the rejection loop of
+# Random._randbelow_with_getrandbits: so every draw takes the stream that
+# Random.randint would take
+DRAW_KERNELS = {
+    ("groups.py", "_randint"),
+    ("groups.py", "_randints"),
+    ("constructions.py", "SymbolicPea.sample_members"),
+}
+
+
+def _getrandbits_users(source):
+    """Qualified names of the functions in ``source`` that name getrandbits."""
+    found = []
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                walk(child, scope + [child.name])
+            else:
+                names = {getattr(child, "attr", None), getattr(child, "id", None),
+                         getattr(child, "value", None)}
+                names |= {alias.name for alias in getattr(child, "names", ())
+                          if isinstance(alias, ast.alias)}
+                if "getrandbits" in names:
+                    found.append(".".join(scope) or "<module>")
+                walk(child, scope)
+
+    walk(ast.parse(source), [])
+    return found
+
+
 def test_samplers_draw_only_through_randint():
-    """Every draw in peal goes through ``groups._randint``/``_randints``, so no
-    module may call the Random methods whose stream those reproduce."""
+    """Every draw in peal goes through ``groups._randint``/``_randints`` or
+    the member kernel ``SymbolicPea.sample_members``: no module may call the
+    Random methods whose stream those reproduce, and no other function may
+    call ``getrandbits``, since the stream identity rests on those three."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src", "peal")
     calls = re.compile(r"\.(randint|randrange)\(")
     offenders = []
+    users = set()
     for name in sorted(os.listdir(src)):
         if name.endswith(".py"):
             with open(os.path.join(src, name), encoding="utf-8") as fh:
-                offenders += ["%s:%d" % (name, i) for i, line in enumerate(fh, 1)
-                              if calls.search(line)]
+                source = fh.read()
+            offenders += ["%s:%d" % (name, i) for i, line in enumerate(source.splitlines(), 1)
+                          if calls.search(line)]
+            users |= {(name, fn) for fn in _getrandbits_users(source)}
     assert offenders == []
+    assert users == DRAW_KERNELS
+
+
+def test_getrandbits_scan_sees_every_use():
+    source = (
+        "import random\n"
+        "def f(rng):\n    return rng.getrandbits(3)\n"
+        "class C:\n    def g(self, rng):\n        draw = rng.getrandbits\n"
+        "        return [draw(2) for _ in range(3)]\n"
+        "x = random.Random(0).getrandbits(1)\n"
+        "from random import getrandbits\n"
+        "def h(rng):\n    return getattr(rng, 'getrandbits')(1)\n"
+    )
+    assert _getrandbits_users(source) == ["f", "C.g", "<module>", "<module>", "h"]

@@ -364,6 +364,61 @@ def test_classification_criteria_agree_on_random_states(num, den):
     classify_state(table, s)
 
 
+def frozen_classify_state(table, s):
+    """``classify_state`` as it was when it decided the criteria on the
+    Fraction image."""
+    s = states._as_state(table, s)
+    img = s.image()
+    n = len(img) - 1
+    if n < 1:
+        raise InputError("state image must contain 0 and 1")
+    img_set = set(img)
+    cond_iii = True
+    gap = None
+    for ti in img:
+        for u in img:
+            if ti <= u and u - ti not in img_set:
+                cond_iii = False
+                if gap is None:
+                    gap = (ti, u, u - ti)
+    cond_ii = all(1 - v in img_set for v in img) and all(
+        u + v in img_set for u in img for v in img if u + v <= 1
+    )
+    uniform = img == [Fraction(i, n) for i in range(n + 1)]
+    if not (cond_ii == cond_iii == uniform):
+        raise InconsistencyError(
+            "discreteness criteria disagree on image %r" % (img,)
+        )
+    return states.StateClassification(
+        discrete=uniform,
+        n=n if uniform else None,
+        image=tuple(img),
+        condition_ii=cond_ii,
+        condition_iii=cond_iii,
+        gap_witness=gap,
+    )
+
+
+def test_classification_matches_frozen_fraction_criteria(pea_corpus_full, boolean4):
+    checked = set()
+    for table in pea_corpus_full:
+        found = list(solve_state_space(table).extremal_states)
+        for n in range(1, 7):
+            found += enumerate_discrete_states(table, n)
+        for s in found:
+            ours = classify_state(table, s)
+            assert ours == frozen_classify_state(table, s)
+            assert str(ours) == str(frozen_classify_state(table, s))
+            checked.add((ours.discrete, ours.gap_witness is None))
+    # mapping states with non-uniform images, and a gap witness
+    for a in (Fraction(1, 4), Fraction(1, 3), Fraction(2, 7), Fraction(1, 2), ONE, ZERO):
+        values = {"0": ZERO, "a": a, "a'": 1 - a, "1": ONE}
+        ours = classify_state(boolean4, values)
+        assert ours == frozen_classify_state(boolean4, values)
+        checked.add((ours.discrete, ours.gap_witness is None))
+    assert checked == {(True, True), (False, False)}
+
+
 def test_extremality(boolean4, diamond):
     s = StateVector(
         boolean4,
