@@ -518,9 +518,9 @@ class SymbolicPea:
                 return "(%s, %s, %s)" % (self.format(x), self.format(y), self.format(z))
 
         def pe2(x):
-            m = self.minus(x)
-            t = self.tilde(x)
-            if self.add(m, x) != self.one_el or self.add(x, t) != self.one_el:
+            # x has a left and a right complement; each difference checks its sum
+            one = self.one_el
+            if self.left_difference(one, x) is None or self.right_difference(x, one) is None:
                 return self.format(x)
 
         def pe3(x, y):

@@ -1,14 +1,18 @@
 """Riesz decomposition properties on finite PEAs, decided by exhaustive search.
 
 (RDP)_0 is searched directly.  (RDP) and (RDP)_1 share one scan over the
-equal sums a1+a2 = b1+b2 and their 2x2 refinements, run once per table.
+equal sums a1+a2 = b1+b2 and their 2x2 refinements, run once per table on
+the order bitmasks.  A quadruple and its transpose b1+b2 = a1+a2 always
+get the same verdict, so only the pairs (b1, b2) after (a1, a2) are
+scanned, and only those with b1 incomparable to a1, since comparable ones
+are always refined.  The (RDP)_1 side condition on (c12, c21) is one mask
+test against the elements that commute with everything below c12.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
 from .core import (
     InconsistencyError,
@@ -56,19 +60,31 @@ def check_rdp0(table: PartialAdditionTable) -> Tuple[bool, Optional[Tuple[str, .
     return True, None
 
 
-def _refinement_matrices(t, rdiff, down, a1, a2, b1, b2):
-    """All 2x2 refinements of a1+a2 = b1+b2, as their (c12, c21).
+@derived
+def _commuting_below(table: PartialAdditionTable) -> Tuple[int, ...]:
+    """``below[c]``: the mask of the y such that x+y and y+x are defined and
+    equal for every x <= c (the meet of ``comm[x]`` over the down-set of c,
+    where ``comm[x]`` is the mask of the y that x commutes with)."""
+    t = table._sums
+    k = table.size
+    comm = [0] * k
+    for x, y, s in table.defined_sums():
+        if t[y][x] == s:
+            comm[x] |= 1 << y
+    below = []
+    for down_c in induced_order(table).down:
+        meet = -1
+        for x in _bits(down_c):
+            meet &= comm[x]
+        below.append(meet)
+    return tuple(below)
 
-    Only c11 is searched, over the common lower bounds of a1 and b1: the
-    sum equations pin c12, c21 by cancellation and c22 must solve both
-    remaining equations.
-    """
-    for c11 in _bits(down[a1] & down[b1]):
-        c12 = rdiff[c11][a1]
-        c21 = rdiff[c11][b1]
-        c22 = rdiff[c21][a2]
-        if c22 is not None and t[c12][c22] == b2:
-            yield c12, c21
+
+def _side_condition(table: PartialAdditionTable, c12: int, c21: int) -> bool:
+    """The (RDP)_1 side condition on the element indices (c12, c21): x+y and
+    y+x are defined and equal for all x <= c12 and y <= c21.  One mask test:
+    the down-set of c21 lies inside the commuting mask below c12."""
+    return not induced_order(table).down[c21] & ~_commuting_below(table)[c12]
 
 
 @derived
@@ -76,38 +92,57 @@ def _refinement_scan(table: PartialAdditionTable):
     """The first quadruple (a1, a2, b1, b2) failing (RDP) and the first
     failing (RDP)_1, each None when the property holds.
 
-    One pass over the equal sums a1+a2 = b1+b2 in element order; a
-    quadruple with no refinement fails both properties.  Refinements are
-    tried until one meets the (RDP)_1 side condition, or until the first
-    one once an (RDP)_1 witness is known; the side condition is decided
-    once per pair (c12, c21).
+    The quadruples are the equal sums a1+a2 = b1+b2, in the order of
+    ``defined_sums()`` for (a1, a2) and then for (b1, b2).  A quadruple with
+    no refinement fails both properties; one whose refinements all miss the
+    (RDP)_1 side condition fails (RDP)_1 only.  Three facts cut the scan
+    down without moving either witness:
+
+    * Transposition.  (c11, c12, c21, c22) refines a1+a2 = b1+b2 iff
+      (c11, c21, c12, c22) refines b1+b2 = a1+a2, and the side condition is
+      symmetric in (c12, c21), so a quadruple and its transpose always get
+      the same verdict.  The first failure in scan order therefore has
+      (b1, b2) after (a1, a2), and never equal to it: (a1, 0, 0, a2)
+      refines the diagonal.  By cancellation b1 fixes b2, so the pairs
+      after (a1, a2) are the b1 > a1 of the down-set of the sum.
+    * Comparability.  If a1 + c = b1, then (a1, 0, c, b2) refines the
+      quadruple; if b1 + c = a1, then (b1, c, 0, a2) does.  Both meet the
+      side condition, since one of c12, c21 is 0.  So only the b1
+      incomparable to a1 are searched; on a chain none is.
+    * The rest is a walk over c11 in the common lower bounds of a1 and b1,
+      lowest first: cancellation pins c12 and c21, and c22 must solve both
+      remaining equations.  The side condition is the mask test of
+      :func:`_side_condition`, tried only until an (RDP)_1 witness is known.
     """
     _require_pea(table)
     t = table._sums
-    down = induced_order(table).down
+    order = induced_order(table)
+    down, up = order.down, order.up
     rdiff = _differences(table)[1]
+    below = _commuting_below(table)
     els = table.elements
-
-    @functools.cache
-    def side_condition(c12, c21):
-        # every x <= c12 and y <= c21 have x+y and y+x defined and equal
-        return all(
-            t[x][y] is not None and t[x][y] == t[y][x]
-            for x in _bits(down[c12])
-            for y in _bits(down[c21])
-        )
-
-    pairs_by_sum: Dict[int, List[Tuple[int, int]]] = {}
-    for b1, b2, s in table.defined_sums():
-        pairs_by_sum.setdefault(s, []).append((b1, b2))
     rdp1_witness = None
     for a1, a2, s in table.defined_sums():
-        for b1, b2 in pairs_by_sum[s]:
+        rest = down[s] & ~((2 << a1) - 1 | up[a1] | down[a1])
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            b1 = low.bit_length() - 1
+            b2 = rdiff[b1][s]
+            common = down[a1] & down[b1]
             refined = False
-            for c12, c21 in _refinement_matrices(t, rdiff, down, a1, a2, b1, b2):
-                refined = True
-                if rdp1_witness is not None or side_condition(c12, c21):
-                    break
+            while common:
+                low = common & -common
+                common ^= low
+                c11 = low.bit_length() - 1
+                c21 = rdiff[c11][b1]
+                c22 = rdiff[c21][a2]
+                if c22 is not None:
+                    c12 = rdiff[c11][a1]
+                    if t[c12][c22] == b2:
+                        refined = True
+                        if rdp1_witness is not None or not down[c21] & ~below[c12]:
+                            break
             else:
                 witness = (els[a1], els[a2], els[b1], els[b2])
                 if not refined:

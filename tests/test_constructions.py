@@ -1025,6 +1025,23 @@ def test_axiom_report_keeps_its_shared_stream_past_a_witness(block, monkeypatch)
     assert pe3 == {True, False}
 
 
+def test_axiom_report_fails_pe2_on_a_member_without_complement():
+    """A twist that negates the part, given without its inverse: the left
+    difference of 1 by (1/2, g) is found only for g = 0, so PE2 fails with
+    a witness instead of ending the report, and the other three verdicts
+    are still drawn."""
+    sym = SymbolicPea(chain_table(2), IntVectorGroup(1), twist={1: lambda g: (-g[0],)})
+    report = sym.sampled_axiom_report(seed=0, samples=50)
+    assert [(v.name, v.passed, v.witness) for v in report] == [
+        ("PE1", True, None),
+        ("PE2", False, "(1/2,-4)"),
+        ("PE3", False, "((0,2), (1/2,-8))"),
+        ("PE4", True, None),
+    ]
+    assert all(v.samples == 50 and v.seed == 0 for v in report)
+    assert sym.left_difference(sym.one_el, (1, (-4,))) is None
+
+
 def sampled_reports(sym, seed):
     """Every sampled verdict of ``sym`` at ``seed``."""
     out = list(sym.sampled_axiom_report(seed=seed, samples=150))
