@@ -376,15 +376,8 @@ def check_axioms(table: PartialAdditionTable, kind: str = "pea") -> AxiomReport:
 
     if kind == "pea":
         t = table._sums
-        k = table.size
-        z = table.zero_i
-        u = table.one_i
-        column_units = [col.count(u) for col in zip(*t)]
-        found.append(("PE2", next(
-            ((a,) for a in range(k) if t[a].count(u) != 1 or column_units[a] != 1), None)))
-        found.append(("PE4", next(
-            ((a,) for a in range(k) if a != z and (t[u][a] is not None or t[a][u] is not None)),
-            None)))
+        found.append(("PE2", _complement_witness(t, table.one_i)))
+        found.append(("PE4", _unit_sum_witness(t, table.zero_i, table.one_i)))
 
     violations = tuple((tag, tuple(map(els.__getitem__, w))) for tag, w in found if w is not None)
     return AxiomReport(kind=kind, passed=not violations, violations=violations)
@@ -394,30 +387,57 @@ def check_axioms(table: PartialAdditionTable, kind: str = "pea") -> AxiomReport:
 def _axiom_witnesses(table: PartialAdditionTable):
     """Index witnesses (None where the axiom holds) of associativity, the
     shift axiom, cancellation, GP4 and GP5: the checks both kinds share."""
-    t = table._sums
-    k = table.size
-    z = table.zero_i
-    rows = [[(j, s) for j, s in enumerate(row) if s is not None] for row in t]
+    return tuple(_witnesses(table._sums, table.zero_i))
+
+
+def _witnesses(t, z: int, u: Optional[int] = None) -> Iterator[Optional[tuple]]:
+    """The index witnesses of the table whose rows are ``t`` (``t[a][b]``
+    the index of a + b, or None) and zero ``z``, one axiom at a time:
+    associativity, the shift axiom, cancellation, GP4, GP5 and, given a
+    unit ``u``, PE2 and PE4."""
+    rows = _defined_rows(t)
+    yield _associativity_witness(t, rows, z)
     cols = list(zip(*t))
     row_values = [set(row) for row in t]
     col_values = [set(col) for col in cols]
-    return (
-        _associativity_witness(t, rows),
-        _shift_witness(rows, row_values, col_values),
-        _duplicate_witness(t, row_values) or _duplicate_witness(cols, col_values),
-        _positivity_witness(t, z, row_values),
-        next(((a,) for a in range(k) if t[a][z] != a or t[z][a] != a), None),
-    )
+    yield _shift_witness(rows, row_values, col_values)
+    yield _duplicate_witness(t, row_values) or _duplicate_witness(cols, col_values)
+    yield _positivity_witness(t, z, row_values)
+    yield _unit_law_witness(t, z)
+    if u is not None:
+        yield _complement_witness(t, u)
+        yield _unit_sum_witness(t, z, u)
 
 
-def _associativity_witness(t, rows) -> Optional[Tuple[int, int, int]]:
+def _axioms_hold(t, z: int, u: Optional[int] = None) -> bool:
+    """``check_axioms(table, kind).passed`` for the table with rows ``t``,
+    zero ``z`` and, for kind "pea", unit ``u`` (None for kind "gpea").
+
+    It runs the witness helpers of ``check_axioms`` and stops at the first
+    violated axiom, building no table.  Associativity goes first, as the
+    axiom an arbitrary table breaks most often.  Its scan assumes the unit
+    law on row 0, which a table whose zero row breaks fails anyway, at GP5.
+    """
+    return all(w is None for w in _witnesses(t, z, u))
+
+
+def _defined_rows(t) -> List[List[Tuple[int, int]]]:
+    """Per row a, the defined sums as (b, a + b), in column order."""
+    return [[(j, s) for j, s in enumerate(row) if s is not None] for row in t]
+
+
+def _associativity_witness(t, rows, z) -> Optional[Tuple[int, int, int]]:
     """The least (a, b, c) where exactly one of (a+b)+c and a+(b+c) is
-    defined, or both are and differ; see :func:`check_axioms`."""
+    defined, or both are and differ; see :func:`check_axioms`.  Row ``z``
+    is taken to be the unit law's, 0 + x = x, so no triple with a = 0 can
+    fail and that row is skipped."""
     sum_counts = [0] * len(t)
     for row in rows:
         for _, s in row:
             sum_counts[s] += 1
     for a, row_a in enumerate(rows):
+        if a == z:
+            continue
         ta = t[a]
         best = None
         seen = 0
@@ -485,6 +505,26 @@ def _positivity_witness(t, z, row_values) -> Optional[Tuple[int, int]]:
                 if s == z and (a != z or b != z):
                     return a, b
     return None
+
+
+def _unit_law_witness(t, z) -> Optional[Tuple[int]]:
+    """The first a with a + 0 or 0 + a other than a (GP5)."""
+    return next(((a,) for a in range(len(t)) if t[a][z] != a or t[z][a] != a), None)
+
+
+def _complement_witness(t, u) -> Optional[Tuple[int]]:
+    """The first a without exactly one d with a + d = 1 and exactly one e
+    with e + a = 1 (PE2)."""
+    column_units = [col.count(u) for col in zip(*t)]
+    return next(((a,) for a in range(len(t)) if t[a].count(u) != 1 or column_units[a] != 1),
+                None)
+
+
+def _unit_sum_witness(t, z, u) -> Optional[Tuple[int]]:
+    """The first a other than 0 with 1 + a or a + 1 defined (PE4)."""
+    return next(
+        ((a,) for a in range(len(t)) if a != z and (t[u][a] is not None or t[a][u] is not None)),
+        None)
 
 
 def _require_gpea(table: PartialAdditionTable) -> None:

@@ -5,14 +5,23 @@ Isomorphisms fix zero (and the unit); dedup works by lexicographic
 minimization of the (order relation, addition table) encoding over admissible
 relabelings.
 
-The search fixes the complement map before anything else.  By PE2 the unit
-cells a + a~ = 1 of the middle rows form a permutation of the middle
-elements, and relabeling by pi (fixing 0 and 1) conjugates it, so it only
-matters up to cycle type: the search pre-places one representative per
-partition of k-2 and backtracks over the remaining cells (the symmetry-breaking
-idea of McKay, "Isomorph-free exhaustive generation", J. Algorithms 26, 1998,
-applied to the unit cells only).  A class can still appear several times, so
-every leaf is certified by `check_axioms` and deduplicated by canonical key.
+The search fixes the complement map sigma(a) = a~ before anything else.  By
+PE2 the unit cells a + a~ = 1 of the middle rows form a permutation of the
+middle elements, and relabeling by pi (fixing 0 and 1) conjugates it, so it
+only matters up to cycle type: the search pre-places one representative per
+partition of k-2 and backtracks over the remaining cells (the
+symmetry-breaking idea of McKay, "Isomorph-free exhaustive generation",
+J. Algorithms 26, 1998, applied to the unit cells only).  With sigma fixed,
+every PEA obeys a + b = c => b + sigma(c) = sigma(a): cancel a from
+a + (b + sigma(c)) = (a + b) + sigma(c) = 1 = a + sigma(a).  So choosing one
+cell of a PEA decides its whole orbit under (a, b, c) -> (b, sigma(c),
+sigma(a)), and the search sets the orbit at once (see :func:`_search`).
+GPEAs have no unit, hence no such rule, and their search forces nothing.
+
+A class can still appear several times.  Each leaf stays an int matrix: the
+axioms are decided on its rows by the first-violation test
+``core._axioms_hold`` (the witness helpers of ``check_axioms``), its key is
+the row-level :func:`_min_encoding`, and a table is built once per class.
 """
 
 from __future__ import annotations
@@ -21,46 +30,13 @@ from functools import lru_cache
 from itertools import permutations
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .core import InputError, PartialAdditionTable, check_axioms, derived, induced_order
+from .core import InputError, PartialAdditionTable, _axioms_hold, _require_gpea, derived
+from .core import check_axioms  # noqa: F401  re-exported; perfbench traces it under this name
 
 UNDEC = -2
 UNDEF = -1
 
 _NAMES = "abcdefghijklmnop"
-
-
-def _middle_names(count: int) -> List[str]:
-    return [_NAMES[i] for i in range(count)]
-
-
-def _encode(table: PartialAdditionTable, perm: Sequence[int], positions: Sequence[int]):
-    """Key of the table relabeled so that old index positions[i] becomes i."""
-    new_of_old = [0] * table.size
-    for new, old in enumerate(positions):
-        new_of_old[old] = new
-    up = induced_order(table).up
-    t = table._sums
-    order_part = tuple(up[a] >> b & 1 == 1 for a in positions for b in positions)
-    add_part = tuple(
-        -1 if t[a][b] is None else new_of_old[t[a][b]]
-        for a in positions
-        for b in positions
-    )
-    return order_part + add_part
-
-
-def _element_profile(table: PartialAdditionTable, i: int):
-    """Isomorphism-invariant fingerprint of one element; used to cut the
-    permutation search without changing the induced equivalence."""
-    order = induced_order(table)
-    t = table._sums
-    return (
-        order.down[i].bit_count(),
-        order.up[i].bit_count(),
-        sum(1 for s in t[i] if s is not None),
-        sum(1 for row in t if row[i] is not None),
-        t[i][i] is not None,
-    )
 
 
 def _candidate_perms(middles: List[int], profiles: Dict[int, tuple]):
@@ -82,53 +58,83 @@ def _candidate_perms(middles: List[int], profiles: Dict[int, tuple]):
     yield from rec(0, [])
 
 
-@derived
-def _min_encoding(table: PartialAdditionTable):
-    fixed = [table.zero_i]
-    if table.one_i is not None and table.one_i != table.zero_i:
-        fixed.append(table.one_i)
-    middles = [i for i in range(table.size) if i not in fixed]
-    profiles = {i: _element_profile(table, i) for i in middles}
+def _min_encoding(t, z: int, u: Optional[int]) -> Tuple[tuple, List[int]]:
+    """The canonical encoding of the table with rows ``t`` (``t[a][b]`` the
+    index of a + b, or None), zero ``z`` and unit ``u`` (or None), and the
+    old indices in canonical order (zero, then the unit, then the middles).
+
+    The encoding is the least, over relabelings fixing zero and the unit,
+    of (element profiles, order relation, addition table).  A profile is an
+    isomorphism-invariant fingerprint of an element (the sizes of its
+    down-set and up-set, of its row and column, and whether a + a is
+    defined); only relabelings that sort the middles by profile are tried,
+    and the profile part is the same for all of them.  The order is read
+    off the rows: a <= b iff a + c = b for some c.
+    """
+    k = len(t)
+    up = [0] * k
+    down = [0] * k
+    for a, row in enumerate(t):
+        for s in row:
+            if s is not None:
+                up[a] |= 1 << s
+                down[s] |= 1 << a
+    fixed = [z] if u is None or u == z else [z, u]
+    middles = [i for i in range(k) if i not in fixed]
+    profiles = {
+        i: (down[i].bit_count(), up[i].bit_count(), k - t[i].count(None),
+            sum(1 for row in t if row[i] is not None), t[i][i] is not None)
+        for i in middles
+    }
     best = None
-    best_perm: Optional[List[int]] = None
+    best_positions: List[int] = fixed
+    new_of_old = [0] * k
     for perm in _candidate_perms(middles, profiles):
-        key = tuple(profiles[i] for i in perm) + _encode(table, perm, fixed + perm)
-        if best is None or key < best:
-            best, best_perm = key, perm
-    if best_perm is None:
-        best = _encode(table, (), fixed)
-        best_perm = []
-    return fixed, middles, best, best_perm
+        positions = fixed + perm
+        for new, old in enumerate(positions):
+            new_of_old[old] = new
+        rows = [t[a] for a in positions]
+        code = tuple(
+            [up[a] >> b & 1 == 1 for a in positions for b in positions]
+            + [-1 if row[b] is None else new_of_old[row[b]] for row in rows for b in positions]
+        )
+        if best is None or code < best:
+            best, best_positions = code, positions
+    return tuple(profiles[i] for i in best_positions[len(fixed):]) + best, best_positions
+
+
+def _relabeled(t, positions: Sequence[int], unital: bool) -> PartialAdditionTable:
+    """The table with rows ``t`` relabeled so that old index positions[i]
+    becomes i, its elements named 0, 1 (when unital), a, b, ..."""
+    names = ["0", "1"] if unital else ["0"]
+    names.extend(_NAMES[:len(positions) - len(names)])
+    old_to_name = {old: names[new] for new, old in enumerate(positions)}
+    sums = {
+        (old_to_name[i], old_to_name[j]): old_to_name[s]
+        for i, row in enumerate(t)
+        for j, s in enumerate(row)
+        if s is not None
+    }
+    return PartialAdditionTable(names, "0", "1" if unital else None, sums)
+
+
+@derived
+def _table_encoding(table: PartialAdditionTable) -> Tuple[tuple, List[int]]:
+    _require_gpea(table)
+    return _min_encoding(table._sums, table.zero_i, table.one_i)
 
 
 @derived
 def canonical_key(table: PartialAdditionTable):
     """Lexicographically minimal (element profiles, order, addition) encoding
     over relabelings that fix zero and, when present, the unit."""
-    _, _, best, _ = _min_encoding(table)
-    return table.size, table.one is not None, best
+    return table.size, table.one is not None, _table_encoding(table)[0]
 
 
 def canonical_table(table: PartialAdditionTable) -> PartialAdditionTable:
     """A canonically labeled representative of the isomorphism class, with
     elements renamed 0, 1, a, b, ..."""
-    fixed, middles, _, best_perm = _min_encoding(table)
-    positions = fixed + best_perm
-    names = ["0"]
-    if len(fixed) == 2:
-        names.append("1")
-    names.extend(_middle_names(len(middles)))
-    old_to_name = {old: names[new] for new, old in enumerate(positions)}
-    sums = {}
-    t = table._sums
-    for i in range(table.size):
-        for j in range(table.size):
-            s = t[i][j]
-            if s is not None:
-                sums[(old_to_name[i], old_to_name[j])] = old_to_name[s]
-    ordered = [old_to_name[old] for old in positions]
-    one_name = "1" if len(fixed) == 2 else None
-    return PartialAdditionTable(ordered, "0", one_name, sums)
+    return _relabeled(table._sums, _table_encoding(table)[1], table.one is not None)
 
 
 def are_isomorphic(t1: PartialAdditionTable, t2: PartialAdditionTable) -> bool:
@@ -157,7 +163,8 @@ def _unit_maps(m: int) -> Iterator[List[Tuple[int, int]]]:
 
 def _search(k: int, unital: bool) -> Iterator[List[List[int]]]:
     """Backtracking enumeration of valid k-element tables (labeled), at least
-    one per isomorphism class.
+    one per isomorphism class; ``t[a][b]`` is the index of a + b, UNDEF (-1)
+    when it is undefined.
 
     For a PEA, PE2 gives each element a exactly one a~ with a + a~ = 1, so the
     unit cells of the middle rows form a permutation sigma of the middle
@@ -167,137 +174,211 @@ def _search(k: int, unital: bool) -> Iterator[List[List[int]]]:
     one partition of k-2 at a time, and cancellation keeps 1 out of every
     other cell.  A GPEA search runs once with no unit cells.
 
-    Sound pruning only (cancellation, partial associativity); completeness of
-    each leaf is certified afterwards by the real axiom checker.
+    Each decided cell a + b must pass cancellation (its value is nowhere
+    else in its row or column) and every associativity triple it completes:
+    (a + b) + z, (x + a) + b, x + (y + b) for x + y = a, and (a + y) + z
+    for y + z = b, each tested against the other bracketing as soon as all
+    its cells are decided.  Those triples are tested inline, cell by cell.
+
+    A PEA search also forces the complement orbit of each defined cell.
+    With sigma(0) = 1 and sigma(1) = 0, every PEA satisfies
+
+        a + b = c  =>  b + sigma(c) = sigma(a):
+
+    from c + sigma(c) = 1, (a + b) + sigma(c) = 1, so by associativity
+    a + (b + sigma(c)) = 1 = a + sigma(a), and cancelling a leaves
+    b + sigma(c) = sigma(a).  So setting a + b = c sets every cell of the
+    orbit of (a, b, c) under T(a, b, c) = (b, sigma(c), sigma(a)), on a
+    trail that backtracking undoes.  T^3 applies sigma^2 to all three
+    entries, so T has finite order and the orbit closes after at most
+    3 * ord(sigma^2) cells; as T permutes triples, the rule holds both ways.
+    A forced cell that is already decided must agree, and a new one gets
+    the same cancellation and associativity tests as a chosen one.  An
+    orbit that starts at a middle cell stays on middle cells with middle
+    values other than their operands, so it never meets the fixed rows and
+    columns of 0 and 1 or a unit cell.  Setting a + b undefined forces
+    nothing and needs no test of its own: a + b is undefined exactly when
+    sigma(a) is not in row b, and were b + x = sigma(a) decided, its orbit,
+    which holds T^-1(b, x, sigma(a)) = (a, b, sigma^-1(x)), would already
+    have decided a + b.  A GPEA has no sigma and no such rule, as the
+    derivation needs the unit: its search forces nothing.
+
+    Only sound pruning happens here; a leaf is certified by the axioms
+    afterwards (:func:`_classes`).
     """
-    for units in _unit_maps(k - 2) if unital else [[]]:
-        yield from _complete(k, unital, units)
-
-
-def _complete(k: int, unital: bool, units: List[Tuple[int, int]]) -> Iterator[List[List[int]]]:
-    """Every table extending the fixed rows and columns of 0 (and of 1 when
-    unital) and the given unit cells that passes the search's pruning."""
     lo = 2 if unital else 1
-    t = [[UNDEC] * k for _ in range(k)]
-    for a in range(k):
-        t[0][a] = a
-        t[a][0] = a
-    if unital:
-        for a in range(1, k):
-            t[1][a] = UNDEF
-            t[a][1] = UNDEF
-    pairs_by_value: List[List[Tuple[int, int]]] = [[] for _ in range(k)]
-    for a in range(k):
-        pairs_by_value[a].append((0, a))
-        if a != 0:
-            pairs_by_value[a].append((a, 0))
-    for a, b in units:
-        t[a][b] = 1
-        pairs_by_value[1].append((a, b))
-    cells = [(a, b) for a in range(lo, k) for b in range(lo, k) if t[a][b] == UNDEC]
+    for units in _unit_maps(k - 2) if unital else [[]]:
+        t = [[UNDEC] * k for _ in range(k)]
+        for a in range(k):
+            t[0][a] = a
+            t[a][0] = a
+        if unital:
+            for a in range(1, k):
+                t[1][a] = UNDEF
+                t[a][1] = UNDEF
+        sigma = [1, 0] + [0] * (k - 2) if unital else None
+        for a, b in units:
+            t[a][b] = 1
+            sigma[a] = b
+        tt = [list(col) for col in zip(*t)]  # tt[b][a] is t[a][b]
+        pairs_by_value: List[List[Tuple[int, int]]] = [[] for _ in range(k)]
+        for a in range(k):
+            pairs_by_value[a].append((0, a))
+            if a != 0:
+                pairs_by_value[a].append((a, 0))
+        for a, b in units:
+            pairs_by_value[1].append((a, b))
+        cells = [(a, b) for a in range(lo, k) for b in range(lo, k) if t[a][b] == UNDEC]
 
-    def triple_ok(x: int, y: int, z: int) -> bool:
-        xy = t[x][y]
-        if xy == UNDEC:
+        def incident_ok(a: int, b: int) -> bool:
+            v = t[a][b]
+            ta, tb = t[a], t[b]
+            tv = t[v] if v >= 0 else None
+            # (a + b) + z against a + (b + z)
+            for z, bz in enumerate(tb):
+                if bz == UNDEC:
+                    continue
+                if tv is None:
+                    lhs = UNDEF
+                else:
+                    lhs = tv[z]
+                    if lhs == UNDEC:
+                        continue
+                if bz == UNDEF:
+                    rhs = UNDEF
+                else:
+                    rhs = ta[bz]
+                    if rhs == UNDEC:
+                        continue
+                if lhs != rhs:
+                    return False
+            # (x + a) + b against x + (a + b)
+            for x, xa in enumerate(tt[a]):
+                if xa == UNDEC:
+                    continue
+                if xa == UNDEF:
+                    lhs = UNDEF
+                else:
+                    lhs = t[xa][b]
+                    if lhs == UNDEC:
+                        continue
+                if v == UNDEF:
+                    rhs = UNDEF
+                else:
+                    rhs = t[x][v]
+                    if rhs == UNDEC:
+                        continue
+                if lhs != rhs:
+                    return False
+            # (x + y) + b = a + b against x + (y + b), for x + y = a
+            for x, y in pairs_by_value[a]:
+                yb = t[y][b]
+                if yb == UNDEC:
+                    continue
+                if yb == UNDEF:
+                    rhs = UNDEF
+                else:
+                    rhs = t[x][yb]
+                    if rhs == UNDEC:
+                        continue
+                if v != rhs:
+                    return False
+            # (a + y) + z against a + (y + z) = a + b, for y + z = b
+            for y, z in pairs_by_value[b]:
+                ay = ta[y]
+                if ay == UNDEC:
+                    continue
+                if ay == UNDEF:
+                    lhs = UNDEF
+                else:
+                    lhs = t[ay][z]
+                    if lhs == UNDEC:
+                        continue
+                if lhs != v:
+                    return False
             return True
-        yz = t[y][z]
-        if yz == UNDEC:
-            return True
-        if xy == UNDEF:
-            lhs, lval = False, -1
-        else:
-            w = t[xy][z]
-            if w == UNDEC:
-                return True
-            lhs, lval = w != UNDEF, w
-        if yz == UNDEF:
-            rhs, rval = False, -1
-        else:
-            w = t[x][yz]
-            if w == UNDEC:
-                return True
-            rhs, rval = w != UNDEF, w
-        if lhs != rhs:
-            return False
-        return not lhs or lval == rval
 
-    def incident_ok(a: int, b: int) -> bool:
-        for z in range(k):
-            if not triple_ok(a, b, z):
-                return False
-        for x in range(k):
-            if not triple_ok(x, a, b):
-                return False
-        for (x, y) in pairs_by_value[a]:
-            if not triple_ok(x, y, b):
-                return False
-        for (y, z) in pairs_by_value[b]:
-            if not triple_ok(a, y, z):
-                return False
-        return True
-
-    def rec(pos: int) -> Iterator[List[List[int]]]:
-        if pos == len(cells):
-            yield [row[:] for row in t]
-            return
-        a, b = cells[pos]
-        row = t[a]
-        col = [t[r][b] for r in range(k)]
-        candidates = [UNDEF]
-        for v in range(1, k):
-            if v == a or v == b:
-                continue
-            if v in row or v in col:
-                continue  # cancellation
-            candidates.append(v)
-        for v in candidates:
-            t[a][b] = v
+        def place(a: int, b: int, v: int) -> List[Tuple[int, int]]:
+            """Set a + b = v and, in a PEA, the rest of its orbit; the cells
+            set, or None (with nothing set) when a forced cell conflicts."""
+            t[a][b] = tt[b][a] = v
+            trail = [(a, b)]
             if v >= 0:
                 pairs_by_value[v].append((a, b))
-            if incident_ok(a, b):
-                yield from rec(pos + 1)
-            if v >= 0:
-                pairs_by_value[v].pop()
-            t[a][b] = UNDEC
+                if sigma is not None:
+                    x, y, w = b, sigma[v], sigma[a]
+                    while x != a or y != b or w != v:
+                        cur = t[x][y]
+                        if cur != UNDEC:
+                            if cur != w:
+                                break
+                        elif w in t[x] or w in tt[y]:
+                            break  # cancellation
+                        else:
+                            t[x][y] = tt[y][x] = w
+                            pairs_by_value[w].append((x, y))
+                            trail.append((x, y))
+                        x, y, w = y, sigma[w], sigma[x]
+                    else:
+                        return trail
+                    unplace(trail)
+                    return None
+            return trail
 
-    if all(incident_ok(a, b) for a, b in units):
-        yield from rec(0)
+        def unplace(trail: List[Tuple[int, int]]) -> None:
+            for x, y in reversed(trail):
+                w = t[x][y]
+                if w >= 0:
+                    pairs_by_value[w].pop()
+                t[x][y] = tt[y][x] = UNDEC
 
+        def rec(pos: int) -> Iterator[List[List[int]]]:
+            while pos < len(cells) and t[cells[pos][0]][cells[pos][1]] != UNDEC:
+                pos += 1  # forced by an earlier orbit
+            if pos == len(cells):
+                yield [row[:] for row in t]
+                return
+            a, b = cells[pos]
+            row, col = t[a], tt[b]
+            candidates = [UNDEF]
+            for v in range(1, k):
+                if v == a or v == b:
+                    continue
+                if v in row or v in col:
+                    continue  # cancellation
+                candidates.append(v)
+            for v in candidates:
+                trail = place(a, b, v)
+                if trail is None:
+                    continue
+                if all(incident_ok(x, y) for x, y in trail):
+                    yield from rec(pos + 1)
+                unplace(trail)
 
-def _table_from_matrix(matrix: List[List[int]], unital: bool) -> PartialAdditionTable:
-    k = len(matrix)
-    names = ["0"]
-    if unital:
-        names.append("1")
-    names.extend(_middle_names(k - len(names)))
-    sums = {}
-    for i in range(k):
-        for j in range(k):
-            v = matrix[i][j]
-            if v >= 0:
-                sums[(names[i], names[j])] = names[v]
-    return PartialAdditionTable(names, "0", "1" if unital else None, sums)
+        if all(incident_ok(a, b) for a, b in units):
+            yield from rec(0)
 
 
 def _classes(min_size: int, max_size: int, unital: bool) -> Tuple[PartialAdditionTable, ...]:
     """One canonical table per isomorphism class found by the search, per
-    size in min_size..max_size, each size sorted by canonical key."""
-    kind = "pea" if unital else "gpea"
+    size in min_size..max_size, each size sorted by canonical key.
+
+    A leaf stays a matrix: the axioms are decided on its rows by
+    :func:`_axioms_hold`, its key comes from :func:`_min_encoding` on the
+    same rows, and a table is built only for the first leaf of each class.
+    """
+    one = 1 if unital else None
     out: List[PartialAdditionTable] = []
     for k in range(min_size, max_size + 1):
-        seen = set()
-        sized: List[Tuple[object, PartialAdditionTable]] = []
+        found: Dict[tuple, tuple] = {}
         for matrix in _search(k, unital=unital):
-            table = _table_from_matrix(matrix, unital=unital)
-            if not check_axioms(table, kind).passed:
+            t = [[v if v >= 0 else None for v in row] for row in matrix]
+            if not _axioms_hold(t, 0, one):
                 continue
-            key = canonical_key(table)
-            if key in seen:
-                continue
-            seen.add(key)
-            sized.append((key, canonical_table(table)))
-        sized.sort(key=lambda kv: kv[0])
-        out.extend(tb for _, tb in sized)
+            best, positions = _min_encoding(t, 0, one)
+            if best not in found:
+                found[best] = (t, positions)
+        out.extend(_relabeled(*found[best], unital) for best in sorted(found))
     return tuple(out)
 
 

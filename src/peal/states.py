@@ -274,16 +274,6 @@ def _nullspace_vector(rows: List[Row], dim: int) -> Optional[Tuple[int, ...]]:
 # -- double description vertex sweep --------------------------------------
 
 
-def _integer_row(a: Dict[int, Fraction], b: Union[int, Fraction]) -> Tuple[Row, int]:
-    """The constraint a.t <= b scaled by the least positive integer that
-    clears its denominators (ints count as denominator 1)."""
-    m = math.lcm(b.denominator, *(v.denominator for v in a.values()))
-    return (
-        {c: v.numerator * (m // v.denominator) for c, v in a.items()},
-        b.numerator * (m // b.denominator),
-    )
-
-
 def _dd_points(
     rows: List[Tuple[Row, int]], dim: int
 ) -> List[Tuple[Tuple[int, ...], int]]:
@@ -345,19 +335,6 @@ def _dd_points(
         if not verts:
             return []
     return [v for v, _ in verts]
-
-
-def _dd_vertices(
-    constraints: List[Tuple[Dict[int, Fraction], Union[int, Fraction]]], dim: int
-) -> List[Tuple[Fraction, ...]]:
-    """Vertices of {t : a.t <= b for all (a, b)} with rational rows, in
-    increasing order, assuming the first 2*dim constraints are the unit box;
-    the rows are scaled to integers and swept by ``_dd_points``."""
-    points = _dd_points([_integer_row(a, b) for a, b in constraints], dim)
-    # sort as Fraction tuples would, by numerators over one common denominator
-    common = math.lcm(*(den for _, den in points))
-    points.sort(key=lambda v: tuple(x * (common // v[1]) for x in v[0]))
-    return [tuple(Fraction(x, den) for x in num) for num, den in points]
 
 
 def _split(links: Iterable[int]) -> List[int]:

@@ -11,6 +11,7 @@ from peal.core import (
     DifferenceUndefinedError,
     InputError,
     PartialAdditionTable,
+    _axioms_hold,
     _differences,
     _noncommuting_pair,
     check_axioms,
@@ -415,9 +416,14 @@ def matrix_table(elements, zero, one, matrix):
 
 
 def assert_reports_match_frozen(table):
+    """Both axiom reports equal the frozen scan's, and the row-level
+    first-violation test ``_axioms_hold`` agrees with each one's verdict."""
     kinds = ("gpea", "pea") if table.one is not None else ("gpea",)
     for kind in kinds:
-        assert check_axioms(table, kind) == frozen_check_axioms(table, kind)
+        report = check_axioms(table, kind)
+        assert report == frozen_check_axioms(table, kind)
+        one = table.one_i if kind == "pea" else None
+        assert _axioms_hold(table._sums, table.zero_i, one) == report.passed
 
 
 def boolean_table(n):

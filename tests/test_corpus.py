@@ -1,11 +1,12 @@
+import hashlib
 import signal
 from itertools import product
 from typing import Iterator, List, Tuple
 
 import pytest
 
-from peal.constructions import boolean4_table, chain_table, diamond_table
-from peal.core import PartialAdditionTable, check_axioms
+from peal.constructions import boolean4_table, builtin_pea, chain_table, diamond_table
+from peal.core import PartialAdditionTable, _axioms_hold, check_axioms
 from peal.corpus import (
     _search,
     are_isomorphic,
@@ -142,25 +143,35 @@ def labeled_table(matrix: List[List[int]], unital: bool) -> PartialAdditionTable
 
 
 def brute_generate(k, unital):
-    """Independent oracle: filter every possible table assignment."""
+    """Independent oracle: filter every possible table assignment.
+
+    A candidate is a choice of every middle row, so the candidates are the
+    product of the choices per row.  Each is decided on its rows by
+    ``_axioms_hold``, which equals ``check_axioms(table, kind).passed`` (see
+    ``test_axioms_hold_matches_check_axioms_on_labeled_leaves`` here and
+    ``assert_reports_match_frozen`` in test_core.py).  The public constructor
+    accepts every candidate, as the unit laws are filled in and every entry
+    is an element, so only the valid ones are built, to be keyed.
+    """
     names = ["0"] + (["1"] if unital else []) + list("abcdefg")[: k - (2 if unital else 1)]
     lo = 2 if unital else 1
-    cells = [(a, b) for a in range(lo, k) for b in range(lo, k)]
+    one = 1 if unital else None
+    fixed_rows = [[tuple(range(k))]] + ([[(1,) + (None,) * (k - 1)]] if unital else [])
+    middle_rows = [
+        [(a,) + (None,) * (lo - 1) + tail for tail in product([None] + list(range(k)), repeat=k - lo)]
+        for a in range(lo, k)
+    ]
     keys = set()
-    for assign in product(range(-1, k), repeat=len(cells)):
-        sums = {}
-        for e in names:
-            sums[(e, "0")] = e
-            sums[("0", e)] = e
-        for (a, b), v in zip(cells, assign):
-            if v >= 0:
-                sums[(names[a], names[b])] = names[v]
-        try:
-            t = PartialAdditionTable(names, "0", "1" if unital else None, sums)
-        except Exception:
+    for rows in product(*fixed_rows, *middle_rows):
+        if not _axioms_hold(rows, 0, one):
             continue
-        if check_axioms(t, "pea" if unital else "gpea").passed:
-            keys.add(canonical_key(t))
+        sums = {
+            (names[a], names[b]): names[s]
+            for a, row in enumerate(rows) for b, s in enumerate(row) if s is not None
+        }
+        t = PartialAdditionTable(names, "0", "1" if unital else None, sums)
+        assert check_axioms(t, "pea" if unital else "gpea").passed
+        keys.add(canonical_key(t))
     return keys
 
 
@@ -201,6 +212,76 @@ def test_size_eight_classes():
         signal.signal(signal.SIGALRM, previous)
     assert len(eight) == 52
     assert all(check_axioms(t, "pea").passed for t in eight)
+
+
+def pinned_digest(tables):
+    return hashlib.sha256("\n".join(repr(canonical_key(t)) for t in tables).encode()).hexdigest()
+
+
+# (classes, sha256 of their canonical keys in corpus order), measured on the
+# search before it forced complement orbits
+PINNED_CLASSES = {
+    8: (52, "8bd03ea3aa324d07c5cce198dcfd8f2961f124aa8c44e891071b2a647bfded69"),
+    9: (84, "f1c9bd7fdfefb27ff011c0e006651f0cee27e614349f845ca6fcf0ee46250b7b"),
+}
+
+
+@pytest.mark.parametrize("k", sorted(PINNED_CLASSES))
+def test_pinned_class_sets(k):
+    """The size-8 and size-9 class sets, keys and order are pinned; size 9
+    took about 24 s before orbit forcing and must now come within 20 s."""
+    def too_slow(signum, frame):
+        raise TimeoutError("generate_peas(%d, min_size=%d) took more than 20 s" % (k, k))
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(20)
+    try:
+        tables = generate_peas(k, min_size=k)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert (len(tables), pinned_digest(tables)) == PINNED_CLASSES[k]
+
+
+def orbit_lemma_failure(table):
+    """The first cell breaking a + b = c => b + c~ = a~, or a + b undefined
+    <=> a~ not in row b, in a valid PEA; None when both hold everywhere."""
+    t = table._sums
+    u = table.one_i
+    tilde = [row.index(u) for row in t]
+    for a in range(table.size):
+        for b in range(table.size):
+            c = t[a][b]
+            if c is not None and t[b][tilde[c]] != tilde[a]:
+                return a, b
+            if (c is None) != (tilde[a] not in t[b]):
+                return a, b
+    return None
+
+
+def test_complement_orbit_lemma():
+    """The rule the search forces, checked on finished tables, apart from
+    the search: the size-8 corpus and the finite builtins."""
+    names = ["diamond", "boolean4"] + ["chain:%d" % n for n in range(1, 12)]
+    for table in list(generate_peas(8)) + [builtin_pea(name) for name in names]:
+        assert orbit_lemma_failure(table) is None
+
+
+def test_orbit_lemma_check_sees_a_broken_table():
+    # a + b = b breaks the rule: b + b~ = b + b = 1, not a~ = a
+    broken = PartialAdditionTable.build(
+        ["0", "a", "b", "1"], "0", "1", {("a", "a"): "1", ("b", "b"): "1", ("a", "b"): "b"})
+    assert orbit_lemma_failure(broken) == (1, 2)
+
+
+@pytest.mark.parametrize("unital", [True, False])
+def test_axioms_hold_matches_check_axioms_on_labeled_leaves(unital):
+    kind, one = ("pea", 1) if unital else ("gpea", None)
+    for k in range(2 if unital else 1, 7):
+        for matrix in labeled_search(k, unital):
+            rows = [[v if v >= 0 else None for v in row] for row in matrix]
+            table = labeled_table(matrix, unital)
+            assert _axioms_hold(rows, 0, one) == check_axioms(table, kind).passed
 
 
 def test_small_counts():

@@ -15,7 +15,7 @@ from peal.ideals import enumerate_ideals, is_ideal, is_normal
 from peal.states import (
     StateVector,
     _affine_map,
-    _dd_vertices,
+    _dd_points,
     _eliminate,
     _nullspace_vector,
     _tight_rank_full,
@@ -155,6 +155,19 @@ def fraction_state_values(table, values):
 
 def fraction_dot(row, point):
     return sum(v * point[c] for c, v in row.items())
+
+
+def dd_vertices(constraints, dim):
+    """``_dd_points`` on rational rows: each row (a, b) is scaled by the least
+    positive integer that clears its denominators, and the points come back
+    as Fraction tuples in increasing order."""
+    rows = []
+    for a, b in constraints:
+        b = Fraction(b)
+        m = math.lcm(b.denominator, *(v.denominator for v in a.values()))
+        rows.append(({c: v.numerator * (m // v.denominator) for c, v in a.items()},
+                     b.numerator * (m // b.denominator)))
+    return sorted(tuple(Fraction(x, den) for x in num) for num, den in _dd_points(rows, dim))
 
 
 def fraction_dd_vertices(constraints, dim):
@@ -628,7 +641,7 @@ def test_vertex_sweep_matches_brute_oracle(dim, cuts):
             ({j: Fraction(c) for j, c in enumerate(coeffs[:dim]) if c}, Fraction(b, 2))
         )
     dense = [([a.get(j, ZERO) for j in range(dim)], b) for a, b in constraints]
-    assert _dd_vertices(constraints, dim) == brute_vertices(dense, dim)
+    assert dd_vertices(constraints, dim) == brute_vertices(dense, dim)
 
 
 def test_chain80_state_space_is_fast():
@@ -677,7 +690,7 @@ def test_vertex_sweep_matches_frozen_sweep_with_small_denominators(dim, cuts):
         row = {j: Fraction(c, cq) for j, (c, cq) in enumerate(coeffs[:dim]) if c}
         constraints.append((row, Fraction(b, q)))
     dense = [([a.get(j, ZERO) for j in range(dim)], b) for a, b in constraints]
-    found = _dd_vertices(constraints, dim)
+    found = dd_vertices(constraints, dim)
     assert found == fraction_dd_vertices(constraints, dim)
     assert found == brute_vertices(dense, dim)
 
