@@ -11,12 +11,23 @@ middle elements, and relabeling by pi (fixing 0 and 1) conjugates it, so it
 only matters up to cycle type: the search pre-places one representative per
 partition of k-2 and backtracks over the remaining cells (the
 symmetry-breaking idea of McKay, "Isomorph-free exhaustive generation",
-J. Algorithms 26, 1998, applied to the unit cells only).  With sigma fixed,
-every PEA obeys a + b = c => b + sigma(c) = sigma(a): cancel a from
+J. Algorithms 26, 1998, applied to the unit cells, then to the rest by the
+order relation below).  With sigma fixed, every PEA obeys
+a + b = c => b + sigma(c) = sigma(a): cancel a from
 a + (b + sigma(c)) = (a + b) + sigma(c) = 1 = a + sigma(a).  So choosing one
 cell of a PEA decides its whole orbit under (a, b, c) -> (b, sigma(c),
 sigma(a)), and the search sets the orbit at once (see :func:`_search`).
 GPEAs have no unit, hence no such rule, and their search forces nothing.
+
+The relabelings left after fixing sigma are its centralizer: they rotate
+each cycle and permute cycles of equal length.  For a, b != 0 the sum
+a + b lies strictly above both, so the search breaks that symmetry with one
+order relation (:func:`_notabove`): each cycle's first element is minimal in
+its cycle, and the first elements of equal-length cycles follow a linear
+extension.  A GPEA search fixes no sigma, so every relabeling fixing zero is
+left, and it asks for a natural labeling (a + b lies above max(a, b)), which
+exists because every finite poset has a linear extension.  Chosen and forced
+cells alike must respect the relation.
 
 A class can still appear several times.  Each leaf stays an int matrix: the
 axioms are decided on its rows by the first-violation test
@@ -161,6 +172,35 @@ def _unit_maps(m: int) -> Iterator[List[Tuple[int, int]]]:
         yield units
 
 
+def _notabove(k: int, sigma: Optional[List[int]]) -> List[int]:
+    """Bit masks: bit v of ``notabove[y]`` is set when the middle element v
+    may not lie strictly above y in the tables :func:`_search` emits.
+
+    With no complement map (a GPEA) it is the natural labeling, v < y.  With
+    sigma, whose cycles lie on consecutive indices, it says that the first
+    element of each cycle lies strictly above no other element of its cycle,
+    and that the first elements of cycles of equal length (fixed points
+    included) are a linear extension in index order: none lies strictly
+    above a later one.
+    """
+    if sigma is None:
+        return [(1 << y) - 2 if y else 0 for y in range(k)]
+    notabove = [0] * k
+    firsts: Dict[int, int] = {}  # cycle length -> mask of the first elements so far
+    a = 2
+    while a < k:
+        cycle = [a]
+        while sigma[cycle[-1]] != a:
+            cycle.append(sigma[cycle[-1]])
+        for x in cycle[1:]:
+            notabove[x] |= 1 << a
+        earlier = firsts.get(len(cycle), 0)
+        notabove[a] |= earlier
+        firsts[len(cycle)] = earlier | 1 << a
+        a += len(cycle)
+    return notabove
+
+
 def _search(k: int, unital: bool) -> Iterator[List[List[int]]]:
     """Backtracking enumeration of valid k-element tables (labeled), at least
     one per isomorphism class; ``t[a][b]`` is the index of a + b, UNDEF (-1)
@@ -203,6 +243,21 @@ def _search(k: int, unital: bool) -> Iterator[List[List[int]]]:
     have decided a + b.  A GPEA has no sigma and no such rule, as the
     derivation needs the unit: its search forces nothing.
 
+    Each cell a + b = v also obeys one order relation: v is not in
+    ``notabove[a] | notabove[b]`` (:func:`_notabove`), as for a, b != 0 the
+    sum lies strictly above both operands (a + b = a would cancel b to 0).
+    The relation costs no class.  Relabelings fixing 0, 1 and sigma form
+    the centralizer of sigma: they rotate each cycle and permute cycles of
+    equal length, mapping first elements to first elements.  Rotating each
+    cycle to start at an element minimal in the cycle, then ordering cycles
+    of each length (fixed points too) by a linear extension of their first
+    elements, turns any PEA with this sigma into one that respects the
+    relation; the second step moves whole cycles, so it keeps the first.
+    A GPEA fixes no sigma, so any relabeling fixing 0 is allowed, and
+    numbering the nonzero elements by a linear extension of the order gives
+    the natural labeling, notabove[y] = {1, ..., y - 1}.  The test is made
+    on chosen and forced cells alike, beside cancellation.
+
     Only sound pruning happens here; a leaf is certified by the axioms
     afterwards (:func:`_classes`).
     """
@@ -220,6 +275,7 @@ def _search(k: int, unital: bool) -> Iterator[List[List[int]]]:
         for a, b in units:
             t[a][b] = 1
             sigma[a] = b
+        notabove = _notabove(k, sigma)
         tt = [list(col) for col in zip(*t)]  # tt[b][a] is t[a][b]
         pairs_by_value: List[List[Tuple[int, int]]] = [[] for _ in range(k)]
         for a in range(k):
@@ -314,6 +370,8 @@ def _search(k: int, unital: bool) -> Iterator[List[List[int]]]:
                                 break
                         elif w in t[x] or w in tt[y]:
                             break  # cancellation
+                        elif (notabove[x] | notabove[y]) >> w & 1:
+                            break  # w would lie strictly above x and y
                         else:
                             t[x][y] = tt[y][x] = w
                             pairs_by_value[w].append((x, y))
@@ -340,9 +398,10 @@ def _search(k: int, unital: bool) -> Iterator[List[List[int]]]:
                 return
             a, b = cells[pos]
             row, col = t[a], tt[b]
+            refused = notabove[a] | notabove[b]
             candidates = [UNDEF]
             for v in range(1, k):
-                if v == a or v == b:
+                if v == a or v == b or refused >> v & 1:
                     continue
                 if v in row or v in col:
                     continue  # cancellation

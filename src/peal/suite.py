@@ -48,7 +48,7 @@ from .groups import (
     probe_torsion_free,
 )
 
-MAX_SUITE_SIZE = 9
+MAX_SUITE_SIZE = 10
 
 
 @dataclass

@@ -314,7 +314,7 @@ def test_suite_small(capsys):
 
 
 def test_suite_cap(capsys):
-    assert main(["suite", "--max-size", "10"]) == 2
+    assert main(["suite", "--max-size", "11"]) == 2
 
 
 @pytest.mark.parametrize("samples", ["0", "-5"])
@@ -530,6 +530,9 @@ PINNED_SAMPLED_REPORTS = {
         "50be9b107dbc3b23e94877044e1f6c9e96ea85ad93c4bbffee1d0c517e56dadd",
     ("--seed", "3", "construct", "--lex-product", "3", "--group", "z:2", "--samples", "500"):
         "8ea0ff498f0e2c4e42367e0bc546219077420d799e473141aac27ce6c576cd1c",
+    # the benchmark's suite operation: corpus order and canonical tables too
+    ("suite", "--max-size", "7", "--samples", "2000"):
+        "47e2335aa05c0342779b439d8fda4ce89e6ae465210a5ca53b6e0ea71b6d3c90",
 }
 
 

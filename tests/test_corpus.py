@@ -1,6 +1,6 @@
 import hashlib
 import signal
-from itertools import product
+from itertools import combinations, product
 from typing import Iterator, List, Tuple
 
 import pytest
@@ -175,41 +175,88 @@ def brute_generate(k, unital):
     return keys
 
 
-def test_search_keeps_the_classes_of_the_labeled_search():
-    """Fixing the complement map up to cycle type loses no class."""
-    for k in range(2, 8):
+def respects(matrix, unital: bool) -> bool:
+    """Whether a labeled table obeys the order relation the search imposes,
+    read off the table alone: x lies strictly above y when x != y and
+    x = y + c or x = c + y for some c.
+
+    A GPEA must number its nonzero elements along a linear extension (no
+    element lies strictly above a later one).  A PEA takes sigma from its
+    unit cells (a + sigma(a) = 1); the first element of each cycle of sigma
+    is its least index, no element of a cycle lies strictly below its first,
+    and of two cycles of equal length the earlier first lies strictly above
+    no later one.
+    """
+    k = len(matrix)
+
+    def above(x: int, y: int) -> bool:
+        return x != y and (x in matrix[y] or any(row[y] == x for row in matrix))
+
+    if not unital:
+        return not any(above(x, y) for y in range(1, k) for x in range(1, y))
+    sigma = {a: matrix[a].index(1) for a in range(2, k)}
+    cycles: List[List[int]] = []
+    for a in range(2, k):
+        if any(a in cycle for cycle in cycles):
+            continue
+        cycle = [a]
+        while sigma[cycle[-1]] != a:
+            cycle.append(sigma[cycle[-1]])
+        cycles.append(cycle)
+    if any(above(cycle[0], x) for cycle in cycles for x in cycle[1:]):
+        return False
+    return not any(len(c) == len(d) and above(c[0], d[0]) for c, d in combinations(cycles, 2))
+
+
+@pytest.mark.parametrize("unital", [True, False])
+def test_search_keeps_the_classes_of_the_labeled_search(unital):
+    """Fixing the complement map up to cycle type and the order relation
+    lose no class."""
+    kind, generate = ("pea", generate_peas) if unital else ("gpea", generate_gpeas)
+    for k in range(2, 8) if unital else range(1, 6):
         frozen = set()
-        for matrix in labeled_search(k, unital=True):
-            table = labeled_table(matrix, unital=True)
-            if check_axioms(table, "pea").passed:
+        for matrix in labeled_search(k, unital):
+            table = labeled_table(matrix, unital)
+            if check_axioms(table, kind).passed:
                 frozen.add(canonical_key(table))
-        assert {canonical_key(t) for t in generate_peas(k, min_size=k)} == frozen
+        assert {canonical_key(t) for t in generate(k, min_size=k)} == frozen
 
 
 @pytest.mark.parametrize("unital", [True, False])
 def test_search_leaves_are_labeled_search_leaves(unital):
+    """Every leaf is a frozen leaf that respects the order relation; a GPEA
+    search, which fixes no complement map, emits exactly those."""
     for k in range(2 if unital else 1, 7 if unital else 6):
         frozen = {tuple(map(tuple, m)) for m in labeled_search(k, unital)}
+        respecting = {m for m in frozen if respects(m, unital)}
         mine = [tuple(map(tuple, m)) for m in _search(k, unital)]
         assert len(mine) == len(set(mine))
-        assert set(mine) <= frozen
+        assert set(mine) <= respecting
         if not unital:
-            assert set(mine) == frozen
+            assert set(mine) == respecting
+        if k >= 4:
+            assert len(respecting) < len(frozen)  # the relation is not vacuous
+
+
+def generated_within(seconds: int, generate, k: int):
+    """generate(k, min_size=k), raising TimeoutError after ``seconds``."""
+    def too_slow(signum, frame):
+        raise TimeoutError("%s(%d, min_size=%d) took more than %d s"
+                           % (generate.__name__, k, k, seconds))
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(seconds)
+    try:
+        return generate(k, min_size=k)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_size_eight_classes():
     """The size-8 corpus has 52 classes and must come within 30 s.  The
     labeled search takes about 6 minutes on a 2-core host, hence the guard."""
-    def too_slow(signum, frame):
-        raise TimeoutError("generate_peas(8, min_size=8) took more than 30 s")
-
-    previous = signal.signal(signal.SIGALRM, too_slow)
-    signal.alarm(30)
-    try:
-        eight = generate_peas(8, min_size=8)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+    eight = generated_within(30, generate_peas, 8)
     assert len(eight) == 52
     assert all(check_axioms(t, "pea").passed for t in eight)
 
@@ -226,21 +273,25 @@ PINNED_CLASSES = {
 }
 
 
+# the same for the size-6 GPEAs, measured on the search before it imposed
+# the order relation
+PINNED_SIX_ELEMENT_GPEA_CLASSES = (
+    42, "6fa046424e5f8914248d59de3310271fa7b726f7b18f038a8898384c7df14134")
+
+
 @pytest.mark.parametrize("k", sorted(PINNED_CLASSES))
 def test_pinned_class_sets(k):
     """The size-8 and size-9 class sets, keys and order are pinned; size 9
     took about 24 s before orbit forcing and must now come within 20 s."""
-    def too_slow(signum, frame):
-        raise TimeoutError("generate_peas(%d, min_size=%d) took more than 20 s" % (k, k))
-
-    previous = signal.signal(signal.SIGALRM, too_slow)
-    signal.alarm(20)
-    try:
-        tables = generate_peas(k, min_size=k)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+    tables = generated_within(20, generate_peas, k)
     assert (len(tables), pinned_digest(tables)) == PINNED_CLASSES[k]
+
+
+def test_pinned_gpea_class_set():
+    """The size-6 GPEA classes took about 2 s before the order relation and
+    must come within 20 s."""
+    tables = generated_within(20, generate_gpeas, 6)
+    assert (len(tables), pinned_digest(tables)) == PINNED_SIX_ELEMENT_GPEA_CLASSES
 
 
 def orbit_lemma_failure(table):
