@@ -33,9 +33,14 @@ from .groups import (
     IntVectorGroup,
     LexExtensionGroup,
     PoGroupHandle,
+    SampleVerdict,
     TwistedZ3Group,
     UnitalPoGroup,
+    _element_draw,
+    _first_witness,
     _randint,
+    _repeated_draw,
+    _sampled,
     is_commutator,
     probe_pogroup,
     probe_torsion_free,
@@ -196,64 +201,6 @@ def gamma_interval_finite(
 
 
 # -- symbolic lexicographic products ----------------------------------------
-
-
-@dataclass(frozen=True)
-class SampleVerdict:
-    name: str
-    passed: bool
-    samples: int
-    seed: int
-    witness: Optional[str] = None
-
-
-# samples drawn and tested per block by the verdict loop; bounds the values
-# held at once to _BLOCK times the probe's arity
-_BLOCK = 256
-
-
-def _first_witness(rng: random.Random, samples: int, probe: Callable, draw: Callable,
-                   arity: int = 1):
-    """The first non-None result of ``probe`` over ``samples`` samples, or None.
-
-    Each sample is ``arity`` values, drawn by ``draw(rng, count=...)`` ahead
-    of ``probe(*values)``: a probe draws all its values before it tests
-    them.  Values are drawn in blocks of at most ``_BLOCK`` samples and
-    tested in order, so the first witness is the one sample by sample
-    drawing finds.  When a witness ends a block early, the generator is
-    rewound to the start of the block and only the draws up to the witness
-    are taken again, so a verdict that shares the generator with later ones
-    leaves it where sample by sample drawing would.
-    """
-    left = samples
-    while left > 0:
-        block = min(left, _BLOCK)
-        state = rng.getstate()
-        values = iter(draw(rng, count=block * arity))
-        for used, args in enumerate(zip(*[values] * arity), 1):
-            witness = probe(*args)
-            if witness is not None:
-                if used < block:
-                    rng.setstate(state)
-                    draw(rng, count=used * arity)
-                return witness
-        left -= block
-    return None
-
-
-def _repeated_draw(sample: Callable) -> Callable:
-    """``draw(rng, count=...)``: ``count`` successive ``sample(rng)`` calls."""
-    return lambda rng, count: [sample(rng) for _ in range(count)]
-
-
-def _sampled(name: str, seed: int, samples: int, probe: Callable, draw: Callable,
-             arity: int = 1, rng=None) -> SampleVerdict:
-    """Verdict of ``probe`` (as ``_first_witness`` runs it) on ``samples``
-    samples from a generator seeded with ``seed``, or from ``rng`` when
-    several verdicts share one stream."""
-    rng = random.Random(seed) if rng is None else rng
-    bad = _first_witness(rng, samples, probe, draw, arity)
-    return SampleVerdict(name, bad is None, samples, seed, bad)
 
 
 def _additivity_probe(E: "SymbolicPea", additive: Callable) -> Callable:
@@ -923,15 +870,7 @@ def strong_perfect_representation(
     if not central:
         raise NotStrongError("cyclic candidate is not central: witness %s" % (G.format(cw),))
     if E.ambient is not None and E.to_ambient is not None and not G.abelian:
-        A = E.ambient
-        amb_c = E.to_ambient(c)
-
-        def noncommuting(g):
-            if A.add(amb_c, g) != A.add(g, amb_c):
-                return g
-
-        draw = _repeated_draw(lambda rng: A.sample(rng, bound))
-        if _first_witness(random.Random(seed), samples, noncommuting, draw) is not None:
+        if not is_commutator(E.ambient, E.to_ambient(c), samples, seed, bound)[0]:
             raise NotStrongError("cyclic candidate not central in the ambient group")
     tf, tw = probe_torsion_free(G, samples=min(samples, 500), seed=seed)
     if not tf:
@@ -1028,8 +967,7 @@ def lift_group_hom(
             return "(%s, %s)" % (domain_group.format(a), domain_group.format(b))
 
     rng = random.Random(seed)
-    bad = _first_witness(rng, samples, nonadditive,
-                         _repeated_draw(lambda rng: domain_group.sample(rng, bound)), 2)
+    bad = _first_witness(rng, samples, nonadditive, _element_draw(domain_group, bound), 2)
     if bad is not None:
         raise InputError("callable is not additive at %s" % (bad,))
     E = SymbolicPea(chain_table(n), domain_group, ambient=LexExtensionGroup(domain_group),

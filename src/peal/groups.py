@@ -5,7 +5,10 @@ predicate deciding the order, seeded samplers, and a few constructive helpers
 (upper bounds, positive presentations g = g1 - g2) that the constructions
 module leans on.  Properties of infinite structures are only ever probed on
 samples; reports carry the sample count and seed and never upgrade a sampled
-pass to a universal claim.
+pass to a universal claim.  Every sampled verdict of peal runs on one loop,
+``_first_witness``, but for two that draw sequentially because what they
+draw depends on what they drew: difference consistency of a symbolic algebra
+and the presentation pairs of the universal-group extension.
 """
 
 from __future__ import annotations
@@ -472,7 +475,85 @@ def parse_element(group: PoGroupHandle, text: str):
     return (ints[0], ints[1:]) if lex else ints
 
 
+# -- the sampled verdict loop ---------------------------------------------
+
+
+@dataclass(frozen=True)
+class SampleVerdict:
+    name: str
+    passed: bool
+    samples: int
+    seed: int
+    witness: Optional[str] = None
+
+
+# samples drawn and tested per block by the verdict loop; bounds the values
+# held at once to _BLOCK times the probe's arity
+_BLOCK = 256
+
+
+def _first_witness(rng: random.Random, samples: int, probe: Callable, draw: Callable,
+                   arity: int = 1):
+    """The first non-None result of ``probe`` over ``samples`` samples, or None.
+
+    The one loop of every sampled verdict.  Each sample is ``arity`` values,
+    drawn by ``draw(rng, count=...)`` ahead of ``probe(*values)``: a probe
+    draws all its values before it tests them.  Values are drawn in blocks
+    of at most ``_BLOCK`` samples and tested in order, so the first witness
+    is the one sample by sample drawing finds.  When a witness ends a block
+    early, the generator is rewound to the start of the block and only the
+    draws up to the witness are taken again, so a verdict that shares the
+    generator with later ones leaves it where sample by sample drawing
+    would.  When ``draw`` raises, its block is redrawn one sample at a time,
+    so the error surfaces only where sample by sample drawing reaches it.
+    Difference consistency and the universal extension's presentation pairs
+    do not run here: what they draw depends on what they drew.
+    """
+    if samples < 1:
+        raise InputError("samples must be at least 1, got %d" % (samples,))
+    step = _BLOCK
+    while samples > 0:
+        block = min(samples, step)
+        # getstate copies the whole generator; a one-sample block never rewinds
+        state = rng.getstate() if block > 1 else None
+        try:
+            values = iter(draw(rng, count=block * arity))
+        except Exception:
+            if block == 1:
+                raise
+            rng.setstate(state)
+            step = 1
+            continue
+        for used, args in enumerate(zip(*[values] * arity), 1):
+            witness = probe(*args)
+            if witness is not None:
+                if used < block:
+                    rng.setstate(state)
+                    draw(rng, count=used * arity)
+                return witness
+        samples -= block
+    return None
+
+
+def _repeated_draw(*samplers: Callable) -> Callable:
+    """``draw(rng, count=...)`` taking the ``samplers`` in turn, each as
+    ``sampler(rng)``: sample by sample, one value of each."""
+    return lambda rng, count: [sample(rng) for _ in range(count // len(samplers))
+                               for sample in samplers]
+
+
+def _sampled(name: str, seed: int, samples: int, probe: Callable, draw: Callable,
+             arity: int = 1, rng=None) -> SampleVerdict:
+    """Verdict of ``probe`` (as ``_first_witness`` runs it) on ``samples``
+    samples from a generator seeded with ``seed``, or from ``rng`` when
+    several verdicts share one stream."""
+    rng = random.Random(seed) if rng is None else rng
+    bad = _first_witness(rng, samples, probe, draw, arity)
+    return SampleVerdict(name, bad is None, samples, seed, bad)
+
+
 # -- probes ---------------------------------------------------------------
+# Each owns its generator, so it may draw values it never tests.
 
 
 @dataclass(frozen=True)
@@ -486,132 +567,112 @@ class ProbeReport:
     witnesses: Tuple[str, ...] = ()
 
 
+def _report(kind: str, handle: PoGroupHandle, samples: int, seed: int, failure,
+            witnesses=(), status: str = "fail") -> ProbeReport:
+    """The report of a probe that found ``failure`` (None: it passed)."""
+    passed = failure is None
+    return ProbeReport("%s:%s" % (kind, handle.name), passed, "pass" if passed else status,
+                       samples, seed, () if passed else (failure,), tuple(witnesses))
+
+
+def _element_draw(handle: PoGroupHandle, bound: int) -> Callable:
+    """``draw(rng, count=...)``: ``count`` elements of ``handle`` at ``bound``."""
+    return _repeated_draw(lambda rng: handle.sample(rng, bound))
+
+
 def probe_pogroup(handle: PoGroupHandle, samples: int = 1000, seed: int = 0, bound: int = 10) -> ProbeReport:
     """Sampled po-group laws: associativity, identity, inverses, cone closure,
     antisymmetry, and translation invariance of the order."""
-    rng = random.Random(seed)
-    failures: List[Tuple[str, str]] = []
+    add, neg, le, positive = handle.add, handle.neg, handle.le, handle.is_positive
+    zero = handle.zero()
 
     def fail(check, *els):
-        failures.append((check, ", ".join(handle.format(e) for e in els)))
+        return check, ", ".join(handle.format(e) for e in els)
 
-    zero = handle.zero()
-    for _ in range(samples):
-        a = handle.sample(rng, bound)
-        b = handle.sample(rng, bound)
-        c = handle.sample(rng, bound)
-        if handle.add(handle.add(a, b), c) != handle.add(a, handle.add(b, c)):
-            fail("associativity", a, b, c)
-            break
-        if handle.add(a, zero) != a or handle.add(zero, a) != a:
-            fail("identity", a)
-            break
-        if handle.add(a, handle.neg(a)) != zero or handle.add(handle.neg(a), a) != zero:
-            fail("inverse", a)
-            break
-        p = handle.sample_nonneg(rng, bound)
-        q = handle.sample_nonneg(rng, bound)
-        if not handle.is_positive(handle.add(p, q)):
-            fail("cone-closure", p, q)
-            break
-        if handle.is_positive(a) and handle.is_positive(handle.neg(a)) and a != zero:
-            fail("antisymmetry", a)
-            break
-        lower = handle.sample(rng, bound)
-        upper = handle.add(lower, p)
-        if not handle.le(lower, upper):
-            fail("order-vs-cone", lower, upper)
-            break
-        translated_l = handle.add(handle.add(c, lower), b)
-        translated_u = handle.add(handle.add(c, upper), b)
-        if not handle.le(translated_l, translated_u):
-            fail("translation-invariance", lower, upper, c, b)
-            break
-        if handle.le(lower, upper) != handle.is_positive(
-            handle.add(handle.neg(lower), upper)
-        ):
-            fail("left-right-difference", lower, upper)
-            break
-    passed = not failures
-    return ProbeReport(
-        "pogroup:%s" % handle.name, passed, "pass" if passed else "fail",
-        samples, seed, tuple(failures),
-    )
+    def probe(a, b, c, p, q, lower):
+        if add(add(a, b), c) != add(a, add(b, c)):
+            return fail("associativity", a, b, c)
+        if add(a, zero) != a or add(zero, a) != a:
+            return fail("identity", a)
+        if add(a, neg(a)) != zero or add(neg(a), a) != zero:
+            return fail("inverse", a)
+        if not positive(add(p, q)):
+            return fail("cone-closure", p, q)
+        if positive(a) and positive(neg(a)) and a != zero:
+            return fail("antisymmetry", a)
+        upper = add(lower, p)
+        if not le(lower, upper):
+            return fail("order-vs-cone", lower, upper)
+        if not le(add(add(c, lower), b), add(add(c, upper), b)):
+            return fail("translation-invariance", lower, upper, c, b)
+        if le(lower, upper) != positive(add(neg(lower), upper)):
+            return fail("left-right-difference", lower, upper)
+
+    sample, nonneg = ((lambda rng: handle.sample(rng, bound)),
+                      (lambda rng: handle.sample_nonneg(rng, bound)))
+    failure = _first_witness(random.Random(seed), samples, probe,
+                             _repeated_draw(sample, sample, sample, nonneg, nonneg, sample), 6)
+    return _report("pogroup", handle, samples, seed, failure)
 
 
 def is_commutator(handle: PoGroupHandle, c, samples: int = 1000, seed: int = 0, bound: int = 10):
     """Sampled centrality of c; exact (no sampling) for declared-abelian groups."""
     if handle.abelian:
         return True, None
-    rng = random.Random(seed)
-    for _ in range(samples):
-        x = handle.sample(rng, bound)
+
+    def probe(x):
         if handle.add(x, c) != handle.add(c, x):
-            return False, x
-    return True, None
+            return x
+
+    x = _first_witness(random.Random(seed), samples, probe, _element_draw(handle, bound))
+    return x is None, x
 
 
 def probe_torsion_free(handle: PoGroupHandle, samples: int = 500, cap: int = 12, seed: int = 0, bound: int = 10):
-    rng = random.Random(seed)
     zero = handle.zero()
-    for _ in range(samples):
-        g = handle.sample(rng, bound)
+
+    def probe(g):
         if g == zero:
-            continue
+            return None
         acc = zero
         for m in range(1, cap + 1):
             acc = handle.add(acc, g)
             if acc == zero:
-                return False, (g, m)
-    return True, None
+                return g, m
+
+    witness = _first_witness(random.Random(seed), samples, probe, _element_draw(handle, bound))
+    return witness is None, witness
 
 
 def probe_strong_unit(unital: UnitalPoGroup, samples: int = 500, cap: int = 64, seed: int = 0, bound: int = 10) -> ProbeReport:
     """Per-sample witnesses n with g <= n*u; a sample with no witness within
     the cap makes the probe inconclusive, never false."""
     handle, u = unital.group, unital.u
-    rng = random.Random(seed)
     witnesses = []
-    unresolved = None
-    for _ in range(samples):
-        g = handle.sample(rng, bound)
-        n = None
+
+    def probe(g):
         acc = handle.zero()
         for m in range(1, cap + 1):
             acc = handle.add(acc, u)
             if handle.le(g, acc):
-                n = m
-                break
-        if n is None:
-            unresolved = g
-            break
-        witnesses.append("%s <= %d*u" % (handle.format(g), n))
-    if unresolved is not None:
-        return ProbeReport(
-            "strong-unit:%s" % handle.name, False, "inconclusive", samples, seed,
-            (("no-witness-within-cap", handle.format(unresolved)),),
-            tuple(witnesses[:3]),
-        )
-    return ProbeReport(
-        "strong-unit:%s" % handle.name, True, "pass", samples, seed, (),
-        tuple(witnesses[:3]),
-    )
+                if len(witnesses) < 3:
+                    witnesses.append("%s <= %d*u" % (handle.format(g), m))
+                return None
+        return "no-witness-within-cap", handle.format(g)
+
+    unresolved = _first_witness(random.Random(seed), samples, probe, _element_draw(handle, bound))
+    return _report("strong-unit", handle, samples, seed, unresolved, witnesses, "inconclusive")
 
 
 def probe_directed(handle: PoGroupHandle, samples: int = 500, seed: int = 0, bound: int = 10) -> ProbeReport:
-    rng = random.Random(seed)
     witnesses = []
-    failures = []
-    for _ in range(samples):
-        a = handle.sample(rng, bound)
-        b = handle.sample(rng, bound)
+
+    def probe(a, b):
         c = handle.upper_bound(a, b)
         if not (handle.le(a, c) and handle.le(b, c)):
-            failures.append(("upper-bound", "%s, %s" % (handle.format(a), handle.format(b))))
-            break
-        witnesses.append(handle.format(c))
-    passed = not failures
-    return ProbeReport(
-        "directed:%s" % handle.name, passed, "pass" if passed else "fail",
-        samples, seed, tuple(failures), tuple(witnesses[:3]),
-    )
+            return "upper-bound", "%s, %s" % (handle.format(a), handle.format(b))
+        if len(witnesses) < 3:
+            witnesses.append(handle.format(c))
+
+    failure = _first_witness(random.Random(seed), samples, probe, _element_draw(handle, bound), 2)
+    return _report("directed", handle, samples, seed, failure, witnesses)

@@ -17,7 +17,6 @@ from . import decompositions as dec
 from . import ideals as idl
 from . import states as st
 from .constructions import (
-    _first_witness,
     builtin_pea,
     chain_table,
     lex_product_pea,
@@ -41,6 +40,7 @@ from .groups import (
     IntVectorGroup,
     TwistedZ3Group,
     UnitalPoGroup,
+    _first_witness,
     is_commutator,
     probe_directed,
     probe_pogroup,

@@ -4,10 +4,9 @@ from typing import Callable, List
 
 import pytest
 
-from peal import constructions
+from peal import groups
 from peal.constructions import (
     Measure,
-    SampleVerdict,
     SymbolicPea,
     NonSymmetricError,
     NotCyclicError,
@@ -33,14 +32,17 @@ from peal.core import (
     is_symmetric,
 )
 from peal.corpus import are_isomorphic
+from peal.decompositions import check_comparability
 from peal.groups import (
     DerivedConeGroup,
     PoGroupHandle,
     IntVectorGroup,
     LexExtensionGroup,
+    SampleVerdict,
     TwistedZ3Group,
     UnitalPoGroup,
 )
+from peal.suite import SuiteReport, symbolic_battery
 
 
 # -- unitization ------------------------------------------------------------
@@ -1011,7 +1013,7 @@ def test_axiom_report_keeps_its_shared_stream_past_a_witness(block, monkeypatch)
     while every member keeps its complements.  PE2 to PE4 give the frozen
     verdicts only if PE1 leaves the generator where the frozen loop did,
     wherever in its block the witness falls."""
-    monkeypatch.setattr(constructions, "_BLOCK", block)
+    monkeypatch.setattr(groups, "_BLOCK", block)
     sym = SymbolicPea(chain_table(2), IntVectorGroup(1), name="swapped",
                       twist={1: swapping((5, 6))},
                       twist_inv={1: swapping((5, 6), (9, 10), (-9, -10))})
@@ -1079,3 +1081,54 @@ def test_state_additivity_needs_a_positive_unit_level():
     assert Fraction(1, 2) == builtin_pea("example46").canonical_state((1, (0,)))
     with pytest.raises(InputError):
         SymbolicPea(diamond_table(), IntVectorGroup(1), levels=(0, 1, 1, 0))
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_sampled_verdicts_refuse_no_samples(samples):
+    """Every public entry point that samples: with no sample drawn, each
+    would pass unwitnessed, so each refuses."""
+    E = lex_product_pea(2, IntVectorGroup(1))
+    twisted = lex_product_pea(2, TwistedZ3Group())
+
+    def level0(x):
+        return E.level(x) == 0
+
+    def levels(x):
+        return (x[0],)
+
+    calls = [
+        lambda: lex_product_pea(2, IntVectorGroup(1), check_samples=samples),
+        lambda: E.sampled_axiom_report(samples=samples),
+        lambda: E.is_symmetric_sampled(samples=samples),
+        lambda: is_symmetric(E, samples=samples),
+        lambda: E.check_comparability_sampled(samples=samples),
+        lambda: check_comparability(E, None, samples=samples),
+        lambda: E.sampled_state_additivity(samples=samples),
+        lambda: E.sampled_infinit_is_level0(samples=samples),
+        lambda: E.sampled_ideal_predicate(level0, samples=samples),
+        lambda: E.sampled_normal_predicate(level0, samples=samples),
+        lambda: E.sampled_cyclic_uniqueness((1, (0,)), samples=samples),
+        lambda: E.sampled_difference_consistency(samples=samples),
+        lambda: Measure(E, IntVectorGroup(1), levels).verify_additivity(samples=samples),
+        lambda: strong_perfect_representation(E, (1, (0,)), samples=samples),
+        lambda: strong_perfect_representation(twisted, (1, (0, 0, 0)), samples=samples),
+        lambda: lift_group_hom(lambda g: g, 2, IntVectorGroup(1), IntVectorGroup(1),
+                               samples=samples),
+        lambda: universal_group_extension(Measure(E, IntVectorGroup(1), levels),
+                                          samples=samples),
+        lambda: symbolic_battery(SuiteReport(max_size=1, seed=0), 0, samples),
+    ]
+    for call in calls:
+        with pytest.raises(InputError):
+            call()
+
+
+def test_representation_probes_the_ambient_group():
+    """A non-abelian presentation group: the cyclic element is probed for
+    centrality in the group and in the ambient lex extension."""
+    E = lex_product_pea(2, TwistedZ3Group())
+    rep = strong_perfect_representation(E, (1, (0, 0, 0)), samples=300, seed=2)
+    assert rep.passed
+    shifted = lex_product_pea(2, TwistedZ3Group(), h=(0, 2, 0))
+    with pytest.raises(NotStrongError, match="not central: witness"):
+        strong_perfect_representation(shifted, (1, (0, 1, 0)), samples=300, seed=2)

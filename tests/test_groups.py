@@ -1,12 +1,16 @@
 import ast
+import functools
 import os
 import random
 import re
+from typing import List, Tuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hyp
 
+from peal import groups
+from peal.constructions import SymbolicPea, chain_table
 from peal.core import InputError
 from peal.groups import (
     BoundExceededError,
@@ -15,8 +19,10 @@ from peal.groups import (
     IntVectorGroup,
     LexExtensionGroup,
     PoGroupHandle,
+    ProbeReport,
     TwistedZ3Group,
     UnitalPoGroup,
+    _first_witness,
     _randint,
     _randints,
     builtin_group,
@@ -235,8 +241,9 @@ DRAW_KERNELS = {
 }
 
 
-def _getrandbits_users(source):
-    """Qualified names of the functions in ``source`` that name getrandbits."""
+def _scan(source, hit):
+    """Qualified names of the functions in ``source`` around each node for
+    which ``hit(node)`` holds, one entry per such node."""
     found = []
 
     def walk(node, scope):
@@ -244,11 +251,7 @@ def _getrandbits_users(source):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 walk(child, scope + [child.name])
             else:
-                names = {getattr(child, "attr", None), getattr(child, "id", None),
-                         getattr(child, "value", None)}
-                names |= {alias.name for alias in getattr(child, "names", ())
-                          if isinstance(alias, ast.alias)}
-                if "getrandbits" in names:
+                if hit(child):
                     found.append(".".join(scope) or "<module>")
                 walk(child, scope)
 
@@ -256,22 +259,55 @@ def _getrandbits_users(source):
     return found
 
 
+def _names_getrandbits(node):
+    names = {getattr(node, "attr", None), getattr(node, "id", None),
+             getattr(node, "value", None)}
+    names |= {alias.name for alias in getattr(node, "names", ())
+              if isinstance(alias, ast.alias)}
+    return "getrandbits" in names
+
+
+def _getrandbits_users(source):
+    """Qualified names of the functions in ``source`` that name getrandbits."""
+    return _scan(source, _names_getrandbits)
+
+
+def _loops_over_samples(node):
+    """Whether ``node`` is a loop over the sample count: a ``while`` whose
+    test names ``samples``, or a ``for`` (statement or comprehension) over a
+    ``range`` whose arguments name it."""
+    if isinstance(node, ast.While):
+        header = node.test
+    elif isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension)) and \
+            isinstance(node.iter, ast.Call) and getattr(node.iter.func, "id", None) == "range":
+        header = node.iter
+    else:
+        return False
+    return any(getattr(n, "id", None) == "samples" or getattr(n, "attr", None) == "samples"
+               for n in ast.walk(header))
+
+
+def _peal_sources():
+    """(file name, source) of each module of peal."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src", "peal")
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                yield name, fh.read()
+
+
 def test_samplers_draw_only_through_randint():
     """Every draw in peal goes through ``groups._randint``/``_randints`` or
     the member kernel ``SymbolicPea.sample_members``: no module may call the
     Random methods whose stream those reproduce, and no other function may
     call ``getrandbits``, since the stream identity rests on those three."""
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src", "peal")
     calls = re.compile(r"\.(randint|randrange)\(")
     offenders = []
     users = set()
-    for name in sorted(os.listdir(src)):
-        if name.endswith(".py"):
-            with open(os.path.join(src, name), encoding="utf-8") as fh:
-                source = fh.read()
-            offenders += ["%s:%d" % (name, i) for i, line in enumerate(source.splitlines(), 1)
-                          if calls.search(line)]
-            users |= {(name, fn) for fn in _getrandbits_users(source)}
+    for name, source in _peal_sources():
+        offenders += ["%s:%d" % (name, i) for i, line in enumerate(source.splitlines(), 1)
+                      if calls.search(line)]
+        users |= {(name, fn) for fn in _getrandbits_users(source)}
     assert offenders == []
     assert users == DRAW_KERNELS
 
@@ -287,3 +323,327 @@ def test_getrandbits_scan_sees_every_use():
         "def h(rng):\n    return getattr(rng, 'getrandbits')(1)\n"
     )
     assert _getrandbits_users(source) == ["f", "C.g", "<module>", "<module>", "h"]
+
+
+def test_one_loop_runs_the_sampled_verdicts():
+    """Every sampled verdict runs on ``groups._first_witness``; the only
+    other loop over the sample count is the sequential one of difference
+    consistency, whose draws depend on the values drawn."""
+    loops = {(name, fn) for name, source in _peal_sources()
+             for fn in _scan(source, _loops_over_samples)}
+    assert loops == {("groups.py", "_first_witness"),
+                     ("constructions.py", "SymbolicPea.sampled_difference_consistency")}
+
+
+def test_sample_loop_scan_sees_every_loop():
+    source = (
+        "def f(samples):\n    for _ in range(samples):\n        pass\n"
+        "class C:\n    def g(self, n):\n        while self.samples > n:\n            n += 1\n"
+        "def h(samples):\n    return [x for x in range(min(samples, 9))]\n"
+        "def k(samples, n):\n    for i in range(n):\n        samples += i\n    return samples\n"
+        "def m(r):\n    for v in r.verdicts(samples=3):\n        pass\n"
+        "for _ in range(args.samples):\n    pass\n"
+    )
+    assert _scan(source, _loops_over_samples) == ["f", "C.g", "h", "<module>"]
+
+
+# -- the group probes on the verdict loop ------------------------------------
+#
+# Verbatim copies of the probes as they were when each ran its own loop,
+# drawing each value when the loop reached it: the oracles of the probes
+# that run on groups._first_witness.
+
+
+def frozen_probe_pogroup(handle: PoGroupHandle, samples: int = 1000, seed: int = 0, bound: int = 10) -> ProbeReport:
+    """Sampled po-group laws: associativity, identity, inverses, cone closure,
+    antisymmetry, and translation invariance of the order."""
+    rng = random.Random(seed)
+    failures: List[Tuple[str, str]] = []
+
+    def fail(check, *els):
+        failures.append((check, ", ".join(handle.format(e) for e in els)))
+
+    zero = handle.zero()
+    for _ in range(samples):
+        a = handle.sample(rng, bound)
+        b = handle.sample(rng, bound)
+        c = handle.sample(rng, bound)
+        if handle.add(handle.add(a, b), c) != handle.add(a, handle.add(b, c)):
+            fail("associativity", a, b, c)
+            break
+        if handle.add(a, zero) != a or handle.add(zero, a) != a:
+            fail("identity", a)
+            break
+        if handle.add(a, handle.neg(a)) != zero or handle.add(handle.neg(a), a) != zero:
+            fail("inverse", a)
+            break
+        p = handle.sample_nonneg(rng, bound)
+        q = handle.sample_nonneg(rng, bound)
+        if not handle.is_positive(handle.add(p, q)):
+            fail("cone-closure", p, q)
+            break
+        if handle.is_positive(a) and handle.is_positive(handle.neg(a)) and a != zero:
+            fail("antisymmetry", a)
+            break
+        lower = handle.sample(rng, bound)
+        upper = handle.add(lower, p)
+        if not handle.le(lower, upper):
+            fail("order-vs-cone", lower, upper)
+            break
+        translated_l = handle.add(handle.add(c, lower), b)
+        translated_u = handle.add(handle.add(c, upper), b)
+        if not handle.le(translated_l, translated_u):
+            fail("translation-invariance", lower, upper, c, b)
+            break
+        if handle.le(lower, upper) != handle.is_positive(
+            handle.add(handle.neg(lower), upper)
+        ):
+            fail("left-right-difference", lower, upper)
+            break
+    passed = not failures
+    return ProbeReport(
+        "pogroup:%s" % handle.name, passed, "pass" if passed else "fail",
+        samples, seed, tuple(failures),
+    )
+
+
+def frozen_is_commutator(handle: PoGroupHandle, c, samples: int = 1000, seed: int = 0, bound: int = 10):
+    """Sampled centrality of c; exact (no sampling) for declared-abelian groups."""
+    if handle.abelian:
+        return True, None
+    rng = random.Random(seed)
+    for _ in range(samples):
+        x = handle.sample(rng, bound)
+        if handle.add(x, c) != handle.add(c, x):
+            return False, x
+    return True, None
+
+
+def frozen_probe_torsion_free(handle: PoGroupHandle, samples: int = 500, cap: int = 12, seed: int = 0, bound: int = 10):
+    rng = random.Random(seed)
+    zero = handle.zero()
+    for _ in range(samples):
+        g = handle.sample(rng, bound)
+        if g == zero:
+            continue
+        acc = zero
+        for m in range(1, cap + 1):
+            acc = handle.add(acc, g)
+            if acc == zero:
+                return False, (g, m)
+    return True, None
+
+
+def frozen_probe_strong_unit(unital: UnitalPoGroup, samples: int = 500, cap: int = 64, seed: int = 0, bound: int = 10) -> ProbeReport:
+    """Per-sample witnesses n with g <= n*u; a sample with no witness within
+    the cap makes the probe inconclusive, never false."""
+    handle, u = unital.group, unital.u
+    rng = random.Random(seed)
+    witnesses = []
+    unresolved = None
+    for _ in range(samples):
+        g = handle.sample(rng, bound)
+        n = None
+        acc = handle.zero()
+        for m in range(1, cap + 1):
+            acc = handle.add(acc, u)
+            if handle.le(g, acc):
+                n = m
+                break
+        if n is None:
+            unresolved = g
+            break
+        witnesses.append("%s <= %d*u" % (handle.format(g), n))
+    if unresolved is not None:
+        return ProbeReport(
+            "strong-unit:%s" % handle.name, False, "inconclusive", samples, seed,
+            (("no-witness-within-cap", handle.format(unresolved)),),
+            tuple(witnesses[:3]),
+        )
+    return ProbeReport(
+        "strong-unit:%s" % handle.name, True, "pass", samples, seed, (),
+        tuple(witnesses[:3]),
+    )
+
+
+def frozen_probe_directed(handle: PoGroupHandle, samples: int = 500, seed: int = 0, bound: int = 10) -> ProbeReport:
+    rng = random.Random(seed)
+    witnesses = []
+    failures = []
+    for _ in range(samples):
+        a = handle.sample(rng, bound)
+        b = handle.sample(rng, bound)
+        c = handle.upper_bound(a, b)
+        if not (handle.le(a, c) and handle.le(b, c)):
+            failures.append(("upper-bound", "%s, %s" % (handle.format(a), handle.format(b))))
+            break
+        witnesses.append(handle.format(c))
+    passed = not failures
+    return ProbeReport(
+        "directed:%s" % handle.name, passed, "pass" if passed else "fail",
+        samples, seed, tuple(failures), tuple(witnesses[:3]),
+    )
+
+
+class ZMod2(PoGroupHandle):
+    """Z/2 with the total cone: a group with torsion."""
+
+    name = "Z/2"
+    abelian = True
+
+    def zero(self):
+        return (0,)
+
+    def add(self, x, y):
+        return ((x[0] + y[0]) % 2,)
+
+    def neg(self, x):
+        return ((-x[0]) % 2,)
+
+    def is_positive(self, x):
+        return True
+
+    def sample(self, rng, bound):
+        return (rng.randint(0, 1),)
+
+    def sample_nonneg(self, rng, bound):
+        return (rng.randint(0, 1),)
+
+    def upper_bound(self, x, y):
+        return x
+
+
+# (handle, unit, elements to test for centrality); the broken cone fails
+# the po-group laws, the reversed Z (a user cone sampler) fails
+# directedness, Z^2 pointwise has no strong unit (1, 0), Z/2 has torsion,
+# and the twisted groups have non-central elements
+PROBE_HANDLES = [
+    (IntVectorGroup(1), (1,), ()),
+    (IntVectorGroup(2), (1, 0), ()),
+    (IntVectorGroup(3, "lex"), (1, 0, 0), ()),
+    (TwistedZ3Group(), (1, 0, 0), ((0, 1, 0), (0, 1, 1))),
+    (LexExtensionGroup(TwistedZ3Group()), (1, (0, 0, 0)), ((0, (0, 1, 0)), (0, (0, 1, 1)))),
+    (LexExtensionGroup(IntVectorGroup(2, "lex")), (1, (0, 0)), ()),
+    (DerivedConeGroup(TwistedZ3Group(),
+                      lambda g: g[0] > 0 or (g[0] == 0 and g[1] >= 0 and g[2] >= g[1]),
+                      "broken-cone"), (1, 0, 0), ((0, 1, 0), (0, 1, 1))),
+    (DerivedConeGroup(IntVectorGroup(1), lambda g: g[0] <= 0, "Z-reversed",
+                      sample_nonneg=lambda rng, bound: (-rng.randint(0, bound),)), (-1,), ()),
+    (ZMod2(), (1,), ()),
+]
+
+
+def probe_grid(pogroup, commutator, torsion_free, strong_unit, directed):
+    """Every probe on every handle, at seeds 0, 1, 5, 100, sample counts 1,
+    7, 300, 2000 and bounds 1, 10."""
+    out = []
+    for handle, u, central in PROBE_HANDLES:
+        for seed in (0, 1, 5, 100):
+            for samples in (1, 7, 300, 2000):
+                for bound in (1, 10):
+                    out.append(pogroup(handle, samples, seed, bound))
+                    out.append(torsion_free(handle, samples, 12, seed, bound))
+                    out.append(strong_unit(UnitalPoGroup(handle, u), samples, 64, seed, bound))
+                    out.append(directed(handle, samples, seed, bound))
+                    for c in central or (u,):
+                        out.append(commutator(handle, c, samples, seed, bound))
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def frozen_probe_grid():
+    return probe_grid(frozen_probe_pogroup, frozen_is_commutator, frozen_probe_torsion_free,
+                      frozen_probe_strong_unit, frozen_probe_directed)
+
+
+@pytest.mark.parametrize("block", [1, 2, 256])
+def test_probes_match_frozen(block, monkeypatch):
+    monkeypatch.setattr(groups, "_BLOCK", block)
+    ours = probe_grid(probe_pogroup, is_commutator, probe_torsion_free,
+                      probe_strong_unit, probe_directed)
+    assert ours == frozen_probe_grid()
+    assert sum(isinstance(r, ProbeReport) and not r.passed for r in ours) >= 100
+    assert sum(isinstance(r, tuple) and not r[0] for r in ours) >= 50
+
+
+def digit_draw(rng, count):
+    """``count`` digits, each ``_randint(rng, 0, 9)``; a 9 raises."""
+    out = []
+    for _ in range(count):
+        digit = _randint(rng, 0, 9)
+        if digit == 9:
+            raise InputError("drew a 9")
+        out.append(digit)
+    return out
+
+
+@pytest.mark.parametrize("block", [1, 2, 256])
+def test_a_failing_draw_surfaces_where_sample_by_sample_drawing_reaches_it(block, monkeypatch):
+    """The draw of sample j raises; the samples before it are still tested,
+    in order, so a witness among them is returned and leaves the generator
+    where sample by sample drawing leaves it, and with no witness among
+    them the error propagates."""
+    monkeypatch.setattr(groups, "_BLOCK", block)
+    witnesses = 0
+    for seed in range(30):
+        rng = random.Random(seed)
+        digits = [_randint(rng, 0, 9)]
+        while digits[-1] != 9:
+            digits.append(_randint(rng, 0, 9))
+        tested = []
+        with pytest.raises(InputError):
+            _first_witness(random.Random(seed), 300, tested.append, digit_draw)
+        assert tested == digits[:-1]
+        for j in range(len(digits) - 1):
+            rng = random.Random(seed)
+            seen = []
+
+            def probe(digit):
+                seen.append(digit)
+                if len(seen) == j + 1:
+                    return ("witness", j)
+
+            assert _first_witness(rng, 300, probe, digit_draw) == ("witness", j)
+            reference = random.Random(seed)
+            digit_draw(reference, j + 1)
+            assert rng.getstate() == reference.getstate()
+            witnesses += 1
+    assert witnesses >= 100
+
+
+def test_a_failing_member_draw_keeps_an_earlier_witness():
+    """A cone sampler that raises on drawing its bound, inside a symbolic
+    algebra: the first member is a witness before any draw fails."""
+    def sample_nonneg(rng, bound):
+        part = rng.randint(0, bound)
+        if part == bound:
+            raise InputError("cone sampler failed")
+        return (part,)
+
+    G = DerivedConeGroup(IntVectorGroup(1), lambda g: g[0] >= 0, "Z-flaky",
+                         sample_nonneg=sample_nonneg)
+    E = SymbolicPea(chain_table(1), G)
+    assert E.sample_member(random.Random(5), 6) == (1, (-5,))
+    assert _first_witness(random.Random(5), 500, E.format, E._member_draw(6)) == "(1,-5)"
+    with pytest.raises(InputError):
+        _first_witness(random.Random(5), 500, lambda x: None, E._member_draw(6))
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_probes_refuse_no_samples(samples):
+    """With no sample drawn a sampled verdict would pass unwitnessed."""
+    tw = TwistedZ3Group()
+    with pytest.raises(InputError):
+        _first_witness(random.Random(0), samples, lambda x: x, digit_draw)
+    with pytest.raises(InputError):
+        probe_pogroup(tw, samples=samples)
+    with pytest.raises(InputError):
+        is_commutator(tw, (0, 1, 0), samples=samples)
+    with pytest.raises(InputError):
+        probe_torsion_free(tw, samples=samples)
+    with pytest.raises(InputError):
+        probe_strong_unit(UnitalPoGroup(tw, (1, 0, 0)), samples=samples)
+    with pytest.raises(InputError):
+        probe_directed(tw, samples=samples)
+    # centrality in a declared-abelian group is exact and draws nothing
+    assert is_commutator(IntVectorGroup(2), (1, 0), samples=samples) == (True, None)
