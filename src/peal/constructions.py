@@ -77,12 +77,8 @@ def chain_table(n: int) -> PartialAdditionTable:
     if n < 1:
         raise InputError("chain parameter must be >= 1")
     names = [str(Fraction(i, n)) for i in range(n + 1)]
-    sums = {}
-    for i in range(n + 1):
-        for j in range(n + 1):
-            if i + j <= n:
-                sums[(names[i], names[j])] = names[i + j]
-    return PartialAdditionTable(names, names[0], names[n], sums)
+    rows = [[i + j if i + j <= n else None for j in range(n + 1)] for i in range(n + 1)]
+    return PartialAdditionTable._from_rows(names, 0, n, rows)
 
 
 def diamond_table() -> PartialAdditionTable:
@@ -129,18 +125,17 @@ def unitize(table: PartialAdditionTable) -> PartialAdditionTable:
     suffix = "#"
     while any(e + suffix in names for e in els):
         suffix += "#"
-    sharp = [e + suffix for e in els]
+    sharp = tuple(e + suffix for e in els)
     ldiff, rdiff = _differences(table)
-    sums: Dict[Tuple[str, str], str] = {}
-    for a in range(table.size):
-        for b in range(table.size):
-            c = table.add_i(a, b)
-            if c is not None:
-                sums[(els[a], els[b])] = els[c]
+    k = table.size
+    # the sharp copy of element b is element k + b of the lift
+    rows = [list(row) + [None] * k for row in table._sums] + [[None] * (2 * k) for _ in els]
+    for a in range(k):
+        for b in range(k):
             if ldiff[b][a] is not None:  # a <= b
-                sums[(els[a], sharp[b])] = sharp[ldiff[b][a]]
-                sums[(sharp[b], els[a])] = sharp[rdiff[a][b]]
-    lifted = PartialAdditionTable(list(els) + sharp, table.zero, sharp[table.zero_i], sums)
+                rows[a][k + b] = k + ldiff[b][a]
+                rows[k + b][a] = k + rdiff[a][b]
+    lifted = PartialAdditionTable._from_rows(els + sharp, table.zero_i, k + table.zero_i, rows)
     rep = check_axioms(lifted, "pea")
     if not rep.passed:
         raise InconsistencyError(
@@ -152,7 +147,6 @@ def unitize(table: PartialAdditionTable) -> PartialAdditionTable:
     # the indices 0..k-1 in the lift, so both tests are mask tests
     order = induced_order(table)
     big_order = induced_order(lifted)
-    k = table.size
     if any(big_order.down[j] >> k for j in range(k)):
         raise InconsistencyError("E is not downward closed in its unitization")
     low = (1 << k) - 1
@@ -183,16 +177,11 @@ def gamma_interval_finite(
     if not members:
         raise InputError("interval [0, u] is empty; u must be positive")
     members = sorted(members)
-    names = {m: group.format(m) for m in members}
-    member_set = set(members)
-    sums = {}
-    for a in members:
-        for b in members:
-            s = group.add(a, b)
-            if s in member_set and group.le(s, u):
-                sums[(names[a], names[b])] = names[s]
-    table = PartialAdditionTable(
-        [names[m] for m in members], names[group.zero()], names[u], sums
+    position = {m: i for i, m in enumerate(members)}
+    sums = [[group.add(a, b) for b in members] for a in members]
+    rows = [[position[s] if s in position and group.le(s, u) else None for s in row] for row in sums]
+    table = PartialAdditionTable._from_rows(
+        [group.format(m) for m in members], position[group.zero()], position[u], rows
     )
     rep = check_axioms(table, "pea")
     if not rep.passed:
@@ -866,13 +855,13 @@ def strong_perfect_representation(
             "n*c = %s differs from the unit %s"
             % ("undefined" if nc is None else E.format(nc), E.format(E.one_el))
         )
-    central, cw = is_commutator(G, c[1], samples=samples, seed=seed)
+    central, cw = is_commutator(G, c[1], samples=samples, seed=seed, bound=bound)
     if not central:
         raise NotStrongError("cyclic candidate is not central: witness %s" % (G.format(cw),))
     if E.ambient is not None and E.to_ambient is not None and not G.abelian:
         if not is_commutator(E.ambient, E.to_ambient(c), samples, seed, bound)[0]:
             raise NotStrongError("cyclic candidate not central in the ambient group")
-    tf, tw = probe_torsion_free(G, samples=min(samples, 500), seed=seed)
+    tf, tw = probe_torsion_free(G, samples=min(samples, 500), seed=seed, bound=bound)
     if not tf:
         raise NotStrongError("presentation group is not torsion-free: %r" % (tw,))
 
@@ -1022,6 +1011,8 @@ def universal_group_extension(
     independently sampled right- and left-hand presentations, and the
     homomorphism property plus the factorization through the embedding are
     verified on samples."""
+    if presentation_pairs < 1:
+        raise InputError("presentation_pairs must be at least 1, got %d" % (presentation_pairs,))
     E = phi.domain
     _require_chain_presentation(E)
     if E.h != E.group.zero():

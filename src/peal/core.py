@@ -4,7 +4,9 @@ The central object is :class:`PartialAdditionTable`: a finite list of named
 elements together with a partial binary addition, a zero, and (for
 pseudo-effect algebras) a unit.  Elements are referenced by stable string
 identifiers and internally by dense indices; all algorithms work on indices
-and all arithmetic is exact.
+and all arithmetic is exact.  Tables are stored as index rows; names are
+parsed only by the public constructor, and every table peal builds itself is
+handed over as rows (``PartialAdditionTable._from_rows``).
 
 Tables are immutable after construction.  Derived structure (axiom reports,
 the induced order, complements, isotropic data) is memoised on the table by
@@ -144,7 +146,7 @@ class PartialAdditionTable:
     :func:`check_axioms`.
     """
 
-    __slots__ = ("elements", "zero", "one", "_sums", "_index", "_cache")
+    __slots__ = ("elements", "zero", "one", "zero_i", "one_i", "_sums", "_index", "_cache")
 
     def __init__(
         self,
@@ -153,38 +155,38 @@ class PartialAdditionTable:
         one: Optional[str],
         sums: Mapping[Tuple[str, str], str],
     ):
-        elements = tuple(str(e) for e in elements)
-        if not elements:
-            raise InputError("element list is empty")
-        if len(set(elements)) != len(elements):
-            raise InputError("duplicate element identifiers")
-        index = {e: i for i, e in enumerate(elements)}
-        if zero not in index:
-            raise InputError("zero %r is not an element" % (zero,))
-        if one is not None and one not in index:
-            raise InputError("one %r is not an element" % (one,))
-        if one is not None and one == zero:
-            raise InputError("a unital table needs distinct zero and one")
-        k = len(elements)
-        table: List[List[Optional[int]]] = [[None] * k for _ in range(k)]
+        elements, index, zero_i, one_i = _checked_names(elements, zero, one)
+        rows: List[List[Optional[int]]] = [[None] * len(elements) for _ in elements]
         for (a, b), c in sums.items():
             if a not in index or b not in index or c not in index:
                 raise InputError("sum entry (%r, %r) -> %r references unknown element" % (a, b, c))
-            i, j = index[a], index[b]
-            if table[i][j] is not None and table[i][j] != index[c]:
-                raise InputError("conflicting entries for %r + %r" % (a, b))
-            table[i][j] = index[c]
-        z = index[zero]
-        for i in range(k):
-            if table[i][z] != i or table[z][i] != i:
+            rows[index[a]][index[b]] = index[c]
+        self._adopt(elements, index, zero_i, one_i, rows)
+
+    @classmethod
+    def _from_rows(cls, elements: Sequence[str], zero_i: int, one_i: Optional[int], rows):
+        """The table on ``elements`` with ``rows[i][j]`` the index of i + j or
+        None, zero ``elements[zero_i]`` and unit ``elements[one_i]`` (or None).
+        Names and the unit law are checked as by the constructor; indices come
+        from a table the caller holds, so they are not range-checked."""
+        self = cls.__new__(cls)
+        self._adopt(tuple(elements), _element_index(elements), zero_i, one_i, rows)
+        return self
+
+    def _adopt(self, elements, index, zero_i, one_i, rows) -> None:
+        """Check the unit law a+0 = 0+a = a on ``rows``, then store them."""
+        for i in range(len(elements)):
+            if rows[i][zero_i] != i or rows[zero_i][i] != i:
                 raise InputError(
                     "unit law violated at construction: %r + 0 and 0 + %r must equal %r"
                     % (elements[i], elements[i], elements[i])
                 )
         self.elements = elements
-        self.zero = zero
-        self.one = one
-        self._sums = tuple(tuple(row) for row in table)
+        self.zero = elements[zero_i]
+        self.one = None if one_i is None else elements[one_i]
+        self.zero_i = zero_i
+        self.one_i = one_i
+        self._sums = tuple(map(tuple, rows))
         self._index = index
         self._cache: Dict[tuple, object] = {}
 
@@ -193,14 +195,6 @@ class PartialAdditionTable:
     @property
     def size(self) -> int:
         return len(self.elements)
-
-    @property
-    def zero_i(self) -> int:
-        return self._index[self.zero]
-
-    @property
-    def one_i(self) -> Optional[int]:
-        return None if self.one is None else self._index[self.one]
 
     @property
     def is_unital(self) -> bool:
@@ -263,14 +257,36 @@ class PartialAdditionTable:
         """Sub-table on a subset of elements (sums kept when both operands and
         the result lie in the subset)."""
         members = set(members)
-        keep = [e for e in self.elements if e in members]
-        sums = {}
-        for a in keep:
-            for b in keep:
-                c = self.add(a, b)
-                if c is not None and c in members:
-                    sums[(a, b)] = c
-        return PartialAdditionTable(keep, self.zero, one, sums)
+        keep = [i for i, e in enumerate(self.elements) if e in members]
+        elements, _, zero_i, one_i = _checked_names([self.elements[i] for i in keep], self.zero, one)
+        new = {old: i for i, old in enumerate(keep)}
+        t = self._sums
+        return PartialAdditionTable._from_rows(
+            elements, zero_i, one_i, [[new.get(t[a][b]) for b in keep] for a in keep])
+
+
+def _element_index(elements: Sequence[str]) -> Dict[str, int]:
+    """The index of each element; names must be distinct."""
+    index = {e: i for i, e in enumerate(elements)}
+    if len(index) != len(elements):
+        raise InputError("duplicate element identifiers")
+    return index
+
+
+def _checked_names(elements: Iterable, zero: str, one: Optional[str]):
+    """The constructor's checks of the element names, zero and one:
+    (elements as strings, their index, the index of zero, that of one)."""
+    elements = tuple(str(e) for e in elements)
+    if not elements:
+        raise InputError("element list is empty")
+    index = _element_index(elements)
+    if zero not in index:
+        raise InputError("zero %r is not an element" % (zero,))
+    if one is not None and one not in index:
+        raise InputError("one %r is not an element" % (one,))
+    if one is not None and one == zero:
+        raise InputError("a unital table needs distinct zero and one")
+    return elements, index, index[zero], None if one is None else index[one]
 
 
 def derived(fn):

@@ -119,14 +119,9 @@ def _relabeled(t, positions: Sequence[int], unital: bool) -> PartialAdditionTabl
     becomes i, its elements named 0, 1 (when unital), a, b, ..."""
     names = ["0", "1"] if unital else ["0"]
     names.extend(_NAMES[:len(positions) - len(names)])
-    old_to_name = {old: names[new] for new, old in enumerate(positions)}
-    sums = {
-        (old_to_name[i], old_to_name[j]): old_to_name[s]
-        for i, row in enumerate(t)
-        for j, s in enumerate(row)
-        if s is not None
-    }
-    return PartialAdditionTable(names, "0", "1" if unital else None, sums)
+    new = {old: i for i, old in enumerate(positions)}
+    rows = [[new.get(t[a][b]) for b in positions] for a in positions]
+    return PartialAdditionTable._from_rows(names, 0, 1 if unital else None, rows)
 
 
 @derived

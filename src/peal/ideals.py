@@ -323,7 +323,7 @@ def quotient(table: PartialAdditionTable, I: Iterable[str]):
         return "{%s}" % ",".join(cls)
 
     names = [class_name(c) for c in classes]
-    sums: Dict[Tuple[str, str], str] = {}
+    rows = [[None] * len(classes) for _ in classes]
     for ci, ca in enumerate(classes):
         for cj, cb in enumerate(classes):
             results = set()
@@ -337,14 +337,10 @@ def quotient(table: PartialAdditionTable, I: Iterable[str]):
                     "quotient sum ill-defined on %s + %s" % (names[ci], names[cj])
                 )
             if results:
-                sums[(names[ci], names[cj])] = names[results.pop()]
-    zero_name = names[class_of[table.zero_i]]
-    one_name = None
-    if table.one is not None:
-        cand = names[class_of[table.one_i]]
-        if cand != zero_name:
-            one_name = cand
-    q = PartialAdditionTable(names, zero_name, one_name, sums)
+                rows[ci][cj] = results.pop()
+    zero_i = class_of[table.zero_i]
+    one_i = None if table.one is None else class_of[table.one_i]
+    q = PartialAdditionTable._from_rows(names, zero_i, None if one_i == zero_i else one_i, rows)
     rep = check_axioms(q, "gpea")
     if not rep.passed:
         raise InconsistencyError("quotient fails GPEA axioms: %r" % (rep.violations,))

@@ -1116,11 +1116,32 @@ def test_sampled_verdicts_refuse_no_samples(samples):
                                samples=samples),
         lambda: universal_group_extension(Measure(E, IntVectorGroup(1), levels),
                                           samples=samples),
+        lambda: universal_group_extension(Measure(E, IntVectorGroup(1), levels),
+                                          presentation_pairs=samples),
         lambda: symbolic_battery(SuiteReport(max_size=1, seed=0), 0, samples),
     ]
     for call in calls:
         with pytest.raises(InputError):
             call()
+
+
+def test_representation_draws_every_probe_at_its_bound():
+    """Both probes of the presentation group, centrality and torsion, draw
+    at the bound asked for, as the ambient check and the phi verdicts do."""
+
+    class RecordingTwisted(TwistedZ3Group):
+        def __init__(self):
+            self.bounds = set()
+
+        def sample(self, rng, bound):
+            self.bounds.add(bound)
+            return super().sample(rng, bound)
+
+    group = RecordingTwisted()
+    E = lex_product_pea(2, group)
+    group.bounds.clear()  # the construction's own checks draw at their default
+    assert strong_perfect_representation(E, (1, (0, 0, 0)), samples=60, seed=2, bound=4).passed
+    assert group.bounds == {4}
 
 
 def test_representation_probes_the_ambient_group():
