@@ -661,6 +661,21 @@ class SymbolicPea:
 # -- symbolic constructors ---------------------------------------------------
 
 
+def _chain_product(n: int, group: PoGroupHandle, h=None) -> SymbolicPea:
+    """Gamma(Z x_lex G, (n, h)): the level pairs over a chain of height n,
+    with parts in the group, bounded above by h (default zero) at level n."""
+    h = group.zero() if h is None else h
+    return SymbolicPea(
+        chain_table(n),
+        group,
+        h=h,
+        levels=tuple(range(n + 1)),
+        name="Gamma(Z-lex-%s, (%d,%s))" % (group.name, n, group.format(h)),
+        ambient=LexExtensionGroup(group),
+        to_ambient=lambda x: (x[0], x[1]),
+    )
+
+
 def lex_product_pea(
     n: int,
     group: PoGroupHandle,
@@ -680,21 +695,11 @@ def lex_product_pea(
     probe = probe_pogroup(group, samples=max(200, check_samples), seed=seed)
     if not probe.passed:
         raise PreconditionError("group probe failed: %r" % (probe.failures,))
-    h = group.zero() if h is None else h
     symmetric_claim = True
-    if h != group.zero():
+    if h is not None and h != group.zero():
         central, _ = is_commutator(group, h, samples=500, seed=seed)
         symmetric_claim = central
-    base = chain_table(n)
-    sym = SymbolicPea(
-        base,
-        group,
-        h=h,
-        levels=tuple(range(n + 1)),
-        name="Gamma(Z-lex-%s, (%d,%s))" % (group.name, n, group.format(h)),
-        ambient=LexExtensionGroup(group),
-        to_ambient=lambda x: (x[0], x[1]),
-    )
+    sym = _chain_product(n, group, h)
     sym.symmetric_claim = symmetric_claim
     for verdict in sym.sampled_axiom_report(seed=seed, samples=check_samples):
         if not verdict.passed:
@@ -865,15 +870,7 @@ def strong_perfect_representation(
     if not tf:
         raise NotStrongError("presentation group is not torsion-free: %r" % (tw,))
 
-    target = SymbolicPea(
-        chain_table(n),
-        G,
-        h=G.zero(),
-        levels=tuple(range(n + 1)),
-        name="Gamma(Z-lex-%s, (%d,%s))" % (G.name, n, G.format(G.zero())),
-        ambient=LexExtensionGroup(G),
-        to_ambient=lambda x: (x[0], x[1]),
-    )
+    target = _chain_product(n, G)
 
     def phi(x):
         i = E.level(x)
@@ -959,10 +956,8 @@ def lift_group_hom(
     bad = _first_witness(rng, samples, nonadditive, _element_draw(domain_group, bound), 2)
     if bad is not None:
         raise InputError("callable is not additive at %s" % (bad,))
-    E = SymbolicPea(chain_table(n), domain_group, ambient=LexExtensionGroup(domain_group),
-                    to_ambient=lambda x: x)
-    F = SymbolicPea(chain_table(n), codomain_group, ambient=LexExtensionGroup(codomain_group),
-                    to_ambient=lambda x: x)
+    E = _chain_product(n, domain_group)
+    F = _chain_product(n, codomain_group)
 
     def f(x):
         return (x[0], h(x[1]))

@@ -38,7 +38,7 @@ the row-level :func:`_min_encoding`, and a table is built once per class.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations
+from itertools import chain, groupby, permutations, product
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .core import InputError, PartialAdditionTable, _axioms_hold, _require_gpea, derived
@@ -48,25 +48,6 @@ UNDEC = -2
 UNDEF = -1
 
 _NAMES = "abcdefghijklmnop"
-
-
-def _candidate_perms(middles: List[int], profiles: Dict[int, tuple]):
-    """Permutations of the middle elements compatible with sorting by the
-    invariant profile.  The profile tuple leads the canonical key, so the
-    lexicographic minimum is attained inside this family."""
-    blocks: List[List[int]] = []
-    for i in sorted(middles, key=lambda i: profiles[i]):
-        if blocks and profiles[blocks[-1][0]] == profiles[i]:
-            blocks[-1].append(i)
-        else:
-            blocks.append([i])
-    def rec(idx: int, acc: List[int]):
-        if idx == len(blocks):
-            yield list(acc)
-            return
-        for perm in permutations(blocks[idx]):
-            yield from rec(idx + 1, acc + list(perm))
-    yield from rec(0, [])
 
 
 def _min_encoding(t, z: int, u: Optional[int]) -> Tuple[tuple, List[int]]:
@@ -97,11 +78,13 @@ def _min_encoding(t, z: int, u: Optional[int]) -> Tuple[tuple, List[int]]:
             sum(1 for row in t if row[i] is not None), t[i][i] is not None)
         for i in middles
     }
+    # permute each block of equal profiles, the first block outermost
+    blocks = [list(g) for _, g in groupby(sorted(middles, key=profiles.get), profiles.get)]
     best = None
     best_positions: List[int] = fixed
     new_of_old = [0] * k
-    for perm in _candidate_perms(middles, profiles):
-        positions = fixed + perm
+    for perm in product(*map(permutations, blocks)):
+        positions = fixed + list(chain.from_iterable(perm))
         for new, old in enumerate(positions):
             new_of_old[old] = new
         rows = [t[a] for a in positions]

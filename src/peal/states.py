@@ -9,8 +9,10 @@ multiplied, added and compared, never divided with ``/``, so no float is
 ever formed.  The additivity equations are solved by fraction-free
 Gauss-Jordan elimination on sparse ``int`` rows ``{column: nonzero int}``
 (each equation has at most three nonzeros, and equal equations are kept
-once); Fractions are formed only for the public ``particular`` and
-``basis``, by dividing each reduced row by its pivot entry.
+once), and the affine map from free coordinates to states is read off the
+reduced rows as ``int`` numerators over one common denominator.  Fractions
+appear only in the public ``particular`` and ``basis``, in ``StateVector``
+views and in the witness of a non-extremal state.
 
 The state polytope is separable.  Two free coordinates are linked when one
 box constraint 0 <= s(e) <= 1 involves both, and the polytope is the product
@@ -58,7 +60,6 @@ from .core import (
 MAX_FREE_PARAMETERS = 12
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def _range_check(e: str, num: int, den: int) -> None:
@@ -189,8 +190,7 @@ class StateSpace:
 #
 # A row is a dict {column: nonzero int}; a system over ncols unknowns keeps
 # its right-hand side at column ncols.  Elimination is fraction-free, so the
-# rows stay integers; the public ``particular`` and ``basis`` divide by the
-# pivot entries at the very end.
+# rows stay integers, and so does the affine map read off them.
 
 Row = Dict[int, int]
 
@@ -353,11 +353,21 @@ def _split(links: Iterable[int]) -> List[int]:
 
 
 @derived
-def _state_system(table: PartialAdditionTable):
-    """RREF data for the additivity equations: returns (particular, basis,
-    free elements, consistent) with values per element."""
+def _affine_map(table: PartialAdditionTable):
+    """The parametrization of the additivity system on integers, read off
+    the reduced rows: ``(p, cols, m, free)`` with s(e_i) = (p[i] + sum of
+    c * t_j over (i, c) in cols[j]) / m at free coordinates t, or None when
+    the system is inconsistent.  ``free`` holds the element indices of the
+    columns without a pivot, coordinate j being element free[j], and
+    ``cols[j]`` lists the nonzero coefficients of coordinate j in element
+    order.
+
+    The pivot row r of column c says r[c] s(e_c) + sum of r[f] t_f = r[k],
+    so p[c] = r[k] (m / r[c]) and t_f moves e_c by -r[f] (m / r[c]); a
+    free element has coefficient m at itself.  Each row is primitive, so m,
+    the lcm of the pivot entries, is the least common denominator of the
+    values and coefficients."""
     k = table.size
-    els = table.elements
     rows = {((table.zero_i, 1),): None, ((table.one_i, 1), (k, 1)): None}
     for i, j, s in table.defined_sums():
         # s(a) + s(b) - s(a + b) = 0, kept once for a + b and b + a and for
@@ -366,41 +376,19 @@ def _state_system(table: PartialAdditionTable):
         rows[tuple((c, v) for c, v in row.items() if v)] = None
     red, pivots, consistent = _eliminate(map(dict, rows), k)
     if not consistent:
-        return None, (), (), False
+        return None
+    m = math.lcm(*(row[c] for row, c in zip(red, pivots)))
+    p = [0] * k
     pivot_set = set(pivots)
-    free_cols = [c for c in range(k) if c not in pivot_set]
-    particular = {els[c]: ZERO for c in free_cols}
-    for row, col in zip(red, pivots):
-        particular[els[col]] = Fraction(row.get(k, 0), row[col])
-    basis = []
-    for f in free_cols:
-        vec = {els[c]: ZERO for c in range(k)}
-        vec[els[f]] = ONE
-        for row, col in zip(red, pivots):
-            vec[els[col]] = Fraction(-row.get(f, 0), row[col])
-        basis.append(vec)
-    return particular, tuple(basis), tuple(els[f] for f in free_cols), True
-
-
-@derived
-def _affine_map(table: PartialAdditionTable):
-    """The parametrization of a consistent additivity system on integers:
-    ``(p, cols, m)`` with s(e_i) = (p[i] + sum of c * t_j over (i, c) in
-    cols[j]) / m at free coordinates t; ``cols[j]`` lists the nonzero
-    coefficients of coordinate j in element order."""
-    particular, basis, _, _ = _state_system(table)
-    m = math.lcm(
-        *(v.denominator for v in particular.values()),
-        *(v.denominator for vec in basis for v in vec.values()),
-    )
-    p = tuple(particular[e].numerator * (m // particular[e].denominator)
-              for e in table.elements)
-    cols = tuple(
-        tuple((i, vec[e].numerator * (m // vec[e].denominator))
-              for i, e in enumerate(table.elements) if vec[e])
-        for vec in basis
-    )
-    return p, cols, m
+    free = tuple(c for c in range(k) if c not in pivot_set)
+    cols: Dict[int, List[Tuple[int, int]]] = {f: [(f, m)] for f in free}
+    for row, c in zip(red, pivots):
+        scale = m // row[c]
+        p[c] = row.get(k, 0) * scale
+        for f, v in row.items():
+            if f in cols:
+                cols[f].append((c, -v * scale))
+    return tuple(p), tuple(tuple(sorted(cols[f])) for f in free), m, free
 
 
 @derived
@@ -408,8 +396,8 @@ def _coefficient_rows(table: PartialAdditionTable) -> Tuple[Tuple[int, int, Dict
     """The elements whose value moves with the free coordinates, in element
     order: (element index, its free coordinate or -1, its row {coordinate:
     coefficient}) with s(e_i) = (p[i] + row . t) / m in ``_affine_map``."""
-    _, cols, _ = _affine_map(table)
-    coordinate = {table.index(e): j for j, e in enumerate(_state_system(table)[2])}
+    _, cols, _, free = _affine_map(table)
+    coordinate = {f: j for j, f in enumerate(free)}
     rows: Dict[int, Dict[int, int]] = {}
     for j, col in enumerate(cols):
         for i, c in col:
@@ -421,7 +409,7 @@ def _coefficient_rows(table: PartialAdditionTable) -> Tuple[Tuple[int, int, Dict
 def _box_constraints(table: PartialAdditionTable) -> List[Tuple[Row, int]]:
     """Inequalities 0 <= s(e) <= 1 in the free coordinates of a consistent
     additivity system, unit box first, as integer rows."""
-    p, cols, m = _affine_map(table)
+    p, cols, m, _ = _affine_map(table)
     rows = {i: (j, row) for i, j, row in _coefficient_rows(table)}
     constraints: List[Tuple[Row, int]] = []
     for j in range(len(cols)):
@@ -480,7 +468,7 @@ def _block_values(p: Sequence[int], block) -> List[Tuple[int, Tuple[Tuple[int, i
 def _state_at(table: PartialAdditionTable, t: Sequence[Fraction]) -> StateVector:
     """The state at free coordinates ``t`` of the affine parametrization;
     zero coordinates are skipped, as the map is sparse."""
-    p, cols, m = _affine_map(table)
+    p, cols, m, _ = _affine_map(table)
     den = math.lcm(*(x.denominator for x in t))
     num = [pe * den for pe in p]
     for col, x in zip(cols, t):
@@ -502,16 +490,15 @@ def solve_state_space(table: PartialAdditionTable) -> StateSpace:
     outcome: stateless PEAs exist.
     """
     _require_pea(table)
-    particular, basis, free_els, consistent = _state_system(table)
-    if not consistent:
+    affine = _affine_map(table)
+    if affine is None:
         return StateSpace(table, False, None, (), (), ())
-    d = len(free_els)
-    if d > MAX_FREE_PARAMETERS:
+    p, cols, m, free = affine
+    if len(free) > MAX_FREE_PARAMETERS:
         raise PreconditionError(
             "state space has %d free parameters; refusing beyond %d"
-            % (d, MAX_FREE_PARAMETERS)
+            % (len(free), MAX_FREE_PARAMETERS)
         )
-    p, _, m = _affine_map(table)
     blocks = _polytope_blocks(table)
     extremals = []
     if blocks is not None:
@@ -528,12 +515,22 @@ def solve_state_space(table: PartialAdditionTable) -> StateSpace:
     # order by value tuple: numerators over one denominator common to all
     den = math.lcm(*(s._den for s in extremals))
     extremals.sort(key=lambda s: tuple(x * (den // s._den) for x in s._num))
+    els = table.elements
+    # the free elements first, then the pivot elements in column order
+    particular = dict.fromkeys([els[f] for f in free])
+    particular.update((e, Fraction(x, m)) for e, x in zip(els, p))
+    basis = []
+    for col in cols:
+        vec = dict.fromkeys(els, ZERO)
+        for i, c in col:
+            vec[els[i]] = Fraction(c, m)
+        basis.append(vec)
     return StateSpace(
         table,
         True,
-        dict(particular),
-        tuple(dict(b) for b in basis),
-        free_els,
+        particular,
+        tuple(basis),
+        tuple(els[f] for f in free),
         tuple(extremals),
     )
 
@@ -779,7 +776,7 @@ def is_extremal(table: PartialAdditionTable, s: StateVector) -> ExtremalityRepor
     if d == 0 or _tight_rank_full(table, s):
         return ExtremalityReport(True, None)
     # the state's free coordinates are its numerators there, over s._den
-    t0 = [s._num[table.index(e)] for e in space.free_elements]
+    t0 = [s._num[f] for f in _affine_map(table)[3]]
     constraints = _box_constraints(table)
     tight = [a for a, b in constraints if _dot(a, t0) == b * s._den]
     direction = _nullspace_vector(tight, d)

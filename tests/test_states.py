@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import time
 from fractions import Fraction
@@ -8,8 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as hyp
 
 from peal import states
+from peal.cli import main
 from peal.constructions import chain_table, gamma_interval_finite
-from peal.core import InconsistencyError, InputError, PartialAdditionTable, check_axioms
+from peal.core import (
+    InconsistencyError,
+    InputError,
+    PartialAdditionTable,
+    check_axioms,
+    dumps_document,
+    table_to_document,
+)
 from peal.groups import IntVectorGroup, UnitalPoGroup
 from peal.ideals import enumerate_ideals, is_ideal, is_normal
 from peal.states import (
@@ -498,6 +508,40 @@ def test_sparse_elimination_matches_dense_reference(pea_corpus_full):
         assert list(space.particular.items()) == list(particular.items())
         assert [list(b.items()) for b in space.basis] == [list(b.items()) for b in basis]
         assert list(space.free_elements) == free
+        _, _, m, free_cols = _affine_map(table)
+        # the integer map's denominator is the least common one
+        assert m == math.lcm(*(v.denominator for v in particular.values()),
+                             *(v.denominator for vec in basis for v in vec.values()))
+        assert [table.elements[f] for f in free_cols] == free
+
+
+# SHA-256 of json.dumps([results, verdicts], sort_keys=True) of JSON state
+# reports, recorded before the affine map was read off the reduced rows;
+# ``argv`` is left out because it holds the document's temporary path.
+PINNED_STATE_REPORTS = [
+    (lambda: chain_table(40), ("states", "--extremal", "--discrete", "2"),
+     "7add755f48e090da7546bce329ec1e39043c4591936e1a3be5d7a0f628f0249a"),
+    (lambda: gamma_interval_finite(UnitalPoGroup(IntVectorGroup(2), (5, 5))),
+     ("states", "--extremal", "--discrete", "2"),
+     "2c65927053e2243c266f4d563f9b31781c2af4fa76d1b25a71690be71cea4895"),
+    (lambda: horizontal_sum(4, 3), ("states", "--extremal"),
+     "be0d87f1c299237fb351ca833d63e5a2f7908a9783530468fa9b9d3485b18ba0"),
+    (lambda: horizontal_sum(4, 3), ("decompose", "2"),
+     "c6db585c61e68fc9a87233717d124c743bfdb418f300ab8b2dbb362729b785bd"),
+    (lambda: horizontal_sum(10, 2), ("states", "--extremal"),
+     "8433b68c120671413d3f8478b0327e6e024623b741b3a7bcd54d4840a02c2bfc"),
+]
+
+
+@pytest.mark.parametrize("make, argv, digest", PINNED_STATE_REPORTS,
+                         ids=["chain40", "z2-5x5", "hsum-4x3", "hsum-4x3-decompose", "hsum-10x2"])
+def test_state_reports_keep_their_pinned_results(make, argv, digest, tmp_path, capsys):
+    path = tmp_path / "table.json"
+    path.write_text(dumps_document(table_to_document(make())))
+    assert main(["--format", "json", argv[0], str(path)] + list(argv[1:])) == 0
+    report = json.loads(capsys.readouterr().out)
+    text = json.dumps([report["results"], report["verdicts"]], sort_keys=True)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 def frozen_rref(rows, ncols):
@@ -794,7 +838,7 @@ def frozen_dd_points(rows, dim):
 def frozen_box_constraints(table):
     """Reference integer box rows 0 <= s(e) <= 1 in the free coordinates,
     unit box first, built from the integer affine map."""
-    p, cols, m = _affine_map(table)
+    p, cols, m, _ = _affine_map(table)
     free = set(solve_state_space(table).free_elements)
     rows = [{} for _ in p]
     for j, col in enumerate(cols):
@@ -819,7 +863,7 @@ def frozen_box_constraints(table):
 def frozen_extremal_keys(table):
     """Value tuples of the extremal states in StateSpace order, by one sweep
     over the whole d-dimensional polytope."""
-    p, cols, m = _affine_map(table)
+    p, cols, m, _ = _affine_map(table)
     if not cols:
         return [tuple(Fraction(x, m) for x in p)] if all(0 <= x <= m for x in p) else []
     keys = set()
