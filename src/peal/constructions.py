@@ -13,7 +13,7 @@ import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .core import (
     InconsistencyError,
@@ -248,6 +248,9 @@ class SymbolicPea:
         if levels is None:
             levels = tuple(range(base.size))
         self.levels = tuple(levels)
+        if len(self.levels) != base.size:
+            raise InputError("levels must give one level per base element: got %d for %d"
+                             % (len(self.levels), base.size))
         self.n = self.levels[base.one_i]
         if self.n < 1:
             raise InputError("the base unit must sit at a level >= 1, got %r" % (self.n,))
@@ -278,7 +281,6 @@ class SymbolicPea:
         tests[base.one_i] = lambda g: positive(add(top, neg(g)))
         tests[base.zero_i] = positive
         self._tests = tests
-        self._plans: Dict[int, List[Tuple]] = {}
 
     def describe(self) -> Dict[str, str]:
         return {
@@ -370,7 +372,7 @@ class SymbolicPea:
     # -- samplers ----------------------------------------------------------
 
     def _plan(self, b: int, bound: int) -> Tuple:
-        """How ``sample_members`` draws the group part at base index ``b``:
+        """How ``member_stream`` draws the group part at base index ``b``:
         (sampler, lo, n, bits, k, top).  A box sampler has ``sampler`` None
         and draws k coordinates lo + r, r uniform below n from ``bits``-bit
         draws; any other sampler is called.  ``top`` marks the base unit,
@@ -384,10 +386,10 @@ class SymbolicPea:
         sampler = None if k is not None else G.sample_nonneg if nonneg else G.sample
         return sampler, lo, n, n.bit_length(), k, b != self._zero_i and b == self._one_i
 
-    def sample_members(self, rng: random.Random, bound: int = 10, count: int = 1,
-                       base_index: Optional[int] = None) -> List[Tuple]:
-        """``count`` members with the values, and the generator state, of
-        ``count`` successive calls of ``sample_member``.
+    def member_stream(self, rng: random.Random, bound: int = 10,
+                      base_index: Optional[int] = None) -> Iterator[Tuple]:
+        """The endless stream of members drawn from ``rng`` at ``bound``,
+        each drawn only when it is taken, as ``sample_member`` draws it.
 
         The base index is ``_randint(rng, 0, size - 1)``, or ``base_index``.
         The group part is a ``sample_nonneg`` draw over the base zero, h
@@ -397,22 +399,19 @@ class SymbolicPea:
         sampler is called as it is.
         """
         size = self._size
-        plans = self._plans.get(bound)
-        if plans is None:
-            plans = self._plans[bound] = [self._plan(b, bound) for b in range(size)]
-        if base_index is not None and not 0 <= base_index < size:
+        if base_index is None:
+            plans = [self._plan(b, bound) for b in range(size)]
+        else:
             plans = {base_index: self._plan(base_index, bound)}
         getrandbits = rng.getrandbits
         size_bits = size.bit_length()
         h, add, neg = self.h, self._gadd, self._gneg
-        out = []
-        for _ in range(count):
+        b = base_index
+        while True:
             if base_index is None:
                 b = getrandbits(size_bits)
                 while b >= size:
                     b = getrandbits(size_bits)
-            else:
-                b = base_index
             sampler, lo, n, bits, k, top = plans[b]
             if sampler is None:
                 part = []
@@ -424,16 +423,15 @@ class SymbolicPea:
                 part = tuple(part)
             else:
                 part = sampler(rng, bound)
-            out.append((b, add(h, neg(part)) if top else part))
-        return out
+            yield (b, add(h, neg(part)) if top else part)
 
     def sample_member(self, rng: random.Random, bound: int = 10, base_index: Optional[int] = None):
-        return self.sample_members(rng, bound, 1, base_index)[0]
+        return next(self.member_stream(rng, bound, base_index))
 
     def _member_draw(self, bound: int, base_index: Optional[int] = None) -> Callable:
-        """``draw(rng, count=...)`` for ``_first_witness``: members of this
-        algebra at ``bound``."""
-        return functools.partial(self.sample_members, bound=bound, base_index=base_index)
+        """``draw(rng)`` for ``_first_witness``: the stream of members of
+        this algebra at ``bound``."""
+        return functools.partial(self.member_stream, bound=bound, base_index=base_index)
 
     # -- sampled verification ------------------------------------------------
     #
@@ -574,10 +572,13 @@ class SymbolicPea:
 
     def sampled_cyclic_uniqueness(self, c, seed: int = 0, samples: int = 500, bound: int = 8) -> SampleVerdict:
         """No sampled level-1 member other than c multiplies up to the unit."""
-        level1 = self.levels.index(1)
-        if self.scale(self.n, c) != self.one_el:
+        if not self.is_member(c):
+            return SampleVerdict("cyclic-uniqueness", False, samples, seed,
+                                 "candidate %r is not a member" % (c,))
+        if self.level(c) != 1 or self.scale(self.n, c) != self.one_el:
             return SampleVerdict("cyclic-uniqueness", False, samples, seed,
                                  "candidate %s is not cyclic" % (self.format(c),))
+        level1 = self.levels.index(1)
 
         def probe(d):
             if self.scale(self.n, d) == self.one_el and d != c:
@@ -589,23 +590,27 @@ class SymbolicPea:
         """Group differences solved from two presentations of the same
         algebra differences must agree, in both difference directions.
 
-        Which draws a sample takes depends on the values drawn, so members
-        are drawn one at a time.  Passing needs at least
-        ``max(1, samples // 4)`` usable samples."""
+        Which draws a sample takes depends on the values drawn, so this
+        runs its own loop: w is taken from a member stream and a, b from a
+        bottom-slice stream, both lazy on the one generator, which the
+        group draws of the second presentation share.  Passing needs at
+        least ``max(1, samples // 4)`` usable samples."""
         if samples < 1:
             raise InputError("samples must be at least 1, got %d" % (samples,))
         G = self.group
         rng = random.Random(seed)
         lv, zero_i, inverse = self.levels, self._zero_i, self._twists_inv
+        members = self.member_stream(rng, bound)
+        bottom = self.member_stream(rng, bound, zero_i)
         checked = 0
         bad = None
         attempts = 0
         while checked < samples and attempts < samples * 20:
             attempts += 1
-            w = self.sample_member(rng, bound)
+            w = next(members)
             if lv[w[0]] == 0:
                 continue
-            a, b = self.sample_members(rng, bound, 2, zero_i)
+            a, b = next(bottom), next(bottom)
             x = self.add(w, a)
             y = self.add(w, b)
             if x is None or y is None:

@@ -6,9 +6,10 @@ predicate deciding the order, seeded samplers, and a few constructive helpers
 module leans on.  Properties of infinite structures are only ever probed on
 samples; reports carry the sample count and seed and never upgrade a sampled
 pass to a universal claim.  Every sampled verdict of peal runs on one loop,
-``_first_witness``, but for two that draw sequentially because what they
-draw depends on what they drew: difference consistency of a symbolic algebra
-and the presentation pairs of the universal-group extension.
+``_first_witness``, over a lazy, endless draw stream, but for two that draw
+sequentially because what they draw depends on what they drew: difference
+consistency of a symbolic algebra and the presentation pairs of the
+universal-group extension.
 """
 
 from __future__ import annotations
@@ -487,59 +488,38 @@ class SampleVerdict:
     witness: Optional[str] = None
 
 
-# samples drawn and tested per block by the verdict loop; bounds the values
-# held at once to _BLOCK times the probe's arity
-_BLOCK = 256
-
-
 def _first_witness(rng: random.Random, samples: int, probe: Callable, draw: Callable,
                    arity: int = 1):
     """The first non-None result of ``probe`` over ``samples`` samples, or None.
 
-    The one loop of every sampled verdict.  Each sample is ``arity`` values,
-    drawn by ``draw(rng, count=...)`` ahead of ``probe(*values)``: a probe
-    draws all its values before it tests them.  Values are drawn in blocks
-    of at most ``_BLOCK`` samples and tested in order, so the first witness
-    is the one sample by sample drawing finds.  When a witness ends a block
-    early, the generator is rewound to the start of the block and only the
-    draws up to the witness are taken again, so a verdict that shares the
-    generator with later ones leaves it where sample by sample drawing
-    would.  When ``draw`` raises, its block is redrawn one sample at a time,
-    so the error surfaces only where sample by sample drawing reaches it.
-    Difference consistency and the universal extension's presentation pairs
-    do not run here: what they draw depends on what they drew.
+    The one loop of every sampled verdict.  ``draw(rng)`` is an endless,
+    lazy stream of values; each sample takes the next ``arity`` of them
+    ahead of ``probe(*values)``: a probe draws all its values before it
+    tests them.  Nothing past the last tested sample is drawn, so a verdict
+    that shares the generator with later ones leaves it where sample by
+    sample drawing would, and a draw that raises surfaces only when a
+    sample reaches it.  Difference consistency and the universal
+    extension's presentation pairs do not run here: what they draw depends
+    on what they drew.
     """
     if samples < 1:
         raise InputError("samples must be at least 1, got %d" % (samples,))
-    step = _BLOCK
-    while samples > 0:
-        block = min(samples, step)
-        # getstate copies the whole generator; a one-sample block never rewinds
-        state = rng.getstate() if block > 1 else None
-        try:
-            values = iter(draw(rng, count=block * arity))
-        except Exception:
-            if block == 1:
-                raise
-            rng.setstate(state)
-            step = 1
-            continue
-        for used, args in enumerate(zip(*[values] * arity), 1):
-            witness = probe(*args)
-            if witness is not None:
-                if used < block:
-                    rng.setstate(state)
-                    draw(rng, count=used * arity)
-                return witness
-        samples -= block
+    tuples = zip(*[draw(rng)] * arity)
+    for _ in range(samples):
+        witness = probe(*next(tuples))
+        if witness is not None:
+            return witness
     return None
 
 
 def _repeated_draw(*samplers: Callable) -> Callable:
-    """``draw(rng, count=...)`` taking the ``samplers`` in turn, each as
-    ``sampler(rng)``: sample by sample, one value of each."""
-    return lambda rng, count: [sample(rng) for _ in range(count // len(samplers))
-                               for sample in samplers]
+    """``draw(rng)``: the endless stream taking the ``samplers`` in turn,
+    each as ``sampler(rng)``."""
+    def draw(rng):
+        while True:
+            for sample in samplers:
+                yield sample(rng)
+    return draw
 
 
 def _sampled(name: str, seed: int, samples: int, probe: Callable, draw: Callable,
@@ -576,7 +556,7 @@ def _report(kind: str, handle: PoGroupHandle, samples: int, seed: int, failure,
 
 
 def _element_draw(handle: PoGroupHandle, bound: int) -> Callable:
-    """``draw(rng, count=...)``: ``count`` elements of ``handle`` at ``bound``."""
+    """``draw(rng)``: the stream of elements of ``handle`` at ``bound``."""
     return _repeated_draw(lambda rng: handle.sample(rng, bound))
 
 

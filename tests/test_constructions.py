@@ -1,10 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, List
 
 import pytest
 
-from peal import groups
 from peal.constructions import (
     Measure,
     SymbolicPea,
@@ -274,6 +274,26 @@ def test_cyclic_uniqueness_sampled():
     ):
         sym = lex_product_pea(2, group)
         assert sym.sampled_cyclic_uniqueness(c, seed=9, samples=400).passed
+
+
+def test_cyclic_uniqueness_fails_a_bad_candidate():
+    """A candidate outside the algebra, or not cyclic at level 1, fails the
+    verdict with a witness instead of raising, also where no base element
+    sits at level 1."""
+    E = lex_product_pea(2, IntVectorGroup(1))
+    no_level1 = SymbolicPea(chain_table(2), IntVectorGroup(1), levels=(0, 2, 4))
+    # 2 * (1, 0) is the unit, but at level 3
+    high = SymbolicPea(chain_table(2), IntVectorGroup(1), levels=(0, 3, 2))
+    for sym, c, witness in (
+        (no_level1, (1, (0,)), "candidate (1/2,0) is not cyclic"),
+        (high, (1, (0,)), "candidate (1/2,0) is not cyclic"),
+        (E, (3, (0,)), "candidate (3, (0,)) is not a member"),
+        (E, (-1, (0,)), "candidate (-1, (0,)) is not a member"),
+        (E, (0, (-1,)), "candidate (0, (-1,)) is not a member"),
+        (E, (1, (1,)), "candidate (1/2,1) is not cyclic"),
+    ):
+        verdict = sym.sampled_cyclic_uniqueness(c, seed=0, samples=50)
+        assert verdict == SampleVerdict("cyclic-uniqueness", False, 50, 0, witness)
 
 
 def test_cyclic_element_sums_commute_in_existence():
@@ -961,10 +981,10 @@ def test_symbolic_operations_match_frozen_draw_for_draw():
 
 @pytest.mark.parametrize("group", DRAW_GROUPS, ids=lambda g: g.name)
 def test_sample_members_match_frozen_draw_for_draw(group):
-    """``sample_members(rng, b, c)`` gives the members of ``c`` frozen
-    ``sample_member`` calls and leaves the generator in their state, at the
-    base zero, a middle element and the unit (with and without an offset)
-    and with the base index free."""
+    """The first ``c`` members of ``member_stream(rng, b)`` are those of
+    ``c`` frozen ``sample_member`` calls and leave the generator in their
+    state, at the base zero, a middle element and the unit (with and
+    without an offset) and with the base index free."""
     offset = group.sample_nonneg(random.Random(1), 4)
     for sym in (SymbolicPea(diamond_table(), group, h=offset),
                 SymbolicPea(chain_table(1), group)):
@@ -974,7 +994,7 @@ def test_sample_members_match_frozen_draw_for_draw(group):
                 for base_index in (None, sym.base.zero_i, 1, sym.base.one_i):
                     ours, theirs = random.Random(seed), random.Random(seed)
                     for count in (0, 1, 7, 500):
-                        got = sym.sample_members(ours, bound, count, base_index)
+                        got = list(islice(sym.member_stream(ours, bound, base_index), count))
                         assert got == [old.sample_member(theirs, bound, base_index)
                                        for _ in range(count)]
                         assert ours.getstate() == theirs.getstate()
@@ -988,7 +1008,7 @@ def test_differences_match_frozen():
         old = frozen_pea(sym)
         rng = random.Random(4)
         for _ in range(300):
-            x, y = sym.sample_members(rng, 6, 2)
+            x, y = islice(sym.member_stream(rng, 6), 2)
             s = sym.add(x, y)
             for a, b in ((x, y), (y, x), (x, x), (s or x, x), (s or y, y), (sym.one_el, x)):
                 assert sym.left_difference(a, b) == old.left_difference(a, b)
@@ -1005,15 +1025,12 @@ def swapping(*pairs):
     return lambda g: (table.get(g[0], g[0]),)
 
 
-@pytest.mark.parametrize("block", [2, 3, 256])
-def test_axiom_report_keeps_its_shared_stream_past_a_witness(block, monkeypatch):
+def test_axiom_report_keeps_its_shared_stream_past_a_witness():
     """PE1 to PE4 draw from one generator.  The twist below is not additive,
-    so PE1 fails within its first 256 samples, and its inverse is wrong
-    only beyond the bound of a member's part, so PE3 fails on some streams
-    while every member keeps its complements.  PE2 to PE4 give the frozen
-    verdicts only if PE1 leaves the generator where the frozen loop did,
-    wherever in its block the witness falls."""
-    monkeypatch.setattr(groups, "_BLOCK", block)
+    so PE1 fails within its 400 samples, and its inverse is wrong only
+    beyond the bound of a member's part, so PE3 fails on some streams while
+    every member keeps its complements.  PE2 to PE4 give the frozen
+    verdicts only if PE1 leaves the generator where the frozen loop did."""
     sym = SymbolicPea(chain_table(2), IntVectorGroup(1), name="swapped",
                       twist={1: swapping((5, 6))},
                       twist_inv={1: swapping((5, 6), (9, 10), (-9, -10))})
@@ -1081,6 +1098,12 @@ def test_state_additivity_needs_a_positive_unit_level():
     assert Fraction(1, 2) == builtin_pea("example46").canonical_state((1, (0,)))
     with pytest.raises(InputError):
         SymbolicPea(diamond_table(), IntVectorGroup(1), levels=(0, 1, 1, 0))
+
+
+def test_symbolic_pea_needs_one_level_per_base_element():
+    for levels in ((0, 1), (0, 1, 2, 3, 4)):
+        with pytest.raises(InputError):
+            SymbolicPea(chain_table(3), IntVectorGroup(1), levels=levels)
 
 
 @pytest.mark.parametrize("samples", [0, -5])

@@ -1,5 +1,6 @@
 import ast
 import functools
+import itertools
 import os
 import random
 import re
@@ -9,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hyp
 
-from peal import groups
 from peal.constructions import SymbolicPea, chain_table
 from peal.core import InputError
 from peal.groups import (
@@ -237,7 +237,7 @@ def test_randint_interleaves_with_user_samplers():
 DRAW_KERNELS = {
     ("groups.py", "_randint"),
     ("groups.py", "_randints"),
-    ("constructions.py", "SymbolicPea.sample_members"),
+    ("constructions.py", "SymbolicPea.member_stream"),
 }
 
 
@@ -298,10 +298,11 @@ def _peal_sources():
 
 def test_samplers_draw_only_through_randint():
     """Every draw in peal goes through ``groups._randint``/``_randints`` or
-    the member kernel ``SymbolicPea.sample_members``: no module may call the
-    Random methods whose stream those reproduce, and no other function may
-    call ``getrandbits``, since the stream identity rests on those three."""
-    calls = re.compile(r"\.(randint|randrange)\(")
+    the member kernel ``SymbolicPea.member_stream``: no module may call the
+    Random methods whose stream those reproduce, nor rewind a generator by
+    ``getstate``/``setstate``, and no other function may call
+    ``getrandbits``, since the stream identity rests on those three."""
+    calls = re.compile(r"\.(randint|randrange|getstate|setstate)\(")
     offenders = []
     users = set()
     for name, source in _peal_sources():
@@ -556,9 +557,7 @@ def frozen_probe_grid():
                       frozen_probe_strong_unit, frozen_probe_directed)
 
 
-@pytest.mark.parametrize("block", [1, 2, 256])
-def test_probes_match_frozen(block, monkeypatch):
-    monkeypatch.setattr(groups, "_BLOCK", block)
+def test_probes_match_frozen():
     ours = probe_grid(probe_pogroup, is_commutator, probe_torsion_free,
                       probe_strong_unit, probe_directed)
     assert ours == frozen_probe_grid()
@@ -566,24 +565,20 @@ def test_probes_match_frozen(block, monkeypatch):
     assert sum(isinstance(r, tuple) and not r[0] for r in ours) >= 50
 
 
-def digit_draw(rng, count):
-    """``count`` digits, each ``_randint(rng, 0, 9)``; a 9 raises."""
-    out = []
-    for _ in range(count):
+def digit_draw(rng):
+    """The endless stream of digits, each ``_randint(rng, 0, 9)``; a 9 raises."""
+    while True:
         digit = _randint(rng, 0, 9)
         if digit == 9:
             raise InputError("drew a 9")
-        out.append(digit)
-    return out
+        yield digit
 
 
-@pytest.mark.parametrize("block", [1, 2, 256])
-def test_a_failing_draw_surfaces_where_sample_by_sample_drawing_reaches_it(block, monkeypatch):
+def test_a_failing_draw_surfaces_where_sample_by_sample_drawing_reaches_it():
     """The draw of sample j raises; the samples before it are still tested,
     in order, so a witness among them is returned and leaves the generator
     where sample by sample drawing leaves it, and with no witness among
     them the error propagates."""
-    monkeypatch.setattr(groups, "_BLOCK", block)
     witnesses = 0
     for seed in range(30):
         rng = random.Random(seed)
@@ -605,7 +600,7 @@ def test_a_failing_draw_surfaces_where_sample_by_sample_drawing_reaches_it(block
 
             assert _first_witness(rng, 300, probe, digit_draw) == ("witness", j)
             reference = random.Random(seed)
-            digit_draw(reference, j + 1)
+            list(itertools.islice(digit_draw(reference), j + 1))
             assert rng.getstate() == reference.getstate()
             witnesses += 1
     assert witnesses >= 100
