@@ -1025,12 +1025,15 @@ def swapping(*pairs):
     return lambda g: (table.get(g[0], g[0]),)
 
 
-def test_axiom_report_keeps_its_shared_stream_past_a_witness():
+@pytest.mark.parametrize("samples", [2, 3, 256])
+def test_axiom_report_keeps_its_shared_stream_past_a_witness(samples):
     """PE1 to PE4 draw from one generator.  The twist below is not additive,
     so PE1 fails within its 400 samples, and its inverse is wrong only
     beyond the bound of a member's part, so PE3 fails on some streams while
     every member keeps its complements.  PE2 to PE4 give the frozen
-    verdicts only if PE1 leaves the generator where the frozen loop did."""
+    verdicts only if PE1 leaves the generator where the frozen loop did.
+    The reports at ``samples`` samples, where PE1 stops after a few draws
+    or late in its stream, match the frozen ones too."""
     sym = SymbolicPea(chain_table(2), IntVectorGroup(1), name="swapped",
                       twist={1: swapping((5, 6))},
                       twist_inv={1: swapping((5, 6), (9, 10), (-9, -10))})
@@ -1041,6 +1044,8 @@ def test_axiom_report_keeps_its_shared_stream_past_a_witness():
         assert ours == old.sampled_axiom_report(seed=seed, samples=400)
         assert not ours[0].passed
         pe3.add(ours[2].passed)
+        assert (sym.sampled_axiom_report(seed=seed, samples=samples)
+                == old.sampled_axiom_report(seed=seed, samples=samples))
     assert pe3 == {True, False}
 
 

@@ -534,13 +534,16 @@ PROBE_HANDLES = [
 ]
 
 
-def probe_grid(pogroup, commutator, torsion_free, strong_unit, directed):
-    """Every probe on every handle, at seeds 0, 1, 5, 100, sample counts 1,
-    7, 300, 2000 and bounds 1, 10."""
+GRID_COUNTS = (1, 7, 300, 2000)
+
+
+def probe_grid(pogroup, commutator, torsion_free, strong_unit, directed, counts=GRID_COUNTS):
+    """Every probe on every handle, at seeds 0, 1, 5, 100, the sample
+    ``counts`` (by default 1, 7, 300, 2000) and bounds 1, 10."""
     out = []
     for handle, u, central in PROBE_HANDLES:
         for seed in (0, 1, 5, 100):
-            for samples in (1, 7, 300, 2000):
+            for samples in counts:
                 for bound in (1, 10):
                     out.append(pogroup(handle, samples, seed, bound))
                     out.append(torsion_free(handle, samples, 12, seed, bound))
@@ -552,17 +555,26 @@ def probe_grid(pogroup, commutator, torsion_free, strong_unit, directed):
 
 
 @functools.lru_cache(maxsize=None)
-def frozen_probe_grid():
+def frozen_probe_grid(counts=GRID_COUNTS):
     return probe_grid(frozen_probe_pogroup, frozen_is_commutator, frozen_probe_torsion_free,
-                      frozen_probe_strong_unit, frozen_probe_directed)
+                      frozen_probe_strong_unit, frozen_probe_directed, counts)
 
 
-def test_probes_match_frozen():
+def test_probe_grid_matches_frozen():
     ours = probe_grid(probe_pogroup, is_commutator, probe_torsion_free,
                       probe_strong_unit, probe_directed)
     assert ours == frozen_probe_grid()
     assert sum(isinstance(r, ProbeReport) and not r.passed for r in ours) >= 100
     assert sum(isinstance(r, tuple) and not r[0] for r in ours) >= 50
+
+
+@pytest.mark.parametrize("samples", [1, 2, 256])
+def test_probes_match_frozen(samples):
+    """The grid at a single sample count; some probe fails at each."""
+    ours = probe_grid(probe_pogroup, is_commutator, probe_torsion_free,
+                      probe_strong_unit, probe_directed, (samples,))
+    assert ours == frozen_probe_grid((samples,))
+    assert any(isinstance(r, ProbeReport) and not r.passed for r in ours)
 
 
 def digit_draw(rng):
@@ -574,11 +586,14 @@ def digit_draw(rng):
         yield digit
 
 
-def test_a_failing_draw_surfaces_where_sample_by_sample_drawing_reaches_it():
+@pytest.mark.parametrize("samples", [1, 2, 256])
+def test_a_failing_draw_surfaces_where_sample_by_sample_drawing_reaches_it(samples):
     """The draw of sample j raises; the samples before it are still tested,
     in order, so a witness among them is returned and leaves the generator
     where sample by sample drawing leaves it, and with no witness among
-    them the error propagates."""
+    them the error propagates.  Over ``samples`` samples, a draw or a
+    witness past the last of them is never reached: the loop returns None
+    with the generator ``samples`` draws on."""
     witnesses = 0
     for seed in range(30):
         rng = random.Random(seed)
@@ -589,6 +604,18 @@ def test_a_failing_draw_surfaces_where_sample_by_sample_drawing_reaches_it():
         with pytest.raises(InputError):
             _first_witness(random.Random(seed), 300, tested.append, digit_draw)
         assert tested == digits[:-1]
+        tested = []
+        rng = random.Random(seed)
+        if len(digits) <= samples:
+            with pytest.raises(InputError):
+                _first_witness(rng, samples, tested.append, digit_draw)
+            assert tested == digits[:-1]
+        else:
+            assert _first_witness(rng, samples, tested.append, digit_draw) is None
+            assert tested == digits[:samples]
+            reference = random.Random(seed)
+            list(itertools.islice(digit_draw(reference), samples))
+            assert rng.getstate() == reference.getstate()
         for j in range(len(digits) - 1):
             rng = random.Random(seed)
             seen = []
@@ -603,6 +630,12 @@ def test_a_failing_draw_surfaces_where_sample_by_sample_drawing_reaches_it():
             list(itertools.islice(digit_draw(reference), j + 1))
             assert rng.getstate() == reference.getstate()
             witnesses += 1
+            rng, seen = random.Random(seed), []
+            reached = j < samples
+            assert _first_witness(rng, samples, probe, digit_draw) == (("witness", j) if reached else None)
+            reference = random.Random(seed)
+            list(itertools.islice(digit_draw(reference), j + 1 if reached else samples))
+            assert rng.getstate() == reference.getstate()
     assert witnesses >= 100
 
 
