@@ -290,7 +290,15 @@ class SymbolicPea:
             "offset": self.group.format(self.h),
         }
 
+    def _outside(self, *pairs) -> InputError:
+        """The error for the first of ``pairs`` whose base index lies outside
+        range(size); the base tables are indexed only after this check."""
+        b = next(x[0] for x in pairs if not 0 <= x[0] < self._size)
+        return InputError("base index %r is outside range(%d)" % (b, self._size))
+
     def format(self, x) -> str:
+        if not 0 <= x[0] < self._size:
+            raise self._outside(x)
         return "(%s,%s)" % (self.base.elements[x[0]], self.group.format(x[1]))
 
     def is_member(self, x) -> bool:
@@ -306,6 +314,8 @@ class SymbolicPea:
     def add(self, x, y):
         bx, gx = x
         by, gy = y
+        if not (0 <= bx < self._size and 0 <= by < self._size):
+            raise self._outside(x, y)
         bs = self._sums[bx][by]
         if bs is None:
             return None
@@ -317,6 +327,8 @@ class SymbolicPea:
     def left_difference(self, x, a):
         """z with z + a = x, or None."""
         ab, ag = a
+        if not (0 <= x[0] < self._size and 0 <= ab < self._size):
+            raise self._outside(x, a)
         zb = self._ldiff[x[0]][ab]
         if zb is None:
             return None
@@ -331,6 +343,8 @@ class SymbolicPea:
 
     def right_difference(self, a, x):
         """v with a + v = x, or None."""
+        if not (0 <= a[0] < self._size and 0 <= x[0] < self._size):
+            raise self._outside(a, x)
         vb = self._rdiff[a[0]][x[0]]
         if vb is None:
             return None

@@ -167,14 +167,18 @@ class PartialAdditionTable:
     def _from_rows(cls, elements: Sequence[str], zero_i: int, one_i: Optional[int], rows):
         """The table on ``elements`` with ``rows[i][j]`` the index of i + j or
         None, zero ``elements[zero_i]`` and unit ``elements[one_i]`` (or None).
-        Names and the unit law are checked as by the constructor; indices come
-        from a table the caller holds, so they are not range-checked."""
+        Names, the unit and the unit law are checked as by the constructor;
+        indices come from a table the caller holds, so they are not
+        range-checked."""
         self = cls.__new__(cls)
         self._adopt(tuple(elements), _element_index(elements), zero_i, one_i, rows)
         return self
 
     def _adopt(self, elements, index, zero_i, one_i, rows) -> None:
-        """Check the unit law a+0 = 0+a = a on ``rows``, then store them."""
+        """Check that zero and one differ and the unit law a+0 = 0+a = a holds
+        on ``rows``, then store them."""
+        if one_i == zero_i:
+            raise InputError("a unital table needs distinct zero and one")
         for i in range(len(elements)):
             if rows[i][zero_i] != i or rows[zero_i][i] != i:
                 raise InputError(
@@ -284,8 +288,6 @@ def _checked_names(elements: Iterable, zero: str, one: Optional[str]):
         raise InputError("zero %r is not an element" % (zero,))
     if one is not None and one not in index:
         raise InputError("one %r is not an element" % (one,))
-    if one is not None and one == zero:
-        raise InputError("a unital table needs distinct zero and one")
     return elements, index, index[zero], None if one is None else index[one]
 
 

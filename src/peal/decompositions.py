@@ -230,14 +230,9 @@ def check_comparability(table_or_symbolic, D: Decomposition, seed: int = 0, samp
         ideals_mod.is_ideal(table, D.parts[0])[0]
         and ideals_mod.is_normal(table, D.parts[0])[0]
     )
-    sums_onto = True
-    for i in range(n + 1):
-        for j in range(n + 1):
-            if i + j >= n:
-                continue
-            image = {table.add(a, b) for a in D.parts[i] for b in D.parts[j]}
-            if image != set(D.parts[i + j]):
-                sums_onto = False
+    sums_onto = all(
+        {table.add(a, b) for a in D.parts[i] for b in D.parts[j]} == set(D.parts[i + j])
+        for i in range(n + 1) for j in range(n + 1) if i + j < n)
     if not (e0_is_infinit and e0_normal and sums_onto):
         raise InconsistencyError(
             "comparability consequences failed: infinit=%s normal=%s onto=%s"

@@ -345,22 +345,11 @@ def quotient(table: PartialAdditionTable, I: Iterable[str]):
     if not rep.passed:
         raise InconsistencyError("quotient fails GPEA axioms: %r" % (rep.violations,))
 
-    # condition (L): for all a, b there is c with a+c ~ b or b+c ~ a
-    linear = True
-    for a in range(k):
-        for b in range(k):
-            found = False
-            for c in range(k):
-                ac = t[a][c]
-                bc = t[b][c]
-                if (ac is not None and rel[ac][b]) or (bc is not None and rel[bc][a]):
-                    found = True
-                    break
-            if not found:
-                linear = False
-                break
-        if not linear:
-            break
+    # condition (L): for all a, b there is c with a+c ~ b or b+c ~ a, that is,
+    # the sums of row a meet the class of b or those of row b meet that of a
+    sums = [sum(1 << s for s in row if s is not None) for row in t]
+    same = [sum(1 << x for x, related in enumerate(row) if related) for row in rel]
+    linear = all(sums[a] & same[b] or sums[b] & same[a] for a in range(k) for b in range(k))
     if linear != induced_order(q).is_total():
         raise InconsistencyError("condition (L) disagrees with quotient order totality")
     mapping = {els[i]: names[class_of[i]] for i in range(k)}

@@ -2,7 +2,9 @@
 run over the exhaustively generated small-model corpus plus the builtin
 symbolic fixtures.
 
-Each check appends a verdict; the suite report is deterministic given
+Each corpus family is a generator of failure details, and its verdict
+records the first one it yields (a pass when it yields none), so nothing past
+a family's first failure is checked.  The suite report is deterministic given
 (max_size, seed) and carries a ready-to-load witness document for the first
 failing table.
 """
@@ -11,7 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from . import decompositions as dec
 from . import ideals as idl
@@ -70,125 +72,91 @@ class SuiteReport:
         if not ok and self.witness_document is None and table is not None:
             self.witness_document = dumps_document(table_to_document(table))
 
+    def record_first(self, name: str, failures: Iterator[str],
+                     table: Optional[PartialAdditionTable] = None, passed: str = "") -> None:
+        """Record ``name`` as failed with the first detail ``failures``
+        yields, or as passed with detail ``passed`` when it yields none;
+        nothing after the first failure is checked."""
+        detail = next(failures, None)
+        self.record(name, detail is None, passed if detail is None else detail, table)
 
-def _core_invariants(report: SuiteReport, table: PartialAdditionTable, tag: str) -> None:
+
+def _core_invariants(table: PartialAdditionTable) -> Iterator[str]:
     order = induced_order(table)
-    ok = True
-    detail = ""
     for a in table.elements:
         minus, tilde = complements(table, a)
         if complements(table, minus)[1] != a or complements(table, tilde)[0] != a:
-            ok, detail = False, "double complement fails at %r" % (a,)
-            break
-    if ok:
-        for a in table.elements:
-            for b in table.elements:
-                if not order.le(a, b):
-                    continue
-                am, at = complements(table, a)
-                bm, bt = complements(table, b)
-                if not (order.le(bm, am) and order.le(bt, at)):
-                    ok, detail = False, "complement antitonicity fails at (%r, %r)" % (a, b)
-                    break
-                left = difference(table, a, b, "left")
-                right = difference(table, a, b, "right")
-                if table.add(left, a) != b or table.add(a, right) != b:
-                    ok, detail = False, "difference identities fail at (%r, %r)" % (a, b)
-                    break
-            if not ok:
-                break
-    report.record("core-invariants[%s]" % tag, ok, detail, table)
-    # symmetry criterion agreement is asserted inside is_symmetric
-    is_symmetric(table)
-    report.record("symmetry-criteria-agree[%s]" % tag, True, "")
+            yield "double complement fails at %r" % (a,)
+    for a in table.elements:
+        for b in table.elements:
+            if not order.le(a, b):
+                continue
+            am, at = complements(table, a)
+            bm, bt = complements(table, b)
+            if not (order.le(bm, am) and order.le(bt, at)):
+                yield "complement antitonicity fails at (%r, %r)" % (a, b)
+            left = difference(table, a, b, "left")
+            right = difference(table, a, b, "right")
+            if table.add(left, a) != b or table.add(a, right) != b:
+                yield "difference identities fail at (%r, %r)" % (a, b)
 
 
-def _rdp_checks(report: SuiteReport, table: PartialAdditionTable, tag: str) -> None:
+def _rdp_checks(table: PartialAdditionTable) -> Iterator[str]:
     rep = rdp_report(table)  # the implication chain is asserted inside
     t = table._sums
-    ok = t != tuple(zip(*t)) or rep.rdp == rep.rdp1
-    report.record("rdp-battery[%s]" % tag, ok,
-                  "" if ok else "rdp=%s rdp1=%s" % (rep.rdp, rep.rdp1), table)
+    if t == tuple(zip(*t)) and rep.rdp != rep.rdp1:
+        yield "rdp=%s rdp1=%s" % (rep.rdp, rep.rdp1)
 
 
-def _state_checks(report: SuiteReport, table: PartialAdditionTable, tag: str) -> None:
-    space = st.solve_state_space(table)
-    ok = True
-    detail = ""
-    for s in space.extremal_states:
+def _state_checks(table: PartialAdditionTable) -> Iterator[str]:
+    for s in st.solve_state_space(table).extremal_states:
         st.classify_state(table, s)  # asserts the three-way equivalence
         if not st.is_extremal(table, s).extremal:
-            ok, detail = False, "vertex state not extremal"
-            break
+            yield "vertex state not extremal"
         ker = st.kernel(table, s)  # asserts normal ideal
         if ker not in {i.members for i in idl.enumerate_ideals(table)}:
-            ok, detail = False, "kernel missing from the ideal lattice"
-            break
-    report.record("state-machinery[%s]" % tag, ok, detail, table)
+            yield "kernel missing from the ideal lattice"
 
 
-def _bijection_checks(report: SuiteReport, table: PartialAdditionTable, tag: str, max_n: int) -> None:
-    ok = True
-    detail = ""
+def _bijection_checks(table: PartialAdditionTable, max_n: int) -> Iterator[str]:
     for n in range(1, max_n + 1):
-        pairs = dec.decomposition_state_bijection(table, n)  # asserts mutual inverse
-        for D, s in pairs:
+        for D, s in dec.decomposition_state_bijection(table, n):  # asserts mutual inverse
             e0 = D.parts[0]
             if not (idl.is_ideal(table, e0)[0] and idl.is_normal(table, e0)[0]):
-                ok, detail = False, "E_0 not a normal ideal at n=%d" % (n,)
-                break
+                yield "E_0 not a normal ideal at n=%d" % (n,)
             dec.check_comparability(table, D)  # asserts biconditional + consequences
             st.classify_state(table, s)
-        if not ok:
-            break
-    report.record("decomposition-state-bijection[%s]" % tag, ok, detail, table)
 
 
-def _ideal_checks(report: SuiteReport, table: PartialAdditionTable, tag: str) -> None:
-    ok = True
-    detail = ""
-    all_ideals = idl.enumerate_ideals(table)
+def _ideal_checks(table: PartialAdditionTable, all_ideals) -> Iterator[str]:
     for ide in all_ideals:
         r1 = idl.check_r1(table, ide.members)[0]
         r2 = idl.check_r2(table, ide.members)[0]
         # PEAs are upwards directed, so (R1) must already imply (R2)
         if r1 and not r2:
-            ok, detail = False, "(R1) held without (R2) on %r" % (sorted(ide.members),)
-            break
+            yield "(R1) held without (R2) on %r" % (sorted(ide.members),)
         if ide.normal and r1:
             q, linear, _ = idl.quotient(table, ide.members)
             if linear != induced_order(q).is_total():
-                ok, detail = False, "(L) mismatch on %r" % (sorted(ide.members),)
-                break
-    report.record("ideal-battery[%s]" % tag, ok, detail, table)
-    idl.two_valued_partition(table)  # asserts the state/ideal bijection internally
-    report.record("two-valued-partition[%s]" % tag, True, "")
-
-    if check_rdp0(table)[0]:
-        ok = True
-        detail = ""
-        lattices = [i.members for i in all_ideals]
-        for ide in all_ideals:
-            for a in table.elements:
-                gen = idl.ideal_generated(table, ide.members, a).members
-                # brute-force oracle: the intersection of every ideal above
-                # I u {a} is the minimal one
-                minimal = frozenset(table.elements)
-                for other in lattices:
-                    if ide.members <= other and a in other:
-                        minimal &= other
-                if gen != minimal:
-                    ok, detail = False, "generated ideal mismatch at (%r, %r)" % (
-                        sorted(ide.members), a)
-                    break
-            if not ok:
-                break
-        report.record("generated-ideal-lemma[%s]" % tag, ok, detail, table)
+                yield "(L) mismatch on %r" % (sorted(ide.members),)
 
 
-def _perfect_checks(report: SuiteReport, table: PartialAdditionTable, tag: str) -> None:
-    ok = True
-    detail = ""
+def _generated_ideal_checks(table: PartialAdditionTable, all_ideals) -> Iterator[str]:
+    lattice = [i.members for i in all_ideals]
+    for ide in all_ideals:
+        for a in table.elements:
+            gen = idl.ideal_generated(table, ide.members, a).members
+            # brute-force oracle: the intersection of every ideal above
+            # I u {a} is the minimal one
+            minimal = frozenset(table.elements)
+            for other in lattice:
+                if ide.members <= other and a in other:
+                    minimal &= other
+            if gen != minimal:
+                yield "generated ideal mismatch at (%r, %r)" % (sorted(ide.members), a)
+
+
+def _perfect_checks(table: PartialAdditionTable) -> Iterator[str]:
     for n in range(1, table.size):
         perfect, cert = dec.is_n_perfect(table, n)
         if not perfect:
@@ -197,46 +165,30 @@ def _perfect_checks(report: SuiteReport, table: PartialAdditionTable, tag: str) 
         rad, rad_n = idl.radicals(table)
         _, infinit = isotropic_data(table)
         if not (set(D.parts[0]) == infinit == rad == rad_n):
-            ok, detail = False, "radical collapse fails at n=%d" % (n,)
-            break
+            yield "radical collapse fails at n=%d" % (n,)
         if not idl.is_riesz_ideal(table, D.parts[0])[0]:
-            ok, detail = False, "E_0 not Riesz at n=%d" % (n,)
-            break
+            yield "E_0 not Riesz at n=%d" % (n,)
         has_e = dec.check_condition_e(table, D)
         if check_rdp0(table)[0] and not has_e:
-            ok, detail = False, "RDP_0 without condition (e) at n=%d" % (n,)
-            break
+            yield "RDP_0 without condition (e) at n=%d" % (n,)
         if has_e:
             chain_rep = dec.canonical_chain_report(table, n)
             if not chain_rep.ok or not are_isomorphic(table, chain_table(n)):
-                ok, detail = False, "canonical chain collapse fails at n=%d" % (n,)
-                break
-    report.record("n-perfect-battery[%s]" % tag, ok, detail, table)
+                yield "canonical chain collapse fails at n=%d" % (n,)
 
 
-def _unitization_checks(report: SuiteReport, max_size: int) -> None:
-    ok = True
-    detail = ""
-    symmetric_count = nonsymmetric_count = 0
-    for g in generate_gpeas(min(max_size, 5)):
-        if _noncommuting_pair(g) is None:
-            symmetric_count += 1
+def _unitization_checks(gpeas) -> Iterator[str]:
+    for g, symmetric in gpeas:
+        if symmetric:
             lifted = unitize(g)  # asserts PEA axioms, symmetry, order-ideal embedding
             if lifted.size != 2 * g.size:
-                ok, detail = False, "unitization has wrong cardinality"
-                break
+                yield "unitization has wrong cardinality"
         else:
-            nonsymmetric_count += 1
             try:
                 unitize(g)
-                ok, detail = False, "non-symmetric GPEA accepted"
-                break
             except NonSymmetricError:
-                pass
-    report.record(
-        "unitization-corpus", ok,
-        detail or "%d symmetric, %d non-symmetric" % (symmetric_count, nonsymmetric_count),
-    )
+                continue
+            yield "non-symmetric GPEA accepted"
 
 
 def symbolic_battery(report: SuiteReport, seed: int, samples: int) -> None:
@@ -344,16 +296,28 @@ def run_suite(max_size: int = 5, seed: int = 0, samples: int = 2000) -> SuiteRep
     for table in corpus:
         report.corpus_sizes[table.size] = report.corpus_sizes.get(table.size, 0) + 1
     for idx, table in enumerate(corpus):
-        tag = "pea%d/%d" % (table.size, idx)
+        tag = "[pea%d/%d]" % (table.size, idx)
         if not check_axioms(table, "pea").passed:
-            report.record("axioms[%s]" % tag, False, "generator produced invalid table", table)
+            report.record("axioms" + tag, False, "generator produced invalid table", table)
             continue
-        _core_invariants(report, table, tag)
-        _rdp_checks(report, table, tag)
-        _state_checks(report, table, tag)
-        _bijection_checks(report, table, tag, max_n=min(6, table.size))
-        _ideal_checks(report, table, tag)
-        _perfect_checks(report, table, tag)
-    _unitization_checks(report, max_size)
+        report.record_first("core-invariants" + tag, _core_invariants(table), table)
+        is_symmetric(table)  # asserts that the symmetry criteria agree
+        report.record("symmetry-criteria-agree" + tag, True)
+        report.record_first("rdp-battery" + tag, _rdp_checks(table), table)
+        report.record_first("state-machinery" + tag, _state_checks(table), table)
+        report.record_first("decomposition-state-bijection" + tag,
+                            _bijection_checks(table, min(6, table.size)), table)
+        all_ideals = idl.enumerate_ideals(table)
+        report.record_first("ideal-battery" + tag, _ideal_checks(table, all_ideals), table)
+        idl.two_valued_partition(table)  # asserts the state/ideal bijection
+        report.record("two-valued-partition" + tag, True)
+        if check_rdp0(table)[0]:
+            report.record_first("generated-ideal-lemma" + tag,
+                                _generated_ideal_checks(table, all_ideals), table)
+        report.record_first("n-perfect-battery" + tag, _perfect_checks(table), table)
+    gpeas = [(g, _noncommuting_pair(g) is None) for g in generate_gpeas(min(max_size, 5))]
+    symmetric = sum(sym for _, sym in gpeas)
+    report.record_first("unitization-corpus", _unitization_checks(gpeas), passed=(
+        "%d symmetric, %d non-symmetric" % (symmetric, len(gpeas) - symmetric)))
     symbolic_battery(report, seed, samples)
     return report

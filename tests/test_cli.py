@@ -208,6 +208,9 @@ MALFORMED_CONSTRUCTIONS = {
     "offset-with-interval": ["--interval", "1,1", "--group", "z:2", "--offset", "1,1"],
     "order-with-builtin-diamond": ["--builtin", "diamond", "--order", "lex"],
     "order-with-builtin-example47": ["--builtin", "example47", "--order", "pointwise"],
+    # a unital table needs distinct zero and one; this one used to be written
+    "interval-zero-for-z1": ["--interval", "0", "--group", "z:1", "-o", "sym.json"],
+    "interval-zero-for-z2": ["--interval", "0,0", "--group", "z:2", "-o", "sym.json"],
     # a symbolic construction has no table to write
     "output-with-lex-product": ["--lex-product", "2", "--group", "z:1", "-o", "sym.json"],
     "output-with-builtin-example46": ["--builtin", "example46", "-o", "sym.json"],
@@ -273,6 +276,21 @@ def test_construct_builtin(tmp_path, capsys):
     assert code == 0
     table = table_from_document(json.loads(out_path.read_text()))
     assert table.size == 5 and table.one == "1"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--builtin", "diamond"],
+    ["--builtin", "boolean4"],
+] + [["--builtin", "chain:%d" % n] for n in range(1, 6)] + [
+    ["--interval", u, "--group", "z:1"] for u in ("1", "2", "3")
+] + [
+    ["--interval", u, "--group", "z:2"] for u in ("1,0", "0,1", "1,1", "2,1")
+], ids=" ".join)
+def test_construct_output_verifies(argv, tmp_path, capsys):
+    # every finite table construct writes must load and pass verify
+    target = tmp_path / "table.json"
+    assert main(["construct"] + argv + ["-o", str(target)]) == 0
+    assert main(["verify", str(target)]) == 0, capsys.readouterr()
 
 
 def test_construct_symbolic(capsys):

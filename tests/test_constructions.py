@@ -1111,6 +1111,21 @@ def test_symbolic_pea_needs_one_level_per_base_element():
             SymbolicPea(chain_table(3), IntVectorGroup(1), levels=levels)
 
 
+@pytest.mark.parametrize("pair", [(-1, (0,)), (3, (0,))])
+def test_symbolic_operations_refuse_a_base_index_out_of_range(pair):
+    # a negative index used to wrap to the end of the base: (-1, 0) + (0, 0)
+    # read as the member (2, 0), and (-1, 0) was formatted as (1,0)
+    sym = lex_product_pea(2, IntVectorGroup(1))
+    zero = sym.zero_el
+    assert not sym.is_member(pair)
+    for op in (lambda: sym.add(pair, zero), lambda: sym.add(zero, pair),
+               lambda: sym.left_difference(pair, zero), lambda: sym.left_difference(zero, pair),
+               lambda: sym.right_difference(pair, zero), lambda: sym.right_difference(zero, pair),
+               lambda: sym.format(pair)):
+        with pytest.raises(InputError, match="base index %d is outside range" % pair[0]):
+            op()
+
+
 @pytest.mark.parametrize("samples", [0, -5])
 def test_sampled_verdicts_refuse_no_samples(samples):
     """Every public entry point that samples: with no sample drawn, each

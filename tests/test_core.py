@@ -250,6 +250,12 @@ def test_rejects_degenerate_unit():
         PartialAdditionTable(["0"], "0", "0", {("0", "0"): "0"})
 
 
+def test_index_rows_reject_degenerate_unit():
+    # the index-row core refuses it as the constructor does
+    with pytest.raises(InputError, match="distinct zero and one"):
+        PartialAdditionTable._from_rows(["0"], 0, 0, [[0]])
+
+
 def test_difference_kernel_matches_brute_scan(pea_corpus_small, gpea_corpus):
     for table in list(pea_corpus_small) + list(gpea_corpus):
         ldiff, rdiff = _differences(table)
