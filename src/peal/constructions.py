@@ -21,6 +21,7 @@ from .core import (
     PartialAdditionTable,
     PealError,
     PreconditionError,
+    SymmetryReport,
     _differences,
     _noncommuting_pair,
     check_axioms,
@@ -232,7 +233,6 @@ class SymbolicPea:
         name: str = "",
         ambient: Optional[PoGroupHandle] = None,
         to_ambient: Optional[Callable] = None,
-        ideal_predicates: Optional[Dict[str, Callable]] = None,
     ):
         if not check_axioms(base, "pea").passed:
             raise PreconditionError("symbolic base must be a PEA")
@@ -261,7 +261,7 @@ class SymbolicPea:
         )
         self.ambient = ambient
         self.to_ambient = to_ambient
-        self.ideal_predicates = ideal_predicates or {}
+        self.ideal_predicates = {}
         self.zero_el = (base.zero_i, group.zero())
         self.one_el = (base.one_i, self.h)
         if self.twist.get(base.zero_i) is not None:
@@ -405,7 +405,9 @@ class SymbolicPea:
         """The endless stream of members drawn from ``rng`` at ``bound``,
         each drawn only when it is taken, as ``sample_member`` draws it.
 
-        The base index is ``_randint(rng, 0, size - 1)``, or ``base_index``.
+        The base index is ``_randint(rng, 0, size - 1)``, or ``base_index``,
+        which is checked once, at the first draw: outside range(size) it is
+        an input error.
         The group part is a ``sample_nonneg`` draw over the base zero, h
         minus one over the base unit and a ``sample`` draw elsewhere.  The
         draws of a box sampler (``PoGroupHandle.sample_box``) are taken here,
@@ -415,6 +417,8 @@ class SymbolicPea:
         size = self._size
         if base_index is None:
             plans = [self._plan(b, bound) for b in range(size)]
+        elif not 0 <= base_index < size:
+            raise self._outside((base_index,))
         else:
             plans = {base_index: self._plan(base_index, bound)}
         getrandbits = rng.getrandbits
@@ -494,8 +498,6 @@ class SymbolicPea:
         ]
 
     def is_symmetric_sampled(self, seed: int = 0, samples: int = 2000, bound: int = 10):
-        from .core import SymmetryReport
-
         def probe(x, y):
             if self.minus(x) != self.tilde(x):
                 return (
@@ -664,13 +666,11 @@ class SymbolicPea:
                     if inverse[v2[0]] is not None:
                         h2g = inverse[v2[0]](h2g)
                     h2 = (zero_i, h2g)
-                    if self.is_member(h2) and self.right_difference(h2, y2) == v2:
-                        if G.add(e[1], G.neg(f[1])) != G.add(g2[1], G.neg(h2[1])):
-                            bad = "dual half at %s" % self.format(x2)
-                            break
-                        if G.add(f[1], G.neg(e[1])) != G.add(h2[1], G.neg(g2[1])):
-                            bad = "dual half at %s" % self.format(x2)
-                            break
+                    if self.is_member(h2) and self.right_difference(h2, y2) == v2 and (
+                            G.add(e[1], G.neg(f[1])) != G.add(g2[1], G.neg(h2[1]))
+                            or G.add(f[1], G.neg(e[1])) != G.add(h2[1], G.neg(g2[1]))):
+                        bad = "dual half at %s" % self.format(x2)
+                        break
             checked += 1
         if checked < max(1, samples // 4) and bad is None:
             bad = "insufficient usable samples (%d)" % checked
@@ -800,12 +800,10 @@ def builtin_pea(name: str, group: Optional[PoGroupHandle] = None):
 
 @dataclass
 class Measure:
-    """A group-valued measure: additive wherever sums exist.
+    """A group-valued measure on a symbolic algebra: additive wherever sums
+    exist, which is checked on samples."""
 
-    Finite domains are checked exhaustively, symbolic ones on samples.
-    """
-
-    domain: object  # SymbolicPea or PartialAdditionTable
+    domain: SymbolicPea
     codomain: PoGroupHandle
     fn: Callable
     name: str = "measure"
@@ -814,16 +812,6 @@ class Measure:
         return self.fn(x)
 
     def verify_additivity(self, seed: int = 0, samples: int = 500, bound: int = 8) -> SampleVerdict:
-        if isinstance(self.domain, PartialAdditionTable):
-            for i, j, s in self.domain.defined_sums():
-                a = self.domain.elements[i]
-                b = self.domain.elements[j]
-                c = self.domain.elements[s]
-                if self.codomain.add(self.fn(a), self.fn(b)) != self.fn(c):
-                    return SampleVerdict(
-                        "measure-additivity", False, 0, seed, "(%s, %s)" % (a, b)
-                    )
-            return SampleVerdict("measure-additivity", True, 0, seed, None)
         fn, K = self.fn, self.codomain
         probe = _additivity_probe(self.domain, lambda x, y, s: K.add(fn(x), fn(y)) == fn(s))
         return _sampled("measure-additivity", seed, samples, probe,
@@ -1025,8 +1013,6 @@ def universal_group_extension(
     independently sampled right- and left-hand presentations, and the
     homomorphism property plus the factorization through the embedding are
     verified on samples."""
-    if presentation_pairs < 1:
-        raise InputError("presentation_pairs must be at least 1, got %d" % (presentation_pairs,))
     E = phi.domain
     _require_chain_presentation(E)
     if E.h != E.group.zero():
@@ -1056,35 +1042,36 @@ def universal_group_extension(
         g1, g2 = G.nonneg_presentations(random.Random(7), bound, w, 1)[0]
         return eval_right(m, g1, g2)
 
-    rng = random.Random(seed)
-    for _ in range(presentation_pairs):
-        m = _randint(rng, -2 * E.n, 2 * E.n)
-        w = G.sample(rng, bound)
-        (g1, g2), (g3, g4) = G.nonneg_presentations(rng, bound, w, 2)
+    def presentations(rng):
+        # per sample: a level m, a part w, two right-hand presentations of w
+        # and the k1 of a left-hand one, w = -k1 + k2 with k2 = k1 + w
+        while True:
+            m = _randint(rng, -2 * E.n, 2 * E.n)
+            w = G.sample(rng, bound)
+            yield (m, w, G.nonneg_presentations(rng, bound, w, 2),
+                   G.sample_dominating(rng, bound, w))
+
+    def well_defined(sample):
+        m, w, ((g1, g2), (g3, g4)), k1 = sample
         first = eval_right(m, g1, g2)
-        second = eval_right(m, g3, g4)
-        if first != second:
+        if first != eval_right(m, g3, g4):
             raise WellDefinednessError(
                 "presentations disagree at level %d" % (m,),
                 (G.format(g1), G.format(g2)),
                 (G.format(g3), G.format(g4)),
             )
-        # left-hand presentation: w = -k1 + k2 with k2 = k1 + w
-        k1 = G.sample_dominating(rng, bound, w)
         k2 = G.add(k1, w)
-        if G.is_positive(k2):
-            third = eval_left(m, k1, k2)
-            if first != third:
-                raise WellDefinednessError(
-                    "left and right presentations disagree at level %d" % (m,),
-                    (G.format(g1), G.format(g2)),
-                    (G.format(k1), G.format(k2)),
-                )
+        if G.is_positive(k2) and first != eval_left(m, k1, k2):
+            raise WellDefinednessError(
+                "left and right presentations disagree at level %d" % (m,),
+                (G.format(g1), G.format(g2)),
+                (G.format(k1), G.format(k2)),
+            )
         if phi_star((m, w)) != first:
             raise WellDefinednessError(
                 "canonical evaluation disagrees with sampled presentation",
                 (G.format(g1), G.format(g2)),
-                ("canonical",) ,
+                ("canonical",),
             )
 
     def homomorphic(x, y):
@@ -1096,8 +1083,10 @@ def universal_group_extension(
         if phi_star((E.level(x), x[1])) != phi(x):
             return E.format(x)
 
+    rng = random.Random(seed)
     verdicts = (
-        SampleVerdict("well-definedness", True, presentation_pairs, seed, None),
+        _sampled("well-definedness", seed, presentation_pairs, well_defined, presentations,
+                 rng=rng),
         _sampled("homomorphism", seed, samples, homomorphic,
                  _repeated_draw(lambda rng: (_randint(rng, -E.n, 2 * E.n), G.sample(rng, bound))),
                  2, rng),

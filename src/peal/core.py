@@ -651,15 +651,13 @@ def complements(table: PartialAdditionTable, a: str) -> Tuple[str, str]:
     return table.elements[ldiff[u][i]], table.elements[rdiff[i][u]]
 
 
-def is_symmetric(table_or_symbolic, seed: int = 0, samples: int = 2000) -> SymmetryReport:
-    """Decide a- = a~ for all a; cross-checked against weak commutativity.
+def is_symmetric(table: PartialAdditionTable) -> SymmetryReport:
+    """Decide a- = a~ for all a of a finite table, exhaustively;
+    cross-checked against weak commutativity.
 
-    Finite tables are scanned exhaustively; symbolic algebras are sampled
-    (the report says so).  The two criteria must agree on every instance.
+    The two criteria must agree on every instance.  Symbolic algebras are
+    sampled by ``SymbolicPea.is_symmetric_sampled`` instead.
     """
-    if hasattr(table_or_symbolic, "sample_member"):
-        return table_or_symbolic.is_symmetric_sampled(seed=seed, samples=samples)
-    table: PartialAdditionTable = table_or_symbolic
     _require_pea(table)
     comp_witness = None
     for a in table.elements:
@@ -673,9 +671,7 @@ def is_symmetric(table_or_symbolic, seed: int = 0, samples: int = 2000) -> Symme
             "symmetry criteria disagree: complements %r vs condition (C) %r"
             % (comp_witness, cond_c_witness)
         )
-    if comp_witness is None:
-        return SymmetryReport(symmetric=True, witness=None)
-    return SymmetryReport(symmetric=False, witness=comp_witness)
+    return SymmetryReport(symmetric=comp_witness is None, witness=comp_witness)
 
 
 @derived

@@ -195,18 +195,15 @@ class ComparabilityReport:
     samples: int = 0
 
 
-def check_comparability(table_or_symbolic, D: Decomposition, seed: int = 0, samples: int = 2000):
-    """Comparability check of a decomposition.
+def check_comparability(table: PartialAdditionTable, D: Decomposition):
+    """Comparability check of a decomposition of a finite table.
 
     Decides (A) E_0 <= ... <= E_n and (B) E_i + E_j exists whenever i+j < n,
     asserts A <=> B, and when they hold verifies the three consequences
     (E_0 = Infinit(E) and normal; E_i + E_j = E_{i+j} below n; no sums above
     n, which validate_decomposition already guarantees).  Symbolic algebras
-    get the sampled variant.
+    are sampled by ``SymbolicPea.check_comparability_sampled`` instead.
     """
-    if hasattr(table_or_symbolic, "sample_member"):
-        return table_or_symbolic.check_comparability_sampled(seed=seed, samples=samples)
-    table: PartialAdditionTable = table_or_symbolic
     parts = _part_masks(table, D)
     up = induced_order(table).up
     els = table.elements

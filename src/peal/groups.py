@@ -6,10 +6,9 @@ predicate deciding the order, seeded samplers, and a few constructive helpers
 module leans on.  Properties of infinite structures are only ever probed on
 samples; reports carry the sample count and seed and never upgrade a sampled
 pass to a universal claim.  Every sampled verdict of peal runs on one loop,
-``_first_witness``, over a lazy, endless draw stream, but for two that draw
-sequentially because what they draw depends on what they drew: difference
-consistency of a symbolic algebra and the presentation pairs of the
-universal-group extension.
+``_first_witness``, over a lazy, endless draw stream, but for one that draws
+sequentially because what it draws depends on what it drew: difference
+consistency of a symbolic algebra.
 """
 
 from __future__ import annotations
@@ -498,9 +497,8 @@ def _first_witness(rng: random.Random, samples: int, probe: Callable, draw: Call
     tests them.  Nothing past the last tested sample is drawn, so a verdict
     that shares the generator with later ones leaves it where sample by
     sample drawing would, and a draw that raises surfaces only when a
-    sample reaches it.  Difference consistency and the universal
-    extension's presentation pairs do not run here: what they draw depends
-    on what they drew.
+    sample reaches it.  Difference consistency does not run here: what it
+    draws depends on what it drew.
     """
     if samples < 1:
         raise InputError("samples must be at least 1, got %d" % (samples,))

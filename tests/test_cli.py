@@ -285,6 +285,11 @@ def test_construct_builtin(tmp_path, capsys):
     ["--interval", u, "--group", "z:1"] for u in ("1", "2", "3")
 ] + [
     ["--interval", u, "--group", "z:2"] for u in ("1,0", "0,1", "1,1", "2,1")
+] + [
+    # the finite intervals of the lex orders and the twisted group
+    ["--interval", "0,3", "--group", "z:2", "--order", "lex"],
+    ["--interval", "0,0,2", "--group", "lex:z:2"],
+    ["--interval", "0,1,1", "--group", "twisted-z3"],
 ], ids=" ".join)
 def test_construct_output_verifies(argv, tmp_path, capsys):
     # every finite table construct writes must load and pass verify

@@ -6,11 +6,14 @@ from typing import Callable, List
 import pytest
 
 from peal.constructions import (
+    ExtensionReport,
     Measure,
     SymbolicPea,
     NonSymmetricError,
     NotCyclicError,
     NotStrongError,
+    WellDefinednessError,
+    _require_chain_presentation,
     boolean4_table,
     builtin_pea,
     chain_table,
@@ -27,12 +30,12 @@ from peal.core import (
     InconsistencyError,
     InputError,
     PartialAdditionTable,
+    PealError,
     PreconditionError,
     check_axioms,
     is_symmetric,
 )
 from peal.corpus import are_isomorphic
-from peal.decompositions import check_comparability
 from peal.groups import (
     DerivedConeGroup,
     PoGroupHandle,
@@ -41,6 +44,9 @@ from peal.groups import (
     SampleVerdict,
     TwistedZ3Group,
     UnitalPoGroup,
+    _randint,
+    _repeated_draw,
+    _sampled,
 )
 from peal.suite import SuiteReport, symbolic_battery
 
@@ -342,6 +348,53 @@ def test_difference_consistency_refuses_to_pass_unchecked():
                 v = fixture.sampled_difference_consistency(seed=seed, samples=samples)
                 assert v.passed == (v.samples >= max(1, samples // 4)), v
     assert not twisted_gamma().sampled_difference_consistency(seed=7, samples=1).passed
+
+
+class _ZeroNegatesWrong(IntVectorGroup):
+    """Z whose negative of 0 is -1; every other negative is right."""
+
+    def neg(self, x):
+        return (-1,) if x == (0,) else super().neg(x)
+
+
+def test_difference_consistency_failure_branches():
+    """Each way difference consistency fails, with its witness and the
+    usable samples counted before it.  The wrong twist inverse of
+    ``test_axiom_report_keeps_its_shared_stream_past_a_witness`` fails the
+    dual half; a twist at the base zero that moves -1 and -2 breaks the
+    premises; a wrong negative of 0 breaks the premises or the first half."""
+    swapped = SymbolicPea(chain_table(2), IntVectorGroup(1), name="swapped",
+                          twist={1: swapping((5, 6))},
+                          twist_inv={1: swapping((5, 6), (9, 10), (-9, -10))})
+    assert [(v.passed, v.samples, v.witness) for v in
+            (swapped.sampled_difference_consistency(seed=seed, samples=300)
+             for seed in range(10))] == [
+        (False, 0, "dual half at (1/2,9)"), (False, 0, "dual half at (1/2,7)"),
+        (False, 1, "dual half at (1/2,12)"), (False, 1, "dual half at (1/2,2)"),
+        (False, 4, "dual half at (1/2,0)"), (False, 2, "dual half at (1/2,6)"),
+        (False, 1, "dual half at (1/2,-6)"), (False, 1, "dual half at (1/2,-4)"),
+        (False, 12, "dual half at (1/2,-4)"), (False, 1, "dual half at (1/2,3)"),
+    ]
+    bottom_twisted = SymbolicPea(chain_table(1), IntVectorGroup(1),
+                                 twist={0: swapping((-1, -2))})
+    assert [(v.samples, v.witness) for v in
+            (bottom_twisted.sampled_difference_consistency(seed=seed, samples=60)
+             for seed in range(3))] == [
+        (8, "premise construction failed at (1,0)"),
+        (4, "premise construction failed at (1,0)"),
+        (7, "premise construction failed at (1,0)"),
+    ]
+    wrong_neg = SymbolicPea(chain_table(1), _ZeroNegatesWrong(1))
+    assert [(v.passed, v.samples, v.witness) for v in
+            (wrong_neg.sampled_difference_consistency(seed=seed, samples=60)
+             for seed in range(6))] == [
+        (False, 0, "(3, 0, 5, 2)"),
+        (False, 6, "premise construction failed at (1,-2)"),
+        (False, 5, "premise construction failed at (1,-3)"),
+        (False, 0, "(4, 0, 8, 4)"),
+        (False, 0, "premise construction failed at (1,-2)"),
+        (False, 1, "(1, 0, 3, 2)"),
+    ]
 
 
 # -- representation ----------------------------------------------------------
@@ -1126,6 +1179,17 @@ def test_symbolic_operations_refuse_a_base_index_out_of_range(pair):
             op()
 
 
+@pytest.mark.parametrize("base_index", [-1, 3, 7])
+def test_member_stream_refuses_a_base_index_out_of_range(base_index):
+    """A stream at a base index outside the base is an input error, not a
+    stream of non-members."""
+    sym = lex_product_pea(2, IntVectorGroup(1))
+    for draw in (lambda: sym.sample_member(random.Random(0), 5, base_index=base_index),
+                 lambda: next(sym.member_stream(random.Random(0), base_index=base_index))):
+        with pytest.raises(InputError, match=r"base index %d is outside range\(3\)" % base_index):
+            draw()
+
+
 @pytest.mark.parametrize("samples", [0, -5])
 def test_sampled_verdicts_refuse_no_samples(samples):
     """Every public entry point that samples: with no sample drawn, each
@@ -1143,9 +1207,7 @@ def test_sampled_verdicts_refuse_no_samples(samples):
         lambda: lex_product_pea(2, IntVectorGroup(1), check_samples=samples),
         lambda: E.sampled_axiom_report(samples=samples),
         lambda: E.is_symmetric_sampled(samples=samples),
-        lambda: is_symmetric(E, samples=samples),
         lambda: E.check_comparability_sampled(samples=samples),
-        lambda: check_comparability(E, None, samples=samples),
         lambda: E.sampled_state_additivity(samples=samples),
         lambda: E.sampled_infinit_is_level0(samples=samples),
         lambda: E.sampled_ideal_predicate(level0, samples=samples),
@@ -1196,3 +1258,196 @@ def test_representation_probes_the_ambient_group():
     shifted = lex_product_pea(2, TwistedZ3Group(), h=(0, 2, 0))
     with pytest.raises(NotStrongError, match="not central: witness"):
         strong_perfect_representation(shifted, (1, (0, 1, 0)), samples=300, seed=2)
+
+
+# -- the universal extension on the verdict loop -----------------------------
+#
+# A verbatim copy of universal_group_extension as it was when its
+# presentation pairs ran their own loop: the oracle of the pairs that run on
+# groups._first_witness.
+
+
+def frozen_universal_group_extension(
+    phi: Measure,
+    samples: int = 300,
+    presentation_pairs: int = 150,
+    seed: int = 0,
+    bound: int = 8,
+) -> ExtensionReport:
+    """Extend a measure on the chain product to its whole ambient group.
+
+    The extension evaluates (m, w) as m*phi(1,0) + phi(0,g1) - phi(0,g2) over
+    a positive presentation w = g1 - g2; well-definedness is verified across
+    independently sampled right- and left-hand presentations, and the
+    homomorphism property plus the factorization through the embedding are
+    verified on samples."""
+    if presentation_pairs < 1:
+        raise InputError("presentation_pairs must be at least 1, got %d" % (presentation_pairs,))
+    E = phi.domain
+    _require_chain_presentation(E)
+    if E.h != E.group.zero():
+        raise PreconditionError("universal extension needs the zero-offset product")
+    G = E.group
+    K = phi.codomain
+    add_check = phi.verify_additivity(seed=seed, samples=samples, bound=bound)
+    if not add_check.passed:
+        raise PreconditionError("measure is not additive: %s" % (add_check.witness,))
+    one_level = (E.levels.index(1), G.zero())
+    phi10 = phi(one_level)
+
+    def eval_right(m, g1, g2):
+        acc = K.scale(m, phi10)
+        acc = K.add(acc, phi((E.base.zero_i, g1)))
+        return K.add(acc, K.neg(phi((E.base.zero_i, g2))))
+
+    def eval_left(m, k1, k2):
+        acc = K.scale(m, phi10)
+        acc = K.add(acc, K.neg(phi((E.base.zero_i, k1))))
+        return K.add(acc, phi((E.base.zero_i, k2)))
+
+    def phi_star(x):
+        # any presentation works (that is what well-definedness certifies),
+        # so a fixed-seed pick keeps the callable deterministic
+        m, w = x
+        g1, g2 = G.nonneg_presentations(random.Random(7), bound, w, 1)[0]
+        return eval_right(m, g1, g2)
+
+    rng = random.Random(seed)
+    for _ in range(presentation_pairs):
+        m = _randint(rng, -2 * E.n, 2 * E.n)
+        w = G.sample(rng, bound)
+        (g1, g2), (g3, g4) = G.nonneg_presentations(rng, bound, w, 2)
+        first = eval_right(m, g1, g2)
+        second = eval_right(m, g3, g4)
+        if first != second:
+            raise WellDefinednessError(
+                "presentations disagree at level %d" % (m,),
+                (G.format(g1), G.format(g2)),
+                (G.format(g3), G.format(g4)),
+            )
+        # left-hand presentation: w = -k1 + k2 with k2 = k1 + w
+        k1 = G.sample_dominating(rng, bound, w)
+        k2 = G.add(k1, w)
+        if G.is_positive(k2):
+            third = eval_left(m, k1, k2)
+            if first != third:
+                raise WellDefinednessError(
+                    "left and right presentations disagree at level %d" % (m,),
+                    (G.format(g1), G.format(g2)),
+                    (G.format(k1), G.format(k2)),
+                )
+        if phi_star((m, w)) != first:
+            raise WellDefinednessError(
+                "canonical evaluation disagrees with sampled presentation",
+                (G.format(g1), G.format(g2)),
+                ("canonical",) ,
+            )
+
+    def homomorphic(x, y):
+        total = (x[0] + y[0], G.add(x[1], y[1]))
+        if phi_star(total) != K.add(phi_star(x), phi_star(y)):
+            return "(%d,%s) + (%d,%s)" % (x[0], G.format(x[1]), y[0], G.format(y[1]))
+
+    def factors(x):
+        if phi_star((E.level(x), x[1])) != phi(x):
+            return E.format(x)
+
+    verdicts = (
+        SampleVerdict("well-definedness", True, presentation_pairs, seed, None),
+        _sampled("homomorphism", seed, samples, homomorphic,
+                 _repeated_draw(lambda rng: (_randint(rng, -E.n, 2 * E.n), G.sample(rng, bound))),
+                 2, rng),
+        _sampled("factors-through-embedding", seed, samples, factors, E._member_draw(bound),
+                 rng=rng),
+    )
+    report = ExtensionReport(phi_star, verdicts)
+    if not report.passed:
+        raise InconsistencyError(
+            "universal extension verification failed: %r"
+            % ([v for v in report.verdicts if not v.passed],)
+        )
+    return report
+
+
+def _off_at(v):
+    """The level measure on Gamma(Z x_lex Z, (n, 0)), one too large at (0, v)."""
+    return lambda x: (x[0] + (x == (0, (v,))),)
+
+
+def extension_measures(E):
+    """Measures on the chain product E over Z: three additive ones, and two
+    that are additive except at one bottom member, so that the presentation
+    pairs, not the additivity check, find them at small sample counts."""
+    return {
+        "gamma": Measure(E, LexExtensionGroup(IntVectorGroup(1)), lambda x: (x[0], x[1])),
+        "level": Measure(E, IntVectorGroup(1), lambda x: (x[0],)),
+        "pair": Measure(E, IntVectorGroup(2), lambda x: (x[0], x[1][0])),
+        "off16": Measure(E, IntVectorGroup(1), _off_at(16)),
+        "off5": Measure(E, IntVectorGroup(1), _off_at(5)),
+    }
+
+
+def extension_outcome(extend, phi, **kw):
+    """The verdicts and some phi_star values of ``extend(phi, **kw)``, or
+    the type, message, ``.first`` and ``.second`` of what it raises."""
+    try:
+        report = extend(phi, **kw)
+    except PealError as exc:
+        return type(exc), str(exc), getattr(exc, "first", None), getattr(exc, "second", None)
+    points = [(m, (g,)) for m in (-3, 0, 2) for g in (-4, 0, 7)]
+    return report.verdicts, [report.phi_star(x) for x in points]
+
+
+def test_universal_extension_matches_frozen():
+    """Chain heights 1 to 3, five measures, four seeds and 1, 5 and 60
+    presentation pairs: the same verdicts, phi_star values and errors as the
+    loop of its own.  At 5 samples the grid passes, fails each of the three
+    well-definedness tests, fails the additivity check, and fails a verdict
+    drawn after the pairs, whose stream the pairs must leave in place."""
+    errors = set()
+    cases = 0
+    for n in (1, 2, 3):
+        E = lex_product_pea(n, IntVectorGroup(1), check_samples=60)
+        for name, phi in sorted(extension_measures(E).items()):
+            for seed in (0, 1, 4, 5):
+                for pairs in (1, 5, 60):
+                    kw = dict(samples=5, presentation_pairs=pairs, seed=seed)
+                    ours = extension_outcome(universal_group_extension, phi, **kw)
+                    assert ours == extension_outcome(frozen_universal_group_extension, phi, **kw), \
+                        (n, name, seed, pairs)
+                    cases += 1
+                    if isinstance(ours[0], type):
+                        errors.add(ours[1])
+    assert cases == 180
+    for kind in ("presentations disagree", "left and right presentations disagree",
+                 "canonical evaluation disagrees", "measure is not additive",
+                 "universal extension verification failed"):
+        assert any(message.startswith(kind) for message in errors), kind
+
+
+def test_universal_extension_failure_branches():
+    """The three well-definedness failures, with the presentations each
+    reports.  A measure one too large at (0, 16) makes two right-hand
+    presentations disagree, or a left-hand one disagree with them; one too
+    large at (0, 5) is seen first by the canonical presentation phi_star
+    picks for w >= 0."""
+    E = lex_product_pea(2, IntVectorGroup(1))
+    off16 = Measure(E, IntVectorGroup(1), _off_at(16))
+    found = []
+    for seed in range(6):
+        with pytest.raises(WellDefinednessError) as caught:
+            universal_group_extension(off16, samples=5, presentation_pairs=2000, seed=seed)
+        found.append((str(caught.value), caught.value.first, caught.value.second))
+    assert found == [
+        ("presentations disagree at level 2", ("12", "4"), ("16", "8")),
+        ("presentations disagree at level -4", ("0", "8"), ("8", "16")),
+        ("presentations disagree at level -2", ("16", "8"), ("13", "5")),
+        ("presentations disagree at level -4", ("16", "8"), ("14", "6")),
+        ("presentations disagree at level 0", ("16", "8"), ("15", "7")),
+        ("left and right presentations disagree at level 0", ("16", "8"), ("5", "13")),
+    ]
+    off5 = Measure(E, IntVectorGroup(1), _off_at(5))
+    with pytest.raises(WellDefinednessError,
+                       match="canonical evaluation disagrees with sampled presentation") as caught:
+        universal_group_extension(off5, samples=1, presentation_pairs=60, seed=1)
+    assert (caught.value.first, caught.value.second) == (("4", "10"), ("canonical",))

@@ -112,6 +112,52 @@ def test_probe_catches_broken_order():
     assert not report.passed
 
 
+class _Subtracting(IntVectorGroup):
+    """Z under x - y, which is not associative."""
+
+    def add(self, x, y):
+        return (x[0] - y[0],)
+
+
+class _Shifted(IntVectorGroup):
+    """Z under x + y + 1: associative, but 0 is no identity."""
+
+    def add(self, x, y):
+        return (x[0] + y[0] + 1,)
+
+
+class _SelfNegating(IntVectorGroup):
+    """Z whose neg is the identity map, so only 0 has its inverse."""
+
+    def neg(self, x):
+        return x
+
+
+class _ConeWithoutOne(IntVectorGroup):
+    """Z whose cone leaves out 1 while ``le`` keeps the order of Z."""
+
+    def is_positive(self, x):
+        return x[0] >= 0 and x[0] != 1
+
+    def le(self, x, y):
+        return x[0] <= y[0]
+
+
+@pytest.mark.parametrize("handle, failure", [
+    (_Subtracting(1), ("associativity", "2, 3, -9")),
+    (_Shifted(1), ("identity", "2")),
+    (_SelfNegating(1), ("inverse", "2")),
+    (DerivedConeGroup(IntVectorGroup(1), lambda g: 0 <= g[0] <= 3, "bounded-cone"),
+     ("cone-closure", "2, 3")),
+    (_ConeWithoutOne(1), ("left-right-difference", "2, 3")),
+], ids=lambda v: v[0] if isinstance(v, tuple) else type(v).__name__)
+def test_probe_names_the_first_broken_law(handle, failure):
+    """One handle per law that breaks that law and none checked before it."""
+    report = probe_pogroup(handle, samples=100, seed=0)
+    assert not report.passed and report.status == "fail"
+    assert report.failures == (failure,)
+
+
 def test_commutators():
     tw = TwistedZ3Group()
     assert is_commutator(tw, (0, 1, 1), samples=1500, seed=0) == (True, None)
@@ -272,10 +318,14 @@ def _getrandbits_users(source):
     return _scan(source, _names_getrandbits)
 
 
+SAMPLE_COUNTS = ("samples", "presentation_pairs")
+
+
 def _loops_over_samples(node):
-    """Whether ``node`` is a loop over the sample count: a ``while`` whose
-    test names ``samples``, or a ``for`` (statement or comprehension) over a
-    ``range`` whose arguments name it."""
+    """Whether ``node`` is a loop over a sample count: a ``while`` whose
+    test names ``samples`` or ``presentation_pairs``, or a ``for``
+    (statement or comprehension) over a ``range`` whose arguments name
+    one of them."""
     if isinstance(node, ast.While):
         header = node.test
     elif isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension)) and \
@@ -283,7 +333,7 @@ def _loops_over_samples(node):
         header = node.iter
     else:
         return False
-    return any(getattr(n, "id", None) == "samples" or getattr(n, "attr", None) == "samples"
+    return any(getattr(n, "id", getattr(n, "attr", None)) in SAMPLE_COUNTS
                for n in ast.walk(header))
 
 
@@ -344,8 +394,9 @@ def test_sample_loop_scan_sees_every_loop():
         "def k(samples, n):\n    for i in range(n):\n        samples += i\n    return samples\n"
         "def m(r):\n    for v in r.verdicts(samples=3):\n        pass\n"
         "for _ in range(args.samples):\n    pass\n"
+        "def p(presentation_pairs):\n    for _ in range(presentation_pairs):\n        pass\n"
     )
-    assert _scan(source, _loops_over_samples) == ["f", "C.g", "h", "<module>"]
+    assert _scan(source, _loops_over_samples) == ["f", "C.g", "h", "<module>", "p"]
 
 
 # -- the group probes on the verdict loop ------------------------------------
