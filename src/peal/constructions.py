@@ -10,6 +10,7 @@ statement.
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,10 +38,12 @@ from .groups import (
     SampleVerdict,
     TwistedZ3Group,
     UnitalPoGroup,
+    _box_stream,
     _element_draw,
     _first_witness,
     _randint,
     _repeated_draw,
+    _sample_stream,
     _sampled,
     is_commutator,
     probe_pogroup,
@@ -264,11 +267,9 @@ class SymbolicPea:
         self.ideal_predicates = {}
         self.zero_el = (base.zero_i, group.zero())
         self.one_el = (base.one_i, self.h)
-        if self.twist.get(base.zero_i) is not None:
-            probe = self.twist[base.zero_i]
-            g = group.zero()
-            if probe(g) != g:
-                raise InputError("twist at the base zero must be the identity")
+        # adding a member of the bottom slice moves no part
+        if base.zero_i in self.twist or base.zero_i in self.twist_inv:
+            raise InputError("no twist may act at the base zero, index %d" % (base.zero_i,))
         # per base index: the twist and its inverse (None for the identity)
         # and the membership test of the group part (None where every part
         # is a member); the unit's test is set first, so the zero's wins
@@ -276,10 +277,10 @@ class SymbolicPea:
         self._gadd, self._gneg = group.add, group.neg
         self._twists = [self.twist.get(b) for b in range(base.size)]
         self._twists_inv = [self.twist_inv.get(b) for b in range(base.size)]
-        positive, add, neg, top = group.is_positive, group.add, group.neg, self.h
+        le, top = group.le, self.h
         tests = [None] * base.size
-        tests[base.one_i] = lambda g: positive(add(top, neg(g)))
-        tests[base.zero_i] = positive
+        tests[base.one_i] = lambda g: le(g, top)
+        tests[base.zero_i] = group.is_positive
         self._tests = tests
 
     def describe(self) -> Dict[str, str]:
@@ -385,20 +386,17 @@ class SymbolicPea:
 
     # -- samplers ----------------------------------------------------------
 
-    def _plan(self, b: int, bound: int) -> Tuple:
-        """How ``member_stream`` draws the group part at base index ``b``:
-        (sampler, lo, n, bits, k, top).  A box sampler has ``sampler`` None
-        and draws k coordinates lo + r, r uniform below n from ``bits``-bit
-        draws; any other sampler is called.  ``top`` marks the base unit,
-        whose part is h minus the draw."""
+    def _part_stream(self, rng: random.Random, b: int, bound: int) -> Iterator:
+        """The endless stream of group parts at base index ``b``, drawn from
+        ``rng`` at ``bound``: ``sample_nonneg`` draws over the base zero, h
+        minus one over the base unit and ``sample`` draws elsewhere."""
         G = self.group
-        nonneg = b == self._zero_i or b == self._one_i
-        lo = 0 if nonneg else -bound
-        n = bound - lo + 1
-        # an empty range goes to the sampler, which refuses it
-        k = G.sample_box(nonneg) if n > 0 else None
-        sampler = None if k is not None else G.sample_nonneg if nonneg else G.sample
-        return sampler, lo, n, n.bit_length(), k, b != self._zero_i and b == self._one_i
+        if b == self._zero_i:
+            return _sample_stream(G, rng, bound, nonneg=True)
+        if b == self._one_i:
+            return map(self._gadd, itertools.repeat(self.h),
+                       map(self._gneg, _sample_stream(G, rng, bound, nonneg=True)))
+        return _sample_stream(G, rng, bound)
 
     def member_stream(self, rng: random.Random, bound: int = 10,
                       base_index: Optional[int] = None) -> Iterator[Tuple]:
@@ -407,41 +405,22 @@ class SymbolicPea:
 
         The base index is ``_randint(rng, 0, size - 1)``, or ``base_index``,
         which is checked once, at the first draw: outside range(size) it is
-        an input error.
-        The group part is a ``sample_nonneg`` draw over the base zero, h
-        minus one over the base unit and a ``sample`` draw elsewhere.  The
-        draws of a box sampler (``PoGroupHandle.sample_box``) are taken here,
-        each by ``_randint``'s ``getrandbits`` rejection loop; any other
-        sampler is called as it is.
+        an input error.  The group part is the next of ``_part_stream`` at
+        that index; the base indices and the points of box samplers come
+        from ``_box_stream``, and all these streams draw lazily from the one
+        ``rng``.
         """
         size = self._size
         if base_index is None:
-            plans = [self._plan(b, bound) for b in range(size)]
+            bases = _box_stream(rng, 0, size - 1, 1)
+            parts = [self._part_stream(rng, b, bound) for b in range(size)]
         elif not 0 <= base_index < size:
             raise self._outside((base_index,))
         else:
-            plans = {base_index: self._plan(base_index, bound)}
-        getrandbits = rng.getrandbits
-        size_bits = size.bit_length()
-        h, add, neg = self.h, self._gadd, self._gneg
-        b = base_index
-        while True:
-            if base_index is None:
-                b = getrandbits(size_bits)
-                while b >= size:
-                    b = getrandbits(size_bits)
-            sampler, lo, n, bits, k, top = plans[b]
-            if sampler is None:
-                part = []
-                for _ in range(k):
-                    r = getrandbits(bits)
-                    while r >= n:
-                        r = getrandbits(bits)
-                    part.append(lo + r)
-                part = tuple(part)
-            else:
-                part = sampler(rng, bound)
-            yield (b, add(h, neg(part)) if top else part)
+            bases = itertools.repeat((base_index,))
+            parts = {base_index: self._part_stream(rng, base_index, bound)}
+        for (b,) in bases:
+            yield (b, next(parts[b]))
 
     def sample_member(self, rng: random.Random, bound: int = 10, base_index: Optional[int] = None):
         return next(self.member_stream(rng, bound, base_index))
@@ -607,9 +586,9 @@ class SymbolicPea:
         algebra differences must agree, in both difference directions.
 
         Which draws a sample takes depends on the values drawn, so this
-        runs its own loop: w is taken from a member stream and a, b from a
-        bottom-slice stream, both lazy on the one generator, which the
-        group draws of the second presentation share.  Passing needs at
+        runs its own loop: w is taken from a member stream, a, b from a
+        bottom-slice stream and the s of the second presentation from a
+        ``sample_nonneg`` stream, all lazy on the one generator.  Passing needs at
         least ``max(1, samples // 4)`` usable samples."""
         if samples < 1:
             raise InputError("samples must be at least 1, got %d" % (samples,))
@@ -618,6 +597,7 @@ class SymbolicPea:
         lv, zero_i, inverse = self.levels, self._zero_i, self._twists_inv
         members = self.member_stream(rng, bound)
         bottom = self.member_stream(rng, bound, zero_i)
+        cone = _sample_stream(G, rng, bound, nonneg=True)
         checked = 0
         bad = None
         attempts = 0
@@ -632,7 +612,7 @@ class SymbolicPea:
             if x is None or y is None:
                 continue
             # second presentation: c = s + a with s >= 0, then d solves w2 + d = y
-            s = G.sample_nonneg(rng, bound)
+            s = next(cone)
             c = (zero_i, G.add(s, a[1]))
             w2 = self.left_difference(x, c)
             if w2 is None:
@@ -807,6 +787,13 @@ class Measure:
     codomain: PoGroupHandle
     fn: Callable
     name: str = "measure"
+
+    def __post_init__(self):
+        if not isinstance(self.domain, SymbolicPea):
+            raise InputError(
+                "a Measure is sampled on a SymbolicPea, not a %s; the states of a finite "
+                "table are solved exactly by states.solve_state_space"
+                % (type(self.domain).__name__,))
 
     def __call__(self, x):
         return self.fn(x)

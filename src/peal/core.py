@@ -551,6 +551,14 @@ def _require_gpea(table: PartialAdditionTable) -> None:
         raise PreconditionError("table fails GPEA axioms: %r" % (report.violations[:1],))
 
 
+def _require_table(table, entry: str, sampled: str) -> None:
+    """Refuse anything but a finite table at ``entry``, naming ``sampled``,
+    the entry point that samples a symbolic algebra instead."""
+    if not isinstance(table, PartialAdditionTable):
+        raise InputError("%s takes a finite table, not a %s; a symbolic algebra is sampled by %s"
+                         % (entry, type(table).__name__, sampled))
+
+
 def _require_pea(table: PartialAdditionTable) -> None:
     if table.one is None:
         raise PreconditionError("operation requires a PEA (table has no unit)")
@@ -658,6 +666,7 @@ def is_symmetric(table: PartialAdditionTable) -> SymmetryReport:
     The two criteria must agree on every instance.  Symbolic algebras are
     sampled by ``SymbolicPea.is_symmetric_sampled`` instead.
     """
+    _require_table(table, "is_symmetric", "SymbolicPea.is_symmetric_sampled")
     _require_pea(table)
     comp_witness = None
     for a in table.elements:

@@ -17,6 +17,7 @@ from .core import (
     _mask,
     _nonadditive,
     _require_pea,
+    _require_table,
     complements,
     derived,
     induced_order,
@@ -204,6 +205,7 @@ def check_comparability(table: PartialAdditionTable, D: Decomposition):
     n, which validate_decomposition already guarantees).  Symbolic algebras
     are sampled by ``SymbolicPea.check_comparability_sampled`` instead.
     """
+    _require_table(table, "check_comparability", "SymbolicPea.check_comparability_sampled")
     parts = _part_masks(table, D)
     up = induced_order(table).up
     els = table.elements

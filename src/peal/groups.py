@@ -13,10 +13,12 @@ consistency of a symbolic algebra.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import operator
 import random
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from .core import InputError, PealError
 
@@ -67,6 +69,22 @@ def _randints(rng: random.Random, lo: int, hi: int, count: int) -> Tuple[int, ..
     return tuple(out)
 
 
+def _box_stream(rng: random.Random, lo: int, hi: int, k: int) -> Iterator[Tuple[int, ...]]:
+    """The endless stream of points of the box [lo, hi]^k, each drawn when it
+    is taken, as ``_randints(rng, lo, hi, k)`` draws it.
+
+    The one box kernel: the rejection loop of ``_randints`` as a chain of
+    lazy iterators (``getrandbits`` calls, the draws below the range width,
+    shifted by lo, k at a time), so nothing past the last point taken is
+    drawn.  An empty range is refused here, at once."""
+    n = hi - lo + 1
+    if n <= 0:
+        raise ValueError("empty range [%d, %d]" % (lo, hi))
+    bits = iter(functools.partial(rng.getrandbits, n.bit_length()), -1)
+    coordinates = map(lo.__add__, filter(n.__gt__, bits))
+    return zip(*[coordinates] * k)
+
+
 class PoGroupHandle:
     """Base interface; concrete groups override the arithmetic and order."""
 
@@ -108,9 +126,10 @@ class PoGroupHandle:
         """k when ``sample`` (``sample_nonneg`` with ``nonneg``) is a box
         sampler: it draws k coordinates, each ``_randint(rng, -bound, bound)``
         (``_randint(rng, 0, bound)``), in order, and nothing else.  None for
-        any other sampler.  The symbolic layer inlines the draws of a box
-        sampler instead of calling it, so a subclass that overrides a box
-        sampler overrides this as well."""
+        any other sampler.  The draw streams of the probes and of
+        ``SymbolicPea.member_stream`` take a box sampler's points from
+        ``_box_stream`` instead of calling it, so a subclass that overrides
+        a box sampler overrides this as well."""
         return None
 
     def sample_dominating(self, rng: random.Random, bound: int, g):
@@ -142,8 +161,58 @@ class PoGroupHandle:
         return "<po-group %s>" % (self.name,)
 
 
+def _add1(x, y):
+    return (x[0] + y[0],)
+
+
+def _add2(x, y):
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def _add(x, y):
+    return tuple(map(operator.add, x, y))
+
+
+def _neg1(x):
+    return (-x[0],)
+
+
+def _neg2(x):
+    return (-x[0], -x[1])
+
+
+def _neg(x):
+    return tuple(map(operator.neg, x))
+
+
+def _nonneg1(x):
+    return x[0] >= 0
+
+
+def _nonneg(x):
+    return min(x) >= 0
+
+
+def _le1(x, y):
+    return x[0] <= y[0]
+
+
+def _le2(x, y):
+    return x[0] <= y[0] and x[1] <= y[1]
+
+
+def _le(x, y):
+    return all(map(operator.le, x, y))
+
+
 class IntVectorGroup(PoGroupHandle):
-    """Z^k with the pointwise or lexicographic order."""
+    """Z^k with the pointwise or lexicographic order.
+
+    An exact instance binds ``add``, ``neg``, ``is_positive`` and ``le`` for
+    its dimension and order once, at construction: they are the hot path of
+    every sampled verdict.  The lex order is the order of Python tuples.  A
+    subclass keeps the generic methods, so its overrides, and a ``le`` read
+    off its own cone, hold."""
 
     def __init__(self, k: int, order: str = "pointwise"):
         if k < 1:
@@ -154,36 +223,29 @@ class IntVectorGroup(PoGroupHandle):
         self.order = order
         self.name = "Z^%d(%s)" % (k, order)
         self.abelian = True
+        if type(self) is IntVectorGroup:
+            self.add = {1: _add1, 2: _add2}.get(k, _add)
+            self.neg = {1: _neg1, 2: _neg2}.get(k, _neg)
+            if order == "lex":
+                self.is_positive = functools.partial(operator.le, self.zero())
+                self.le = operator.le
+            else:
+                self.is_positive = _nonneg1 if k == 1 else _nonneg
+                self.le = {1: _le1, 2: _le2}.get(k, _le)
 
     def zero(self):
         return (0,) * self.k
 
-    # add, neg and the pointwise cone are unrolled for k = 1 and 2, the
-    # dimensions of the symbolic fixtures, where they are the hot path of
-    # every sampled verdict
     def add(self, x, y):
-        k = self.k
-        if k == 1:
-            return (x[0] + y[0],)
-        if k == 2:
-            return (x[0] + y[0], x[1] + y[1])
-        return tuple(map(operator.add, x, y))
+        return _add(x, y)
 
     def neg(self, x):
-        k = self.k
-        if k == 1:
-            return (-x[0],)
-        if k == 2:
-            return (-x[0], -x[1])
-        return tuple(map(operator.neg, x))
+        return _neg(x)
 
     def is_positive(self, x) -> bool:
         if self.order == "pointwise":
-            return x[0] >= 0 if self.k == 1 else min(x) >= 0
-        for a in x:
-            if a != 0:
-                return a > 0
-        return True
+            return _nonneg(x)
+        return x >= self.zero()
 
     def format(self, x) -> str:
         if self.k == 1:
@@ -277,6 +339,13 @@ class TwistedZ3Group(PoGroupHandle):
     def is_positive(self, x) -> bool:
         a, b, c = x
         return a > 0 or (a == 0 and b >= 0 and c >= 0)
+
+    def le(self, x, y) -> bool:
+        # y - x = y + neg(x) has level p - a and, whatever the parity of a,
+        # the parts q - b and r - c (in some order)
+        a, b, c = x
+        p, q, r = y
+        return p > a or (p == a and b <= q and c <= r)
 
     def format(self, x) -> str:
         return "(%s)" % ",".join(str(a) for a in x)
@@ -553,9 +622,23 @@ def _report(kind: str, handle: PoGroupHandle, samples: int, seed: int, failure,
                        samples, seed, () if passed else (failure,), tuple(witnesses))
 
 
+def _sample_stream(handle: PoGroupHandle, rng: random.Random, bound: int,
+                   nonneg: bool = False) -> Iterator:
+    """The endless stream of ``handle.sample(rng, bound)`` draws
+    (``sample_nonneg`` with ``nonneg``), each drawn when it is taken.  The
+    points of a box sampler come from ``_box_stream``; any other sampler is
+    called as it is, and so is a box sampler at a negative bound, an empty
+    range that it refuses at its first draw."""
+    k = handle.sample_box(nonneg) if bound >= 0 else None
+    if k is not None:
+        return _box_stream(rng, 0 if nonneg else -bound, bound, k)
+    return map(handle.sample_nonneg if nonneg else handle.sample,
+               itertools.repeat(rng), itertools.repeat(bound))
+
+
 def _element_draw(handle: PoGroupHandle, bound: int) -> Callable:
     """``draw(rng)``: the stream of elements of ``handle`` at ``bound``."""
-    return _repeated_draw(lambda rng: handle.sample(rng, bound))
+    return functools.partial(_sample_stream, handle, bound=bound)
 
 
 def probe_pogroup(handle: PoGroupHandle, samples: int = 1000, seed: int = 0, bound: int = 10) -> ProbeReport:
@@ -572,24 +655,29 @@ def probe_pogroup(handle: PoGroupHandle, samples: int = 1000, seed: int = 0, bou
             return fail("associativity", a, b, c)
         if add(a, zero) != a or add(zero, a) != a:
             return fail("identity", a)
-        if add(a, neg(a)) != zero or add(neg(a), a) != zero:
+        minus_a = neg(a)
+        if add(a, minus_a) != zero or add(minus_a, a) != zero:
             return fail("inverse", a)
         if not positive(add(p, q)):
             return fail("cone-closure", p, q)
-        if positive(a) and positive(neg(a)) and a != zero:
+        if positive(a) and positive(minus_a) and a != zero:
             return fail("antisymmetry", a)
         upper = add(lower, p)
         if not le(lower, upper):
             return fail("order-vs-cone", lower, upper)
         if not le(add(add(c, lower), b), add(add(c, upper), b)):
             return fail("translation-invariance", lower, upper, c, b)
-        if le(lower, upper) != positive(add(neg(lower), upper)):
+        # lower <= upper holds here
+        if not positive(add(neg(lower), upper)):
             return fail("left-right-difference", lower, upper)
 
-    sample, nonneg = ((lambda rng: handle.sample(rng, bound)),
-                      (lambda rng: handle.sample_nonneg(rng, bound)))
-    failure = _first_witness(random.Random(seed), samples, probe,
-                             _repeated_draw(sample, sample, sample, nonneg, nonneg, sample), 6)
+    def draw(rng):
+        # a, b, c from the elements, p, q from the cone, then lower
+        elements = _sample_stream(handle, rng, bound)
+        cone = _sample_stream(handle, rng, bound, nonneg=True)
+        return map(next, itertools.cycle((elements, elements, elements, cone, cone, elements)))
+
+    failure = _first_witness(random.Random(seed), samples, probe, draw, 6)
     return _report("pogroup", handle, samples, seed, failure)
 
 

@@ -556,6 +556,28 @@ PINNED_SAMPLED_REPORTS = {
     # the benchmark's suite operation: corpus order and canonical tables too
     ("suite", "--max-size", "7", "--samples", "2000"):
         "47e2335aa05c0342779b439d8fda4ce89e6ae465210a5ca53b6e0ea71b6d3c90",
+    # one per group kind that the bound arithmetic and the box kernel touch
+    # (Z^1, Z^2, Z^3, lex Z^2, the twisted Z^3, an offset) or bypass (the lex
+    # extension), recorded before either landed
+    ("--seed", "5", "construct", "--lex-product", "2", "--group", "z:1", "--samples", "2000"):
+        "1abf888f3026ee8b1eb43604009b37caf8c062237dcd00375a6eaeb74ae27b0d",
+    ("--seed", "5", "construct", "--lex-product", "2", "--group", "z:2", "--order", "lex",
+     "--samples", "2000"):
+        "c6495a6fd90b78a0120a9784342ad8cbfc081b866d6e5970b8f9484d0c42acab",
+    ("--seed", "5", "construct", "--lex-product", "2", "--group", "z:3", "--samples", "2000"):
+        "d233c5d727de2ce82dadf3aeca491a09fd840541a794bf957cec9851705ef395",
+    ("--seed", "5", "construct", "--lex-product", "2", "--group", "twisted-z3",
+     "--samples", "2000"):
+        "dd116dad85d33e88cadce9f940124222122f6646b2c2b54855cfae26db576a2a",
+    ("--seed", "5", "construct", "--lex-product", "2", "--group", "lex:z:1",
+     "--samples", "2000"):
+        "57ec2b0ab759e28bd7db9330e791b14d6ee0f1dce6b53eb1853a8b8325b80220",
+    ("--seed", "5", "construct", "--lex-product", "3", "--group", "z:2", "--offset", "1,0",
+     "--samples", "2000"):
+        "109c324a6647b9e059771b903488e26e68ef7cfcb450f7fdcf41fd04dce10bc9",
+    ("--seed", "5", "construct", "--builtin", "example47", "--group", "z:2",
+     "--samples", "2000"):
+        "cfb3d63011eeac279e03eb6c6a91b264f104da95e2637220c4bd53e0ed4473e8",
 }
 
 

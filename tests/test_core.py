@@ -145,6 +145,13 @@ def test_symmetry(diamond, boolean4):
     assert is_symmetric(boolean4).symmetric
 
 
+def test_symmetry_refuses_a_symbolic_algebra():
+    from peal.constructions import builtin_pea
+
+    with pytest.raises(InputError, match="SymbolicPea.is_symmetric_sampled"):
+        is_symmetric(builtin_pea("example46"))
+
+
 def test_symmetry_matches_weak_commutativity(pea_corpus_small):
     for table in pea_corpus_small:
         report = is_symmetric(table)  # raises if the two criteria disagree

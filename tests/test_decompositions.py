@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from peal.constructions import boolean4_table, chain_table, diamond_table
+from peal.constructions import boolean4_table, builtin_pea, chain_table, diamond_table
 from peal.core import InconsistencyError, InputError, PealError, complements
 from peal.corpus import are_isomorphic
 from peal.decompositions import (
@@ -131,6 +131,12 @@ def test_comparability_boolean4(boolean4):
     report = check_comparability(boolean4, D)
     assert not report.comparable
     assert report.witness == ("a", "a'")
+
+
+def test_comparability_refuses_a_symbolic_algebra(diamond):
+    D = find_decompositions(diamond, 2)[0]
+    with pytest.raises(InputError, match="check_comparability_sampled"):
+        check_comparability(builtin_pea("example46"), D)
 
 
 def test_condition_e(diamond, boolean4):

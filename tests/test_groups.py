@@ -22,6 +22,7 @@ from peal.groups import (
     ProbeReport,
     TwistedZ3Group,
     UnitalPoGroup,
+    _box_stream,
     _first_witness,
     _randint,
     _randints,
@@ -64,6 +65,55 @@ def test_twisted_translation_invariance(x, y, c, d):
         lhs = tw.add(tw.add(c, x), d)
         rhs = tw.add(tw.add(c, y), d)
         assert tw.le(lhs, rhs)
+
+
+small = hyp.integers(-4, 4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(k=hyp.integers(1, 4), order=hyp.sampled_from(("pointwise", "lex")), data=hyp.data())
+def test_bound_vector_arithmetic_matches_componentwise_formulas(k, order, data):
+    """The arithmetic an exact Z^k binds at construction, and the generic
+    methods its subclasses keep, against the componentwise formulas."""
+    g = IntVectorGroup(k, order)
+    x, y = (data.draw(hyp.tuples(*[small] * k)) for _ in range(2))
+
+    def positive(v):
+        if order == "lex":
+            return next((a for a in v if a != 0), 0) >= 0
+        return all(a >= 0 for a in v)
+
+    for add, neg, is_positive, le in (
+            (g.add, g.neg, g.is_positive, g.le),
+            (functools.partial(IntVectorGroup.add, g), functools.partial(IntVectorGroup.neg, g),
+             functools.partial(IntVectorGroup.is_positive, g),
+             functools.partial(PoGroupHandle.le, g))):
+        assert add(x, y) == tuple(a + b for a, b in zip(x, y))
+        assert neg(x) == tuple(-a for a in x)
+        assert is_positive(x) == positive(x)
+        assert le(x, y) == positive(tuple(b - a for a, b in zip(x, y)))
+    assert g.le(x, y) == g.is_positive(g.add(y, g.neg(x)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=triples, y=triples)
+def test_twisted_le_is_the_generic_le(x, y):
+    tw = TwistedZ3Group()
+    assert tw.le(x, y) == PoGroupHandle.le(tw, x, y)
+    near = (x[0], y[1], y[2])  # same level: the parts decide
+    assert tw.le(x, near) == PoGroupHandle.le(tw, x, near)
+
+
+@settings(max_examples=100, deadline=None)
+@given(k=hyp.integers(1, 4), data=hyp.data())
+def test_subclass_le_follows_its_own_neg(k, data):
+    """A subclass that overrides ``neg`` alone binds nothing: its ``le`` is
+    read off its own ``neg``, not the exact group's."""
+    g = _SelfNegating(k)
+    assert not {"add", "neg", "is_positive", "le"} & set(vars(g))
+    x, y = (data.draw(hyp.tuples(*[small] * k)) for _ in range(2))
+    assert g.le(x, y) == g.is_positive(g.add(y, x))
+    assert _SelfNegating(1).le((2,), (-1,)) and not IntVectorGroup(1).le((2,), (-1,))
 
 
 def test_pointwise_vectors():
@@ -247,6 +297,19 @@ def test_randint_takes_the_stream_of_random_randint():
             assert ours.getstate() == theirs.getstate()
 
 
+def test_box_stream_takes_the_stream_of_randints():
+    """Each point is ``_randints(rng, lo, hi, k)``, and nothing past the
+    last point taken is drawn."""
+    for seed in range(20):
+        for lo, hi in RANGES[::3]:
+            for k in (1, 2, 3):
+                ours, theirs = random.Random(seed), random.Random(seed)
+                points = _box_stream(ours, lo, hi, k)
+                for _ in range(4):
+                    assert next(points) == _randints(theirs, lo, hi, k)
+                    assert ours.getstate() == theirs.getstate()
+
+
 def test_randint_rejects_an_empty_range():
     rng = random.Random(0)
     for lo, hi in ((1, 0), (1, -1), (5, 3)):
@@ -254,6 +317,8 @@ def test_randint_rejects_an_empty_range():
             _randint(rng, lo, hi)
         with pytest.raises(ValueError):
             _randints(rng, lo, hi, 2)
+        with pytest.raises(ValueError):
+            _box_stream(rng, lo, hi, 2)
 
 
 def test_randint_interleaves_with_user_samplers():
@@ -283,7 +348,7 @@ def test_randint_interleaves_with_user_samplers():
 DRAW_KERNELS = {
     ("groups.py", "_randint"),
     ("groups.py", "_randints"),
-    ("constructions.py", "SymbolicPea.member_stream"),
+    ("groups.py", "_box_stream"),
 }
 
 
@@ -348,7 +413,7 @@ def _peal_sources():
 
 def test_samplers_draw_only_through_randint():
     """Every draw in peal goes through ``groups._randint``/``_randints`` or
-    the member kernel ``SymbolicPea.member_stream``: no module may call the
+    the one box kernel ``groups._box_stream``: no module may call the
     Random methods whose stream those reproduce, nor rewind a generator by
     ``getstate``/``setstate``, and no other function may call
     ``getrandbits``, since the stream identity rests on those three."""
