@@ -4,9 +4,9 @@ two-valued-state partition theorems."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, List, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .core import (
     InconsistencyError,
@@ -27,10 +27,13 @@ from .core import (
 @dataclass
 class IdealSet:
     """An ideal; its structural flags are computed on first use and take no
-    part in equality."""
+    part in equality.  An ideal that ``enumerate_ideals`` found carries its
+    index mask and its maximality, so no flag of it validates it again."""
 
     table: PartialAdditionTable
     members: FrozenSet[str]
+    _bitmask: Optional[int] = field(default=None, compare=False)
+    _maximal: Optional[bool] = field(default=None, compare=False)
 
     @property
     def proper(self) -> bool:
@@ -44,10 +47,14 @@ class IdealSet:
 
     @cached_property
     def maximal(self) -> bool:
+        if self._maximal is not None:
+            return self._maximal
         return is_maximal(self.table, self.members)[0]
 
     @cached_property
     def riesz(self) -> bool:
+        if self._bitmask is not None:
+            return _riesz(self.table, self._bitmask)[0]
         return is_riesz_ideal(self.table, self.members)[0]
 
     def sorted_ids(self) -> List[str]:
@@ -96,18 +103,30 @@ def is_normal(table: PartialAdditionTable, S: Iterable[str]):
     return True, None
 
 
+def _require_ideal(table: PartialAdditionTable, S: FrozenSet[str], what: str) -> int:
+    """The index mask of ``S``, refused unless ``S`` is an ideal."""
+    ok, witness = is_ideal(table, S)
+    if not ok:
+        raise PreconditionError("%s requires an ideal: %r" % (what, witness))
+    return _mask(table, S)
+
+
 def is_maximal(table: PartialAdditionTable, S: Iterable[str]):
-    """Maximal proper ideal, decided against the enumerated ideal lattice."""
+    """Maximal proper ideal, read off the flags of the ideal lattice.  The
+    witness of a proper ideal that is not maximal is the first proper ideal
+    above it in lattice order, searched for only then."""
     members = frozenset(S)
     ok, witness = is_ideal(table, members)
     if not ok:
         return False, ("not-ideal",) + witness
     if not IdealSet(table, members).proper:
         return False, ("not-proper",)
+    if _lattice(table)[_mask(table, members)]:
+        return True, None
     for other in enumerate_ideals(table):
         if other.proper and members < other.members:
             return False, ("contained-in",) + tuple(other.sorted_ids())
-    return True, None
+    raise InconsistencyError("no proper ideal above the non-maximal %r" % (sorted(members),))
 
 
 def _sum_close(table: PartialAdditionTable, I: int) -> int:
@@ -128,39 +147,72 @@ def _sum_close(table: PartialAdditionTable, I: int) -> int:
         I = closed
 
 
-def _ideal_closure(table: PartialAdditionTable, I: int) -> int:
-    """The least ideal containing the nonempty mask ``I``: down-close, then
-    sum-close, until nothing changes."""
+@derived
+def _lattice(table: PartialAdditionTable) -> Dict[int, bool]:
+    """Every ideal as an index mask, mapped to whether it is maximal: the
+    search of ``enumerate_ideals``."""
+    _require_gpea(table)
     down = induced_order(table).down
-    while True:
-        closed = 0
-        for a in _bits(I):
-            closed |= down[a]
-        I = _sum_close(table, closed)
-        if I == closed:
-            return I
+    zero = table.zero_i
+    # adjacent[x]: (s, the y with x + y = s or y + x = s), for y other than 0
+    adjacent: List[Dict[int, int]] = [{} for _ in range(table.size)]
+    for i, j, s in table.defined_sums():
+        if i != zero and j != zero:
+            adjacent[i][s] = adjacent[i].get(s, 0) | 1 << j
+            adjacent[j][s] = adjacent[j].get(s, 0) | 1 << i
+    adjacent_items = [tuple(row.items()) for row in adjacent]
+    top = (1 << table.size) - 1 if table.one is None else 1 << table.one_i
+
+    def grow(J: int, a: int) -> int:
+        I = J | 1 << a
+        new = [a]
+        for x in new:
+            for s, ys in adjacent_items[x]:
+                if ys & I and not I >> s & 1:
+                    added = down[s] & ~I
+                    I |= added
+                    new.extend(_bits(added))
+        return I
+
+    lattice = {1 << zero: False}
+    todo = [1 << zero]
+    while todo:
+        J = todo.pop()
+        maximal = J & top != top
+        for a, below in enumerate(down):
+            if below & ~J == 1 << a:
+                K = grow(J, a)
+                if K & top != top:
+                    maximal = False
+                if K not in lattice:
+                    lattice[K] = False
+                    todo.append(K)
+        lattice[J] = maximal
+    return lattice
 
 
 @derived
 def enumerate_ideals(table: PartialAdditionTable) -> List[IdealSet]:
-    """All ideals, by a search over the ideal closure: starting from the
-    closure of {0}, each ideal J found is extended by each minimal element
-    outside J and closed again.  Every ideal K above J contains such an
-    element (a minimal one of K minus J), so every ideal is reached."""
-    _require_gpea(table)
-    down = induced_order(table).down
-    seen = {_ideal_closure(table, 1 << table.zero_i)}
-    todo = list(seen)
-    while todo:
-        J = todo.pop()
-        for a, below in enumerate(down):
-            # a lies outside J and everything strictly below a inside it
-            if below & ~J == 1 << a:
-                bigger = _ideal_closure(table, J | 1 << a)
-                if bigger not in seen:
-                    seen.add(bigger)
-                    todo.append(bigger)
-    result = [IdealSet(table, _members(table, J)) for J in seen]
+    """All ideals, by size and then by their sorted members.
+
+    The search starts at {0}.  Each ideal J found is grown by each element
+    a minimal outside J, that is, with everything strictly below a in J,
+    to the least ideal over J and a.  Every ideal K above J contains such
+    an element (a minimal one of K minus J), and the least ideal over J and
+    that element lies inside K.  So every ideal is reached, and a proper J
+    is maximal exactly when none of the ideals it grows to is proper: a
+    proper K above J would contain one of them.  For a GPEA without unit,
+    proper means not every element.
+
+    J and a together are already down-closed, and every sum of two members
+    of J lies in J.  So growing J by a only looks at the sums that have a
+    new element as an operand: each new element x adds, once, every
+    defined x + y and y + x with y already in, together with its down-set,
+    and what that adds is new in turn.  Of any two members, the one added
+    later sees the other, so the set is closed when nothing new appears.
+    """
+    result = [IdealSet(table, _members(table, J), J, maximal)
+              for J, maximal in _lattice(table).items()]
     result.sort(key=lambda ide: (len(ide.members), ide.sorted_ids()))
     return result
 
@@ -173,36 +225,54 @@ def _is_upwards_directed(table: PartialAdditionTable) -> bool:
 
 def check_r1(table: PartialAdditionTable, S: Iterable[str]):
     """(R1): every ideal element below a sum a+b is below some sum j+k of
-    ideal elements j <= a, k <= b.
+    ideal elements j <= a, k <= b.  The witness is the failure with the
+    lowest ideal element, then the first sum in ``defined_sums()`` order.
 
     Each defined sum a+b = s starts with the ideal elements below s as lost
-    and clears the down-set of every j+k; the witness is the failure with
-    the lowest ideal element, then the first sum in element order."""
-    members = frozenset(S)
-    ok, witness = is_ideal(table, members)
-    if not ok:
-        raise PreconditionError("(R1) test requires an ideal: %r" % (witness,))
-    I = _mask(table, members)
+    and clears reach(j, b) for each ideal element j <= a, where reach(j, b)
+    is the union of the down-sets of the defined sums j+k over the ideal
+    elements k <= b.  The union over j of reach(j, b) is the union of the
+    down-sets of every j+k that (R1) allows, so what stays lost is the set
+    of ideal elements below a+b that no such sum covers.  The sums j+0 and
+    0+k alone cover the ideal elements below a or below b, so those are
+    never lost.  A reach mask depends on j and b only, so it is built once
+    per call."""
+    return _r1(table, _require_ideal(table, frozenset(S), "(R1) test"))
+
+
+def _r1(table: PartialAdditionTable, I: int):
+    """``check_r1`` on the ideal with index mask ``I``, not validated again."""
     t = table._sums
     down = induced_order(table).down
     els = table.elements
-    below = [list(_bits(d & I)) for d in down]
+    k = table.size
+    below: List[Optional[List[int]]] = [None] * k
+    reach: List[Optional[int]] = [None] * (k * k)
     witness = None
     for a, b, s in table.defined_sums():
-        lost = down[s] & I
+        lost = down[s] & I & ~(down[a] | down[b])
         if not lost:
             continue
-        below_b = below[b]
-        for j in below[a]:
-            row = t[j]
-            for k in below_b:
-                jk = row[k]
-                if jk is not None:
-                    lost &= ~down[jk]
+        below_a, below_b = below[a], below[b]
+        if below_a is None:
+            below_a = below[a] = list(_bits(down[a] & I))
+        if below_b is None:
+            below_b = below[b] = list(_bits(down[b] & I))
+        for j in below_a:
+            r = reach[j * k + b]
+            if r is None:
+                r = 0
+                row = t[j]
+                for kk in below_b:
+                    jk = row[kk]
+                    if jk is not None:
+                        r |= down[jk]
+                reach[j * k + b] = r
+            lost &= ~r
             if not lost:
                 break
         if lost:
-            i = next(_bits(lost))
+            i = (lost & -lost).bit_length() - 1
             if witness is None or i < witness[0]:
                 witness = (i, a, b)
     if witness is None:
@@ -213,11 +283,11 @@ def check_r1(table: PartialAdditionTable, S: Iterable[str]):
 
 def check_r2(table: PartialAdditionTable, S: Iterable[str]):
     """(R2), taken literally from its definition, both clauses."""
-    members = frozenset(S)
-    ok, witness = is_ideal(table, members)
-    if not ok:
-        raise PreconditionError("(R2) test requires an ideal: %r" % (witness,))
-    I = _mask(table, members)
+    return _r2(table, _require_ideal(table, frozenset(S), "(R2) test"))
+
+
+def _r2(table: PartialAdditionTable, I: int):
+    """``check_r2`` on the ideal with index mask ``I``, not validated again."""
     t = table._sums
     order = induced_order(table)
     ldiff, rdiff = _differences(table)
@@ -245,24 +315,28 @@ def is_riesz_ideal(table: PartialAdditionTable, S: Iterable[str]):
     already decides the matter, and (R2) is checked in addition only when
     directedness fails to hold.
     """
-    r1, witness = check_r1(table, S)
-    if not r1:
-        return False, witness
-    if _is_upwards_directed(table):
-        return True, None
-    return check_r2(table, S)
+    return _riesz(table, _require_ideal(table, frozenset(S), "(R1) test"))
+
+
+def _riesz(table: PartialAdditionTable, I: int):
+    """``is_riesz_ideal`` on the ideal with index mask ``I``, not validated
+    again."""
+    r1, witness = _r1(table, I)
+    if not r1 or _is_upwards_directed(table):
+        return r1, witness
+    return _r2(table, I)
 
 
 def congruence_relation(table: PartialAdditionTable, I: Iterable[str]) -> List[List[bool]]:
     """Matrix of a ~_I b: some i, j in I with i <= a, j <= b, a\\i = b\\j."""
     members = frozenset(I)
+    I = _require_ideal(table, members, "congruence")
     norm, w = is_normal(table, members)
     if not norm:
         raise PreconditionError("congruence requires a normal ideal: %r" % (w,))
-    riesz, w = is_riesz_ideal(table, members)
+    riesz, w = _riesz(table, I)
     if not riesz:
         raise PreconditionError("congruence requires a Riesz ideal: %r" % (w,))
-    I = _mask(table, members)
     k = table.size
     ldiff = _differences(table)[0]
     # diffs[a] = {a \ i : i in I, i <= a}
@@ -362,16 +436,14 @@ def ideal_generated(table: PartialAdditionTable, I: Iterable[str], a: str) -> Id
     from .rdp import check_rdp0
 
     members = frozenset(I)
-    ok, witness = is_ideal(table, members)
-    if not ok:
-        raise PreconditionError("ideal_generated requires an ideal: %r" % (witness,))
+    base = _require_ideal(table, members, "ideal_generated")
     r0, w0 = check_rdp0(table)
     if not r0:
         raise PreconditionError(
             "ideal_generated requires (RDP)_0; it fails with witness %r" % (w0,)
         )
     down = induced_order(table).down
-    result = _members(table, _sum_close(table, _mask(table, members) | down[table.index(a)]))
+    result = _members(table, _sum_close(table, base | down[table.index(a)]))
     ok, witness = is_ideal(table, result)
     if not ok:
         raise InconsistencyError("generated-set formula did not yield an ideal: %r" % (witness,))

@@ -547,7 +547,7 @@ def discrete_labelings(table: PartialAdditionTable, n: int) -> List[Tuple[int, .
     returns a fresh list.  With more labels than elements (n + 1 > |E|)
     none is surjective, and the answer is empty at once.
     """
-    if n < 1:
+    if not isinstance(n, int) or n < 1:
         raise InputError("n must be a positive integer, got %r" % (n,))
     _require_pea(table)
     if n + 1 > table.size:
@@ -559,53 +559,108 @@ def discrete_labelings(table: PartialAdditionTable, n: int) -> List[Tuple[int, .
 def _labelings(table: PartialAdditionTable, n: int) -> Tuple[Tuple[int, ...], ...]:
     """The labelings of ``discrete_labelings``, found block by block.
 
-    Defined sums link the middle elements (all but 0 and 1) into blocks
-    that share no equation.  Each block's additive labelings into {0..n},
-    not necessarily onto, are grouped by the set of labels they use (a
-    bitmask); a labeling of E is one labeling per block, and it is
-    surjective when those sets and {0, n} cover {0..n}."""
+    Equations with 0 as an operand hold for every labeling with l(0) = 0,
+    so only the others count.  They link the middle elements (all but 0
+    and 1) into blocks that share no equation: the connected components of
+    a walk over each element's equations.  Each block's additive labelings
+    into {0..n}, not necessarily onto, are grouped by the set of labels
+    they use (a bitmask); a labeling of E is one labeling per block, and it
+    is surjective when those sets and {0, n} cover {0..n}.
+
+    Placing a label propagates it.  Once two labels of an equation
+    i + j = s are known the third is forced: l(s) = l(i) + l(j),
+    l(j) = l(s) - l(i) or l(i) = l(s) - l(j).  A labeling through the
+    current branch must carry the forced label, so a forced label outside
+    0..n, or one that clashes with a label already placed, refutes the
+    branch; propagation cuts no other branch.  Every equation is checked
+    when the last of its labels is placed, chosen or forced, so each
+    complete labeling satisfies all of them: the search finds exactly the
+    additive labelings of the search without propagation."""
     k = table.size
+    zero, one = table.zero_i, table.one_i
     labels = [-1] * k
-    labels[table.zero_i] = 0
-    labels[table.one_i] = n
-    middle = (1 << k) - 1 & ~(1 << table.zero_i | 1 << table.one_i)
-    links = [1 << e for e in _bits(middle)]
+    labels[zero] = 0
+    labels[one] = n
+    t = table._sums
     incident: List[List[Tuple[int, int, int]]] = [[] for _ in range(k)]
-    for i, j, s in table.defined_sums():
-        for e in {i, j, s}:
-            incident[e].append((i, j, s))
-        links.append((1 << i | 1 << j | 1 << s) & middle)
-    blocks = [tuple(_bits(b)) for b in _split(links)]
+    for eq in table.defined_sums():
+        i, j, s = eq
+        # b + a = s is the equation a + b = s again, so it is kept once
+        if i == zero or j == zero or i > j and t[j][i] == s:
+            continue
+        incident[i].append(eq)
+        if j != i:
+            incident[j].append(eq)
+        incident[s].append(eq)
+    placed = 1 << zero | 1 << one
+    middle = (1 << k) - 1 & ~placed
+    blocks = []
+    for e in _bits(middle):
+        if placed >> e & 1:
+            continue
+        placed |= 1 << e
+        block = [e]
+        for x in block:
+            for eq in incident[x]:
+                for y in eq:
+                    if not placed >> y & 1:
+                        placed |= 1 << y
+                        block.append(y)
+        blocks.append(tuple(sorted(block)))
 
-    def local_ok(e: int) -> bool:
-        for i, j, s in incident[e]:
-            li, lj, ls = labels[i], labels[j], labels[s]
-            if li >= 0 and lj >= 0:
-                if li + lj > n:
-                    return False
-                if ls >= 0 and li + lj != ls:
-                    return False
-            elif ls >= 0:
-                if li >= 0 and ls < li:
-                    return False
-                if lj >= 0 and ls < lj:
-                    return False
-        return True
-
-    # how many placed elements carry each label (0 and 1 are placed)
+    # how many placed elements carry each label (0 and 1 are placed), and
+    # the elements placed in the current block, in placing order
     count = [0] * (n + 1)
     count[0] += 1
     count[n] += 1
+    trail: List[int] = []
+
+    def place(e: int, v: int) -> bool:
+        """Label ``e`` with ``v``, and every element with the label that
+        forces; False when a forced label refutes the branch.  Each label
+        set, also on the way to a refutation, is on the trail."""
+        labels[e] = v
+        count[v] += 1
+        at = len(trail)
+        trail.append(e)
+        while at < len(trail):
+            for i, j, s in incident[trail[at]]:
+                li, lj, ls = labels[i], labels[j], labels[s]
+                if li >= 0 and lj >= 0:
+                    forced, w = s, li + lj
+                    if w > n or ls >= 0 and ls != w:
+                        return False
+                    if ls >= 0:
+                        continue
+                elif ls >= 0 and li >= 0:
+                    forced, w = j, ls - li
+                elif ls >= 0 and lj >= 0:
+                    forced, w = i, ls - lj
+                else:
+                    continue
+                if w < 0:
+                    return False
+                labels[forced] = w
+                count[w] += 1
+                trail.append(forced)
+            at += 1
+        return True
+
+    def undo(mark: int) -> None:
+        while len(trail) > mark:
+            e = trail.pop()
+            count[labels[e]] -= 1
+            labels[e] = -1
 
     def search(block: Tuple[int, ...], spare: int) -> Dict[int, List[Tuple[int, ...]]]:
         """The labelings of ``block`` by label set.  A branch is cut when
         more labels are missing than elements are left to place, here and
         in the ``spare`` elements of the other blocks."""
         found: Dict[int, List[Tuple[int, ...]]] = {}
-        missing = count.count(0)
 
         def rec(pos: int) -> None:
-            nonlocal missing
+            while pos < len(block) and labels[block[pos]] >= 0:
+                pos += 1
             if pos == len(block):
                 vals = tuple(labels[e] for e in block)
                 used = 0
@@ -613,18 +668,14 @@ def _labelings(table: PartialAdditionTable, n: int) -> Tuple[Tuple[int, ...], ..
                     used |= 1 << v
                 found.setdefault(used, []).append(vals)
                 return
-            if missing > len(block) - pos + spare:
+            if count.count(0) > len(block) - len(trail) + spare:
                 return
             e = block[pos]
+            mark = len(trail)
             for v in range(n + 1):
-                labels[e] = v
-                if local_ok(e):
-                    count[v] += 1
-                    missing -= count[v] == 1
+                if place(e, v):
                     rec(pos + 1)
-                    count[v] -= 1
-                    missing += count[v] == 0
-            labels[e] = -1
+                undo(mark)
 
         rec(0)
         return found

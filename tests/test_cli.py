@@ -434,6 +434,17 @@ def test_quotient_refusal_independent_of_hash_seed(tmp_path):
     assert code == 1 and "('downward', 'm0', 'm2')" in err
 
 
+@pytest.mark.parametrize("ideal, witness", [
+    ("a", "('downward', '0', 'a')"),
+    (",", "('empty',)"),
+], ids=["downward", "empty"])
+def test_quotient_by_a_non_ideal_names_the_ideal_test(docs, capsys, ideal, witness):
+    code = main(["quotient", docs["boolean4"], "--ideal", ideal])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "check failed: PreconditionError: congruence requires an ideal: %s\n" % (witness,)
+
+
 # -- the JSON report emitter ---------------------------------------------------
 
 TEXT = hyp.text(

@@ -281,3 +281,12 @@ def test_mutated_labelings_raise_the_frozen_messages(pea_corpus_full):
                                 messages.add(outcome[1].split(" ")[-1])
     assert messages >= {"carrier", "parts", "empty"}
     assert any(m.startswith("E_") for m in messages)  # complements of x land outside E_i
+
+
+@pytest.mark.parametrize("entry", [
+    discrete_labelings, enumerate_discrete_states, find_decompositions,
+    decomposition_state_bijection, is_n_perfect, canonical_chain_report,
+], ids=lambda fn: fn.__name__)
+def test_non_integer_n_is_an_input_error(entry):
+    with pytest.raises(InputError, match=r"^n must be a positive integer, got 1\.5$"):
+        entry(boolean4_table(), 1.5)

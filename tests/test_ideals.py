@@ -21,6 +21,7 @@ from peal.ideals import (
     radicals,
     two_valued_partition,
 )
+from test_states import horizontal_sum, hsum_tables
 
 
 def brute_ideals(table):
@@ -201,6 +202,103 @@ def test_check_r1_matches_frozen_and_literal(pea_corpus_full, gpea_corpus):
                 failed += not got[0]
         failures.append(failed)
     assert failures == [75, 5]
+    # the whole carrier of chain:40 is where the reach masks save most
+    for table in [chain_table(40)] + hsum_tables():
+        for ide in enumerate_ideals(table):
+            got = check_r1(table, ide.members)
+            assert got == frozen_check_r1(table, ide.members)
+            assert got[0] == literal_r1(table, ide.members)
+
+
+def frozen_is_maximal(table, S):
+    """Reference copy of ``is_maximal`` as it stood before maximality was
+    read off the lattice: a scan of the whole lattice for a proper ideal
+    above ``S``."""
+    members = frozenset(S)
+    ok, witness = is_ideal(table, members)
+    if not ok:
+        return False, ("not-ideal",) + witness
+    if not IdealSet(table, members).proper:
+        return False, ("not-proper",)
+    for other in enumerate_ideals(table):
+        if other.proper and members < other.members:
+            return False, ("contained-in",) + tuple(other.sorted_ids())
+    return True, None
+
+
+def brute_down_set_ideals(table):
+    """Independent oracle: every nonempty down-set that ``is_ideal`` accepts,
+    in the order of ``enumerate_ideals``.  Elements are decided in order of
+    their down-set sizes, a linear extension of the order, and one joins
+    a down-set only when everything strictly below it is in."""
+    order = induced_order(table)
+    els = table.elements
+    below = {e: {x for x in els if x != e and order.le(x, e)} for e in els}
+    ranked = sorted(els, key=lambda e: len(below[e]))
+    out = []
+
+    def rec(pos, chosen):
+        if pos == len(ranked):
+            if chosen and is_ideal(table, chosen)[0]:
+                out.append(chosen)
+            return
+        e = ranked[pos]
+        rec(pos + 1, chosen)
+        if below[e] <= chosen:
+            rec(pos + 1, chosen | {e})
+
+    rec(0, frozenset())
+    return sorted(out, key=lambda s: (len(s), sorted(s)))
+
+
+def upwards_directed(table):
+    order = induced_order(table)
+    els = table.elements
+    return all(any(order.le(a, c) and order.le(b, c) for c in els) for a in els for b in els)
+
+
+def test_ideal_lattice_matches_frozen_and_brute(pea_corpus_full, gpea_corpus):
+    """The lattice, every flag, and the ``is_maximal`` witness of every
+    ideal, against the whole-lattice scan and the frozen checks."""
+    maximal = non_maximal = 0
+    hsums = hsum_tables() + [horizontal_sum(3, 3)]
+    for table in list(pea_corpus_full) + list(gpea_corpus) + hsums:
+        ideals = enumerate_ideals(table)
+        assert [i.members for i in ideals] == brute_down_set_ideals(table)
+        directed = upwards_directed(table)
+        for ide in ideals:
+            frozen = frozen_is_maximal(table, ide.members)
+            assert is_maximal(table, ide.members) == frozen
+            assert ide.maximal == frozen[0]
+            assert ide.normal == frozen_is_normal(table, ide.members)[0]
+            riesz = frozen_check_r1(table, ide.members)[0] and (
+                directed or check_r2(table, ide.members)[0])
+            assert ide.riesz == riesz
+            maximal += frozen[0]
+            non_maximal += frozen[1] is not None and frozen[1][0] == "contained-in"
+    assert maximal > 0 and non_maximal > 0
+
+
+def test_checks_still_refuse_non_ideals(pea_corpus_small, gpea_corpus):
+    """A set that is not an ideal is validated as before: the (R1) and (R2)
+    tests refuse it, and ``is_maximal`` names the failed ideal condition."""
+    refused = 0
+    for table in list(pea_corpus_small) + list(gpea_corpus):
+        for ide in enumerate_ideals(table):
+            for a in sorted(ide.members):
+                S = ide.members - {a}
+                ok, witness = is_ideal(table, S)
+                if ok:
+                    continue
+                for check in (check_r1, check_r2, is_riesz_ideal):
+                    with pytest.raises(PreconditionError, match="requires an ideal"):
+                        check(table, S)
+                with pytest.raises(PreconditionError, match="requires an ideal"):
+                    IdealSet(table, S).riesz
+                assert is_maximal(table, S) == (False, ("not-ideal",) + witness)
+                assert not IdealSet(table, S).maximal
+                refused += 1
+    assert refused > 0
 
 
 def frozen_is_normal(table, S):
@@ -258,6 +356,18 @@ def test_congruence_classes(boolean4, chain3):
 def test_congruence_requires_normal_riesz(diamond):
     with pytest.raises(PreconditionError):
         congruence_classes(diamond, {"0", "a"})
+
+
+@pytest.mark.parametrize("members, witness", [
+    ({"a"}, ("downward", "0", "a")),
+    (set(), ("empty",)),
+    ({"0", "a", "a'"}, ("sum", "a", "a'")),
+], ids=["downward", "empty", "sum"])
+def test_congruence_names_the_missing_ideal(boolean4, members, witness):
+    for fn in (congruence_classes, quotient):
+        with pytest.raises(PreconditionError) as info:
+            fn(boolean4, members)
+        assert str(info.value) == "congruence requires an ideal: %r" % (witness,)
 
 
 def test_quotient(boolean4, chain3):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import random
 import time
 from fractions import Fraction
 from itertools import combinations, product
@@ -36,6 +37,7 @@ from peal.states import (
     kernel,
     solve_state_space,
 )
+from test_rdp import relabeled
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -278,6 +280,11 @@ def brute_extremal_keys(space):
         )
         for t in brute_vertices(constraints, d)
     )
+
+
+def boolean(atoms):
+    """The Boolean algebra 2^atoms as the interval [0, (1, ..., 1)] of Z^atoms."""
+    return gamma_interval_finite(UnitalPoGroup(IntVectorGroup(atoms), (1,) * atoms))
 
 
 def horizontal_sum(blocks, atoms):
@@ -530,11 +537,33 @@ PINNED_STATE_REPORTS = [
      "c6db585c61e68fc9a87233717d124c743bfdb418f300ab8b2dbb362729b785bd"),
     (lambda: horizontal_sum(10, 2), ("states", "--extremal"),
      "8433b68c120671413d3f8478b0327e6e024623b741b3a7bcd54d4840a02c2bfc"),
+    # recorded before the ideal lattice was read off its covers and before
+    # the labeling search propagated forced labels; ``decompose 2`` on
+    # horizontal_sum(4, 3) is the pin above
+    (lambda: boolean(6), ("ideals",),
+     "65c1e822c00fec827280a152524dabf04a919a4f5358b4cb89beaa281043beae"),
+    (lambda: boolean(6), ("states", "--discrete", "2"),
+     "bb9726c8b8212cedb8eea39360a12e63d9e65f65f1b1c3408ae3ee6aacb1392e"),
+    (lambda: boolean(6), ("decompose", "2"),
+     "fc8038ef4978c77745cede0847ea6a1a8a381e819c0a5ab7f2c0c319e040e79a"),
+    (lambda: chain_table(80), ("ideals",),
+     "ffbf7f2e454a4ecd76bb9d7569ec9933c238bbb0e9d762330acd35f5e2ee6d28"),
+    (lambda: chain_table(80), ("states", "--discrete", "2"),
+     "fa97d5472102f29d2c0173da69a45f530aeadccd7e86700c469d44022b3fcdba"),
+    (lambda: chain_table(80), ("decompose", "2"),
+     "c63e97c009cce9fc14e5c0400dc2c769908055ca719a45c0d47cc2b2f9bf73e9"),
+    (lambda: horizontal_sum(4, 3), ("ideals",),
+     "03d1f763376dbc3e5b711aa89850165689ad0e48410370fbf47dafd06d305fe9"),
+    (lambda: horizontal_sum(4, 3), ("states", "--discrete", "2"),
+     "cb2ec6105047341248d2befcd074ac422da470cff3b3cab4f55b04b3e4ee82e0"),
 ]
 
 
 @pytest.mark.parametrize("make, argv, digest", PINNED_STATE_REPORTS,
-                         ids=["chain40", "z2-5x5", "hsum-4x3", "hsum-4x3-decompose", "hsum-10x2"])
+                         ids=["chain40", "z2-5x5", "hsum-4x3", "hsum-4x3-decompose", "hsum-10x2",
+                              "bool6-ideals", "bool6-discrete", "bool6-decompose",
+                              "chain80-ideals", "chain80-discrete", "chain80-decompose",
+                              "hsum-4x3-ideals", "hsum-4x3-discrete"])
 def test_state_reports_keep_their_pinned_results(make, argv, digest, tmp_path, capsys):
     path = tmp_path / "table.json"
     path.write_text(dumps_document(table_to_document(make())))
@@ -1054,6 +1083,21 @@ def test_labelings_match_frozen_search(pea_corpus_full):
     for table in list(pea_corpus_full) + hsum_tables():
         for n in (1, 2, 3):
             assert discrete_labelings(table, n) == frozen_labelings(table, n)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: chain_table(40),
+    lambda: gamma_interval_finite(UnitalPoGroup(IntVectorGroup(2), (5, 5))),
+    lambda: boolean(5),
+    lambda: horizontal_sum(4, 3),
+], ids=["chain40", "z2-5x5", "bool5", "hsum-4x3"])
+def test_propagated_labelings_match_frozen_search_under_relabelings(make):
+    """Element order drives the search order, and so which labels are
+    chosen and which are forced."""
+    table = make()
+    for copy in [table] + [relabeled(table, random.Random(seed)) for seed in (0, 1, 2)]:
+        for n in (1, 2, 3):
+            assert discrete_labelings(copy, n) == frozen_labelings(copy, n)
 
 
 def test_labelings_with_more_labels_than_elements_are_empty(diamond):
