@@ -9,8 +9,10 @@ parsed only by the public constructor, and every table peal builds itself is
 handed over as rows (``PartialAdditionTable._from_rows``).
 
 Tables are immutable after construction.  Derived structure (axiom reports,
-the induced order, complements, isotropic data) is memoised on the table by
-:func:`derived`, so repeated queries over the same table are cheap.
+the induced order, complements, isotropic data, and the additivity
+equations v(a) + v(b) = v(a + b) that states, discrete labelings and the
+ideal lattice solve or walk) is memoised on the table by :func:`derived`,
+so repeated queries over the same table are cheap.
 
 The induced order is stored once, as bitmasks over element indices
 (:class:`OrderRelation` ``up`` and ``down``).  Every other module reads
@@ -330,14 +332,21 @@ def _picker(indices: Sequence[int]):
 
 
 @derived
+def _equations(table: PartialAdditionTable) -> Tuple[Tuple[int, int, int], ...]:
+    """The distinct equations v(i) + v(j) = v(s) of the defined sums
+    i + j = s of nonzero elements, sorted, as triples with i <= j: i + j
+    and j + i give one equation when they agree, and every sum with 0 holds
+    exactly when v(0) = 0."""
+    z, t = table.zero_i, table._sums
+    return tuple(sorted([(i, j, s) if i <= j else (j, i, s) for i, j, s in table.defined_sums()
+                         if z != i and z != j and (i <= j or t[j][i] != s)]))
+
+
+@derived
 def _sum_columns(table: PartialAdditionTable):
-    """Pickers of the left operands, right operands and results of the
-    distinct equations v(i) + v(j) = v(i + j) of the defined sums of
-    nonzero elements: i + j and j + i give one equation when they agree,
-    and every sum with 0 holds exactly when v(0) = 0."""
-    z = table.zero_i
-    equations = sorted({(min(i, j), max(i, j), s) for i, j, s in table.defined_sums()
-                        if z != i and z != j})
+    """Pickers of the left operands, right operands and results of
+    ``_equations``."""
+    equations = _equations(table)
     return tuple(_picker([e[c] for e in equations]) for c in range(3))
 
 

@@ -185,16 +185,8 @@ def _neg(x):
     return tuple(map(operator.neg, x))
 
 
-def _nonneg1(x):
-    return x[0] >= 0
-
-
 def _nonneg(x):
     return min(x) >= 0
-
-
-def _le1(x, y):
-    return x[0] <= y[0]
 
 
 def _le2(x, y):
@@ -226,12 +218,13 @@ class IntVectorGroup(PoGroupHandle):
         if type(self) is IntVectorGroup:
             self.add = {1: _add1, 2: _add2}.get(k, _add)
             self.neg = {1: _neg1, 2: _neg2}.get(k, _neg)
-            if order == "lex":
+            if order == "lex" or k == 1:
+                # on Z the pointwise order is the lex order
                 self.is_positive = functools.partial(operator.le, self.zero())
                 self.le = operator.le
             else:
-                self.is_positive = _nonneg1 if k == 1 else _nonneg
-                self.le = {1: _le1, 2: _le2}.get(k, _le)
+                self.is_positive = _nonneg
+                self.le = _le2 if k == 2 else _le
 
     def zero(self):
         return (0,) * self.k

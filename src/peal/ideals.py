@@ -14,6 +14,7 @@ from .core import (
     PreconditionError,
     _bits,
     _differences,
+    _equations,
     _mask,
     _require_gpea,
     _require_pea,
@@ -156,10 +157,9 @@ def _lattice(table: PartialAdditionTable) -> Dict[int, bool]:
     zero = table.zero_i
     # adjacent[x]: (s, the y with x + y = s or y + x = s), for y other than 0
     adjacent: List[Dict[int, int]] = [{} for _ in range(table.size)]
-    for i, j, s in table.defined_sums():
-        if i != zero and j != zero:
-            adjacent[i][s] = adjacent[i].get(s, 0) | 1 << j
-            adjacent[j][s] = adjacent[j].get(s, 0) | 1 << i
+    for i, j, s in _equations(table):
+        adjacent[i][s] = adjacent[i].get(s, 0) | 1 << j
+        adjacent[j][s] = adjacent[j].get(s, 0) | 1 << i
     adjacent_items = [tuple(row.items()) for row in adjacent]
     top = (1 << table.size) - 1 if table.one is None else 1 << table.one_i
 

@@ -80,13 +80,6 @@ def _commuting_below(table: PartialAdditionTable) -> Tuple[int, ...]:
     return tuple(below)
 
 
-def _side_condition(table: PartialAdditionTable, c12: int, c21: int) -> bool:
-    """The (RDP)_1 side condition on the element indices (c12, c21): x+y and
-    y+x are defined and equal for all x <= c12 and y <= c21.  One mask test:
-    the down-set of c21 lies inside the commuting mask below c12."""
-    return not induced_order(table).down[c21] & ~_commuting_below(table)[c12]
-
-
 @derived
 def _refinement_scan(table: PartialAdditionTable):
     """The first quadruple (a1, a2, b1, b2) failing (RDP) and the first
@@ -111,8 +104,10 @@ def _refinement_scan(table: PartialAdditionTable):
       incomparable to a1 are searched; on a chain none is.
     * The rest is a walk over c11 in the common lower bounds of a1 and b1,
       lowest first: cancellation pins c12 and c21, and c22 must solve both
-      remaining equations.  The side condition is the mask test of
-      :func:`_side_condition`, tried only until an (RDP)_1 witness is known.
+      remaining equations.  The side condition (x+y and y+x defined and
+      equal for all x <= c12 and y <= c21) is one mask test: the down-set
+      of c21 lies inside the commuting mask below c12.  It is tried only
+      until an (RDP)_1 witness is known.
     """
     _require_pea(table)
     t = table._sums

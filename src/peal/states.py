@@ -6,11 +6,12 @@ over one positive common denominator, reduced by their gcd; only the public
 API (``StateVector.values``, ``__call__``, ``StateSpace``, the witness of a
 non-extremal state) speaks ``fractions.Fraction``.  Integers are only ever
 multiplied, added and compared, never divided with ``/``, so no float is
-ever formed.  The additivity equations are solved by fraction-free
-Gauss-Jordan elimination on sparse ``int`` rows ``{column: nonzero int}``
-(each equation has at most three nonzeros, and equal equations are kept
-once), and the affine map from free coordinates to states is read off the
-reduced rows as ``int`` numerators over one common denominator.  Fractions
+ever formed.  The additivity equations (``core._equations``, the one list
+that the labeling search and the ideal lattice read too) are solved by
+fraction-free Gauss-Jordan elimination on sparse ``int`` rows ``{column:
+nonzero int}`` of at most three nonzeros, and the affine map from free
+coordinates to states is read off the reduced rows as ``int`` numerators
+over one common denominator, one coefficient row per element.  Fractions
 appear only in the public ``particular`` and ``basis``, in ``StateVector``
 views and in the witness of a non-extremal state.
 
@@ -52,6 +53,7 @@ from .core import (
     PartialAdditionTable,
     PreconditionError,
     _bits,
+    _equations,
     _nonadditive,
     _require_pea,
     derived,
@@ -355,71 +357,59 @@ def _split(links: Iterable[int]) -> List[int]:
 @derived
 def _affine_map(table: PartialAdditionTable):
     """The parametrization of the additivity system on integers, read off
-    the reduced rows: ``(p, cols, m, free)`` with s(e_i) = (p[i] + sum of
-    c * t_j over (i, c) in cols[j]) / m at free coordinates t, or None when
-    the system is inconsistent.  ``free`` holds the element indices of the
-    columns without a pivot, coordinate j being element free[j], and
-    ``cols[j]`` lists the nonzero coefficients of coordinate j in element
-    order.
+    the reduced rows: ``(p, rows, m, free)``, or None when the system is
+    inconsistent.  Coordinate j of t is free[j], an element whose column
+    has no pivot.  ``rows`` pairs each element whose value moves with t, in
+    element order, with its nonzero coefficients {coordinate: coefficient}
+    in increasing coordinate order, so s(e_i) = (p[i] + row . t) / m, and
+    s(e_i) = p[i] / m for an element not in ``rows``.  A free element's row
+    is {its coordinate: m}.
 
-    The pivot row r of column c says r[c] s(e_c) + sum of r[f] t_f = r[k],
-    so p[c] = r[k] (m / r[c]) and t_f moves e_c by -r[f] (m / r[c]); a
-    free element has coefficient m at itself.  Each row is primitive, so m,
-    the lcm of the pivot entries, is the least common denominator of the
-    values and coefficients."""
+    The system is s(0) = 0, s(1) = 1 and ``_equations``: a sum with a 0
+    operand only repeats s(0) = 0, no sum of a PEA is its own operand, and
+    the reduced form of a consistent system does not depend on the order
+    of its rows.  The pivot row r of column c says r[c] s(e_c) + sum of
+    r[f] t_f = r[k], so p[c] = r[k] (m / r[c]) and t_f moves e_c by -r[f]
+    (m / r[c]).  Each row is primitive, so m, the lcm of the pivot entries,
+    is the least common denominator of the values and coefficients."""
     k = table.size
-    rows = {((table.zero_i, 1),): None, ((table.one_i, 1), (k, 1)): None}
-    for i, j, s in table.defined_sums():
-        # s(a) + s(b) - s(a + b) = 0, kept once for a + b and b + a and for
-        # every 0 + a; single entries cancel (0 + a = a), never a whole row
-        row = {c: (c == i) + (c == j) - (c == s) for c in sorted({i, j, s})}
-        rows[tuple((c, v) for c, v in row.items() if v)] = None
-    red, pivots, consistent = _eliminate(map(dict, rows), k)
+    rows = [{table.zero_i: 1}, {table.one_i: 1, k: 1}]
+    rows += ({i: 1, j: 1, s: -1} if i != j else {i: 2, s: -1}
+             for i, j, s in _equations(table))
+    red, pivots, consistent = _eliminate(rows, k)
     if not consistent:
         return None
     m = math.lcm(*(row[c] for row, c in zip(red, pivots)))
     p = [0] * k
     pivot_set = set(pivots)
     free = tuple(c for c in range(k) if c not in pivot_set)
-    cols: Dict[int, List[Tuple[int, int]]] = {f: [(f, m)] for f in free}
+    coordinate = {f: j for j, f in enumerate(free)}
+    moving = {f: {j: m} for f, j in coordinate.items()}
     for row, c in zip(red, pivots):
         scale = m // row[c]
         p[c] = row.get(k, 0) * scale
-        for f, v in row.items():
-            if f in cols:
-                cols[f].append((c, -v * scale))
-    return tuple(p), tuple(tuple(sorted(cols[f])) for f in free), m, free
-
-
-@derived
-def _coefficient_rows(table: PartialAdditionTable) -> Tuple[Tuple[int, int, Dict[int, int]], ...]:
-    """The elements whose value moves with the free coordinates, in element
-    order: (element index, its free coordinate or -1, its row {coordinate:
-    coefficient}) with s(e_i) = (p[i] + row . t) / m in ``_affine_map``."""
-    _, cols, _, free = _affine_map(table)
-    coordinate = {f: j for j, f in enumerate(free)}
-    rows: Dict[int, Dict[int, int]] = {}
-    for j, col in enumerate(cols):
-        for i, c in col:
-            rows.setdefault(i, {})[j] = c
-    return tuple((i, coordinate.get(i, -1), rows[i]) for i in sorted(rows))
+        coeffs = {coordinate[f]: -v * scale for f, v in sorted(row.items()) if f in coordinate}
+        if coeffs:
+            moving[c] = coeffs
+    return tuple(p), tuple(sorted(moving.items())), m, free
 
 
 @derived
 def _box_constraints(table: PartialAdditionTable) -> List[Tuple[Row, int]]:
     """Inequalities 0 <= s(e) <= 1 in the free coordinates of a consistent
     additivity system, unit box first, as integer rows."""
-    p, cols, m, _ = _affine_map(table)
-    rows = {i: (j, row) for i, j, row in _coefficient_rows(table)}
+    p, rows, m, free = _affine_map(table)
     constraints: List[Tuple[Row, int]] = []
-    for j in range(len(cols)):
+    for j in range(len(free)):
         constraints.append(({j: -1}, 0))
         constraints.append(({j: 1}, 1))
+    coeffs_of = dict(rows)
+    free_set = set(free)
     for i, pe in enumerate(p):
-        coordinate, coeffs = rows.get(i, (-1, None))
-        if coordinate >= 0:
+        if i in free_set:
             # a free element's box is the unit box above
             continue
+        coeffs = coeffs_of.get(i)
         if not coeffs:
             if pe < 0 or pe > m:
                 # forced value outside the box: encode as infeasible
@@ -448,7 +438,7 @@ def _polytope_blocks(table: PartialAdditionTable):
         rows = [({local[j]: c for j, c in a.items()}, b)
                 for a, b in constraints if block >> next(iter(a)) & 1]
         elements = tuple((i, tuple((local[j], c) for j, c in row.items()))
-                         for i, _, row in _coefficient_rows(table)
+                         for i, row in _affine_map(table)[1]
                          if block >> next(iter(row)) & 1)
         blocks.append((len(local), rows, elements))
     return blocks
@@ -466,16 +456,13 @@ def _block_values(p: Sequence[int], block) -> List[Tuple[int, Tuple[Tuple[int, i
 
 
 def _state_at(table: PartialAdditionTable, t: Sequence[Fraction]) -> StateVector:
-    """The state at free coordinates ``t`` of the affine parametrization;
-    zero coordinates are skipped, as the map is sparse."""
-    p, cols, m, _ = _affine_map(table)
+    """The state at free coordinates ``t`` of the affine parametrization."""
+    p, rows, m, _ = _affine_map(table)
     den = math.lcm(*(x.denominator for x in t))
+    step = [x.numerator * (den // x.denominator) for x in t]
     num = [pe * den for pe in p]
-    for col, x in zip(cols, t):
-        if x:
-            step = x.numerator * (den // x.denominator)
-            for i, c in col:
-                num[i] += c * step
+    for i, row in rows:
+        num[i] += sum(c * step[j] for j, c in row.items())
     return StateVector._from_ints(table, num, m * den)
 
 
@@ -493,7 +480,7 @@ def solve_state_space(table: PartialAdditionTable) -> StateSpace:
     affine = _affine_map(table)
     if affine is None:
         return StateSpace(table, False, None, (), (), ())
-    p, cols, m, free = affine
+    p, rows, m, free = affine
     if len(free) > MAX_FREE_PARAMETERS:
         raise PreconditionError(
             "state space has %d free parameters; refusing beyond %d"
@@ -519,12 +506,10 @@ def solve_state_space(table: PartialAdditionTable) -> StateSpace:
     # the free elements first, then the pivot elements in column order
     particular = dict.fromkeys([els[f] for f in free])
     particular.update((e, Fraction(x, m)) for e, x in zip(els, p))
-    basis = []
-    for col in cols:
-        vec = dict.fromkeys(els, ZERO)
-        for i, c in col:
-            vec[els[i]] = Fraction(c, m)
-        basis.append(vec)
+    basis = [dict.fromkeys(els, ZERO) for _ in free]
+    for i, row in rows:
+        for j, c in row.items():
+            basis[j][els[i]] = Fraction(c, m)
     return StateSpace(
         table,
         True,
@@ -559,13 +544,13 @@ def discrete_labelings(table: PartialAdditionTable, n: int) -> List[Tuple[int, .
 def _labelings(table: PartialAdditionTable, n: int) -> Tuple[Tuple[int, ...], ...]:
     """The labelings of ``discrete_labelings``, found block by block.
 
-    Equations with 0 as an operand hold for every labeling with l(0) = 0,
-    so only the others count.  They link the middle elements (all but 0
-    and 1) into blocks that share no equation: the connected components of
-    a walk over each element's equations.  Each block's additive labelings
-    into {0..n}, not necessarily onto, are grouped by the set of labels
-    they use (a bitmask); a labeling of E is one labeling per block, and it
-    is surjective when those sets and {0, n} cover {0..n}.
+    The equations of ``_equations`` (a sum with a 0 operand holds for every
+    labeling with l(0) = 0) link the middle elements (all but 0 and 1) into
+    blocks that share no equation: the connected components of a walk over
+    each element's equations.  Each block's additive labelings into
+    {0..n}, not necessarily onto, are grouped by the set of labels they use
+    (a bitmask); a labeling of E is one labeling per block, and it is
+    surjective when those sets and {0, n} cover {0..n}.
 
     Placing a label propagates it.  Once two labels of an equation
     i + j = s are known the third is forced: l(s) = l(i) + l(j),
@@ -581,13 +566,9 @@ def _labelings(table: PartialAdditionTable, n: int) -> Tuple[Tuple[int, ...], ..
     labels = [-1] * k
     labels[zero] = 0
     labels[one] = n
-    t = table._sums
     incident: List[List[Tuple[int, int, int]]] = [[] for _ in range(k)]
-    for eq in table.defined_sums():
+    for eq in _equations(table):
         i, j, s = eq
-        # b + a = s is the equation a + b = s again, so it is kept once
-        if i == zero or j == zero or i > j and t[j][i] == s:
-            continue
         incident[i].append(eq)
         if j != i:
             incident[j].append(eq)
@@ -792,22 +773,20 @@ def _tight_rank_full(table: PartialAdditionTable, s: StateVector) -> bool:
     """Whether the box rows tight at ``s`` have rank d, read from the
     state's values alone: an element valued 0 or 1 makes its row tight.
     A tight free element is a unit row and settles its coordinate; the
-    tight rows of the other elements, on the unsettled coordinates, go
-    through the fraction-free elimination."""
+    tight rows, on the unsettled coordinates, go through the fraction-free
+    elimination."""
     num, den = s._num, s._den
+    _, rows, _, free = _affine_map(table)
     settled = 0
-    rest = []
-    for i, coordinate, row in _coefficient_rows(table):
-        if num[i] == 0 or num[i] == den:
-            if coordinate >= 0:
-                settled |= 1 << coordinate
-            else:
-                rest.append(row)
-    d = len(_affine_map(table)[1])
+    for j, f in enumerate(free):
+        if num[f] == 0 or num[f] == den:
+            settled |= 1 << j
+    d = len(free)
     unsettled = (1 << d) - 1 & ~settled
     if not unsettled:
         return True
-    rest = [{j: c for j, c in row.items() if unsettled >> j & 1} for row in rest]
+    rest = [{j: c for j, c in row.items() if unsettled >> j & 1}
+            for i, row in rows if num[i] == 0 or num[i] == den]
     return len(_eliminate(rest, d)[1]) == unsettled.bit_count()
 
 

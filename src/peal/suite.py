@@ -130,8 +130,8 @@ def _bijection_checks(table: PartialAdditionTable, max_n: int) -> Iterator[str]:
 
 def _ideal_checks(table: PartialAdditionTable, all_ideals) -> Iterator[str]:
     for ide in all_ideals:
-        r1 = idl.check_r1(table, ide.members)[0]
-        r2 = idl.check_r2(table, ide.members)[0]
+        r1 = idl._r1(table, ide._bitmask)[0]
+        r2 = idl._r2(table, ide._bitmask)[0]
         # PEAs are upwards directed, so (R1) must already imply (R2)
         if r1 and not r2:
             yield "(R1) held without (R2) on %r" % (sorted(ide.members),)

@@ -417,6 +417,26 @@ def test_states_output_independent_of_hash_seed(tmp_path):
     assert len(results["discrete_states_n2"]) == 65
 
 
+def test_ideals_output_independent_of_hash_seed(tmp_path):
+    # three Boolean 2^3 blocks glued at 0 and 1: a proper ideal is one of
+    # the 7 proper principal ideals of each block, so there are 7^3 + 1
+    elements, sums = ["0", "1"], {}
+    for b in range(3):
+        names = {x: "b%d.%d" % (b, x) for x in range(1, 7)}
+        names[0], names[7] = "0", "1"
+        elements.extend(names[x] for x in range(1, 7))
+        sums.update(((names[x], names[y]), names[x | y])
+                    for x in range(1, 7) for y in range(1, 7) if not x & y)
+    doc = tmp_path / "hsum.json"
+    doc.write_text(dumps_document(table_to_document(
+        PartialAdditionTable.build(elements, "0", "1", sums))))
+    outputs = outputs_under_hash_seeds(["--format", "json", "ideals", str(doc)])
+    assert len(outputs) == 1
+    (code, out, err), = outputs
+    assert code == 0, err
+    assert len(json.loads(out)["results"]["ideals"]) == 7 ** 3 + 1
+
+
 def test_quotient_refusal_independent_of_hash_seed(tmp_path):
     # Boolean 2^4 with the element of mask x named mx at index x.  The
     # refused set misses m0 below each of its members, and the indices 2 and

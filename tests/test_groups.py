@@ -464,6 +464,23 @@ def test_sample_loop_scan_sees_every_loop():
     assert _scan(source, _loops_over_samples) == ["f", "C.g", "h", "<module>", "p"]
 
 
+def test_every_private_helper_has_a_library_caller():
+    """Every module-level private function or class of peal is named in
+    peal somewhere besides its definition: a helper that only tests reach
+    lives in the tests."""
+    defined, named = [], set()
+    for name, source in _peal_sources():
+        tree = ast.parse(source)
+        defined += [(name, node.name) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")]
+        for node in ast.walk(tree):
+            named |= {getattr(node, "id", None), getattr(node, "attr", None)}
+            named |= {alias.name for alias in getattr(node, "names", ())
+                      if isinstance(alias, ast.alias)}
+    assert ["%s:%s" % d for d in defined if d[1] not in named] == []
+
+
 # -- the group probes on the verdict loop ------------------------------------
 #
 # Verbatim copies of the probes as they were when each ran its own loop,

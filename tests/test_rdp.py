@@ -19,8 +19,8 @@ from peal.core import (
 from peal.corpus import generate_peas
 from peal.groups import IntVectorGroup, UnitalPoGroup
 from peal.rdp import (
+    _commuting_below,
     _refinement_scan,
-    _side_condition,
     check_rdp,
     check_rdp0,
     check_rdp1,
@@ -297,6 +297,13 @@ def noncommutative_unitization():
         {("a", "b"): "d", ("a", "c"): "e", ("b", "a"): "e",
          ("b", "c"): "d", ("c", "a"): "d", ("c", "b"): "e"},
     ))
+
+
+def _side_condition(table: PartialAdditionTable, c12: int, c21: int) -> bool:
+    """The (RDP)_1 side condition on the element indices (c12, c21): x+y and
+    y+x are defined and equal for all x <= c12 and y <= c21.  One mask test:
+    the down-set of c21 lies inside the commuting mask below c12."""
+    return not induced_order(table).down[c21] & ~_commuting_below(table)[c12]
 
 
 def test_side_condition_matches_brute(pea_corpus_full):

@@ -867,14 +867,13 @@ def frozen_dd_points(rows, dim):
 def frozen_box_constraints(table):
     """Reference integer box rows 0 <= s(e) <= 1 in the free coordinates,
     unit box first, built from the integer affine map."""
-    p, cols, m, _ = _affine_map(table)
+    p, affine_rows, m, free_cols = _affine_map(table)
     free = set(solve_state_space(table).free_elements)
     rows = [{} for _ in p]
-    for j, col in enumerate(cols):
-        for i, c in col:
-            rows[i][j] = c
+    for i, row in affine_rows:
+        rows[i].update(row)
     constraints = []
-    for j in range(len(cols)):
+    for j in range(len(free_cols)):
         constraints.append(({j: -1}, 0))
         constraints.append(({j: 1}, 1))
     for e, pe, coeffs in zip(table.elements, p, rows):
@@ -892,15 +891,15 @@ def frozen_box_constraints(table):
 def frozen_extremal_keys(table):
     """Value tuples of the extremal states in StateSpace order, by one sweep
     over the whole d-dimensional polytope."""
-    p, cols, m, _ = _affine_map(table)
-    if not cols:
+    p, rows, m, free = _affine_map(table)
+    if not free:
         return [tuple(Fraction(x, m) for x in p)] if all(0 <= x <= m for x in p) else []
     keys = set()
-    for num, den in frozen_dd_points(frozen_box_constraints(table), len(cols)):
+    for num, den in frozen_dd_points(frozen_box_constraints(table), len(free)):
         vals = [pe * den for pe in p]
-        for col, x in zip(cols, num):
-            for i, c in col:
-                vals[i] += c * x
+        for i, row in rows:
+            for j, c in row.items():
+                vals[i] += c * num[j]
         keys.add(tuple(Fraction(v, m * den) for v in vals))
     return sorted(keys)
 

@@ -327,12 +327,17 @@ FAULTS = {
                         {"dec.decomposition_state_bijection": _bad_bijection}),
     "is_normal": ("decomposition-state-bijection", {"idl.is_normal": lambda orig: lambda table, S: (
         (False, None) if table.size == 5 else orig(table, S))}),
-    "check_r2": ("ideal-battery", {"idl.check_r2": lambda orig: lambda table, S: (
-        (False, None) if len(S) == 2 else orig(table, S))}),
+    "check_r2": ("ideal-battery", {
+        "idl.check_r2": lambda orig: lambda table, S: (
+            (False, None) if len(S) == 2 else orig(table, S)),
+        "idl._r2": lambda orig: lambda table, I: (
+            (False, None) if I.bit_count() == 2 else orig(table, I))}),
     "quotient": ("ideal-battery", {"idl.quotient": _flipped_linearity}),
     "check_r2-and-quotient": ("ideal-battery", {
         "idl.check_r2": lambda orig: lambda table, S: (
             (False, None) if len(S) == 3 else orig(table, S)),
+        "idl._r2": lambda orig: lambda table, I: (
+            (False, None) if I.bit_count() == 3 else orig(table, I)),
         "idl.quotient": _flipped_linearity}),
     "ideal_generated": ("generated-ideal-lemma", {
         "idl.ideal_generated": lambda orig: lambda table, I, a: (
