@@ -41,9 +41,7 @@ from .groups import (
     _box_stream,
     _element_draw,
     _first_witness,
-    _randint,
-    _repeated_draw,
-    _sample_stream,
+    _int_stream,
     _sampled,
     is_commutator,
     probe_pogroup,
@@ -388,15 +386,15 @@ class SymbolicPea:
 
     def _part_stream(self, rng: random.Random, b: int, bound: int) -> Iterator:
         """The endless stream of group parts at base index ``b``, drawn from
-        ``rng`` at ``bound``: ``sample_nonneg`` draws over the base zero, h
-        minus one over the base unit and ``sample`` draws elsewhere."""
+        ``rng`` at ``bound``: positive elements over the base zero, h minus
+        a positive element over the base unit and any element elsewhere."""
         G = self.group
         if b == self._zero_i:
-            return _sample_stream(G, rng, bound, nonneg=True)
+            return G.stream(rng, bound, nonneg=True)
         if b == self._one_i:
             return map(self._gadd, itertools.repeat(self.h),
-                       map(self._gneg, _sample_stream(G, rng, bound, nonneg=True)))
-        return _sample_stream(G, rng, bound)
+                       map(self._gneg, G.stream(rng, bound, nonneg=True)))
+        return G.stream(rng, bound)
 
     def member_stream(self, rng: random.Random, bound: int = 10,
                       base_index: Optional[int] = None) -> Iterator[Tuple]:
@@ -406,9 +404,8 @@ class SymbolicPea:
         The base index is ``_randint(rng, 0, size - 1)``, or ``base_index``,
         which is checked once, at the first draw: outside range(size) it is
         an input error.  The group part is the next of ``_part_stream`` at
-        that index; the base indices and the points of box samplers come
-        from ``_box_stream``, and all these streams draw lazily from the one
-        ``rng``.
+        that index; the base indices come from ``_box_stream`` and the parts
+        from the group's ``stream``, all drawing lazily from the one ``rng``.
         """
         size = self._size
         if base_index is None:
@@ -587,8 +584,8 @@ class SymbolicPea:
 
         Which draws a sample takes depends on the values drawn, so this
         runs its own loop: w is taken from a member stream, a, b from a
-        bottom-slice stream and the s of the second presentation from a
-        ``sample_nonneg`` stream, all lazy on the one generator.  Passing needs at
+        bottom-slice stream and the s of the second presentation from the
+        group's cone stream, all lazy on the one generator.  Passing needs at
         least ``max(1, samples // 4)`` usable samples."""
         if samples < 1:
             raise InputError("samples must be at least 1, got %d" % (samples,))
@@ -597,7 +594,7 @@ class SymbolicPea:
         lv, zero_i, inverse = self.levels, self._zero_i, self._twists_inv
         members = self.member_stream(rng, bound)
         bottom = self.member_stream(rng, bound, zero_i)
-        cone = _sample_stream(G, rng, bound, nonneg=True)
+        cone = G.stream(rng, bound, nonneg=True)
         checked = 0
         bad = None
         attempts = 0
@@ -1032,9 +1029,7 @@ def universal_group_extension(
     def presentations(rng):
         # per sample: a level m, a part w, two right-hand presentations of w
         # and the k1 of a left-hand one, w = -k1 + k2 with k2 = k1 + w
-        while True:
-            m = _randint(rng, -2 * E.n, 2 * E.n)
-            w = G.sample(rng, bound)
+        for m, w in zip(_int_stream(rng, -2 * E.n, 2 * E.n), G.stream(rng, bound)):
             yield (m, w, G.nonneg_presentations(rng, bound, w, 2),
                    G.sample_dominating(rng, bound, w))
 
@@ -1075,7 +1070,7 @@ def universal_group_extension(
         _sampled("well-definedness", seed, presentation_pairs, well_defined, presentations,
                  rng=rng),
         _sampled("homomorphism", seed, samples, homomorphic,
-                 _repeated_draw(lambda rng: (_randint(rng, -E.n, 2 * E.n), G.sample(rng, bound))),
+                 lambda rng: zip(_int_stream(rng, -E.n, 2 * E.n), G.stream(rng, bound)),
                  2, rng),
         _sampled("factors-through-embedding", seed, samples, factors, E._member_draw(bound),
                  rng=rng),

@@ -82,8 +82,6 @@ class SymmetryReport:
 @dataclass(frozen=True)
 class ElementInfo:
     element: str
-    minus: Optional[str]  # left complement, PEA only
-    tilde: Optional[str]  # right complement, PEA only
     iota: Optional[int]   # isotropic index; None means infinite
 
 
@@ -704,16 +702,11 @@ def isotropic_data(
     _require_gpea(table)
     t = table._sums
     z = table.zero_i
-    unital = table.one is not None and check_axioms(table, "pea").passed
     info: Dict[str, ElementInfo] = {}
     infinite = []
     for i, a in enumerate(table.elements):
-        if unital:
-            minus, tilde = complements(table, a)
-        else:
-            minus = tilde = None
         if i == z:
-            info[a] = ElementInfo(a, minus, tilde, None)
+            info[a] = ElementInfo(a, None)
             infinite.append(a)
             continue
         m, count = i, 1
@@ -722,7 +715,7 @@ def isotropic_data(
             count += 1
             if count > table.size + 1:
                 raise InconsistencyError("isotropic index iteration exceeded cap at %r" % (a,))
-        info[a] = ElementInfo(a, minus, tilde, count)
+        info[a] = ElementInfo(a, count)
     return info, frozenset(infinite)
 
 

@@ -1,11 +1,13 @@
 """Pluggable partially ordered groups with exact integer-tuple elements.
 
 Every handle offers exact arithmetic (add, neg, zero), the positivity
-predicate deciding the order, seeded samplers, and a few constructive helpers
+predicate deciding the order, one seeded sampler (``stream``, a lazy, endless
+stream of elements or of positive elements), and a few constructive helpers
 (upper bounds, positive presentations g = g1 - g2) that the constructions
-module leans on.  Properties of infinite structures are only ever probed on
-samples; reports carry the sample count and seed and never upgrade a sampled
-pass to a universal claim.  Every sampled verdict of peal runs on one loop,
+module leans on.  Every draw of peal comes from one kernel, ``_box_stream``.
+Properties of infinite structures are only ever probed on samples; reports
+carry the sample count and seed and never upgrade a sampled pass to a
+universal claim.  Every sampled verdict of peal runs on one loop,
 ``_first_witness``, over a lazy, endless draw stream, but for one that draws
 sequentially because what it draws depends on what it drew: difference
 consistency of a symbolic algebra.
@@ -31,62 +33,45 @@ class BoundExceededError(PealError):
     """Enumeration exceeded the requested cap."""
 
 
-def _randint(rng: random.Random, lo: int, hi: int) -> int:
-    """A uniform integer in [lo, hi], drawn exactly as ``Random.randint`` draws it.
-
-    This is the rejection loop of ``Random._randbelow_with_getrandbits``:
-    ``getrandbits(k)`` with k the bit length of the range width, redrawn
-    while it falls outside the range.  So it makes the same calls on the
-    generator as ``Random.randint`` and ``Random.randrange`` do on Python
-    >= 3.10 and leaves it in the same state, and a sampled verdict depends
-    only on its seed and sample count.  Only the overhead of the call chain
-    randint -> randrange -> _randbelow is gone.
-    """
-    n = hi - lo + 1
-    if n <= 0:
-        raise ValueError("empty range [%d, %d]" % (lo, hi))
-    k = n.bit_length()
-    r = rng.getrandbits(k)
-    while r >= n:
-        r = rng.getrandbits(k)
-    return lo + r
-
-
-def _randints(rng: random.Random, lo: int, hi: int, count: int) -> Tuple[int, ...]:
-    """``count`` successive draws of ``_randint(rng, lo, hi)``; the loop is
-    inlined because the vector samplers are the hot path of every probe."""
-    n = hi - lo + 1
-    if n <= 0:
-        raise ValueError("empty range [%d, %d]" % (lo, hi))
-    k = n.bit_length()
-    getrandbits = rng.getrandbits
-    out = []
-    for _ in range(count):
-        r = getrandbits(k)
-        while r >= n:
-            r = getrandbits(k)
-        out.append(lo + r)
-    return tuple(out)
-
-
 def _box_stream(rng: random.Random, lo: int, hi: int, k: int) -> Iterator[Tuple[int, ...]]:
     """The endless stream of points of the box [lo, hi]^k, each drawn when it
-    is taken, as ``_randints(rng, lo, hi, k)`` draws it.
+    is taken: its k coordinates, in order, each a uniform integer in [lo, hi]
+    drawn exactly as ``Random.randint`` draws it.
 
-    The one box kernel: the rejection loop of ``_randints`` as a chain of
-    lazy iterators (``getrandbits`` calls, the draws below the range width,
-    shifted by lo, k at a time), so nothing past the last point taken is
-    drawn.  An empty range is refused here, at once."""
+    The one draw kernel of peal.  Each coordinate is the rejection loop of
+    ``Random._randbelow_with_getrandbits``: ``getrandbits(b)`` with b the bit
+    length of the range width, redrawn while it falls outside the range.  So
+    the stream makes the same calls on the generator as ``Random.randint``
+    and ``Random.randrange`` do on Python >= 3.10 and leaves it in the same
+    state, and a sampled verdict depends only on its seed and sample count.
+    The loop is a chain of lazy iterators (``getrandbits`` calls, the draws
+    below the range width, shifted by lo, k at a time), so nothing past the
+    last point taken is drawn.  At k = 0 every point is ``()``.  An empty
+    range is refused here, at once."""
     n = hi - lo + 1
     if n <= 0:
         raise ValueError("empty range [%d, %d]" % (lo, hi))
+    if not k:
+        return itertools.repeat(())
     bits = iter(functools.partial(rng.getrandbits, n.bit_length()), -1)
     coordinates = map(lo.__add__, filter(n.__gt__, bits))
     return zip(*[coordinates] * k)
 
 
+def _randint(rng: random.Random, lo: int, hi: int) -> int:
+    """A uniform integer in [lo, hi], drawn as ``Random.randint`` draws it."""
+    return next(_box_stream(rng, lo, hi, 1))[0]
+
+
+def _int_stream(rng: random.Random, lo: int, hi: int) -> Iterator[int]:
+    """The endless stream of ``_randint(rng, lo, hi)`` draws, each drawn
+    when it is taken."""
+    return itertools.chain.from_iterable(_box_stream(rng, lo, hi, 1))
+
+
 class PoGroupHandle:
-    """Base interface; concrete groups override the arithmetic and order."""
+    """Base interface; concrete groups override the arithmetic, the order
+    and ``stream``, their one sampler, and may add ``sample_dominating``."""
 
     name = "group"
     abelian = False
@@ -116,21 +101,22 @@ class PoGroupHandle:
     def format(self, x) -> str:
         return repr(x)
 
-    def sample(self, rng: random.Random, bound: int):
+    def stream(self, rng: random.Random, bound: int, nonneg: bool = False) -> Iterator:
+        """The endless stream of elements (positive elements with ``nonneg``)
+        drawn from ``rng`` at ``bound``, each drawn only when it is taken.
+
+        The one sampler of a handle: every probe, every member stream of a
+        symbolic algebra and ``sample``/``sample_nonneg`` take their draws
+        from it, so a subclass that overrides it changes them all.  Streams
+        on one generator interleave: taking from one draws exactly what its
+        element needs.  A negative bound raises ``ValueError``."""
         raise NotImplementedError
+
+    def sample(self, rng: random.Random, bound: int):
+        return next(self.stream(rng, bound))
 
     def sample_nonneg(self, rng: random.Random, bound: int):
-        raise NotImplementedError
-
-    def sample_box(self, nonneg: bool = False) -> Optional[int]:
-        """k when ``sample`` (``sample_nonneg`` with ``nonneg``) is a box
-        sampler: it draws k coordinates, each ``_randint(rng, -bound, bound)``
-        (``_randint(rng, 0, bound)``), in order, and nothing else.  None for
-        any other sampler.  The draw streams of the probes and of
-        ``SymbolicPea.member_stream`` take a box sampler's points from
-        ``_box_stream`` instead of calling it, so a subclass that overrides
-        a box sampler overrides this as well."""
-        return None
+        return next(self.stream(rng, bound, nonneg=True))
 
     def sample_dominating(self, rng: random.Random, bound: int, g):
         """Some d >= 0 with g + d >= 0 (used for positive presentations)."""
@@ -245,28 +231,31 @@ class IntVectorGroup(PoGroupHandle):
             return str(x[0])
         return "(%s)" % ",".join(str(a) for a in x)
 
-    def sample(self, rng, bound):
-        return _randints(rng, -bound, bound, self.k)
-
-    def sample_box(self, nonneg=False):
-        return None if nonneg and self.order != "pointwise" else self.k
-
-    def sample_nonneg(self, rng, bound):
+    def stream(self, rng, bound, nonneg=False):
+        if not nonneg:
+            return _box_stream(rng, -bound, bound, self.k)
         if self.order == "pointwise":
-            return _randints(rng, 0, bound, self.k)
-        # lex: zero leading coordinates, each drawn from [0, bound], up to
-        # the first positive one; the coordinates after it are free
-        for zeros in range(self.k):
-            lead = _randint(rng, 0, bound)
-            if lead:
-                return (0,) * zeros + (lead,) + _randints(rng, -bound, bound, self.k - zeros - 1)
-        return (0,) * self.k
+            return _box_stream(rng, 0, bound, self.k)
+        return self._lex_cone(rng, bound)
+
+    def _lex_cone(self, rng, bound):
+        # zero leading coordinates, each drawn from [0, bound], up to the
+        # first positive one; the coordinates after it are free
+        k = self.k
+        leads, free = _int_stream(rng, 0, bound), _int_stream(rng, -bound, bound)
+        while True:
+            for zeros, lead in zip(range(k), leads):
+                if lead:
+                    yield (0,) * zeros + (lead,) + tuple(itertools.islice(free, k - zeros - 1))
+                    break
+            else:
+                yield (0,) * k
 
     def sample_dominating(self, rng, bound, g):
         if self.order == "pointwise":
-            return tuple(max(-a, 0) + r for a, r in zip(g, _randints(rng, 0, bound, len(g))))
+            return tuple(max(-a, 0) + r for a, r in zip(g, next(_box_stream(rng, 0, bound, len(g)))))
         lead = abs(g[0]) + 1 + _randint(rng, 0, bound)
-        return (lead,) + _randints(rng, -bound, bound, self.k - 1)
+        return (lead,) + next(_box_stream(rng, -bound, bound, self.k - 1))
 
     def upper_bound(self, x, y):
         if self.order == "pointwise":
@@ -343,21 +332,16 @@ class TwistedZ3Group(PoGroupHandle):
     def format(self, x) -> str:
         return "(%s)" % ",".join(str(a) for a in x)
 
-    def sample(self, rng, bound):
-        return _randints(rng, -bound, bound, 3)
-
-    def sample_box(self, nonneg=False):
-        return None if nonneg else 3
-
-    def sample_nonneg(self, rng, bound):
-        lead = _randint(rng, 0, bound)
-        if lead == 0:
-            return (0,) + _randints(rng, 0, bound, 2)
-        return (lead,) + _randints(rng, -bound, bound, 2)
+    def stream(self, rng, bound, nonneg=False):
+        if not nonneg:
+            return _box_stream(rng, -bound, bound, 3)
+        # level 0 needs both parts positive; above it they are free
+        cone, free = _box_stream(rng, 0, bound, 2), _box_stream(rng, -bound, bound, 2)
+        return ((lead,) + next(free if lead else cone) for lead in _int_stream(rng, 0, bound))
 
     def sample_dominating(self, rng, bound, g):
         lead = abs(g[0]) + 1 + _randint(rng, 0, bound)
-        return (lead,) + _randints(rng, -bound, bound, 2)
+        return (lead,) + next(_box_stream(rng, -bound, bound, 2))
 
     def upper_bound(self, x, y):
         return (max(x[0], y[0]) + 1, 0, 0)
@@ -401,14 +385,11 @@ class LexExtensionGroup(PoGroupHandle):
     def format(self, x) -> str:
         return "(%d,%s)" % (x[0], self.inner.format(x[1]))
 
-    def sample(self, rng, bound):
-        return (_randint(rng, -bound, bound), self.inner.sample(rng, bound))
-
-    def sample_nonneg(self, rng, bound):
-        lead = _randint(rng, 0, bound)
-        if lead == 0:
-            return (0, self.inner.sample_nonneg(rng, bound))
-        return (lead, self.inner.sample(rng, bound))
+    def stream(self, rng, bound, nonneg=False):
+        if not nonneg:
+            return zip(_int_stream(rng, -bound, bound), self.inner.stream(rng, bound))
+        cone, free = self.inner.stream(rng, bound, nonneg=True), self.inner.stream(rng, bound)
+        return ((lead, next(free if lead else cone)) for lead in _int_stream(rng, 0, bound))
 
     def sample_dominating(self, rng, bound, g):
         lead = abs(g[0]) + 1 + _randint(rng, 0, bound)
@@ -459,17 +440,22 @@ class DerivedConeGroup(PoGroupHandle):
     def format(self, x):
         return self.base.format(x)
 
-    def sample(self, rng, bound):
-        return self.base.sample(rng, bound)
-
-    def sample_nonneg(self, rng, bound):
+    def stream(self, rng, bound, nonneg=False):
+        if not nonneg:
+            return self.base.stream(rng, bound)
         if self._sample_nonneg is not None:
-            return self._sample_nonneg(rng, bound)
-        for _ in range(200):
-            g = self.base.sample(rng, bound)
-            if self.is_positive(g):
-                return g
-        raise InputError("rejection sampling of the cone failed for %s" % (self.name,))
+            return map(self._sample_nonneg, itertools.repeat(rng), itertools.repeat(bound))
+        return self._rejection_cone(rng, bound)
+
+    def _rejection_cone(self, rng, bound):
+        # per point, the first positive of at most 200 base points
+        points = self.base.stream(rng, bound)
+        while True:
+            for g in filter(self.is_positive, itertools.islice(points, 200)):
+                yield g
+                break
+            else:
+                raise InputError("rejection sampling of the cone failed for %s" % (self.name,))
 
     def sample_dominating(self, rng, bound, g):
         if self._sample_dominating is not None:
@@ -572,16 +558,6 @@ def _first_witness(rng: random.Random, samples: int, probe: Callable, draw: Call
     return None
 
 
-def _repeated_draw(*samplers: Callable) -> Callable:
-    """``draw(rng)``: the endless stream taking the ``samplers`` in turn,
-    each as ``sampler(rng)``."""
-    def draw(rng):
-        while True:
-            for sample in samplers:
-                yield sample(rng)
-    return draw
-
-
 def _sampled(name: str, seed: int, samples: int, probe: Callable, draw: Callable,
              arity: int = 1, rng=None) -> SampleVerdict:
     """Verdict of ``probe`` (as ``_first_witness`` runs it) on ``samples``
@@ -615,23 +591,9 @@ def _report(kind: str, handle: PoGroupHandle, samples: int, seed: int, failure,
                        samples, seed, () if passed else (failure,), tuple(witnesses))
 
 
-def _sample_stream(handle: PoGroupHandle, rng: random.Random, bound: int,
-                   nonneg: bool = False) -> Iterator:
-    """The endless stream of ``handle.sample(rng, bound)`` draws
-    (``sample_nonneg`` with ``nonneg``), each drawn when it is taken.  The
-    points of a box sampler come from ``_box_stream``; any other sampler is
-    called as it is, and so is a box sampler at a negative bound, an empty
-    range that it refuses at its first draw."""
-    k = handle.sample_box(nonneg) if bound >= 0 else None
-    if k is not None:
-        return _box_stream(rng, 0 if nonneg else -bound, bound, k)
-    return map(handle.sample_nonneg if nonneg else handle.sample,
-               itertools.repeat(rng), itertools.repeat(bound))
-
-
 def _element_draw(handle: PoGroupHandle, bound: int) -> Callable:
     """``draw(rng)``: the stream of elements of ``handle`` at ``bound``."""
-    return functools.partial(_sample_stream, handle, bound=bound)
+    return functools.partial(handle.stream, bound=bound)
 
 
 def probe_pogroup(handle: PoGroupHandle, samples: int = 1000, seed: int = 0, bound: int = 10) -> ProbeReport:
@@ -666,8 +628,8 @@ def probe_pogroup(handle: PoGroupHandle, samples: int = 1000, seed: int = 0, bou
 
     def draw(rng):
         # a, b, c from the elements, p, q from the cone, then lower
-        elements = _sample_stream(handle, rng, bound)
-        cone = _sample_stream(handle, rng, bound, nonneg=True)
+        elements = handle.stream(rng, bound)
+        cone = handle.stream(rng, bound, nonneg=True)
         return map(next, itertools.cycle((elements, elements, elements, cone, cone, elements)))
 
     failure = _first_witness(random.Random(seed), samples, probe, draw, 6)

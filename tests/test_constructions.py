@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 from itertools import islice
@@ -44,8 +45,6 @@ from peal.groups import (
     SampleVerdict,
     TwistedZ3Group,
     UnitalPoGroup,
-    _randint,
-    _repeated_draw,
     _sampled,
 )
 from peal.suite import SuiteReport, symbolic_battery
@@ -563,6 +562,39 @@ class FrozenLexExtensionGroup(LexExtensionGroup):
         return (lead, self.inner.sample(rng, bound))
 
 
+class FrozenDerivedConeGroup(DerivedConeGroup):
+    def sample(self, rng, bound):
+        return self.base.sample(rng, bound)
+
+    def sample_nonneg(self, rng, bound):
+        if self._sample_nonneg is not None:
+            return self._sample_nonneg(rng, bound)
+        for _ in range(200):
+            g = self.base.sample(rng, bound)
+            if self.is_positive(g):
+                return g
+        raise InputError("rejection sampling of the cone failed for %s" % (self.name,))
+
+    def sample_dominating(self, rng, bound, g):
+        if self._sample_dominating is not None:
+            return self._sample_dominating(rng, bound, g)
+        for _ in range(200):
+            d = self.sample_nonneg(rng, bound)
+            if self.is_positive(self.add(g, d)):
+                return d
+        raise InputError("no dominating element found for %s" % (self.name,))
+
+
+def frozen_repeated_draw(*samplers: Callable) -> Callable:
+    """``draw(rng)``: the endless stream taking the ``samplers`` in turn,
+    each as ``sampler(rng)``."""
+    def draw(rng):
+        while True:
+            for sample in samplers:
+                yield sample(rng)
+    return draw
+
+
 def frozen_first_witness(rng: random.Random, samples: int, probe: Callable):
     """The first non-None result of ``probe(rng)`` in ``samples`` draws, or None."""
     for _ in range(samples):
@@ -910,8 +942,8 @@ def frozen_group(group: PoGroupHandle) -> PoGroupHandle:
     if type(group) is LexExtensionGroup:
         return FrozenLexExtensionGroup(frozen_group(group.inner))
     if type(group) is DerivedConeGroup:
-        return DerivedConeGroup(frozen_group(group.base), group._positive, group.name,
-                                group._sample_nonneg, group._sample_dominating)
+        return FrozenDerivedConeGroup(frozen_group(group.base), group._positive, group.name,
+                                      group._sample_nonneg, group._sample_dominating)
     raise AssertionError("no frozen twin for %r" % (group,))
 
 
@@ -977,7 +1009,13 @@ REVERSED_Z = DerivedConeGroup(
     IntVectorGroup(1), lambda g: g[0] <= 0, "Z-reversed",
     sample_nonneg=lambda rng, bound: (-rng.randint(0, bound),),
 )
-DRAW_GROUPS = STREAM_GROUPS + [REVERSED_Z, LexExtensionGroup(REVERSED_Z)]
+# a cone with no sampler of its own: its points are rejection sampled
+BROKEN_CONE = DerivedConeGroup(
+    TwistedZ3Group(), lambda g: g[0] > 0 or (g[0] == 0 and g[1] >= 0 and g[2] >= g[1]),
+    "broken-cone",
+)
+DRAW_GROUPS = STREAM_GROUPS + [REVERSED_Z, LexExtensionGroup(REVERSED_Z),
+                               BROKEN_CONE, LexExtensionGroup(BROKEN_CONE)]
 
 
 def stream_fixtures():
@@ -1011,6 +1049,21 @@ def test_group_samplers_match_frozen_draw_for_draw(group):
                 assert group.add(x, p) == old.add(x, p) and group.neg(x) == old.neg(x)
                 assert group.is_positive(x) == old.is_positive(x)
                 assert group.is_positive(p) == old.is_positive(p)
+
+
+def test_deep_lex_cones_draw_by_a_loop():
+    """The lex cone of Z^k draws its leading coordinates in a loop, not one
+    call per coordinate: at k = 3000 and bound 0 every coordinate is drawn
+    and the point is zero.  A stream of lex cone points draws what the
+    frozen per-value sampler draws, point by point."""
+    assert IntVectorGroup(3000, "lex").sample_nonneg(random.Random(0), 0) == (0,) * 3000
+    group = IntVectorGroup(4, "lex")
+    old = frozen_group(group)
+    for seed in range(12):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert list(islice(group.stream(ours, 1, nonneg=True), 20)) == \
+            [old.sample_nonneg(theirs, 1) for _ in range(20)]
+        assert ours.getstate() == theirs.getstate()
 
 
 def test_symbolic_operations_match_frozen_draw_for_draw():
@@ -1239,9 +1292,9 @@ def test_representation_draws_every_probe_at_its_bound():
         def __init__(self):
             self.bounds = set()
 
-        def sample(self, rng, bound):
+        def stream(self, rng, bound, nonneg=False):
             self.bounds.add(bound)
-            return super().sample(rng, bound)
+            return super().stream(rng, bound, nonneg)
 
     group = RecordingTwisted()
     E = lex_product_pea(2, group)
@@ -1288,7 +1341,7 @@ def frozen_universal_group_extension(
     _require_chain_presentation(E)
     if E.h != E.group.zero():
         raise PreconditionError("universal extension needs the zero-offset product")
-    G = E.group
+    G = frozen_group(E.group)
     K = phi.codomain
     add_check = phi.verify_additivity(seed=seed, samples=samples, bound=bound)
     if not add_check.passed:
@@ -1315,7 +1368,7 @@ def frozen_universal_group_extension(
 
     rng = random.Random(seed)
     for _ in range(presentation_pairs):
-        m = _randint(rng, -2 * E.n, 2 * E.n)
+        m = rng.randint(-2 * E.n, 2 * E.n)
         w = G.sample(rng, bound)
         (g1, g2), (g3, g4) = G.nonneg_presentations(rng, bound, w, 2)
         first = eval_right(m, g1, g2)
@@ -1356,9 +1409,10 @@ def frozen_universal_group_extension(
     verdicts = (
         SampleVerdict("well-definedness", True, presentation_pairs, seed, None),
         _sampled("homomorphism", seed, samples, homomorphic,
-                 _repeated_draw(lambda rng: (_randint(rng, -E.n, 2 * E.n), G.sample(rng, bound))),
+                 frozen_repeated_draw(lambda rng: (rng.randint(-E.n, 2 * E.n), G.sample(rng, bound))),
                  2, rng),
-        _sampled("factors-through-embedding", seed, samples, factors, E._member_draw(bound),
+        _sampled("factors-through-embedding", seed, samples, factors,
+                 frozen_repeated_draw(functools.partial(frozen_pea(E).sample_member, bound=bound)),
                  rng=rng),
     )
     report = ExtensionReport(phi_star, verdicts)

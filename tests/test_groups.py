@@ -25,7 +25,6 @@ from peal.groups import (
     _box_stream,
     _first_witness,
     _randint,
-    _randints,
     builtin_group,
     is_commutator,
     probe_directed,
@@ -233,8 +232,9 @@ def test_torsion_witness_on_mock():
         def is_positive(self, x):
             return True
 
-        def sample(self, rng, bound):
-            return (rng.randint(0, 1),)
+        def stream(self, rng, bound, nonneg=False):
+            while True:
+                yield (rng.randint(0, 1),)
 
     ok, witness = probe_torsion_free(Z2(), samples=50, seed=1)
     assert not ok and witness[1] == 2
@@ -293,20 +293,18 @@ def test_randint_takes_the_stream_of_random_randint():
             assert ours.getstate() == theirs.getstate()
             assert _randint(ours, 0, hi - lo) == theirs.randrange(hi - lo + 1)
             assert ours.getstate() == theirs.getstate()
-            assert _randints(ours, lo, hi, 3) == tuple(theirs.randint(lo, hi) for _ in range(3))
-            assert ours.getstate() == theirs.getstate()
 
 
 def test_box_stream_takes_the_stream_of_randints():
-    """Each point is ``_randints(rng, lo, hi, k)``, and nothing past the
-    last point taken is drawn."""
+    """Each point is k draws of ``Random.randint(lo, hi)``, and nothing past
+    the last point taken is drawn; at k = 0 every point is ``()``."""
     for seed in range(20):
         for lo, hi in RANGES[::3]:
-            for k in (1, 2, 3):
+            for k in (0, 1, 2, 3):
                 ours, theirs = random.Random(seed), random.Random(seed)
                 points = _box_stream(ours, lo, hi, k)
                 for _ in range(4):
-                    assert next(points) == _randints(theirs, lo, hi, k)
+                    assert next(points) == tuple(theirs.randint(lo, hi) for _ in range(k))
                     assert ours.getstate() == theirs.getstate()
 
 
@@ -316,9 +314,13 @@ def test_randint_rejects_an_empty_range():
         with pytest.raises(ValueError):
             _randint(rng, lo, hi)
         with pytest.raises(ValueError):
-            _randints(rng, lo, hi, 2)
-        with pytest.raises(ValueError):
             _box_stream(rng, lo, hi, 2)
+    # a negative bound is an empty range, for elements and for the cone
+    for handle in (IntVectorGroup(2), IntVectorGroup(3, "lex"), TwistedZ3Group(),
+                   LexExtensionGroup(TwistedZ3Group()), LexExtensionGroup(IntVectorGroup(2, "lex"))):
+        for sample in (handle.sample, handle.sample_nonneg):
+            with pytest.raises(ValueError):
+                sample(rng, -1)
 
 
 def test_randint_interleaves_with_user_samplers():
@@ -342,14 +344,10 @@ def test_randint_interleaves_with_user_samplers():
             assert ours.getstate() == theirs.getstate()
 
 
-# the functions that call Random.getrandbits, each by the rejection loop of
+# the one function that calls Random.getrandbits, by the rejection loop of
 # Random._randbelow_with_getrandbits: so every draw takes the stream that
 # Random.randint would take
-DRAW_KERNELS = {
-    ("groups.py", "_randint"),
-    ("groups.py", "_randints"),
-    ("groups.py", "_box_stream"),
-}
+DRAW_KERNELS = {("groups.py", "_box_stream")}
 
 
 def _scan(source, hit):
@@ -412,12 +410,13 @@ def _peal_sources():
 
 
 def test_samplers_draw_only_through_randint():
-    """Every draw in peal goes through ``groups._randint``/``_randints`` or
-    the one box kernel ``groups._box_stream``: no module may call the
-    Random methods whose stream those reproduce, nor rewind a generator by
+    """Every draw in peal goes through the one kernel ``groups._box_stream``:
+    no module may call the Random methods whose stream it reproduces, or any
+    other drawing method of Random, nor rewind a generator by
     ``getstate``/``setstate``, and no other function may call
-    ``getrandbits``, since the stream identity rests on those three."""
-    calls = re.compile(r"\.(randint|randrange|getstate|setstate)\(")
+    ``getrandbits``, since the stream identity rests on that kernel."""
+    calls = re.compile(r"\.(randint|randrange|getstate|setstate|choices?|shuffle|uniform"
+                       r"|random|gauss)\(")
     offenders = []
     users = set()
     for name, source in _peal_sources():
@@ -426,6 +425,20 @@ def test_samplers_draw_only_through_randint():
         users |= {(name, fn) for fn in _getrandbits_users(source)}
     assert offenders == []
     assert users == DRAW_KERNELS
+
+
+def test_only_the_base_handle_defines_the_per_value_samplers():
+    """``sample`` and ``sample_nonneg`` are the base class's ``next`` of the
+    one sampler, ``stream``; a handle that defined either would draw past
+    the stream that every probe takes."""
+    found = []
+    for name, source in _peal_sources():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef) and node.name != "PoGroupHandle":
+                found += ["%s:%s.%s" % (name, node.name, item.name) for item in node.body
+                          if isinstance(item, ast.FunctionDef)
+                          and item.name in ("sample", "sample_nonneg")]
+    assert found == []
 
 
 def test_getrandbits_scan_sees_every_use():
@@ -637,11 +650,9 @@ class ZMod2(PoGroupHandle):
     def is_positive(self, x):
         return True
 
-    def sample(self, rng, bound):
-        return (rng.randint(0, 1),)
-
-    def sample_nonneg(self, rng, bound):
-        return (rng.randint(0, 1),)
+    def stream(self, rng, bound, nonneg=False):
+        while True:
+            yield (rng.randint(0, 1),)
 
     def upper_bound(self, x, y):
         return x
