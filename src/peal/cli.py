@@ -14,8 +14,10 @@ import hashlib
 import json
 import os
 import sys
+from itertools import chain
 from json.encoder import encode_basestring_ascii
-from typing import Dict, List, Optional
+from operator import itemgetter
+from typing import Dict, Iterator, List, Optional, TextIO
 
 from . import decompositions as dec
 from . import ideals as idl
@@ -60,6 +62,7 @@ def _write_document(path: str, table: PartialAdditionTable) -> None:
 
 
 _SCALARS = frozenset((str, int, float, bool, type(None)))
+_NUMBERS = frozenset((int, float, bool))
 
 
 @functools.cache
@@ -88,54 +91,136 @@ def _holds_scalars(value) -> bool:
     return bool(value) and _SCALARS.issuperset(map(type, value))
 
 
-def _indented(value, depth: int, out: List[str]) -> None:
-    """Append the text of ``json.dumps(value, sort_keys=True, indent=2)`` at
-    nesting ``depth`` to ``out``.
+def _scalar_texts(leaves) -> Optional[Dict]:
+    """Each distinct value of the iterable ``leaves()`` with its JSON text, or
+    None unless every value is a scalar that the memo keeps apart.
 
-    Scalars, empty containers and containers of scalars take one call of
-    the C encoder, and so does a list of containers of scalars of one kind:
-    it is laid out with its children's item separator, and a child's closing
-    bracket followed by that separator, which holds a raw newline that no
-    encoded string has, marks a separator between children.  Python recurses
-    only over the other containers that hold containers."""
+    A dict merges equal values, and 1 == True == 1.0 and 0.0 == -0.0 print
+    apart.  So the memo is refused for a float, and for a bool beside an
+    int."""
+    try:
+        memo = dict.fromkeys(leaves())
+    except TypeError:  # a container
+        return None
+    kinds = set(map(type, memo))
+    if not _SCALARS.issuperset(kinds):
+        return None
+    if kinds & _NUMBERS:  # the memo's keys may hide merged values
+        kinds = set(map(type, leaves()))
+        if float in kinds or bool in kinds and int in kinds:
+            return None
+    encode = _flat_encoder(0).encode
+    for value in memo:
+        memo[value] = encode(value)
+    return memo
+
+
+def _rows(head: str, row: str, texts: Iterator, out: TextIO) -> None:
+    """Write a list at the nesting of ``head`` whose items are ``row`` filled
+    in with each of ``texts``, one item at a time."""
+    out.write("[" + head + row % next(texts))
+    out.writelines(map(("," + head + row).__mod__, texts))
+    out.write(head[:-2] + "]")
+
+
+def _dict_rows(value: list, depth: int, out: TextIO) -> bool:
+    """Write ``value``, two or more dicts with one set of str keys and scalar
+    values, from one template; False, writing nothing, for any other list.
+    The keys are sorted and escaped once, and each distinct value is encoded
+    once."""
+    keys = value[0].keys()
+    width = len(keys)
+    if not width or not all(type(k) is str for k in keys) \
+            or not all(map(width.__eq__, map(len, value))):
+        return False
+    keys = sorted(keys)
+    pick = itemgetter(*keys) if width > 1 else (lambda row, k=keys[0]: (row[k],))
+    try:  # rows of ``width`` keys that have every key of the first
+        memo = _scalar_texts(lambda: chain.from_iterable(map(pick, value)))
+    except KeyError:
+        return False
+    if memo is None:
+        return False
+    inner = "\n" + "  " * (depth + 1)
+    row = ("{" + inner + "  " + ("," + inner + "  ").join(
+        encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys) + inner + "}")
+    _rows(inner, row, map(tuple, map(functools.partial(map, memo.__getitem__), map(pick, value))),
+          out)
+    return True
+
+
+def _nested_rows(value, depth: int, out: TextIO) -> bool:
+    """Write ``value``, a list or tuple of nonempty lists or tuples of
+    nonempty lists or tuples of scalars, with each distinct scalar encoded
+    once; False, writing nothing, for any other value."""
+    if not all(value):
+        return False
+    children = list(chain.from_iterable(value))
+    if not {list, tuple}.issuperset(map(type, children)) or not all(children):
+        return False
+    memo = _scalar_texts(lambda: chain.from_iterable(children))
+    if memo is None:
+        return False
+    p1, p2, p3 = ("\n" + "  " * (depth + k) for k in (1, 2, 3))
+    leaves = functools.partial(map, ("," + p3).join)
+    texts = map((p2 + "]," + p2 + "[" + p3).join,
+                map(leaves, map(functools.partial(map, functools.partial(map, memo.__getitem__)),
+                                value)))
+    _rows(p1, "[" + p2 + "[" + p3 + "%s" + p2 + "]" + p1 + "]", texts, out)
+    return True
+
+
+def _indented(value, depth: int, out: TextIO) -> None:
+    """Write the text of ``json.dumps(value, sort_keys=True, indent=2)`` at
+    nesting ``depth`` to ``out``, exactly, but not with the stdlib's
+    pure-Python encoder, which it falls back to whenever ``indent`` is set.
+
+    Four layouts write a whole container at once; Python recurses only over
+    the other containers that hold containers.  Two take one call of the C
+    encoder: a container of scalars, encoded with the item separator of its
+    depth, and a list of containers of scalars of one kind, laid out with its
+    children's item separator, where a child's closing bracket followed by
+    that separator, which holds a raw newline that no encoded string has,
+    marks a separator between children.  Two are row tables, written one row
+    at a time, so that a report of many rows is never held whole: a list of
+    dicts with one set of str keys and scalar values fills in one template
+    per row (``_dict_rows``), and a list of lists of lists of scalars joins
+    each row (``_nested_rows``).  Both encode each distinct scalar once,
+    through a memo that must not merge values that are equal but print
+    apart, such as 1 and True (``_scalar_texts``)."""
     pad = "\n" + "  " * depth
     inner = pad + "  "
     if _holds_scalars(value):
         text = _flat_encoder(depth + 1).encode(value)
-        out.append(text[0] + inner + text[1:-1] + pad + text[-1])
+        out.write(text[0] + inner + text[1:-1] + pad + text[-1])
     elif isinstance(value, dict) and value:
         sep = "{" + inner
         for key, v in sorted(value.items()):
-            out.append(sep + encode_basestring_ascii(_key(key)) + ": ")
+            out.write(sep + encode_basestring_ascii(_key(key)) + ": ")
             _indented(v, depth + 1, out)
             sep = "," + inner
-        out.append(pad + "}")
+        out.write(pad + "}")
     elif isinstance(value, (list, tuple)) and value:
         kinds = set(map(type, value))
+        if kinds == {dict} and len(value) > 1 and _dict_rows(value, depth, out):
+            return
+        if kinds <= {list, tuple} and _nested_rows(value, depth, out):
+            return
         if (kinds == {dict} or kinds <= {list, tuple}) and all(map(_holds_scalars, value)):
             text = _flat_encoder(depth + 2).encode(value)
             start, end = text[1], text[-2]
             text = text.replace(end + "," + inner + "  " + start,
                                 inner + end + "," + inner + start + inner + "  ")
-            out.append("[" + inner + start + inner + "  " + text[2:-2] + inner + end + pad + "]")
+            out.write("[" + inner + start + inner + "  " + text[2:-2] + inner + end + pad + "]")
             return
         sep = "[" + inner
         for v in value:
-            out.append(sep)
+            out.write(sep)
             _indented(v, depth + 1, out)
             sep = "," + inner
-        out.append(pad + "]")
+        out.write(pad + "]")
     else:
-        out.append(_flat_encoder(0).encode(value))
-
-
-def _dumps_report(data) -> str:
-    """Exactly ``json.dumps(data, sort_keys=True, indent=2)``, but laid out
-    by the C encoder: the stdlib falls back to its pure-Python encoder
-    whenever ``indent`` is set."""
-    out: List[str] = []
-    _indented(data, 0, out)
-    return "".join(out)
+        out.write(_flat_encoder(0).encode(value))
 
 
 def _default_seed() -> int:
@@ -173,7 +258,8 @@ class Report:
     def emit(self, fmt: str, stream=None) -> None:
         stream = stream or sys.stdout
         if fmt == "json":
-            stream.write(_dumps_report(self.data) + "\n")
+            _indented(self.data, 0, stream)
+            stream.write("\n")
             return
         for key in sorted(self.data["results"]):
             stream.write("%s: %s\n" % (key, json.dumps(self.data["results"][key], sort_keys=True)))

@@ -401,7 +401,7 @@ class SymbolicPea:
         """The endless stream of members drawn from ``rng`` at ``bound``,
         each drawn only when it is taken, as ``sample_member`` draws it.
 
-        The base index is ``_randint(rng, 0, size - 1)``, or ``base_index``,
+        The base index is a uniform draw from range(size), or ``base_index``,
         which is checked once, at the first draw: outside range(size) it is
         an input error.  The group part is the next of ``_part_stream`` at
         that index; the base indices come from ``_box_stream`` and the parts

@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import and_, or_
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .core import (
@@ -50,7 +52,7 @@ def _in_table_order(table: PartialAdditionTable, part) -> List[str]:
 
 
 @derived
-def _checked(table: PartialAdditionTable) -> Dict[Decomposition, Tuple[Tuple[int, ...], List[int]]]:
+def _checked(table: PartialAdditionTable) -> Dict[Decomposition, Tuple[Tuple[int, ...], Tuple[int, ...]]]:
     """The decompositions of ``table`` validated so far, each with the part
     index of every element and its parts as bitmasks over element indices."""
     return {}
@@ -77,7 +79,7 @@ def _check_labels(table: PartialAdditionTable, labels: Tuple[int, ...], n: int) 
         )
 
 
-def _validated(table: PartialAdditionTable, D: Decomposition) -> Tuple[Tuple[int, ...], List[int]]:
+def _validated(table: PartialAdditionTable, D: Decomposition) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     """The labels and part masks of ``D``, after the checks of
     ``validate_decomposition``."""
     checked = _checked(table)
@@ -98,7 +100,7 @@ def _validated(table: PartialAdditionTable, D: Decomposition) -> Tuple[Tuple[int
         raise InputError("parts do not cover the carrier")
     labels = tuple(map(seen.__getitem__, table.elements))
     _check_labels(table, labels, n)
-    entry = checked[D] = labels, [_mask(table, part) for part in D.parts]
+    entry = checked[D] = labels, tuple(_mask(table, part) for part in D.parts)
     return entry
 
 
@@ -109,7 +111,7 @@ def validate_decomposition(table: PartialAdditionTable, D: Decomposition) -> Non
     _validated(table, D)
 
 
-def _part_masks(table: PartialAdditionTable, D: Decomposition) -> List[int]:
+def _part_masks(table: PartialAdditionTable, D: Decomposition) -> Tuple[int, ...]:
     """Each part of the validated ``D`` as a bitmask over element indices."""
     return _validated(table, D)[1]
 
@@ -131,22 +133,45 @@ def _from_labels(table: PartialAdditionTable, labels: Tuple[int, ...], n: int) -
         members[l].append(e)
         masks[l] |= 1 << x
     D = Decomposition(tuple(map(frozenset, members)))
-    _checked(table)[D] = labels, masks
+    _checked(table)[D] = labels, tuple(masks)
     return D
 
 
-def _sums_exist(table: PartialAdditionTable, parts: List[int]) -> bool:
-    """Whether every sum of E_i and E_j is defined when i + j < n, for the
-    part masks ``parts`` of a decomposition."""
-    n = len(parts) - 1
-    t = table._sums
-    return all(
-        t[a][b] is not None
-        for i in range(n)
-        for j in range(n - i)
-        for a in _bits(parts[i])
-        for b in _bits(parts[j])
-    )
+@derived
+def _lacking(table: PartialAdditionTable) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """Per element a, as bitmasks: the elements not above a, and the right
+    operands b with a + b undefined."""
+    full = (1 << table.size) - 1
+    return (tuple(full & ~u for u in induced_order(table).up),
+            tuple(sum(1 << b for b, c in enumerate(row) if c is None) for row in table._sums))
+
+
+def _chain_holds(table: PartialAdditionTable, labels: Tuple[int, ...], parts: Tuple[int, ...]) -> bool:
+    """Whether E_0 <= ... <= E_n: every element of E_i is below the union
+    above[i] of the parts after E_i.  One mask test per element."""
+    above = list(accumulate(reversed(parts), or_))[-2::-1] + [0]
+    return not any(map(and_, map(above.__getitem__, labels), _lacking(table)[0]))
+
+
+def _chain_witness(table: PartialAdditionTable, parts: Tuple[int, ...]) -> Tuple[str, str]:
+    """The witness of a failed chain: the first a of E_i and b of E_j, i < j,
+    with b not above a, taking i, then j, then a and b in index order."""
+    not_above = _lacking(table)[0]
+    for i, low in enumerate(parts):
+        for high in parts[i + 1:]:
+            for a in _bits(low):
+                gap = high & not_above[a]
+                if gap:
+                    return table.elements[a], table.elements[(gap & -gap).bit_length() - 1]
+    raise InconsistencyError("a failed chain has no witness")
+
+
+def _sums_exist(table: PartialAdditionTable, labels: Tuple[int, ...], parts: Tuple[int, ...]) -> bool:
+    """Whether every sum of E_i and E_j is defined when i + j < n: each
+    element of E_i has a defined sum with every element of the union
+    E_0 | ... | E_{n-1-i}.  One mask test per element."""
+    below = list(accumulate(parts[:-1], or_))[::-1] + [0]
+    return not any(map(and_, map(below.__getitem__, labels), _lacking(table)[1]))
 
 
 def find_decompositions(table: PartialAdditionTable, n: int) -> List[Decomposition]:
@@ -206,23 +231,17 @@ def check_comparability(table: PartialAdditionTable, D: Decomposition):
     are sampled by ``SymbolicPea.check_comparability_sampled`` instead.
     """
     _require_table(table, "check_comparability", "SymbolicPea.check_comparability_sampled")
-    parts = _part_masks(table, D)
-    up = induced_order(table).up
-    els = table.elements
-    n = D.n
-    # the elements of a higher part that are not above a
-    gaps = ((a, parts[j] & ~up[a]) for i in range(n + 1) for j in range(i + 1, n + 1)
-            for a in _bits(parts[i]))
-    witness = next(((els[a], els[next(_bits(gap))]) for a, gap in gaps if gap), None)
-    comparable = witness is None
-    sums_exist = _sums_exist(table, parts)
+    labels, parts = _validated(table, D)
+    comparable = _chain_holds(table, labels, parts)
+    sums_exist = _sums_exist(table, labels, parts)
     if comparable != sums_exist:
         raise InconsistencyError(
             "comparability biconditional failed: chain %s, sums %s"
             % (comparable, sums_exist)
         )
     if not comparable:
-        return ComparabilityReport(False, sums_exist, witness)
+        return ComparabilityReport(False, sums_exist, _chain_witness(table, parts))
+    n = D.n
     _, infinit = isotropic_data(table)
     e0_is_infinit = D.parts[0] == infinit
     e0_normal = (
@@ -261,7 +280,8 @@ def is_n_perfect(table: PartialAdditionTable, n: int):
     if not decomps:
         return False, NPerfectCertificate(None, maximal, "no n-decomposition")
     for D in decomps:
-        if not _sums_exist(table, _part_masks(table, D)):
+        labels, parts = _validated(table, D)
+        if not _sums_exist(table, labels, parts):
             continue
         if len(maximal) == 1 and set(maximal[0]) == set(D.parts[0]):
             return True, NPerfectCertificate(D, maximal)

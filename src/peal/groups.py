@@ -58,20 +58,22 @@ def _box_stream(rng: random.Random, lo: int, hi: int, k: int) -> Iterator[Tuple[
     return zip(*[coordinates] * k)
 
 
-def _randint(rng: random.Random, lo: int, hi: int) -> int:
-    """A uniform integer in [lo, hi], drawn as ``Random.randint`` draws it."""
-    return next(_box_stream(rng, lo, hi, 1))[0]
-
-
 def _int_stream(rng: random.Random, lo: int, hi: int) -> Iterator[int]:
-    """The endless stream of ``_randint(rng, lo, hi)`` draws, each drawn
-    when it is taken."""
+    """The endless stream of uniform integers in [lo, hi], each drawn when it
+    is taken, as ``Random.randint`` draws it."""
     return itertools.chain.from_iterable(_box_stream(rng, lo, hi, 1))
+
+
+def _lead_stream(rng: random.Random, bound: int, g, rest: Iterator[tuple]) -> Iterator[tuple]:
+    """The stream of (lead,) + r with lead = |g[0]| + 1 plus a draw from
+    [0, bound] and r the next of ``rest``, drawn in that order."""
+    offset = abs(g[0]) + 1
+    return ((offset + lead,) + r for (lead,), r in zip(_box_stream(rng, 0, bound, 1), rest))
 
 
 class PoGroupHandle:
     """Base interface; concrete groups override the arithmetic, the order
-    and ``stream``, their one sampler, and may add ``sample_dominating``."""
+    and ``stream``, their one sampler, and may add ``dominating_stream``."""
 
     name = "group"
     abelian = False
@@ -120,6 +122,11 @@ class PoGroupHandle:
 
     def sample_dominating(self, rng: random.Random, bound: int, g):
         """Some d >= 0 with g + d >= 0 (used for positive presentations)."""
+        return next(self.dominating_stream(rng, bound, g))
+
+    def dominating_stream(self, rng: random.Random, bound: int, g) -> Iterator:
+        """The endless stream of ``sample_dominating`` draws for ``g``, each
+        drawn when it is taken, exactly as repeated calls draw them."""
         raise NotImplementedError
 
     def upper_bound(self, x, y):
@@ -133,10 +140,10 @@ class PoGroupHandle:
         )
 
     def nonneg_presentations(self, rng: random.Random, bound: int, g, count: int):
-        """Pairs (g1, g2), both >= 0, with g1 - g2 = g (i.e. g1 = g + g2)."""
+        """Pairs (g1, g2), both >= 0, with g1 - g2 = g (i.e. g1 = g + g2),
+        the g2 taken from one dominating stream."""
         out = []
-        for _ in range(count):
-            g2 = self.sample_dominating(rng, bound, g)
+        for g2 in itertools.islice(self.dominating_stream(rng, bound, g), count):
             g1 = self.add(g, g2)
             if not (self.is_positive(g1) and self.is_positive(g2)):
                 raise InputError("dominating sample failed to produce a presentation")
@@ -251,11 +258,11 @@ class IntVectorGroup(PoGroupHandle):
             else:
                 yield (0,) * k
 
-    def sample_dominating(self, rng, bound, g):
+    def dominating_stream(self, rng, bound, g):
         if self.order == "pointwise":
-            return tuple(max(-a, 0) + r for a, r in zip(g, next(_box_stream(rng, 0, bound, len(g)))))
-        lead = abs(g[0]) + 1 + _randint(rng, 0, bound)
-        return (lead,) + next(_box_stream(rng, -bound, bound, self.k - 1))
+            floor = tuple(max(-a, 0) for a in g)
+            return map(functools.partial(_add, floor), _box_stream(rng, 0, bound, len(g)))
+        return _lead_stream(rng, bound, g, _box_stream(rng, -bound, bound, self.k - 1))
 
     def upper_bound(self, x, y):
         if self.order == "pointwise":
@@ -339,9 +346,8 @@ class TwistedZ3Group(PoGroupHandle):
         cone, free = _box_stream(rng, 0, bound, 2), _box_stream(rng, -bound, bound, 2)
         return ((lead,) + next(free if lead else cone) for lead in _int_stream(rng, 0, bound))
 
-    def sample_dominating(self, rng, bound, g):
-        lead = abs(g[0]) + 1 + _randint(rng, 0, bound)
-        return (lead,) + next(_box_stream(rng, -bound, bound, 2))
+    def dominating_stream(self, rng, bound, g):
+        return _lead_stream(rng, bound, g, _box_stream(rng, -bound, bound, 2))
 
     def upper_bound(self, x, y):
         return (max(x[0], y[0]) + 1, 0, 0)
@@ -391,9 +397,8 @@ class LexExtensionGroup(PoGroupHandle):
         cone, free = self.inner.stream(rng, bound, nonneg=True), self.inner.stream(rng, bound)
         return ((lead, next(free if lead else cone)) for lead in _int_stream(rng, 0, bound))
 
-    def sample_dominating(self, rng, bound, g):
-        lead = abs(g[0]) + 1 + _randint(rng, 0, bound)
-        return (lead, self.inner.sample(rng, bound))
+    def dominating_stream(self, rng, bound, g):
+        return _lead_stream(rng, bound, g, zip(self.inner.stream(rng, bound)))
 
     def upper_bound(self, x, y):
         return (max(x[0], y[0]) + 1, self.inner.zero())
@@ -457,14 +462,23 @@ class DerivedConeGroup(PoGroupHandle):
             else:
                 raise InputError("rejection sampling of the cone failed for %s" % (self.name,))
 
-    def sample_dominating(self, rng, bound, g):
+    def dominating_stream(self, rng, bound, g):
         if self._sample_dominating is not None:
-            return self._sample_dominating(rng, bound, g)
-        for _ in range(200):
-            d = self.sample_nonneg(rng, bound)
-            if self.is_positive(self.add(g, d)):
-                return d
-        raise InputError("no dominating element found for %s" % (self.name,))
+            return map(self._sample_dominating, itertools.repeat(rng), itertools.repeat(bound),
+                       itertools.repeat(g))
+        return self._rejection_dominating(rng, bound, g)
+
+    def _rejection_dominating(self, rng, bound, g):
+        # per element, the first of at most 200 points of the cone that
+        # dominates g
+        cone = self.stream(rng, bound, nonneg=True)
+        while True:
+            for d in itertools.islice(cone, 200):
+                if self.is_positive(self.add(g, d)):
+                    yield d
+                    break
+            else:
+                raise InputError("no dominating element found for %s" % (self.name,))
 
     def upper_bound(self, x, y):
         return self.base.upper_bound(x, y)

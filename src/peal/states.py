@@ -45,6 +45,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import attrgetter
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .core import (
@@ -490,18 +491,25 @@ def solve_state_space(table: PartialAdditionTable) -> StateSpace:
     extremals = []
     if blocks is not None:
         factors = [_block_values(p, block) for block in blocks]
-        # one vertex per tuple of block vertices, over their common denominator
+        # one vertex per tuple of block vertices, all over the denominator
+        # common to every block vertex, so each is rescaled once
+        den = math.lcm(*(bd for factor in factors for bd, _ in factor))
+        factors = [[tuple((i, x * (den // bd)) for i, x in values) for bd, values in factor]
+                   for factor in factors]
+        pinned = [x * den for x in p]
         for combo in product(*factors):
-            den = math.lcm(*(bd for bd, _ in combo))
-            num = [x * den for x in p]
-            for bd, values in combo:
-                scale = den // bd
+            num = pinned.copy()
+            for values in combo:
                 for i, x in values:
-                    num[i] = x * scale
+                    num[i] = x
             extremals.append(StateVector._from_ints(table, num, m * den))
     # order by value tuple: numerators over one denominator common to all
-    den = math.lcm(*(s._den for s in extremals))
-    extremals.sort(key=lambda s: tuple(x * (den // s._den) for x in s._num))
+    dens = {s._den for s in extremals}
+    if len(dens) == 1:
+        extremals.sort(key=attrgetter("_num"))
+    else:
+        den = math.lcm(*dens)
+        extremals.sort(key=lambda s: tuple(x * (den // s._den) for x in s._num))
     els = table.elements
     # the free elements first, then the pivot elements in column order
     particular = dict.fromkeys([els[f] for f in free])

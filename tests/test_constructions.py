@@ -497,7 +497,22 @@ def test_measure_refuses_a_finite_table():
 # nothing from SymbolicPea.
 
 
-class FrozenIntVectorGroup(IntVectorGroup):
+class FrozenPresentations:
+    """``PoGroupHandle.nonneg_presentations`` as it was with one
+    ``sample_dominating`` call per pair, for the frozen twins."""
+
+    def nonneg_presentations(self, rng, bound, g, count):
+        out = []
+        for _ in range(count):
+            g2 = self.sample_dominating(rng, bound, g)
+            g1 = self.add(g, g2)
+            if not (self.is_positive(g1) and self.is_positive(g2)):
+                raise InputError("dominating sample failed to produce a presentation")
+            out.append((g1, g2))
+        return out
+
+
+class FrozenIntVectorGroup(FrozenPresentations, IntVectorGroup):
     def add(self, x, y):
         return tuple(a + b for a, b in zip(x, y))
 
@@ -532,7 +547,7 @@ class FrozenIntVectorGroup(IntVectorGroup):
         return (lead,) + tuple(rng.randint(-bound, bound) for _ in range(self.k - 1))
 
 
-class FrozenTwistedZ3Group(TwistedZ3Group):
+class FrozenTwistedZ3Group(FrozenPresentations, TwistedZ3Group):
     def sample(self, rng, bound):
         return tuple(rng.randint(-bound, bound) for _ in range(3))
 
@@ -547,7 +562,7 @@ class FrozenTwistedZ3Group(TwistedZ3Group):
         return (lead, rng.randint(-bound, bound), rng.randint(-bound, bound))
 
 
-class FrozenLexExtensionGroup(LexExtensionGroup):
+class FrozenLexExtensionGroup(FrozenPresentations, LexExtensionGroup):
     def sample(self, rng, bound):
         return (rng.randint(-bound, bound), self.inner.sample(rng, bound))
 
@@ -562,7 +577,7 @@ class FrozenLexExtensionGroup(LexExtensionGroup):
         return (lead, self.inner.sample(rng, bound))
 
 
-class FrozenDerivedConeGroup(DerivedConeGroup):
+class FrozenDerivedConeGroup(FrozenPresentations, DerivedConeGroup):
     def sample(self, rng, bound):
         return self.base.sample(rng, bound)
 
@@ -1049,6 +1064,30 @@ def test_group_samplers_match_frozen_draw_for_draw(group):
                 assert group.add(x, p) == old.add(x, p) and group.neg(x) == old.neg(x)
                 assert group.is_positive(x) == old.is_positive(x)
                 assert group.is_positive(p) == old.is_positive(p)
+
+
+def presentation_outcome(group, rng, bound, g, count):
+    try:
+        return group.nonneg_presentations(rng, bound, g, count)
+    except PealError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("group", DRAW_GROUPS, ids=lambda g: g.name)
+def test_presentations_match_frozen_draw_for_draw(group):
+    """``nonneg_presentations`` takes its ``count`` pairs from one dominating
+    stream: they, or the error raised, and the generator state after them
+    are those of ``count`` frozen ``sample_dominating`` calls."""
+    old = frozen_group(group)
+    for seed in range(6):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for bound in (0, 1, 3, 10):
+            for count in (0, 1, 2, 5):
+                g = group.sample(ours, bound)
+                assert g == old.sample(theirs, bound)
+                assert presentation_outcome(group, ours, bound, g, count) == \
+                    presentation_outcome(old, theirs, bound, g, count)
+                assert ours.getstate() == theirs.getstate()
 
 
 def test_deep_lex_cones_draw_by_a_loop():

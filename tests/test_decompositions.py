@@ -3,11 +3,23 @@ import math
 import pytest
 
 from peal.constructions import boolean4_table, builtin_pea, chain_table, diamond_table
-from peal.core import InconsistencyError, InputError, PealError, complements
-from peal.corpus import are_isomorphic
+from peal import ideals as ideals_mod
+from peal.core import (
+    InconsistencyError,
+    InputError,
+    PealError,
+    _bits,
+    _mask,
+    complements,
+    induced_order,
+    isotropic_data,
+)
+from peal.corpus import are_isomorphic, generate_peas
 from peal.decompositions import (
+    ComparabilityReport,
     Decomposition,
     _from_labels,
+    _part_masks,
     canonical_chain_report,
     check_comparability,
     check_condition_e,
@@ -17,7 +29,7 @@ from peal.decompositions import (
     validate_decomposition,
 )
 from peal.states import discrete_labelings, enumerate_discrete_states
-from test_states import horizontal_sum
+from test_states import horizontal_sum, hsum_tables
 
 
 def test_diamond_two_decomposition(diamond):
@@ -290,3 +302,99 @@ def test_mutated_labelings_raise_the_frozen_messages(pea_corpus_full):
 def test_non_integer_n_is_an_input_error(entry):
     with pytest.raises(InputError, match=r"^n must be a positive integer, got 1\.5$"):
         entry(boolean4_table(), 1.5)
+
+
+# -- frozen comparability -----------------------------------------------------
+#
+# ``check_comparability`` and ``_sums_exist`` as they stood when the chain was
+# scanned element by element in the order of its witness and every sum of a
+# lower pair of parts was looked up in the table.
+
+
+def frozen_sums_exist(table, parts):
+    n = len(parts) - 1
+    t = table._sums
+    return all(
+        t[a][b] is not None
+        for i in range(n)
+        for j in range(n - i)
+        for a in _bits(parts[i])
+        for b in _bits(parts[j])
+    )
+
+
+def frozen_check_comparability(table, D):
+    validate_decomposition(table, D)
+    parts = [_mask(table, part) for part in D.parts]
+    up = induced_order(table).up
+    els = table.elements
+    n = D.n
+    gaps = ((a, parts[j] & ~up[a]) for i in range(n + 1) for j in range(i + 1, n + 1)
+            for a in _bits(parts[i]))
+    witness = next(((els[a], els[next(_bits(gap))]) for a, gap in gaps if gap), None)
+    comparable = witness is None
+    sums_exist = frozen_sums_exist(table, parts)
+    if comparable != sums_exist:
+        raise InconsistencyError(
+            "comparability biconditional failed: chain %s, sums %s"
+            % (comparable, sums_exist)
+        )
+    if not comparable:
+        return ComparabilityReport(False, sums_exist, witness)
+    _, infinit = isotropic_data(table)
+    e0_is_infinit = D.parts[0] == infinit
+    e0_normal = (
+        ideals_mod.is_ideal(table, D.parts[0])[0]
+        and ideals_mod.is_normal(table, D.parts[0])[0]
+    )
+    sums_onto = all(
+        {table.add(a, b) for a in D.parts[i] for b in D.parts[j]} == set(D.parts[i + j])
+        for i in range(n + 1) for j in range(n + 1) if i + j < n)
+    if not (e0_is_infinit and e0_normal and sums_onto):
+        raise InconsistencyError(
+            "comparability consequences failed: infinit=%s normal=%s onto=%s"
+            % (e0_is_infinit, e0_normal, sums_onto)
+        )
+    return ComparabilityReport(
+        True, True, None, e0_is_infinit, e0_normal, sums_onto, True
+    )
+
+
+def comparability_outcome(check, table, D):
+    try:
+        return check(table, D)
+    except PealError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_comparability_matches_frozen_scan():
+    """Every n-decomposition (n <= 4) of the corpus of at most 8 elements
+    and of the horizontal sums gets the frozen report, witness included,
+    and its masks are its parts."""
+    seen = {True: 0, False: 0}
+    for table in list(generate_peas(8)) + hsum_tables():
+        for n in range(1, min(4, table.size - 1) + 1):
+            for D in find_decompositions(table, n):
+                report = comparability_outcome(check_comparability, table, D)
+                assert report == comparability_outcome(frozen_check_comparability, table, D)
+                seen[report.comparable] += 1
+                assert list(_part_masks(table, D)) == [_mask(table, p) for p in D.parts]
+    assert seen[True] > 30 and seen[False] > 1000, seen
+
+
+def test_comparability_of_built_decompositions_matches_frozen_scan(pea_corpus_small):
+    """A decomposition built by name, not found by the search, is validated
+    by ``check_comparability`` as before: the same report, or the same
+    error for a partition that is not a decomposition."""
+    for table in pea_corpus_small:
+        for n in (1, 2):
+            for labels in discrete_labelings(table, n):
+                D = Decomposition(tuple(
+                    frozenset(e for e, l in zip(table.elements, labels) if l == i)
+                    for i in range(n + 1)))
+                assert comparability_outcome(check_comparability, table, D) == \
+                    comparability_outcome(frozen_check_comparability, table, D)
+        broken = Decomposition((frozenset([table.zero]), frozenset(table.elements) - {table.zero},
+                                frozenset()))
+        assert comparability_outcome(check_comparability, table, broken) == \
+            comparability_outcome(frozen_check_comparability, table, broken)

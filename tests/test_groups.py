@@ -24,7 +24,7 @@ from peal.groups import (
     UnitalPoGroup,
     _box_stream,
     _first_witness,
-    _randint,
+    _int_stream,
     builtin_group,
     is_commutator,
     probe_directed,
@@ -283,6 +283,11 @@ def test_positive_presentations():
 # is the range [0, 0] that a bound of 0 draws from
 WIDTHS = sorted({1, 2} | {w for j in range(2, 9) for w in (2 ** j - 1, 2 ** j, 2 ** j + 1)})
 RANGES = [(lo, lo + w - 1) for w in WIDTHS for lo in (0, -(w // 2), -w, 7)]
+
+
+def _randint(rng, lo, hi):
+    """One draw of the kernel from [lo, hi]."""
+    return next(_int_stream(rng, lo, hi))
 
 
 def test_randint_takes_the_stream_of_random_randint():
