@@ -187,9 +187,13 @@ def decomposition_state_bijection(table: PartialAdditionTable, n: int):
     induced state and the two constructions are verified mutually inverse.
 
     Both lists follow the same sorted labelings, so they pair by position,
-    and each pair is compared on the labels of its decomposition."""
+    and each pair is compared on the labels of its decomposition.  The
+    labelings are found additive once, when ``_from_labels`` validates the
+    decompositions; the states built from them take only the range, zero
+    and one checks."""
     decomps = find_decompositions(table, n)
-    states = states_mod.enumerate_discrete_states(table, n)
+    states = [states_mod.StateVector._from_additive(table, labels, n)
+              for labels in states_mod.discrete_labelings(table, n)]
     if len(decomps) != len(states):
         raise InconsistencyError(
             "|D_n| = %d but |S_n| = %d" % (len(decomps), len(states))

@@ -4,7 +4,9 @@ Every handle offers exact arithmetic (add, neg, zero), the positivity
 predicate deciding the order, one seeded sampler (``stream``, a lazy, endless
 stream of elements or of positive elements), and a few constructive helpers
 (upper bounds, positive presentations g = g1 - g2) that the constructions
-module leans on.  Every draw of peal comes from one kernel, ``_box_stream``.
+module leans on.  Every draw of peal comes from one kernel, ``_box_stream``:
+one generator per stream, whose frame runs the rejection loop of
+``Random.randint`` on ``getrandbits`` and draws each point when it is taken.
 Properties of infinite structures are only ever probed on samples; reports
 carry the sample count and seed and never upgrade a sampled pass to a
 universal claim.  Every sampled verdict of peal runs on one loop,
@@ -38,24 +40,54 @@ def _box_stream(rng: random.Random, lo: int, hi: int, k: int) -> Iterator[Tuple[
     is taken: its k coordinates, in order, each a uniform integer in [lo, hi]
     drawn exactly as ``Random.randint`` draws it.
 
-    The one draw kernel of peal.  Each coordinate is the rejection loop of
-    ``Random._randbelow_with_getrandbits``: ``getrandbits(b)`` with b the bit
-    length of the range width, redrawn while it falls outside the range.  So
+    The one draw kernel of peal, and the one function that names
+    ``getrandbits``: it refuses an empty range at once, gives ``()`` for
+    every point at k = 0, and otherwise hands the bound ``rng.getrandbits``
+    to ``_box_points``, one generator whose frame holds the whole draw.  So
     the stream makes the same calls on the generator as ``Random.randint``
     and ``Random.randrange`` do on Python >= 3.10 and leaves it in the same
-    state, and a sampled verdict depends only on its seed and sample count.
-    The loop is a chain of lazy iterators (``getrandbits`` calls, the draws
-    below the range width, shifted by lo, k at a time), so nothing past the
-    last point taken is drawn.  At k = 0 every point is ``()``.  An empty
-    range is refused here, at once."""
+    state, and a sampled verdict depends only on its seed and sample count."""
     n = hi - lo + 1
     if n <= 0:
         raise ValueError("empty range [%d, %d]" % (lo, hi))
     if not k:
         return itertools.repeat(())
-    bits = iter(functools.partial(rng.getrandbits, n.bit_length()), -1)
-    coordinates = map(lo.__add__, filter(n.__gt__, bits))
-    return zip(*[coordinates] * k)
+    return _box_points(rng.getrandbits, n.bit_length(), n, lo, k)
+
+
+def _box_points(draw: Callable[[int], int], b: int, n: int, lo: int,
+                k: int) -> Iterator[Tuple[int, ...]]:
+    """The points of ``_box_stream`` for k >= 1, n the range width and b its
+    bit length.  Each coordinate is the rejection loop of
+    ``Random._randbelow_with_getrandbits``: ``draw(b)``, redrawn while it is
+    at least n, then shifted by lo.  A generator draws nothing before its
+    first ``next``, and each ``next`` draws one point, so nothing past the
+    last point taken is drawn.  The points of one and two coordinates, which
+    most draws are, are written out; longer ones take a loop."""
+    if k == 1:
+        while True:
+            r = draw(b)
+            while r >= n:
+                r = draw(b)
+            yield (lo + r,)
+    if k == 2:
+        while True:
+            r = draw(b)
+            while r >= n:
+                r = draw(b)
+            s = draw(b)
+            while s >= n:
+                s = draw(b)
+            yield (lo + r, lo + s)
+    coordinates = range(k)
+    while True:
+        point = []
+        for _ in coordinates:
+            r = draw(b)
+            while r >= n:
+                r = draw(b)
+            point.append(lo + r)
+        yield tuple(point)
 
 
 def _int_stream(rng: random.Random, lo: int, hi: int) -> Iterator[int]:

@@ -72,6 +72,14 @@ def _range_check(e: str, num: int, den: int) -> None:
         )
 
 
+def _require_additive(table: PartialAdditionTable, num: Sequence[int]) -> None:
+    bad = _nonadditive(table, num)
+    if bad is not None:
+        raise InputError(
+            "state not additive at %r + %r = %r" % tuple(table.elements[x] for x in bad)
+        )
+
+
 def _fraction_string(num: int, den: int) -> str:
     """``str(Fraction(num, den))`` without building the Fraction."""
     g = math.gcd(num, den)
@@ -99,12 +107,24 @@ class StateVector:
             nums.append(v.numerator)
             dens.append(v.denominator)
         den = math.lcm(*dens)
-        self._adopt(table, [x * (den // d) for x, d in zip(nums, dens)], den)
+        num = [x * (den // d) for x, d in zip(nums, dens)]
+        self._adopt(table, num, den)
+        _require_additive(table, num)
 
     @classmethod
     def _from_ints(cls, table: PartialAdditionTable, num: Sequence[int], den: int) -> "StateVector":
         """The state with value ``num[i] / den`` at element i (``den`` > 0),
         checked exactly as the constructor checks a mapping."""
+        self = cls._from_additive(table, num, den)
+        _require_additive(table, num)
+        return self
+
+    @classmethod
+    def _from_additive(cls, table: PartialAdditionTable, num: Sequence[int],
+                       den: int) -> "StateVector":
+        """The state of ``_from_ints`` for numerators that the caller has
+        already found additive on every defined sum: the range, zero and one
+        checks only."""
         if min(num) < 0 or max(num) > den:
             for e, x in zip(table.elements, num):
                 _range_check(e, x, den)
@@ -113,17 +133,12 @@ class StateVector:
         return self
 
     def _adopt(self, table: PartialAdditionTable, num: Sequence[int], den: int) -> None:
-        """Check zero, one and additivity on in-range numerators, then store
-        them reduced by their gcd with ``den``."""
+        """Check zero and one on in-range numerators, then store them reduced
+        by their gcd with ``den``."""
         if num[table.zero_i] != 0:
             raise InputError("state must send zero to 0")
         if table.one is not None and num[table.one_i] != den:
             raise InputError("state must send one to 1")
-        bad = _nonadditive(table, num)
-        if bad is not None:
-            raise InputError(
-                "state not additive at %r + %r = %r" % tuple(table.elements[x] for x in bad)
-            )
         g = math.gcd(den, *num)
         self.table = table
         self._num = tuple(x // g for x in num) if g > 1 else tuple(num)

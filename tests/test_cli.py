@@ -705,6 +705,12 @@ PINNED_SAMPLED_REPORTS = {
     ("--seed", "5", "construct", "--builtin", "example47", "--group", "z:2",
      "--samples", "2000"):
         "cfb3d63011eeac279e03eb6c6a91b264f104da95e2637220c4bd53e0ed4473e8",
+    # the benchmark's two sampled operations at its seed, recorded before the
+    # box kernel became one generator
+    ("--seed", "100", "suite", "--max-size", "7", "--samples", "2000"):
+        "b818ac6615f941687d9067be483307289c2ee74159ccb4313a3f561042a3f4af",
+    ("--seed", "100", "construct", "--lex-product", "3", "--group", "z:2", "--samples", "2000"):
+        "9962146a1960413fdffe980580eb317c000e980317b7a5c902427797c057e026",
 }
 
 

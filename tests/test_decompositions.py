@@ -28,7 +28,7 @@ from peal.decompositions import (
     is_n_perfect,
     validate_decomposition,
 )
-from peal.states import discrete_labelings, enumerate_discrete_states
+from peal.states import StateVector, discrete_labelings, enumerate_discrete_states
 from test_states import horizontal_sum, hsum_tables
 
 
@@ -293,6 +293,43 @@ def test_mutated_labelings_raise_the_frozen_messages(pea_corpus_full):
                                 messages.add(outcome[1].split(" ")[-1])
     assert messages >= {"carrier", "parts", "empty"}
     assert any(m.startswith("E_") for m in messages)  # complements of x land outside E_i
+
+
+def only_additivity_fails(table, labels, n):
+    """Whether ``labels`` use every label of 0..n, send zero to 0, one to n
+    and the complements of an element labelled i to n - i, yet break a
+    defined sum."""
+    label = dict(zip(table.elements, labels))
+    return (labels[table.zero_i] == 0 and labels[table.one_i] == n
+            and set(labels) == set(range(n + 1))
+            and all(label[c] == n - label[x] for x in table.elements
+                    for c in complements(table, x))
+            and any(labels[i] + labels[j] != labels[k] for i, j, k in table.defined_sums()))
+
+
+def test_a_nonadditive_labeling_is_refused_by_both_constructions(pea_corpus_small):
+    """The bijection finds its labelings additive once, in ``_from_labels``;
+    on their own, ``_from_labels`` and ``StateVector._from_ints`` each still
+    refuse a labeling that breaks a sum.  The labelings here move an element
+    and its complements to mirrored labels."""
+    refused = 0
+    for table in list(pea_corpus_small) + [horizontal_sum(3, 2), horizontal_sum(2, 3)]:
+        for n in range(1, min(table.size, 4)):
+            for labels in discrete_labelings(table, n)[:4]:
+                for a in table.elements[1:]:
+                    minus, tilde = complements(table, a)
+                    for p in range(n + 1):
+                        mutated = list(labels)
+                        for e, q in ((a, p), (minus, n - p), (tilde, n - p)):
+                            mutated[table.index(e)] = q
+                        if not only_additivity_fails(table, mutated, n):
+                            continue
+                        with pytest.raises(InputError, match="violates additivity"):
+                            _from_labels(table, tuple(mutated), n)
+                        with pytest.raises(InputError, match="not additive"):
+                            StateVector._from_ints(table, mutated, n)
+                        refused += 1
+    assert refused > 10
 
 
 @pytest.mark.parametrize("entry", [

@@ -300,12 +300,18 @@ def test_randint_takes_the_stream_of_random_randint():
             assert ours.getstate() == theirs.getstate()
 
 
+# widths whose draws take more than one 32-bit word of the generator
+WIDE_RANGES = [(lo, lo + w - 1) for w in (2 ** 32 - 1, 2 ** 32 + 1, 2 ** 40)
+               for lo in (0, -(w // 2))]
+
+
 def test_box_stream_takes_the_stream_of_randints():
     """Each point is k draws of ``Random.randint(lo, hi)``, and nothing past
-    the last point taken is drawn; at k = 0 every point is ``()``."""
+    the last point taken is drawn; at k = 0 every point is ``()``.  k = 1 and
+    k = 2 are written out in the kernel, and k >= 3 takes its loop."""
     for seed in range(20):
-        for lo, hi in RANGES[::3]:
-            for k in (0, 1, 2, 3):
+        for lo, hi in RANGES[::3] + WIDE_RANGES:
+            for k in (0, 1, 2, 3, 4, 5):
                 ours, theirs = random.Random(seed), random.Random(seed)
                 points = _box_stream(ours, lo, hi, k)
                 for _ in range(4):
@@ -313,13 +319,30 @@ def test_box_stream_takes_the_stream_of_randints():
                     assert ours.getstate() == theirs.getstate()
 
 
+def test_box_streams_of_different_widths_interleave_on_one_generator():
+    """Taking from two box streams in turn draws what the matching
+    ``Random.randint`` calls draw, in the order the points are taken."""
+    for seed in range(20):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        narrow, wide = _box_stream(ours, -3, 3, 2), _box_stream(ours, 0, 2 ** 33, 1)
+        for turn in (0, 1, 1, 0, 0, 0, 1, 0, 1, 1):
+            if turn:
+                assert next(wide) == (theirs.randint(0, 2 ** 33),)
+            else:
+                assert next(narrow) == (theirs.randint(-3, 3), theirs.randint(-3, 3))
+            assert ours.getstate() == theirs.getstate()
+
+
 def test_randint_rejects_an_empty_range():
     rng = random.Random(0)
+    state = rng.getstate()
     for lo, hi in ((1, 0), (1, -1), (5, 3)):
         with pytest.raises(ValueError):
             _randint(rng, lo, hi)
         with pytest.raises(ValueError):
             _box_stream(rng, lo, hi, 2)
+    # refused before any draw
+    assert rng.getstate() == state
     # a negative bound is an empty range, for elements and for the cone
     for handle in (IntVectorGroup(2), IntVectorGroup(3, "lex"), TwistedZ3Group(),
                    LexExtensionGroup(TwistedZ3Group()), LexExtensionGroup(IntVectorGroup(2, "lex"))):
