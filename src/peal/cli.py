@@ -14,10 +14,11 @@ import hashlib
 import json
 import os
 import sys
-from itertools import chain
+from fractions import Fraction
+from itertools import chain, compress
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
-from typing import Dict, Iterator, List, Optional, TextIO
+from typing import Dict, Iterator, List, Optional, Sequence, TextIO
 
 from . import decompositions as dec
 from . import ideals as idl
@@ -149,31 +150,146 @@ def _dict_rows(value: list, depth: int, out: TextIO) -> bool:
     return True
 
 
-def _nested_rows(value, depth: int, out: TextIO) -> bool:
-    """Write ``value``, a list or tuple of nonempty lists or tuples of
-    nonempty lists or tuples of scalars, with each distinct scalar encoded
-    once; False, writing nothing, for any other value."""
-    if not all(value):
-        return False
-    children = list(chain.from_iterable(value))
-    if not {list, tuple}.issuperset(map(type, children)) or not all(children):
-        return False
-    memo = _scalar_texts(lambda: chain.from_iterable(children))
-    if memo is None:
-        return False
-    p1, p2, p3 = ("\n" + "  " * (depth + k) for k in (1, 2, 3))
-    leaves = functools.partial(map, ("," + p3).join)
-    texts = map((p2 + "]," + p2 + "[" + p3).join,
-                map(leaves, map(functools.partial(map, functools.partial(map, memo.__getitem__)),
-                                value)))
-    _rows(p1, "[" + p2 + "[" + p3 + "%s" + p2 + "]" + p1 + "]", texts, out)
-    return True
+class RowTable:
+    """A list of a report written one row at a time, each row made from
+    its compact source row only as it is written, so that the list's Python
+    values are never held whole.
+
+    A subclass keeps its source rows in ``rows`` and gives ``texts(pads,
+    comma)``, the text of each item in turn, and ``values()``, each item as
+    the ``json`` module would see it, one at a time; iterating a table gives
+    the same.  ``pads[k]`` is the line break and indent k levels below the
+    list's own, and ``comma`` the comma of an item separator: ``"\\n  ..."``
+    and ``","`` in the indented layout, ``""`` and ``", "`` on one line."""
+
+    rows: Sequence
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __iter__(self) -> Iterator:
+        return self.values()
+
+
+def _write_table(table: RowTable, pads: Sequence[str], comma: str, out: TextIO) -> None:
+    """Write ``table`` as ``json`` writes the list of its values."""
+    texts = table.texts(pads, comma)
+    first = next(texts, None)
+    if first is None:
+        out.write("[]")
+        return
+    out.write("[" + pads[1] + first)
+    out.writelines(map((comma + pads[1]).__add__, texts))
+    out.write(pads[0] + "]")
+
+
+class _LabelRows(RowTable):
+    """A table with one item per row of ``labelled_decompositions``, which
+    reads each row's labels in the sorted order of the element names."""
+
+    def __init__(self, table: PartialAdditionTable, rows: Sequence, n: int):
+        self.rows = rows
+        self.n = n
+        order = sorted(range(table.size), key=table.elements.__getitem__)
+        self.names = [table.elements[x] for x in order]
+        self.pick = itemgetter(*order)
+
+
+class _PartRows(_LabelRows):
+    """The ``decompositions`` of ``decompose``: the sorted names of each
+    part.  The names are sorted and encoded once per table."""
+
+    def _parts(self, names: list) -> Iterator[list]:
+        labels = range(self.n + 1)
+        for row in self.rows:
+            sl = self.pick(row[0])
+            yield [compress(names, map(i.__eq__, sl)) for i in labels]
+
+    def values(self) -> Iterator[list]:
+        for parts in self._parts(self.names):
+            yield list(map(list, parts))
+
+    def texts(self, pads: Sequence[str], comma: str) -> Iterator[str]:
+        _, p1, p2, p3 = pads
+        leaves = (comma + p3).join
+        start, mid, end = "[" + p2 + "[" + p3, p2 + "]" + comma + p2 + "[" + p3, p2 + "]" + p1 + "]"
+        for parts in self._parts(list(map(encode_basestring_ascii, self.names))):
+            yield start + mid.join(map(leaves, parts)) + end
+
+
+class _StateRows(_LabelRows):
+    """The ``states`` of ``decompose``: each row's state, labels / n, as a
+    map from element to fraction.  The keys are sorted and encoded once per
+    table, and the fraction of each label 0..n once, so a row is one
+    template filled from its labels."""
+
+    def _fractions(self, render) -> List[str]:
+        """The fraction of each label 0..n through ``render``.  A table has
+        rows only when n is below its size."""
+        return [render(str(Fraction(i, self.n))) for i in range(self.n + 1)] if self.rows else []
+
+    def values(self) -> Iterator[dict]:
+        fractions = self._fractions(str)
+        for row in self.rows:
+            yield dict(zip(self.names, map(fractions.__getitem__, self.pick(row[0]))))
+
+    def texts(self, pads: Sequence[str], comma: str) -> Iterator[str]:
+        _, p1, p2, _ = pads
+        template = "{" + p2 + (comma + p2).join(
+            encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in self.names) + p1 + "}"
+        fractions = self._fractions(encode_basestring_ascii)
+        for row in self.rows:
+            yield template % tuple(map(fractions.__getitem__, self.pick(row[0])))
+
+
+class _ComparabilityRows(RowTable):
+    """The verdicts of ``decompose``: those in ``head``, as
+    ``Report.verdict`` made them, then one comparability verdict per row of
+    ``labelled_decompositions``.  The detail of each witness is made and
+    encoded once."""
+
+    def __init__(self, head: List[dict], table: PartialAdditionTable, rows: Sequence):
+        self.head = head
+        self.elements = table.elements
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.head) + len(self.rows)
+
+    def _details(self, render) -> Iterator:
+        """The detail of each row through ``render``, once per witness."""
+        done = {}
+        for _, _, witness in self.rows:
+            text = done.get(witness)
+            if text is None:
+                text = done[witness] = render(
+                    "comparable" if witness is None else "not comparable: %r"
+                    % (tuple(map(self.elements.__getitem__, witness)),))
+            yield text
+
+    def values(self) -> Iterator[dict]:
+        yield from self.head
+        for i, detail in enumerate(self._details(str)):
+            yield {"name": "comparability[%d]" % i, "passed": True, "detail": detail}
+
+    def texts(self, pads: Sequence[str], comma: str) -> Iterator[str]:
+        _, p1, p2, _ = pads
+        template = ("{" + p2 + '"detail": %s' + comma + p2 + '"name": %s' + comma + p2
+                    + '"passed": %s' + p1 + "}")
+        for v in self.head:
+            yield template % (encode_basestring_ascii(v["detail"]),
+                              encode_basestring_ascii(v["name"]),
+                              "true" if v["passed"] else "false")
+        template %= ("%s", '"comparability[%d]"', "true")
+        for i, detail in enumerate(self._details(encode_basestring_ascii)):
+            yield template % (detail, i)
 
 
 def _indented(value, depth: int, out: TextIO) -> None:
     """Write the text of ``json.dumps(value, sort_keys=True, indent=2)`` at
     nesting ``depth`` to ``out``, exactly, but not with the stdlib's
     pure-Python encoder, which it falls back to whenever ``indent`` is set.
+    A ``RowTable`` is written as the list its iteration gives.
 
     Four layouts write a whole container at once; Python recurses only over
     the other containers that hold containers.  Two take one call of the C
@@ -181,16 +297,18 @@ def _indented(value, depth: int, out: TextIO) -> None:
     depth, and a list of containers of scalars of one kind, laid out with its
     children's item separator, where a child's closing bracket followed by
     that separator, which holds a raw newline that no encoded string has,
-    marks a separator between children.  Two are row tables, written one row
-    at a time, so that a report of many rows is never held whole: a list of
-    dicts with one set of str keys and scalar values fills in one template
-    per row (``_dict_rows``), and a list of lists of lists of scalars joins
-    each row (``_nested_rows``).  Both encode each distinct scalar once,
-    through a memo that must not merge values that are equal but print
-    apart, such as 1 and True (``_scalar_texts``)."""
+    marks a separator between children.  Two are written one row at a time:
+    a ``RowTable``, whose rows are made from their compact source rows only
+    as they are written, so that its values are never held whole; and a
+    list of dicts with one set of str keys and scalar values, which fills in
+    one template per row (``_dict_rows``) and encodes each distinct scalar
+    once, through a memo that must not merge values that are equal but
+    print apart, such as 1 and True (``_scalar_texts``)."""
     pad = "\n" + "  " * depth
     inner = pad + "  "
-    if _holds_scalars(value):
+    if isinstance(value, RowTable):
+        _write_table(value, tuple(pad + "  " * k for k in range(4)), ",", out)
+    elif _holds_scalars(value):
         text = _flat_encoder(depth + 1).encode(value)
         out.write(text[0] + inner + text[1:-1] + pad + text[-1])
     elif isinstance(value, dict) and value:
@@ -203,8 +321,6 @@ def _indented(value, depth: int, out: TextIO) -> None:
     elif isinstance(value, (list, tuple)) and value:
         kinds = set(map(type, value))
         if kinds == {dict} and len(value) > 1 and _dict_rows(value, depth, out):
-            return
-        if kinds <= {list, tuple} and _nested_rows(value, depth, out):
             return
         if (kinds == {dict} or kinds <= {list, tuple}) and all(map(_holds_scalars, value)):
             text = _flat_encoder(depth + 2).encode(value)
@@ -261,8 +377,13 @@ class Report:
             _indented(self.data, 0, stream)
             stream.write("\n")
             return
-        for key in sorted(self.data["results"]):
-            stream.write("%s: %s\n" % (key, json.dumps(self.data["results"][key], sort_keys=True)))
+        for key, value in sorted(self.data["results"].items()):
+            if isinstance(value, RowTable):
+                stream.write(key + ": ")
+                _write_table(value, ("",) * 4, ", ", stream)
+                stream.write("\n")
+            else:
+                stream.write("%s: %s\n" % (key, json.dumps(value, sort_keys=True)))
         for v in self.data["verdicts"]:
             status = "pass" if v["passed"] else "FAIL"
             tail = ("  " + v["detail"]) if v["detail"] else ""
@@ -337,20 +458,11 @@ def cmd_states(args, report: Report, seed: int) -> int:
 
 def cmd_decompose(args, report: Report, seed: int) -> int:
     table = _load(args, report)
-    pairs = dec.decomposition_state_bijection(table, args.n)
-    report.result(
-        "decompositions",
-        [[sorted(p) for p in D.parts] for D, _ in pairs],
-    )
-    report.result("states", [s.as_strings() for _, s in pairs])
+    rows = dec.labelled_decompositions(table, args.n)
+    report.result("decompositions", _PartRows(table, rows, args.n))
+    report.result("states", _StateRows(table, rows, args.n))
     report.verdict("bijection-mutually-inverse", True)
-    for i, (D, _) in enumerate(pairs):
-        comp = dec.check_comparability(table, D)
-        report.verdict(
-            "comparability[%d]" % i,
-            True,
-            "comparable" if comp.comparable else "not comparable: %r" % (comp.witness,),
-        )
+    report.data["verdicts"] = _ComparabilityRows(report.data["verdicts"], table, rows)
     return 0
 
 

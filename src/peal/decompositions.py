@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, compress
 from operator import and_, or_
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
@@ -27,6 +27,10 @@ from .core import (
 )
 from . import ideals as ideals_mod
 from . import states as states_mod
+
+
+# A row of ``labelled_decompositions``: labels, part masks, chain witness.
+DecompositionRow = Tuple[Tuple[int, ...], Tuple[int, ...], Optional[Tuple[int, int]]]
 
 
 @dataclass(frozen=True)
@@ -116,10 +120,11 @@ def _part_masks(table: PartialAdditionTable, D: Decomposition) -> Tuple[int, ...
     return _validated(table, D)[1]
 
 
-def _from_labels(table: PartialAdditionTable, labels: Tuple[int, ...], n: int) -> Decomposition:
-    """The decomposition whose part E_i holds the elements labelled i, after
-    the checks of ``validate_decomposition`` on the labels themselves (with
-    the same messages); it is recorded as validated."""
+def _parts_of(table: PartialAdditionTable, labels: Tuple[int, ...], n: int) -> Tuple[int, ...]:
+    """The parts of the decomposition whose part E_i holds the elements
+    labelled i, as bitmasks over element indices, after the checks of
+    ``validate_decomposition`` on the labels themselves (with the same
+    messages)."""
     used = set(labels)
     if len(used) != n + 1 or min(used) != 0 or max(used) != n:
         empty = next((i for i in range(n + 1) if i not in used), None)
@@ -127,14 +132,27 @@ def _from_labels(table: PartialAdditionTable, labels: Tuple[int, ...], n: int) -
             raise InputError("part E_%d is empty" % (empty,))
         raise InputError("parts do not cover the carrier")
     _check_labels(table, labels, n)
-    members: List[List[str]] = [[] for _ in range(n + 1)]
-    masks = [0] * (n + 1)
-    for x, (e, l) in enumerate(zip(table.elements, labels)):
-        members[l].append(e)
-        masks[l] |= 1 << x
-    D = Decomposition(tuple(map(frozenset, members)))
-    _checked(table)[D] = labels, tuple(masks)
+    parts = [0] * (n + 1)
+    for bit, i in zip(_unit_masks(table), labels):
+        parts[i] |= bit
+    return tuple(parts)
+
+
+def _decomposition(table: PartialAdditionTable, labels: Tuple[int, ...],
+                   parts: Tuple[int, ...]) -> Decomposition:
+    """The decomposition of a row of ``labelled_decompositions``, recorded
+    as validated."""
+    els = table.elements
+    D = Decomposition(tuple(frozenset(compress(els, map(i.__eq__, labels)))
+                            for i in range(len(parts))))
+    _checked(table)[D] = labels, parts
     return D
+
+
+@derived
+def _unit_masks(table: PartialAdditionTable) -> Tuple[int, ...]:
+    """The bitmask 1 << x of every element index x."""
+    return tuple(1 << x for x in range(table.size))
 
 
 @derived
@@ -153,16 +171,17 @@ def _chain_holds(table: PartialAdditionTable, labels: Tuple[int, ...], parts: Tu
     return not any(map(and_, map(above.__getitem__, labels), _lacking(table)[0]))
 
 
-def _chain_witness(table: PartialAdditionTable, parts: Tuple[int, ...]) -> Tuple[str, str]:
-    """The witness of a failed chain: the first a of E_i and b of E_j, i < j,
-    with b not above a, taking i, then j, then a and b in index order."""
+def _chain_witness(table: PartialAdditionTable, parts: Tuple[int, ...]) -> Tuple[int, int]:
+    """The witness of a failed chain, as element indices: the first a of
+    E_i and b of E_j, i < j, with b not above a, taking i, then j, then a
+    and b in index order."""
     not_above = _lacking(table)[0]
     for i, low in enumerate(parts):
         for high in parts[i + 1:]:
             for a in _bits(low):
                 gap = high & not_above[a]
                 if gap:
-                    return table.elements[a], table.elements[(gap & -gap).bit_length() - 1]
+                    return a, (gap & -gap).bit_length() - 1
     raise InconsistencyError("a failed chain has no witness")
 
 
@@ -174,42 +193,99 @@ def _sums_exist(table: PartialAdditionTable, labels: Tuple[int, ...], parts: Tup
     return not any(map(and_, map(below.__getitem__, labels), _lacking(table)[1]))
 
 
+def _sums_onto(table: PartialAdditionTable, parts: Tuple[int, ...]) -> bool:
+    """Whether E_i + E_j = E_{i+j} whenever i + j < n, for parts whose sums
+    there are all defined."""
+    t = table._sums
+    n = len(parts) - 1
+    for i in range(n):
+        for j in range(n - i):
+            got = 0
+            for a in _bits(parts[i]):
+                row = t[a]
+                for b in _bits(parts[j]):
+                    got |= 1 << row[b]
+            if got != parts[i + j]:
+                return False
+    return True
+
+
+def _comparability(table: PartialAdditionTable, labels: Tuple[int, ...],
+                   parts: Tuple[int, ...]) -> Optional[Tuple[int, int]]:
+    """None when E_0 <= ... <= E_n, else the chain's witness.
+
+    Decides (A) the chain and (B) E_i + E_j exists whenever i+j < n,
+    asserts A <=> B, and when they hold verifies the three consequences
+    (E_0 = Infinit(E) and a normal ideal; E_i + E_j = E_{i+j} below n; no
+    sums above n, which ``_check_labels`` already guarantees)."""
+    comparable = _chain_holds(table, labels, parts)
+    sums_exist = _sums_exist(table, labels, parts)
+    if comparable != sums_exist:
+        raise InconsistencyError(
+            "comparability biconditional failed: chain %s, sums %s"
+            % (comparable, sums_exist)
+        )
+    if not comparable:
+        return _chain_witness(table, parts)
+    e0_is_infinit = parts[0] == _mask(table, isotropic_data(table)[1])
+    e0_normal = ideals_mod._normal_ideal(table, parts[0])
+    sums_onto = _sums_onto(table, parts)
+    if not (e0_is_infinit and e0_normal and sums_onto):
+        raise InconsistencyError(
+            "comparability consequences failed: infinit=%s normal=%s onto=%s"
+            % (e0_is_infinit, e0_normal, sums_onto)
+        )
+    return None
+
+
+def _round_trip(labels: Tuple[int, ...], n: int) -> None:
+    """Raise unless the state labels / n induced by a decomposition, in
+    lowest terms num / den, gives the decomposition back: den divides n and
+    num * (n // den) are the labels."""
+    g = math.gcd(n, *labels)
+    den = n // g
+    num = labels if g == 1 else tuple(l // g for l in labels)
+    k = n // den
+    if n % den or (num if k == 1 else tuple(x * k for x in num)) != labels:
+        raise InconsistencyError("state preimages do not recover the decomposition")
+
+
+@derived
+def labelled_decompositions(table: PartialAdditionTable, n: int) -> Tuple[DecompositionRow, ...]:
+    """The n-decompositions of ``table`` as rows of ints, one per labeling
+    of ``discrete_labelings`` and in its order, each checked before it is
+    returned: the labels are a decomposition (``_parts_of``), the state
+    labels / n gives them back (``_round_trip``, so D_n(E) <-> S_n(E) is
+    mutually inverse), and the comparability test holds with its
+    consequences (``_comparability``).
+
+    A row is (labels, part masks, witness): the label of every element,
+    part E_i as a bitmask over element indices, and the index pair of the
+    chain's witness, or None when the decomposition is comparable.  Rows
+    hold ints only, so the cyclic collector stops tracking them.  They are
+    found once per table and n, and the public functions of this module,
+    the suite and ``pea decompose`` all read them."""
+    rows = []
+    for labels in states_mod.discrete_labelings(table, n):
+        parts = _parts_of(table, labels, n)
+        _round_trip(labels, n)
+        rows.append((labels, parts, _comparability(table, labels, parts)))
+    return tuple(rows)
+
+
 def find_decompositions(table: PartialAdditionTable, n: int) -> List[Decomposition]:
-    """All n-decompositions, by the shared labeling search; each labeling is
-    validated against the partition conditions before its decomposition is
-    returned."""
-    return [_from_labels(table, labels, n)
-            for labels in states_mod.discrete_labelings(table, n)]
+    """All n-decompositions, in labeling order."""
+    return [_decomposition(table, labels, parts)
+            for labels, parts, _ in labelled_decompositions(table, n)]
 
 
 def decomposition_state_bijection(table: PartialAdditionTable, n: int):
-    """The bijection D_n(E) <-> S_n(E): each decomposition is paired with its
-    induced state and the two constructions are verified mutually inverse.
-
-    Both lists follow the same sorted labelings, so they pair by position,
-    and each pair is compared on the labels of its decomposition.  The
-    labelings are found additive once, when ``_from_labels`` validates the
-    decompositions; the states built from them take only the range, zero
-    and one checks."""
-    decomps = find_decompositions(table, n)
-    states = [states_mod.StateVector._from_additive(table, labels, n)
-              for labels in states_mod.discrete_labelings(table, n)]
-    if len(decomps) != len(states):
-        raise InconsistencyError(
-            "|D_n| = %d but |S_n| = %d" % (len(decomps), len(states))
-        )
-    pairs = []
-    for D, s in zip(decomps, states):
-        # the state induced by D is labels / n, compared in lowest terms
-        labels = _validated(table, D)[0]
-        g = math.gcd(n, *labels)
-        if s._den != n // g or s._num != (labels if g == 1 else tuple(l // g for l in labels)):
-            raise InconsistencyError("decomposition-induced state not enumerated")
-        k = n // s._den
-        if n % s._den or (s._num if k == 1 else tuple(x * k for x in s._num)) != labels:
-            raise InconsistencyError("state preimages do not recover the decomposition")
-        pairs.append((D, s))
-    return pairs
+    """The bijection D_n(E) <-> S_n(E): each decomposition paired with its
+    induced state, the two constructions verified mutually inverse by
+    ``labelled_decompositions``."""
+    return [(_decomposition(table, labels, parts),
+             states_mod.StateVector._from_additive(table, labels, n))
+            for labels, parts, _ in labelled_decompositions(table, n)]
 
 
 @dataclass(frozen=True)
@@ -226,43 +302,18 @@ class ComparabilityReport:
 
 
 def check_comparability(table: PartialAdditionTable, D: Decomposition):
-    """Comparability check of a decomposition of a finite table.
-
-    Decides (A) E_0 <= ... <= E_n and (B) E_i + E_j exists whenever i+j < n,
-    asserts A <=> B, and when they hold verifies the three consequences
-    (E_0 = Infinit(E) and normal; E_i + E_j = E_{i+j} below n; no sums above
-    n, which validate_decomposition already guarantees).  Symbolic algebras
-    are sampled by ``SymbolicPea.check_comparability_sampled`` instead.
+    """Comparability check of a decomposition of a finite table, by
+    ``_comparability``: the chain E_0 <= ... <= E_n holds exactly when
+    every sum E_i + E_j with i + j < n exists, and then its consequences
+    hold.  Symbolic algebras are sampled by
+    ``SymbolicPea.check_comparability_sampled`` instead.
     """
     _require_table(table, "check_comparability", "SymbolicPea.check_comparability_sampled")
     labels, parts = _validated(table, D)
-    comparable = _chain_holds(table, labels, parts)
-    sums_exist = _sums_exist(table, labels, parts)
-    if comparable != sums_exist:
-        raise InconsistencyError(
-            "comparability biconditional failed: chain %s, sums %s"
-            % (comparable, sums_exist)
-        )
-    if not comparable:
-        return ComparabilityReport(False, sums_exist, _chain_witness(table, parts))
-    n = D.n
-    _, infinit = isotropic_data(table)
-    e0_is_infinit = D.parts[0] == infinit
-    e0_normal = (
-        ideals_mod.is_ideal(table, D.parts[0])[0]
-        and ideals_mod.is_normal(table, D.parts[0])[0]
-    )
-    sums_onto = all(
-        {table.add(a, b) for a in D.parts[i] for b in D.parts[j]} == set(D.parts[i + j])
-        for i in range(n + 1) for j in range(n + 1) if i + j < n)
-    if not (e0_is_infinit and e0_normal and sums_onto):
-        raise InconsistencyError(
-            "comparability consequences failed: infinit=%s normal=%s onto=%s"
-            % (e0_is_infinit, e0_normal, sums_onto)
-        )
-    return ComparabilityReport(
-        True, True, None, e0_is_infinit, e0_normal, sums_onto, True
-    )
+    witness = _comparability(table, labels, parts)
+    if witness is not None:
+        return ComparabilityReport(False, False, tuple(map(table.elements.__getitem__, witness)))
+    return ComparabilityReport(True, True, None, True, True, True, True)
 
 
 @dataclass(frozen=True)
@@ -280,15 +331,15 @@ def is_n_perfect(table: PartialAdditionTable, n: int):
         for i in ideals_mod.enumerate_ideals(table)
         if i.maximal
     )
-    decomps = find_decompositions(table, n)
-    if not decomps:
+    rows = labelled_decompositions(table, n)
+    if not rows:
         return False, NPerfectCertificate(None, maximal, "no n-decomposition")
-    for D in decomps:
-        labels, parts = _validated(table, D)
-        if not _sums_exist(table, labels, parts):
-            continue
-        if len(maximal) == 1 and set(maximal[0]) == set(D.parts[0]):
-            return True, NPerfectCertificate(D, maximal)
+    if len(maximal) == 1:
+        top = _mask(table, maximal[0])
+        # a row has all its low sums exactly when it is comparable
+        for labels, parts, witness in rows:
+            if witness is None and parts[0] == top:
+                return True, NPerfectCertificate(_decomposition(table, labels, parts), maximal)
     return False, NPerfectCertificate(
         None, maximal, "no decomposition satisfies the sum and ideal conditions"
     )

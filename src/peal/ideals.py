@@ -73,7 +73,11 @@ def is_ideal(table: PartialAdditionTable, S: Iterable[str]):
     """Nonempty, downward closed, closed under defined sums.  The witness
     is the first failure in table element order."""
     _require_gpea(table)
-    I = _mask(table, S)
+    return _ideal(table, _mask(table, S))
+
+
+def _ideal(table: PartialAdditionTable, I: int):
+    """``is_ideal`` on the index mask ``I``."""
     els = table.elements
     if not I:
         return False, ("empty",)
@@ -94,7 +98,11 @@ def is_ideal(table: PartialAdditionTable, S: Iterable[str]):
 def is_normal(table: PartialAdditionTable, S: Iterable[str]):
     """Normality: whenever a+i = j+a, membership of i and j agree."""
     _require_gpea(table)
-    I = _mask(table, S)
+    return _normal(table, _mask(table, S))
+
+
+def _normal(table: PartialAdditionTable, I: int):
+    """``is_normal`` on the index mask ``I``."""
     els = table.elements
     ldiff = _differences(table)[0]
     for a, i, s in table.defined_sums():
@@ -102,6 +110,13 @@ def is_normal(table: PartialAdditionTable, S: Iterable[str]):
         if j is not None and I >> i & 1 != I >> j & 1:
             return False, (els[a], els[i], els[j])
     return True, None
+
+
+@derived
+def _normal_ideal(table: PartialAdditionTable, I: int) -> bool:
+    """Whether the index mask ``I`` is a normal ideal, decided once per
+    table and mask."""
+    return _ideal(table, I)[0] and _normal(table, I)[0]
 
 
 def _require_ideal(table: PartialAdditionTable, S: FrozenSet[str], what: str) -> int:

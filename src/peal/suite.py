@@ -120,12 +120,12 @@ def _state_checks(table: PartialAdditionTable) -> Iterator[str]:
 
 def _bijection_checks(table: PartialAdditionTable, max_n: int) -> Iterator[str]:
     for n in range(1, max_n + 1):
-        for D, s in dec.decomposition_state_bijection(table, n):  # asserts mutual inverse
-            e0 = D.parts[0]
-            if not (idl.is_ideal(table, e0)[0] and idl.is_normal(table, e0)[0]):
+        # each row is asserted mutually inverse with its state, and its
+        # comparability biconditional and consequences, in the kernel
+        for labels, parts, _ in dec.labelled_decompositions(table, n):
+            if not idl._normal_ideal(table, parts[0]):
                 yield "E_0 not a normal ideal at n=%d" % (n,)
-            dec.check_comparability(table, D)  # asserts biconditional + consequences
-            st.classify_state(table, s)
+            st.classify_state(table, st.StateVector._from_additive(table, labels, n))
 
 
 def _ideal_checks(table: PartialAdditionTable, all_ideals) -> Iterator[str]:

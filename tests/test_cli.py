@@ -102,6 +102,56 @@ def test_decompose_command(docs, capsys):
     assert len(json.loads(out)["results"]["decompositions"]) == 2
 
 
+# The default text format of ``decompose``, recorded before its rows were
+# written from label vectors: the sha256 of the whole output.
+PINNED_DECOMPOSE_TEXTS = {
+    ("diamond", "2"): "0bf9db0fd3fb254079145a06b5228bcd125d1a3b0177fb05aeef952a5a0d1c3d",
+    ("boolean4", "1"): "3245bc1229bfd895c521bd88485c0dba5a9bb854428ed53738cae6563ba06b9d",
+    ("hsum-4x3", "2"): "7c2c5d271c091ccd6a98f6346af7482c3cc7777c7a41af0d5c37dc9de6456fd0",
+}
+
+
+@pytest.mark.parametrize("name, n", sorted(PINNED_DECOMPOSE_TEXTS), ids="-".join)
+def test_decompose_text_keeps_its_pinned_bytes(docs, tmp_path, capsys, name, n):
+    path = tmp_path / "hsum-4x3.json"
+    path.write_text(dumps_document(table_to_document(horizontal_sum(4, 3))))
+    docs["hsum-4x3"] = str(path)
+    code, out = run(capsys, ["decompose", docs[name], n])
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_DECOMPOSE_TEXTS[name, n]
+    if name == "diamond":
+        assert out.startswith('decompositions: [[["0"], ["a", "b"], ["1"]]]\n')
+        assert out.endswith('states: [{"0": "0", "1": "1", "a": "1/2", "b": "1/2"}]\n'
+                            "[pass] bijection-mutually-inverse\n"
+                            "[pass] comparability[0]  comparable\n")
+
+
+@pytest.mark.parametrize("n", ["1", "2"])
+def test_decompose_rows_print_their_values_in_both_formats(tmp_path, capsys, monkeypatch, n):
+    """The row tables of ``decompose`` write, in each format, what the
+    stdlib writes for the values their iteration gives, also for names that
+    need escaping and carry a ``%``, and witnesses whose repr mixes quotes."""
+    names = ["0", "1", 'a%s"', "b'\u00e9"]
+    table = PartialAdditionTable.build(names, "0", "1", {(names[2], names[3]): "1",
+                                                         (names[3], names[2]): "1"})
+    path = tmp_path / "named.json"
+    path.write_text(dumps_document(table_to_document(table)))
+    argv = ["decompose", str(path), n]
+    code, out = run(capsys, ["--format", "json"] + argv)
+    code_text, text = run(capsys, argv)
+    report = json.loads(out)
+    assert (code, code_text) == (0, 0)
+    assert [v["detail"].split(":")[0] for v in report["verdicts"][1:]] == \
+        {"1": ["not comparable"] * 2, "2": ["comparable"]}[n]
+    expected = "".join("%s: %s\n" % (k, json.dumps(v, sort_keys=True))
+                       for k, v in sorted(report["results"].items()))
+    expected += "".join("[pass] %s%s\n" % (v["name"], v["detail"] and "  " + v["detail"])
+                        for v in report["verdicts"])
+    assert text == expected
+    monkeypatch.setattr(cli.Report, "emit", frozen_emit)
+    assert run(capsys, ["--format", "json"] + argv) == (0, out)
+
+
 def test_ideals_command(docs, capsys):
     code, out = run(capsys, ["--format", "json", "ideals", docs["boolean4"]])
     data = json.loads(out)
@@ -506,16 +556,26 @@ def test_emitter_matches_stdlib_indent(value):
     [["a"], []],
     [{"a": 1}, ["b"]],
     {"a": [[1], [2]], "b": [{"c": 1}], "d": "]\n"},
+    # lists of lists of lists of scalars, with scalars that print apart
+    # though equal, and strings that look like the layout's brackets
+    [[["b", "a"], ["c"]], [("d",)]],
+    (([1, 2],), [[None]]),
+    [[["]],"], ["[["]], [["\n", "]],\n      [["]]],
+    [[["a"], []], [["b"]]],
+    [[["a"]], []],
+    [[[True]], [[1]]],
+    [[["a"]], [[["b"]]]],
+    [[["a"]], ["b"]],
 ])
 def test_emitter_matches_stdlib_on_mixed_keys_and_children(value):
     assert dumps_report(value) == json.dumps(value, sort_keys=True, indent=2)
 
 
-# Rows for the two row-table layouts: same-keyed dicts of scalars, whose
+# Wide lists: same-keyed dicts of scalars, the row-table layout, whose
 # values mix the scalars a memo of encoded values could merge (True, 1 and
 # 1.0; False, 0, 0.0 and -0.0), and lists of lists of lists of scalars,
-# with empty inner lists, tuples, and strings that look like the brackets
-# and separators of the layout.
+# with empty inner lists, tuples, and strings that look like brackets and
+# separators.
 ROW_SCALARS = hyp.one_of(
     hyp.sampled_from([True, False, 1, 0, 1.0, 0.0, -0.0, None, "", "%s", "%%", "],", "[[", "\n",
                       "]],\n  [[", "\u00e9"]),
@@ -573,27 +633,12 @@ def test_dict_rows_take_the_template_only_where_the_memo_is_safe(value, layout):
     assert out.getvalue() == (json.dumps(value, sort_keys=True, indent=2) if layout else "")
 
 
-@pytest.mark.parametrize("value, layout", [
-    ([[["b", "a"], ["c"]], [("d",)]], True),
-    ((([1, 2],), [[None]]), True),
-    ([[["]],"], ["[["]], [["\n", "]],\n      [["]]], True),
-    ([[["a"], []], [["b"]]], False),
-    ([[["a"]], []], False),
-    ([[[True]], [[1]]], False),
-    ([[["a"]], [[["b"]]]], False),
-    ([[["a"]], ["b"]], False),
-])
-def test_nested_rows_take_the_memo_only_where_it_is_safe(value, layout):
-    out = io.StringIO()
-    assert cli._nested_rows(value, 0, out) == layout
-    assert out.getvalue() == (json.dumps(value, sort_keys=True, indent=2) if layout else "")
-
-
 def frozen_emit(self, fmt, stream=None):
-    """``Report.emit`` for JSON as it stood on the stdlib's indenting encoder."""
+    """``Report.emit`` for JSON as it stood on the stdlib's indenting encoder.
+    A row table is handed to it as the list its own iteration gives."""
     assert fmt == "json"
     stream = stream or sys.stdout
-    json.dump(self.data, stream, sort_keys=True, indent=2)
+    json.dump(self.data, stream, sort_keys=True, indent=2, default=list)
     stream.write("\n")
 
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -18,14 +19,15 @@ from peal.corpus import are_isomorphic, generate_peas
 from peal.decompositions import (
     ComparabilityReport,
     Decomposition,
-    _from_labels,
     _part_masks,
+    _parts_of,
     canonical_chain_report,
     check_comparability,
     check_condition_e,
     decomposition_state_bijection,
     find_decompositions,
     is_n_perfect,
+    labelled_decompositions,
     validate_decomposition,
 )
 from peal.states import StateVector, discrete_labelings, enumerate_discrete_states
@@ -264,7 +266,7 @@ def test_decompositions_match_frozen_path(pea_corpus_full):
 def labeling_outcome(table, labels, n):
     """The error ``find_decompositions`` raises on ``labels``, or None."""
     try:
-        _from_labels(table, tuple(labels), n)
+        _parts_of(table, tuple(labels), n)
     except PealError as exc:
         return type(exc).__name__, str(exc)
     return None
@@ -308,8 +310,8 @@ def only_additivity_fails(table, labels, n):
 
 
 def test_a_nonadditive_labeling_is_refused_by_both_constructions(pea_corpus_small):
-    """The bijection finds its labelings additive once, in ``_from_labels``;
-    on their own, ``_from_labels`` and ``StateVector._from_ints`` each still
+    """The bijection finds its labelings additive once, in ``_parts_of``;
+    on their own, ``_parts_of`` and ``StateVector._from_ints`` each still
     refuse a labeling that breaks a sum.  The labelings here move an element
     and its complements to mirrored labels."""
     refused = 0
@@ -325,7 +327,7 @@ def test_a_nonadditive_labeling_is_refused_by_both_constructions(pea_corpus_smal
                         if not only_additivity_fails(table, mutated, n):
                             continue
                         with pytest.raises(InputError, match="violates additivity"):
-                            _from_labels(table, tuple(mutated), n)
+                            _parts_of(table, tuple(mutated), n)
                         with pytest.raises(InputError, match="not additive"):
                             StateVector._from_ints(table, mutated, n)
                         refused += 1
@@ -435,3 +437,35 @@ def test_comparability_of_built_decompositions_matches_frozen_scan(pea_corpus_sm
                                 frozenset()))
         assert comparability_outcome(check_comparability, table, broken) == \
             comparability_outcome(frozen_check_comparability, table, broken)
+
+
+# -- the label-vector kernel against the frozen decomposition path -------------
+
+
+def frozen_decomposition_rows(table, n):
+    """Each decomposition of the frozen frozenset path, with its state and
+    its frozen comparability report: validated by name, paired with the
+    enumerated states and compared by name, as the library did before its
+    rows were read off ``labelled_decompositions``."""
+    return [(D, s, frozen_check_comparability(table, D)) for D, s in frozen_bijection(table, n)]
+
+
+def test_kernel_rows_match_frozen_decomposition_path():
+    """On every table of the corpus of at most 9 elements, for every n below
+    its size, and on horizontal_sum(4, 3) with n = 2, each kernel row has the
+    parts, state, comparability and witness of the frozen path."""
+    cases = [(t, n) for t in generate_peas(8) + generate_peas(9, min_size=9)
+             for n in range(1, t.size)] + [(horizontal_sum(4, 3), 2)]
+    seen = {True: 0, False: 0}
+    for table, n in cases:
+        els = table.elements
+        rows = labelled_decompositions(table, n)
+        frozen = frozen_decomposition_rows(table, n)
+        assert len(rows) == len(frozen)
+        for (labels, parts, witness), (D, s, report) in zip(rows, frozen):
+            assert tuple(frozenset(els[x] for x in _bits(p)) for p in parts) == D.parts
+            assert all(s(e) == Fraction(label, n) for e, label in zip(els, labels))
+            assert report.comparable == (witness is None)
+            assert report.witness == (None if witness is None else (els[witness[0]], els[witness[1]]))
+            seen[report.comparable] += 1
+    assert seen[True] > 50 and seen[False] > 2000, seen
