@@ -70,6 +70,10 @@ class WellDefinednessError(PealError):
         self.first = first
         self.second = second
 
+    def __reduce__(self):
+        # the default rebuilds from ``args``, which holds the message only
+        return type(self), (self.args[0], self.first, self.second), self.__dict__
+
 
 # -- finite builtins ------------------------------------------------------
 
@@ -1019,11 +1023,16 @@ def universal_group_extension(
         acc = K.add(acc, K.neg(phi((E.base.zero_i, k1))))
         return K.add(acc, phi((E.base.zero_i, k2)))
 
+    canonical = {}
+
     def phi_star(x):
         # any presentation works (that is what well-definedness certifies),
-        # so a fixed-seed pick keeps the callable deterministic
+        # so a fixed-seed pick keeps the callable deterministic; the pick
+        # depends on the part w only, and seeding costs more than the draw
         m, w = x
-        g1, g2 = G.nonneg_presentations(random.Random(7), bound, w, 1)[0]
+        if w not in canonical:
+            canonical[w] = G.nonneg_presentations(random.Random(7), bound, w, 1)[0]
+        g1, g2 = canonical[w]
         return eval_right(m, g1, g2)
 
     def presentations(rng):

@@ -11,7 +11,11 @@ failing table.
 
 from __future__ import annotations
 
+import contextlib
+import os
 import random
+import signal
+import threading
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -283,6 +287,74 @@ def symbolic_battery(report: SuiteReport, seed: int, samples: int) -> None:
         "")
 
 
+@contextlib.contextmanager
+def _battery_beside(report: SuiteReport, seed: int, samples: int) -> Iterator[None]:
+    """Append the verdicts of ``symbolic_battery`` to ``report`` after the
+    body, as if it ran there, while running it beside the body.
+
+    The two share no state, so the battery runs in a forked child that sends
+    its (verdicts, witness document) or the exception it raised back pickled,
+    and always leaves by ``os._exit``, never returning into this stack or
+    flushing the parent's stdio buffers.  An exception from the body wins:
+    the child is killed and reaped before it propagates; the battery's own is
+    raised once the body is done.  The battery runs inline after the body
+    when ``os.fork`` is missing or fails, when another thread is alive
+    (forking is unsafe then), when the process may use one CPU only (a child
+    then costs more than it saves), or when the child died without a
+    result."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    pid = -1
+    if hasattr(os, "fork") and threading.active_count() == 1 and cpus > 1:
+        read_fd, write_fd = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:  # no process to spare
+            os.close(read_fd)
+            os.close(write_fd)
+    if pid < 0:
+        yield
+        symbolic_battery(report, seed, samples)
+        return
+    import pickle  # here: every other command would pay its peak RSS (0.4 MiB)
+
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            battery = SuiteReport(max_size=report.max_size, seed=report.seed)
+            try:
+                symbolic_battery(battery, seed, samples)
+                outcome = (battery.verdicts, battery.witness_document)
+            except BaseException as exc:  # re-raised by the parent
+                outcome = exc
+            with os.fdopen(write_fd, "wb") as pipe:
+                pipe.write(pickle.dumps(outcome))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    data = None
+    with os.fdopen(read_fd, "rb") as pipe:
+        try:
+            yield
+            data = pipe.read()
+        finally:
+            if data is None:
+                os.kill(pid, signal.SIGKILL)
+            _, status = os.waitpid(pid, 0)
+    if status != 0:
+        symbolic_battery(report, seed, samples)
+        return
+    outcome = pickle.loads(data)
+    if isinstance(outcome, BaseException):
+        raise outcome
+    verdicts, witness_document = outcome
+    report.verdicts.extend(verdicts)
+    if report.witness_document is None:
+        report.witness_document = witness_document
+
+
 def run_suite(max_size: int = 5, seed: int = 0, samples: int = 2000) -> SuiteReport:
     """Generate the corpus up to max_size and run the full invariant battery."""
     if max_size > MAX_SUITE_SIZE:
@@ -292,32 +364,32 @@ def run_suite(max_size: int = 5, seed: int = 0, samples: int = 2000) -> SuiteRep
     if samples < 1:
         raise InputError("samples must be at least 1, got %d" % (samples,))
     report = SuiteReport(max_size=max_size, seed=seed)
-    corpus = generate_peas(max_size)
-    for table in corpus:
-        report.corpus_sizes[table.size] = report.corpus_sizes.get(table.size, 0) + 1
-    for idx, table in enumerate(corpus):
-        tag = "[pea%d/%d]" % (table.size, idx)
-        if not check_axioms(table, "pea").passed:
-            report.record("axioms" + tag, False, "generator produced invalid table", table)
-            continue
-        report.record_first("core-invariants" + tag, _core_invariants(table), table)
-        is_symmetric(table)  # asserts that the symmetry criteria agree
-        report.record("symmetry-criteria-agree" + tag, True)
-        report.record_first("rdp-battery" + tag, _rdp_checks(table), table)
-        report.record_first("state-machinery" + tag, _state_checks(table), table)
-        report.record_first("decomposition-state-bijection" + tag,
-                            _bijection_checks(table, min(6, table.size)), table)
-        all_ideals = idl.enumerate_ideals(table)
-        report.record_first("ideal-battery" + tag, _ideal_checks(table, all_ideals), table)
-        idl.two_valued_partition(table)  # asserts the state/ideal bijection
-        report.record("two-valued-partition" + tag, True)
-        if check_rdp0(table)[0]:
-            report.record_first("generated-ideal-lemma" + tag,
-                                _generated_ideal_checks(table, all_ideals), table)
-        report.record_first("n-perfect-battery" + tag, _perfect_checks(table), table)
-    gpeas = [(g, _noncommuting_pair(g) is None) for g in generate_gpeas(min(max_size, 5))]
-    symmetric = sum(sym for _, sym in gpeas)
-    report.record_first("unitization-corpus", _unitization_checks(gpeas), passed=(
-        "%d symmetric, %d non-symmetric" % (symmetric, len(gpeas) - symmetric)))
-    symbolic_battery(report, seed, samples)
+    with _battery_beside(report, seed, samples):
+        corpus = generate_peas(max_size)
+        for table in corpus:
+            report.corpus_sizes[table.size] = report.corpus_sizes.get(table.size, 0) + 1
+        for idx, table in enumerate(corpus):
+            tag = "[pea%d/%d]" % (table.size, idx)
+            if not check_axioms(table, "pea").passed:
+                report.record("axioms" + tag, False, "generator produced invalid table", table)
+                continue
+            report.record_first("core-invariants" + tag, _core_invariants(table), table)
+            is_symmetric(table)  # asserts that the symmetry criteria agree
+            report.record("symmetry-criteria-agree" + tag, True)
+            report.record_first("rdp-battery" + tag, _rdp_checks(table), table)
+            report.record_first("state-machinery" + tag, _state_checks(table), table)
+            report.record_first("decomposition-state-bijection" + tag,
+                                _bijection_checks(table, min(6, table.size)), table)
+            all_ideals = idl.enumerate_ideals(table)
+            report.record_first("ideal-battery" + tag, _ideal_checks(table, all_ideals), table)
+            idl.two_valued_partition(table)  # asserts the state/ideal bijection
+            report.record("two-valued-partition" + tag, True)
+            if check_rdp0(table)[0]:
+                report.record_first("generated-ideal-lemma" + tag,
+                                    _generated_ideal_checks(table, all_ideals), table)
+            report.record_first("n-perfect-battery" + tag, _perfect_checks(table), table)
+        gpeas = [(g, _noncommuting_pair(g) is None) for g in generate_gpeas(min(max_size, 5))]
+        symmetric = sum(sym for _, sym in gpeas)
+        report.record_first("unitization-corpus", _unitization_checks(gpeas), passed=(
+            "%d symmetric, %d non-symmetric" % (symmetric, len(gpeas) - symmetric)))
     return report

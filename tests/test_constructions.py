@@ -480,6 +480,40 @@ def test_universal_extension_examples():
     assert ext3.phi_star((-2, (7,))) == (-2, 7)
 
 
+def frozen_phi_star(phi: Measure, bound: int = 8):
+    """phi_star of universal_group_extension as it was, seeding a fresh
+    Random(7) on every evaluation to pick the presentation of the part."""
+    E, K = phi.domain, phi.codomain
+    G = E.group
+    phi10 = phi((E.levels.index(1), G.zero()))
+
+    def phi_star(x):
+        m, w = x
+        g1, g2 = G.nonneg_presentations(random.Random(7), bound, w, 1)[0]
+        acc = K.scale(m, phi10)
+        acc = K.add(acc, phi((E.base.zero_i, g1)))
+        return K.add(acc, K.neg(phi((E.base.zero_i, g2))))
+
+    return phi_star
+
+
+def test_memoised_phi_star_matches_frozen():
+    """Value for value on the measures of test_universal_extension_examples,
+    each part at several levels, in both orders, after the verification has
+    filled the memo with the parts it drew."""
+    E = lex_product_pea(2, IntVectorGroup(1))
+    points = [(m, (g,)) for g in range(-20, 21) for m in (-5, 0, 3)]
+    points += points[::-1]
+    for codomain, measure in (
+            (LexExtensionGroup(IntVectorGroup(1)), lambda x: (x[0], x[1])),
+            (IntVectorGroup(1), lambda x: (x[0],)),
+            (IntVectorGroup(2), lambda x: (x[0], x[1][0]))):
+        phi = Measure(E, codomain, measure)
+        ext = universal_group_extension(phi, samples=150, presentation_pairs=120, seed=0)
+        frozen = frozen_phi_star(phi)
+        assert [ext.phi_star(x) for x in points] == [frozen(x) for x in points]
+
+
 def test_measure_refuses_a_finite_table():
     with pytest.raises(InputError, match="SymbolicPea"):
         Measure(chain_table(2), IntVectorGroup(1), lambda x: (0,))

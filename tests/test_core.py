@@ -1,4 +1,9 @@
+import copy
+import importlib
+import inspect
 import json
+import pickle
+import pkgutil
 import signal
 from itertools import product
 
@@ -11,6 +16,7 @@ from peal.core import (
     DifferenceUndefinedError,
     InputError,
     PartialAdditionTable,
+    PealError,
     _axioms_hold,
     _differences,
     _noncommuting_pair,
@@ -500,3 +506,39 @@ def test_check_axioms_on_boolean_2_8():
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert all(report.passed for report in reports)
+
+
+def _peal_errors():
+    import peal
+
+    found = {PealError}
+    for info in pkgutil.iter_modules(peal.__path__):
+        module = importlib.import_module("peal." + info.name)
+        found.update(obj for obj in vars(module).values()
+                     if isinstance(obj, type) and issubclass(obj, PealError))
+    return sorted(found, key=lambda cls: (cls.__module__, cls.__qualname__))
+
+
+def test_every_error_pickles_and_copies():
+    """A suite's battery error crosses a process boundary by pickle, so
+    every library error keeps its type, message and attributes through
+    pickle (each protocol) and ``copy.copy``."""
+    errors = _peal_errors()
+    assert {"WellDefinednessError", "InfiniteIntervalError", "NotStrongError"} <= \
+        {cls.__name__ for cls in errors}
+    for cls in errors:
+        # the message, then a tuple for each further argument __init__ names
+        named = 1
+        if cls.__init__ is not Exception.__init__:
+            named = sum(p.kind is p.POSITIONAL_OR_KEYWORD
+                        for p in inspect.signature(cls).parameters.values())
+        args = ["a message"] + [("witness %d" % i,) for i in range(1, named)]
+        exc = cls(*args)
+        exc.note = "set after construction"
+        copies = [pickle.loads(pickle.dumps(exc, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for other in copies + [copy.copy(exc)]:
+            assert type(other) is cls
+            assert str(other) == str(exc) == "a message"
+            assert other.args == exc.args
+            assert vars(other) == vars(exc)

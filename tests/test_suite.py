@@ -1,6 +1,10 @@
 import dataclasses
 import json
+import os
+import signal
+import subprocess
 import sys
+import threading
 from types import SimpleNamespace
 
 import pytest
@@ -9,8 +13,9 @@ from peal import decompositions as dec
 from peal import ideals as idl
 from peal import states as st
 from peal import suite
-from peal.constructions import NonSymmetricError, chain_table, unitize
+from peal.constructions import NonSymmetricError, WellDefinednessError, chain_table, unitize
 from peal.core import (
+    InconsistencyError,
     InputError,
     PartialAdditionTable,
     _noncommuting_pair,
@@ -406,3 +411,171 @@ def test_failing_families_match_frozen_loops(monkeypatch, fault):
     # the fault is seen by the family it targets
     assert any(n.startswith(family) for n in failed), failed
     assert report.witness_document is not None or family == "unitization-corpus"
+
+
+# -- the symbolic battery beside the corpus families -------------------------
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The parent's ``os.fork`` calls, on a host where ``run_suite`` forks:
+    two usable CPUs and no other thread.  No file descriptor may be left
+    open after the test."""
+    fds = len(os.listdir("/dev/fd"))
+    calls = []
+    real = os.fork
+
+    def fork():
+        calls.append(os.getpid())
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert threading.active_count() == 1
+    yield calls
+    assert len(os.listdir("/dev/fd")) == fds
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _outcome(max_size=3, seed=0, samples=2000):
+    report = run_suite(max_size=max_size, seed=seed, samples=samples)
+    return report.verdicts, report.witness_document, report.corpus_sizes
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_forked_battery_matches_inline(forks, monkeypatch, seed):
+    forked = _outcome(seed=seed)
+    assert forks == [os.getpid()]
+    _no_child_left()
+    inline = SuiteReport(max_size=3, seed=seed)
+    symbolic_battery(inline, seed, 2000)
+    assert forked[0][-len(inline.verdicts):] == inline.verdicts
+    assert forked[1] is None
+    monkeypatch.delattr(os, "fork")
+    assert _outcome(seed=seed) == forked
+    assert forks == [os.getpid()]
+
+
+def _raise(exc):
+    def raising(*args, **kwargs):
+        raise exc
+    return raising
+
+
+def test_battery_exception_crosses_from_the_child(forks, monkeypatch):
+    # the battery's third fixture; the finite half still runs to its end
+    monkeypatch.setattr(suite, "builtin_pea", _raise(
+        WellDefinednessError("forced disagreement", ("4", "10"), ("canonical",))))
+    gpeas = []
+    monkeypatch.setattr(suite, "generate_gpeas", lambda n: gpeas.append(n) or generate_gpeas(n))
+    with pytest.raises(WellDefinednessError, match="^forced disagreement$") as caught:
+        run_suite(max_size=3, samples=30)
+    assert (caught.value.first, caught.value.second) == (("4", "10"), ("canonical",))
+    assert gpeas == [3] and len(forks) == 1
+    _no_child_left()
+    monkeypatch.setattr(suite, "TwistedZ3Group", _raise(ValueError("not a PealError")))
+    with pytest.raises(ValueError, match="^not a PealError$"):
+        run_suite(max_size=3, samples=30)
+    assert len(forks) == 2
+    _no_child_left()
+
+
+def test_battery_exception_keeps_the_exit_code_and_stderr(forks, monkeypatch, capsys):
+    from peal.cli import main
+
+    monkeypatch.setattr(suite, "builtin_pea", _raise(
+        WellDefinednessError("forced disagreement", ("4", "10"), ("canonical",))))
+    outputs = []
+    for fork in (True, False):
+        if not fork:
+            monkeypatch.delattr(os, "fork")
+        code = main(["--format", "json", "suite", "--max-size", "3", "--samples", "30"])
+        outputs.append((code, capsys.readouterr()))
+    assert len(forks) == 1
+    _no_child_left()
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 1
+    assert outputs[0][1].out == ""
+    assert outputs[0][1].err == "check failed: WellDefinednessError: forced disagreement\n"
+
+
+@pytest.mark.parametrize("interrupt", [InconsistencyError("finite half"), KeyboardInterrupt()])
+@pytest.mark.parametrize("where", ["generate_peas", "generate_gpeas"])
+def test_finite_half_exception_wins_and_reaps_the_child(forks, monkeypatch, interrupt, where):
+    # the battery fails at once, so a battery result is waiting in the pipe
+    # when the finite half fails late (generate_gpeas), and the child is
+    # still running when it fails at once (generate_peas)
+    monkeypatch.setattr(suite, "TwistedZ3Group", _raise(ValueError("battery")))
+    monkeypatch.setattr(suite, where, _raise(interrupt))
+    with pytest.raises(type(interrupt)) as caught:
+        run_suite(max_size=3, samples=2000)
+    assert caught.value is interrupt
+    assert len(forks) == 1
+    _no_child_left()
+
+
+def test_a_sigkilled_child_is_replaced_by_an_inline_run(forks, monkeypatch):
+    # the child kills itself before sending anything; the parent then runs
+    # the battery itself, so the verdicts are still those of the battery
+    real = suite.symbolic_battery
+    parent = os.getpid()
+
+    def battery(report, seed, samples):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        real(report, seed, samples)
+
+    expected = _outcome(samples=300)
+    monkeypatch.setattr(suite, "symbolic_battery", battery)
+    assert _outcome(samples=300) == expected
+    assert len(forks) == 2
+    _no_child_left()
+
+
+@pytest.mark.parametrize("condition", ["no-fork", "fork-fails", "one-cpu", "thread"])
+def test_inline_conditions_give_the_same_verdicts(forks, monkeypatch, condition):
+    forked = _outcome(seed=1)
+    assert len(forks) == 1
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait, args=(30,))
+    if condition == "no-fork":
+        monkeypatch.delattr(os, "fork")
+    elif condition == "fork-fails":
+        monkeypatch.setattr(os, "fork", _raise(BlockingIOError(11, "no process to spare")))
+    elif condition == "one-cpu":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    else:
+        thread.start()
+    try:
+        assert _outcome(seed=1) == forked
+    finally:
+        stop.set()
+        if thread.ident is not None:
+            thread.join(30)
+    assert not thread.is_alive()
+    assert len(forks) == 1
+
+
+def test_unflushed_stdout_is_written_once():
+    # stdout is a buffered pipe, so "before" sits in the parent's buffer at
+    # the fork
+    script = (
+        "import os, sys\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "real, forks = os.fork, []\n"
+        "os.fork = lambda: forks.append(1) or real()\n"
+        "from peal.suite import run_suite\n"
+        "print('before')\n"
+        "report = run_suite(max_size=3, samples=30)\n"
+        "print('after', report.passed, len(forks))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(env, PYTHONPATH=path), timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "before\nafter True 1\n", "")
