@@ -15,7 +15,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from itertools import chain, compress
+from itertools import chain, compress, count, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Sequence, TextIO
@@ -183,21 +183,25 @@ def _write_table(table: RowTable, pads: Sequence[str], comma: str, out: TextIO) 
     out.write(pads[0] + "]")
 
 
-class _LabelRows(RowTable):
-    """A table with one item per row of ``labelled_decompositions``, which
-    reads each row's labels in the sorted order of the element names."""
+class _NamedRows(RowTable):
+    """A table whose items read each source row in the sorted order of the
+    element names."""
 
-    def __init__(self, table: PartialAdditionTable, rows: Sequence, n: int):
+    def __init__(self, table: PartialAdditionTable, rows: Sequence):
         self.rows = rows
-        self.n = n
         order = sorted(range(table.size), key=table.elements.__getitem__)
         self.names = [table.elements[x] for x in order]
         self.pick = itemgetter(*order)
 
 
-class _PartRows(_LabelRows):
-    """The ``decompositions`` of ``decompose``: the sorted names of each
-    part.  The names are sorted and encoded once per table."""
+class _PartRows(_NamedRows):
+    """The ``decompositions`` of ``decompose``, one item per row of
+    ``labelled_decompositions``: the sorted names of each part.  The names
+    are sorted and encoded once per table."""
+
+    def __init__(self, table: PartialAdditionTable, rows: Sequence, n: int):
+        super().__init__(table, rows)
+        self.n = n
 
     def _parts(self, names: list) -> Iterator[list]:
         labels = range(self.n + 1)
@@ -217,47 +221,111 @@ class _PartRows(_LabelRows):
             yield start + mid.join(map(leaves, parts)) + end
 
 
-class _StateRows(_LabelRows):
-    """The ``states`` of ``decompose``: each row's state, labels / n, as a
-    map from element to fraction.  The keys are sorted and encoded once per
-    table, and the fraction of each label 0..n once, so a row is one
-    template filled from its labels."""
+class _Memo(dict):
+    """A dict that makes a missing value as ``make(key)`` and keeps it."""
 
-    def _fractions(self, render) -> List[str]:
-        """The fraction of each label 0..n through ``render``.  A table has
-        rows only when n is below its size."""
-        return [render(str(Fraction(i, self.n))) for i in range(self.n + 1)] if self.rows else []
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+class _StateRows(_NamedRows):
+    """A list of states, each a map from element to fraction, from rows
+    whose first item is the state's integer numerators in table element
+    order, over ``den`` or, when that is None, over the row's second item:
+    (numerators, den) as ``StateVector.as_ints`` gives them, or the labels
+    of a row of ``labelled_decompositions`` over n.  The keys are sorted and
+    encoded once per table, and each distinct fraction once, so a row is one
+    template filled from its numerators."""
+
+    def __init__(self, table: PartialAdditionTable, rows: Sequence, den: Optional[int] = None):
+        super().__init__(table, rows)
+        self.den = den
+
+    def _fractions(self, render) -> Iterator[Iterator[str]]:
+        """Each row's fractions through ``render``, in name order; one memo
+        per denominator renders each distinct fraction once."""
+        lookups = _Memo(lambda den: _Memo(lambda num: render(str(Fraction(num, den)))).__getitem__)
+        if self.den is None:
+            lookup = map(lookups.__getitem__, map(itemgetter(1), self.rows))
+        else:
+            lookup = repeat(lookups[self.den])
+        return map(map, lookup, map(self.pick, map(itemgetter(0), self.rows)))
 
     def values(self) -> Iterator[dict]:
-        fractions = self._fractions(str)
-        for row in self.rows:
-            yield dict(zip(self.names, map(fractions.__getitem__, self.pick(row[0]))))
+        return map(dict, map(zip, repeat(self.names), self._fractions(str)))
 
     def texts(self, pads: Sequence[str], comma: str) -> Iterator[str]:
         _, p1, p2, _ = pads
         template = "{" + p2 + (comma + p2).join(
             encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in self.names) + p1 + "}"
-        fractions = self._fractions(encode_basestring_ascii)
-        for row in self.rows:
-            yield template % tuple(map(fractions.__getitem__, self.pick(row[0])))
+        return map(template.__mod__, map(tuple, self._fractions(encode_basestring_ascii)))
 
 
-class _ComparabilityRows(RowTable):
-    """The verdicts of ``decompose``: those in ``head``, as
-    ``Report.verdict`` made them, then one comparability verdict per row of
-    ``labelled_decompositions``.  The detail of each witness is made and
-    encoded once."""
+class _VerdictRows(RowTable):
+    """A ``verdicts`` list: those in ``head`` and then those in ``tail``, as
+    ``Report.verdict`` made them, around one verdict ``name % i`` per source
+    row i.  That verdict passes as ``flags[i]`` says, or always when
+    ``flags`` is None, and its detail is empty unless a subclass gives
+    ``_details(render)``, each row's detail through ``render``."""
 
-    def __init__(self, head: List[dict], table: PartialAdditionTable, rows: Sequence):
+    def __init__(self, head: List[dict], name: str, rows: Sequence,
+                 flags: Optional[Sequence[bool]] = None, tail: Sequence[dict] = ()):
         self.head = head
-        self.elements = table.elements
+        self.name = name
         self.rows = rows
+        self.flags = flags
+        self.tail = tail
 
     def __len__(self) -> int:
-        return len(self.head) + len(self.rows)
+        return len(self.head) + len(self.rows) + len(self.tail)
 
-    def _details(self, render) -> Iterator:
-        """The detail of each row through ``render``, once per witness."""
+    def _details(self, render) -> Iterator[str]:
+        return repeat(render(""), len(self.rows))
+
+    def values(self) -> Iterator[dict]:
+        yield from self.head
+        flags = repeat(True) if self.flags is None else self.flags
+        for i, passed, detail in zip(count(), flags, self._details(str)):
+            yield {"name": self.name % i, "passed": passed, "detail": detail}
+        yield from self.tail
+
+    def texts(self, pads: Sequence[str], comma: str) -> Iterator[str]:
+        _, p1, p2, _ = pads
+        template = ("{" + p2 + '"detail": %s' + comma + p2 + '"name": %s' + comma + p2
+                    + '"passed": %s' + p1 + "}")
+
+        def made(verdicts: Sequence[dict]) -> Iterator[str]:
+            for v in verdicts:
+                yield template % (encode_basestring_ascii(v["detail"]),
+                                  encode_basestring_ascii(v["name"]),
+                                  "true" if v["passed"] else "false")
+
+        failing, passing = (template % ("%s", encode_basestring_ascii(self.name), flag)
+                            for flag in ("false", "true"))
+        numbered = zip(self._details(encode_basestring_ascii), count())
+        if self.flags is None:
+            rows = map(passing.__mod__, numbered)
+        else:
+            rows = map(str.__mod__, map((failing, passing).__getitem__, self.flags), numbered)
+        return chain(made(self.head), rows, made(self.tail))
+
+
+class _ComparabilityRows(_VerdictRows):
+    """The verdicts of ``decompose``: one comparability verdict per row of
+    ``labelled_decompositions``, which passes.  The detail of each witness
+    is made and encoded once."""
+
+    def __init__(self, head: List[dict], table: PartialAdditionTable, rows: Sequence):
+        super().__init__(head, "comparability[%d]", rows)
+        self.elements = table.elements
+
+    def _details(self, render) -> Iterator[str]:
         done = {}
         for _, _, witness in self.rows:
             text = done.get(witness)
@@ -266,23 +334,6 @@ class _ComparabilityRows(RowTable):
                     "comparable" if witness is None else "not comparable: %r"
                     % (tuple(map(self.elements.__getitem__, witness)),))
             yield text
-
-    def values(self) -> Iterator[dict]:
-        yield from self.head
-        for i, detail in enumerate(self._details(str)):
-            yield {"name": "comparability[%d]" % i, "passed": True, "detail": detail}
-
-    def texts(self, pads: Sequence[str], comma: str) -> Iterator[str]:
-        _, p1, p2, _ = pads
-        template = ("{" + p2 + '"detail": %s' + comma + p2 + '"name": %s' + comma + p2
-                    + '"passed": %s' + p1 + "}")
-        for v in self.head:
-            yield template % (encode_basestring_ascii(v["detail"]),
-                              encode_basestring_ascii(v["name"]),
-                              "true" if v["passed"] else "false")
-        template %= ("%s", '"comparability[%d]"', "true")
-        for i, detail in enumerate(self._details(encode_basestring_ascii)):
-            yield template % (detail, i)
 
 
 def _indented(value, depth: int, out: TextIO) -> None:
@@ -437,23 +488,23 @@ def cmd_states(args, report: Report, seed: int) -> int:
             [{e: str(v) for e, v in vec.items()} for vec in space.basis],
         )
         report.result("free_elements", list(space.free_elements))
-    report.result("extremal_states", [s.as_strings() for s in space.extremal_states])
+    report.result("extremal_states",
+                  _StateRows(table, [s.as_ints() for s in space.extremal_states]))
     report.verdict("state-space-solved", True)
-    if args.extremal:
-        for i, s in enumerate(space.extremal_states):
-            rep = st.is_extremal(table, s)
-            report.verdict("extremal[%d]" % i, rep.extremal)
+    flags = [st.is_extremal(table, s).extremal
+             for s in space.extremal_states] if args.extremal else []
     if args.discrete is not None:
         found = st.enumerate_discrete_states(table, args.discrete)
-        report.result(
-            "discrete_states_n%d" % args.discrete,
-            [s.as_strings() for s in found],
-        )
+        report.result("discrete_states_n%d" % args.discrete,
+                      _StateRows(table, [s.as_ints() for s in found]))
         for s in found:
             cls = st.classify_state(table, s)
             if not cls.discrete or cls.n != args.discrete:
                 report.verdict("discrete-classification", False, str(cls))
-    return 0 if report.all_passed else 1
+    # state-space-solved, the extremality verdicts, any classification failure
+    verdicts = report.data["verdicts"]
+    report.data["verdicts"] = _VerdictRows(verdicts[:1], "extremal[%d]", flags, flags, verdicts[1:])
+    return 0 if all(flags) and len(verdicts) == 1 else 1
 
 
 def cmd_decompose(args, report: Report, seed: int) -> int:

@@ -251,7 +251,11 @@ def check_r1(table: PartialAdditionTable, S: Iterable[str]):
     of ideal elements below a+b that no such sum covers.  The sums j+0 and
     0+k alone cover the ideal elements below a or below b, so those are
     never lost.  A reach mask depends on j and b only, so it is built once
-    per call."""
+    per call.
+
+    A sum a+b = s with a and b both in the ideal is skipped: j = a and
+    k = b are allowed, and every ideal element below s is below j+k = s,
+    so nothing stays lost there and (R1) cannot fail at that sum."""
     return _r1(table, _require_ideal(table, frozenset(S), "(R1) test"))
 
 
@@ -266,7 +270,7 @@ def _r1(table: PartialAdditionTable, I: int):
     witness = None
     for a, b, s in table.defined_sums():
         lost = down[s] & I & ~(down[a] | down[b])
-        if not lost:
+        if not lost or I >> a & 1 and I >> b & 1:
             continue
         below_a, below_b = below[a], below[b]
         if below_a is None:

@@ -178,6 +178,10 @@ class StateVector:
         text = {x: _fraction_string(x, self._den) for x in set(self._num)}
         return dict(zip(self.table.elements, map(text.__getitem__, self._num)))
 
+    def as_ints(self) -> Tuple[Tuple[int, ...], int]:
+        """(numerators in table element order, denominator), reduced."""
+        return self._num, self._den
+
 
 @dataclass(frozen=True)
 class StateSpace:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import json
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hyp
 
 from peal import cli
+from peal import states as st
 from peal.cli import build_parser, main
 from peal.constructions import boolean4_table, diamond_table
 from peal.core import (
@@ -18,6 +20,8 @@ from peal.core import (
     table_from_document,
     table_to_document,
 )
+from peal.corpus import generate_peas
+from peal.states import enumerate_discrete_states, solve_state_space
 from test_states import horizontal_sum
 
 
@@ -94,6 +98,134 @@ def test_states_diamond(docs, capsys):
     assert data["results"]["extremal_states"] == [
         {"0": "0", "1": "1", "a": "1/2", "b": "1/2"}
     ]
+
+
+# A 9-element PEA of the size-9 corpus with no state at all: a + a + a = 1,
+# b + b + b = 1 and c + c + c + c = 1 give a, b and c the values 1/3, 1/3 and
+# 1/4, and then (a + b) + c = 1 cannot hold.  Its additivity system has no
+# solution.
+STATELESS = {
+    "elements": ["0", "1", "a", "b", "c", "d", "e", "f", "g"], "zero": "0", "one": "1",
+    "add": [[x, "0", x] for x in ("0", "1", "a", "b", "c", "d", "e", "f", "g")]
+    + [["0", x, x] for x in ("1", "a", "b", "c", "d", "e", "f", "g")]
+    + [["a", "a", "e"], ["a", "b", "g"], ["a", "c", "f"], ["a", "e", "1"], ["b", "a", "g"],
+       ["b", "b", "f"], ["b", "c", "e"], ["b", "f", "1"], ["c", "a", "f"], ["c", "b", "e"],
+       ["c", "c", "d"], ["c", "d", "g"], ["c", "g", "1"], ["d", "c", "g"], ["d", "d", "1"],
+       ["e", "a", "1"], ["f", "b", "1"], ["g", "c", "1"]],
+}
+
+
+def write_docs(docs, tmp_path):
+    """Add the horizontal sums hsum-4x3 and hsum-10x2 and the stateless
+    PEA to ``docs``."""
+    tables = {"hsum-%dx%d" % shape: horizontal_sum(*shape) for shape in ((4, 3), (10, 2))}
+    tables["stateless"] = table_from_document(STATELESS)
+    for name, table in tables.items():
+        path = tmp_path / (name + ".json")
+        path.write_text(dumps_document(table_to_document(table)))
+        docs[name] = str(path)
+
+
+# The default text format of ``states``, recorded before its lists of
+# states and its extremality verdicts were written as row tables: the
+# sha256 of the whole output.
+PINNED_STATE_TEXTS = {
+    ("boolean4", "--extremal", "--discrete", "2"):
+        "5e082120d907b3a23e6b069a387f7276d990ddf4016fffd650abc51ec4f48176",
+    ("hsum-4x3", "--extremal"):
+        "01c7fc0ca618277e34631c957f5b42230cf2bbeb8bb4cd4d2eb95e5cdc4b43b5",
+    ("hsum-10x2", "--extremal"):
+        "921abcd9517874899cd8da035a63a908dd6d285aec1b5053827c00d183955764",
+    ("stateless", "--extremal", "--discrete", "2"):
+        "e4a9cd1a680eb4fc1c2428e4784380e2a34f3195105e7aa5ea2afec05b5985f0",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_STATE_TEXTS), ids=" ".join)
+def test_states_text_keeps_its_pinned_bytes(docs, tmp_path, capsys, argv):
+    write_docs(docs, tmp_path)
+    code, out = run(capsys, ["states", docs[argv[0]]] + list(argv[1:]))
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_STATE_TEXTS[argv]
+    if argv[0] == "stateless":
+        assert out.startswith("consistent: false\ndiscrete_states_n2: []\nextremal_states: []\n")
+        assert out.endswith("[pass] state-space-solved\n")
+
+
+def test_state_rows_give_as_strings_on_the_corpus():
+    """The rows of ``states``, as values and as text in both layouts, are
+    what ``as_strings`` gives for the extremal states and for the discrete
+    states of every n of each PEA of at most 8 elements."""
+    pads = ("\n", "\n  ", "\n    ", "\n      ")
+    lists = 0
+    for table in generate_peas(8):
+        found = [solve_state_space(table).extremal_states]
+        found += [enumerate_discrete_states(table, n) for n in range(1, table.size)]
+        for states in found:
+            rows = cli._StateRows(table, [s.as_ints() for s in states])
+            expected = [s.as_strings() for s in states]
+            assert len(rows) == len(expected) and list(rows) == expected
+            for layout, indent in ((pads, 2), (("",) * 4, None)):
+                out = io.StringIO()
+                cli._write_table(rows, layout, "," if indent else ", ", out)
+                assert out.getvalue() == json.dumps(expected, sort_keys=True, indent=indent)
+            lists += bool(states)
+    assert lists > 93
+
+
+def test_state_rows_print_their_values_in_both_formats(tmp_path, capsys, monkeypatch):
+    """Names that need escaping and carry a ``%`` print in ``states`` as the
+    stdlib prints them, in both formats."""
+    names = ["0", "1", 'a%s"', "b'\u00e9", "%%", "\\%d"]
+    sums = {}
+    for x, y in ((2, 3), (3, 2), (4, 5), (5, 4)):
+        sums[names[x], names[y]] = "1"
+    table = PartialAdditionTable.build(names, "0", "1", sums)
+    path = tmp_path / "named.json"
+    path.write_text(dumps_document(table_to_document(table)))
+    argv = ["states", str(path), "--extremal", "--discrete", "2"]
+    code, out = run(capsys, ["--format", "json"] + argv)
+    code_text, text = run(capsys, argv)
+    report = json.loads(out)
+    assert (code, code_text) == (0, 0)
+    results = report["results"]
+    assert dict.fromkeys(names, "1/2") | {"0": "0", "1": "1"} in results["discrete_states_n2"]
+    assert (len(results["extremal_states"]), len(results["discrete_states_n2"])) == (4, 5)
+    assert [v["name"] for v in report["verdicts"]] == [
+        "state-space-solved"] + ["extremal[%d]" % i for i in range(4)]
+    expected = "".join("%s: %s\n" % (k, json.dumps(v, sort_keys=True))
+                       for k, v in sorted(report["results"].items()))
+    expected += "".join("[pass] %s%s\n" % (v["name"], v["detail"] and "  " + v["detail"])
+                        for v in report["verdicts"])
+    assert text == expected
+    monkeypatch.setattr(cli.Report, "emit", frozen_emit)
+    assert run(capsys, ["--format", "json"] + argv) == (0, out)
+
+
+def test_failed_classification_follows_the_extremality_verdicts(docs, capsys, monkeypatch):
+    """A ``discrete-classification`` failure comes after every
+    ``extremal[i]`` verdict, once per state, and makes the exit code 1."""
+    real = st.classify_state
+
+    def refuse_halves(table, s):
+        cls = real(table, s)
+        return dataclasses.replace(cls, discrete=False, n=None) if len(cls.image) == 3 else cls
+
+    monkeypatch.setattr(st, "classify_state", refuse_halves)
+    argv = ["states", docs["boolean4"], "--extremal", "--discrete", "2"]
+    code, out = run(capsys, ["--format", "json"] + argv)
+    assert code == 1
+    verdicts = json.loads(out)["verdicts"]
+    assert [(v["name"], v["passed"]) for v in verdicts] == [
+        ("state-space-solved", True), ("extremal[0]", True), ("extremal[1]", True),
+        ("discrete-classification", False)]
+    assert verdicts[-1]["detail"].startswith("StateClassification(discrete=False, n=None")
+    code_text, text = run(capsys, argv)
+    assert code_text == 1
+    assert text.endswith("[pass] extremal[1]\n[FAIL] discrete-classification  %s\n"
+                         % (verdicts[-1]["detail"],))
+    monkeypatch.setattr(cli.Report, "emit", frozen_emit)
+    assert run(capsys, ["--format", "json"] + argv) == (1, out)
 
 
 def test_decompose_command(docs, capsys):
@@ -643,10 +775,7 @@ def frozen_emit(self, fmt, stream=None):
 
 
 def test_every_subcommand_report_matches_frozen_emitter(docs, tmp_path, capsys, monkeypatch):
-    for blocks, atoms in ((4, 3), (10, 2)):
-        path = tmp_path / ("hsum-%dx%d.json" % (blocks, atoms))
-        path.write_text(dumps_document(table_to_document(horizontal_sum(blocks, atoms))))
-        docs["hsum-%dx%d" % (blocks, atoms)] = str(path)
+    write_docs(docs, tmp_path)
     argvs = [
         ["verify", docs["boolean4"]],
         ["states", docs["boolean4"], "--extremal", "--discrete", "2"],
@@ -665,6 +794,8 @@ def test_every_subcommand_report_matches_frozen_emitter(docs, tmp_path, capsys, 
         ["decompose", docs["hsum-4x3"], "2"],
         ["states", docs["hsum-4x3"], "--extremal"],
         ["states", docs["hsum-10x2"], "--extremal"],
+        ["states", docs["hsum-4x3"], "--extremal", "--discrete", "2"],
+        ["states", docs["stateless"], "--extremal", "--discrete", "2"],
     ]
     outputs = []
     for argv in argvs:

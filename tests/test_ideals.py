@@ -4,10 +4,11 @@ from itertools import combinations
 import pytest
 
 from peal.constructions import chain_table
-from peal.core import PreconditionError, induced_order
-from peal.corpus import are_isomorphic
+from peal.core import PreconditionError, _bits, induced_order
+from peal.corpus import are_isomorphic, generate_peas
 from peal.ideals import (
     IdealSet,
+    _r1,
     check_r1,
     check_r2,
     congruence_classes,
@@ -208,6 +209,67 @@ def test_check_r1_matches_frozen_and_literal(pea_corpus_full, gpea_corpus):
             got = check_r1(table, ide.members)
             assert got == frozen_check_r1(table, ide.members)
             assert got[0] == literal_r1(table, ide.members)
+
+
+def frozen_r1(table, I):
+    """Reference copy of ``ideals._r1`` as it stood before it skipped the
+    sums of two ideal elements: every defined sum is walked."""
+    t = table._sums
+    down = induced_order(table).down
+    els = table.elements
+    k = table.size
+    below = [None] * k
+    reach = [None] * (k * k)
+    witness = None
+    for a, b, s in table.defined_sums():
+        lost = down[s] & I & ~(down[a] | down[b])
+        if not lost:
+            continue
+        below_a, below_b = below[a], below[b]
+        if below_a is None:
+            below_a = below[a] = list(_bits(down[a] & I))
+        if below_b is None:
+            below_b = below[b] = list(_bits(down[b] & I))
+        for j in below_a:
+            r = reach[j * k + b]
+            if r is None:
+                r = 0
+                row = t[j]
+                for kk in below_b:
+                    jk = row[kk]
+                    if jk is not None:
+                        r |= down[jk]
+                reach[j * k + b] = r
+            lost &= ~r
+            if not lost:
+                break
+        if lost:
+            i = (lost & -lost).bit_length() - 1
+            if witness is None or i < witness[0]:
+                witness = (i, a, b)
+    if witness is None:
+        return True, None
+    i, a, b = witness
+    return False, ("R1", els[i], els[a], els[b])
+
+
+def test_r1_skipping_sums_inside_the_ideal_matches_frozen(gpea_corpus):
+    """The same verdict and witness as the walk over every defined sum, on
+    every ideal of the PEAs of at most 8 elements, of the GPEAs of at most
+    5, and of four copies of 2^3 glued at 0 and 1."""
+    checked = failed = skipped = 0
+    for table in list(generate_peas(8)) + list(gpea_corpus) + [horizontal_sum(4, 3)]:
+        down = induced_order(table).down
+        for ide in enumerate_ideals(table):
+            I = ide._bitmask
+            got = _r1(table, I)
+            assert got == frozen_r1(table, I)
+            checked += 1
+            failed += not got[0]
+            # the sums the walk now skips that it used to search
+            skipped += sum(1 for a, b, s in table.defined_sums()
+                           if I >> a & 1 and I >> b & 1 and down[s] & I & ~(down[a] | down[b]))
+    assert (checked, failed) == (2937, 2646) and skipped > 0
 
 
 def frozen_is_maximal(table, S):
