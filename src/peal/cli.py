@@ -197,17 +197,28 @@ class _NamedRows(RowTable):
 class _PartRows(_NamedRows):
     """The ``decompositions`` of ``decompose``, one item per row of
     ``labelled_decompositions``: the sorted names of each part.  The names
-    are sorted and encoded once per table."""
+    are sorted and encoded once per table.
+
+    For n < 256 a row's labels, in name order, are read once as a bytes
+    string, and ``bytes.translate`` with one table per label turns it into
+    that label's 0/1 selector of the names, all in C; a larger label does
+    not fit a byte, so for n >= 256 each selector compares every label."""
 
     def __init__(self, table: PartialAdditionTable, rows: Sequence, n: int):
         super().__init__(table, rows)
         self.n = n
 
-    def _parts(self, names: list) -> Iterator[list]:
-        labels = range(self.n + 1)
+    def _parts(self, names: list) -> Iterator[Iterator[compress]]:
+        if self.n < 256:
+            picks = [bytes(i) + b"\1" + bytes(255 - i) for i in range(self.n + 1)]
+
+            def selectors(labels):
+                return map(bytes(labels).translate, picks)
+        else:
+            def selectors(labels):
+                return (map(i.__eq__, labels) for i in range(self.n + 1))
         for row in self.rows:
-            sl = self.pick(row[0])
-            yield [compress(names, map(i.__eq__, sl)) for i in labels]
+            yield map(compress, repeat(names), selectors(self.pick(row[0])))
 
     def values(self) -> Iterator[list]:
         for parts in self._parts(self.names):
@@ -294,6 +305,23 @@ class _VerdictRows(RowTable):
         for i, passed, detail in zip(count(), flags, self._details(str)):
             yield {"name": self.name % i, "passed": passed, "detail": detail}
         yield from self.tail
+
+    def lines(self) -> Iterator[str]:
+        """The lines of the text report, ``[pass] name  detail`` or
+        ``[FAIL] ...``, the two spaces and the detail only when there is
+        one; the numbered rows are filled in from the flags and details."""
+        def made(verdicts: Sequence[dict]) -> Iterator[str]:
+            for v in verdicts:
+                yield "[%s] %s%s\n" % ("pass" if v["passed"] else "FAIL", v["name"],
+                                       "  " + v["detail"] if v["detail"] else "")
+
+        failing, passing = ("[%s] %s%%s\n" % (status, self.name) for status in ("FAIL", "pass"))
+        numbered = zip(count(), self._details(lambda detail: detail and "  " + detail))
+        if self.flags is None:
+            rows = map(passing.__mod__, numbered)
+        else:
+            rows = map(str.__mod__, map((failing, passing).__getitem__, self.flags), numbered)
+        return chain(made(self.head), rows, made(self.tail))
 
     def texts(self, pads: Sequence[str], comma: str) -> Iterator[str]:
         _, p1, p2, _ = pads
@@ -435,10 +463,10 @@ class Report:
                 stream.write("\n")
             else:
                 stream.write("%s: %s\n" % (key, json.dumps(value, sort_keys=True)))
-        for v in self.data["verdicts"]:
-            status = "pass" if v["passed"] else "FAIL"
-            tail = ("  " + v["detail"]) if v["detail"] else ""
-            stream.write("[%s] %s%s\n" % (status, v["name"], tail))
+        verdicts = self.data["verdicts"]
+        if not isinstance(verdicts, _VerdictRows):
+            verdicts = _VerdictRows(verdicts, "", ())
+        stream.writelines(verdicts.lines())
 
 
 def cmd_verify(args, report: Report, seed: int) -> int:
@@ -491,8 +519,7 @@ def cmd_states(args, report: Report, seed: int) -> int:
     report.result("extremal_states",
                   _StateRows(table, [s.as_ints() for s in space.extremal_states]))
     report.verdict("state-space-solved", True)
-    flags = [st.is_extremal(table, s).extremal
-             for s in space.extremal_states] if args.extremal else []
+    flags = list(st._extremal_flags(table)) if args.extremal else []
     if args.discrete is not None:
         found = st.enumerate_discrete_states(table, args.discrete)
         report.result("discrete_states_n%d" % args.discrete,

@@ -63,9 +63,17 @@ def _checked(table: PartialAdditionTable) -> Dict[Decomposition, Tuple[Tuple[int
 
 
 def _check_labels(table: PartialAdditionTable, labels: Tuple[int, ...], n: int) -> None:
-    """Raise unless the complements of an element labelled i are labelled
-    n - i and the labels add on every defined sum.  ``labels`` lie in 0..n,
-    so a sum of labels above n fails the second test."""
+    """Raise unless the labels are a decomposition: every label of 0..n is
+    used and no other, the complements of an element labelled i are
+    labelled n - i, and the labels add on every defined sum (a sum of
+    labels above n fails the last test), with the messages of
+    ``validate_decomposition``."""
+    used = set(labels)
+    if len(used) != n + 1 or min(used) != 0 or max(used) != n:
+        empty = next((i for i in range(n + 1) if i not in used), None)
+        if empty is not None:
+            raise InputError("part E_%d is empty" % (empty,))
+        raise InputError("parts do not cover the carrier")
     _require_pea(table)
     if labels[table.one_i] == n and _nonadditive(table, labels) is None:
         return  # a- + a = a + a~ = 1 are defined sums, so complements hold
@@ -120,24 +128,6 @@ def _part_masks(table: PartialAdditionTable, D: Decomposition) -> Tuple[int, ...
     return _validated(table, D)[1]
 
 
-def _parts_of(table: PartialAdditionTable, labels: Tuple[int, ...], n: int) -> Tuple[int, ...]:
-    """The parts of the decomposition whose part E_i holds the elements
-    labelled i, as bitmasks over element indices, after the checks of
-    ``validate_decomposition`` on the labels themselves (with the same
-    messages)."""
-    used = set(labels)
-    if len(used) != n + 1 or min(used) != 0 or max(used) != n:
-        empty = next((i for i in range(n + 1) if i not in used), None)
-        if empty is not None:
-            raise InputError("part E_%d is empty" % (empty,))
-        raise InputError("parts do not cover the carrier")
-    _check_labels(table, labels, n)
-    parts = [0] * (n + 1)
-    for bit, i in zip(_unit_masks(table), labels):
-        parts[i] |= bit
-    return tuple(parts)
-
-
 def _decomposition(table: PartialAdditionTable, labels: Tuple[int, ...],
                    parts: Tuple[int, ...]) -> Decomposition:
     """The decomposition of a row of ``labelled_decompositions``, recorded
@@ -147,12 +137,6 @@ def _decomposition(table: PartialAdditionTable, labels: Tuple[int, ...],
                             for i in range(len(parts))))
     _checked(table)[D] = labels, parts
     return D
-
-
-@derived
-def _unit_masks(table: PartialAdditionTable) -> Tuple[int, ...]:
-    """The bitmask 1 << x of every element index x."""
-    return tuple(1 << x for x in range(table.size))
 
 
 @derived
@@ -254,10 +238,19 @@ def _round_trip(labels: Tuple[int, ...], n: int) -> None:
 def labelled_decompositions(table: PartialAdditionTable, n: int) -> Tuple[DecompositionRow, ...]:
     """The n-decompositions of ``table`` as rows of ints, one per labeling
     of ``discrete_labelings`` and in its order, each checked before it is
-    returned: the labels are a decomposition (``_parts_of``), the state
-    labels / n gives them back (``_round_trip``, so D_n(E) <-> S_n(E) is
-    mutually inverse), and the comparability test holds with its
-    consequences (``_comparability``).
+    returned: the labels are a decomposition, the state labels / n gives
+    them back (``_round_trip``, so D_n(E) <-> S_n(E) is mutually inverse),
+    and the comparability test holds with its consequences
+    (``_comparability``).
+
+    That the labels are a decomposition is certified once per block factor,
+    not once per row (``states._labelings``): every row is onto {0..n},
+    its labels lie in 0..n, and every tuple of the block labelings that the
+    rows take is additive (``states._star_additive``), so every row passes
+    ``_check_labels`` and its part masks are the sums of its factors'
+    masks.  A refused certificate leaves each row to ``_check_labels``,
+    before its round trip, so the first row that breaks a condition raises
+    that condition's message.
 
     A row is (labels, part masks, witness): the label of every element,
     part E_i as a bitmask over element indices, and the index pair of the
@@ -265,9 +258,11 @@ def labelled_decompositions(table: PartialAdditionTable, n: int) -> Tuple[Decomp
     hold ints only, so the cyclic collector stops tracking them.  They are
     found once per table and n, and the public functions of this module,
     the suite and ``pea decompose`` all read them."""
+    found, masks, sound = states_mod._checked_labelings(table, n)
     rows = []
-    for labels in states_mod.discrete_labelings(table, n):
-        parts = _parts_of(table, labels, n)
+    for labels, parts in zip(found, masks):
+        if not sound:
+            _check_labels(table, labels, n)
         _round_trip(labels, n)
         rows.append((labels, parts, _comparability(table, labels, parts)))
     return tuple(rows)

@@ -22,9 +22,13 @@ of the polytopes of the linked blocks (Ziegler, *Lectures on Polytopes*,
 description sweep on integer-scaled constraint rows in which every vertex
 carries its tight constraints as an ``int`` bitmask (Fukuda & Prodon,
 "Double description method revisited", 1996); the extremal states are the
-tuples of block vertices, built straight from integer numerators.
-``MAX_FREE_PARAMETERS`` bounds the total number of free coordinates, not
-each block's, since a product of d segments already has 2^d vertices.
+tuples of block vertices, built straight from integer numerators.  Each
+block vertex is certified once: additive in one product (the products are
+additive exactly when the star of products around the first one is, since
+additivity is linear), and of full tight rank within its block, so no
+product is checked again.  ``MAX_FREE_PARAMETERS`` bounds the total number
+of free coordinates, not each block's, since a product of d segments
+already has 2^d vertices.
 
 A state is extremal exactly when the box rows it makes tight (an element
 valued 0 or 1 makes its row tight) have full rank.  ``is_extremal`` decides
@@ -36,7 +40,8 @@ from an integer null-space direction of its tight rows.
 Discrete states are found by the integer-labeling search suggested by the
 decomposition characterization, never by rounding: the middle elements
 split into the blocks that defined sums link, each block is searched on its
-own, and the block labelings are combined under global surjectivity.
+own, and the block labelings are certified once each and combined under
+global surjectivity.
 """
 
 from __future__ import annotations
@@ -44,8 +49,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from operator import attrgetter
+from functools import partial
+from itertools import chain, product, starmap
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .core import (
@@ -56,6 +61,7 @@ from .core import (
     _bits,
     _equations,
     _nonadditive,
+    _picker,
     _require_pea,
     derived,
 )
@@ -486,15 +492,139 @@ def _state_at(table: PartialAdditionTable, t: Sequence[Fraction]) -> StateVector
     return StateVector._from_ints(table, num, m * den)
 
 
+def _star_additive(table: PartialAdditionTable, getter, head: Tuple[int, ...],
+                   factors: Sequence[Sequence[Tuple[int, ...]]]) -> bool:
+    """Whether every product of the factors is additive on every defined
+    sum, decided on the star of products around the first one.  A product
+    takes one value tuple from each block's nonempty list in ``factors``,
+    and its values in element order are ``getter(head + its tuples)``.
+
+    The blocks hold disjoint sets of elements, and ``head`` the values of
+    the elements outside every block.  Write A(x) for the defects
+    x_i + x_j - x_s of the defined sums i + j = s; A is linear.  Let r be
+    the product of every block's first tuple, and s_b[v] the product that
+    differs from r only in block b, where it takes v.  A product x with
+    tuples v_1, ..., v_k agrees with s_b[v_b] on block b and with r
+    elsewhere, so x = r + sum_b (s_b[v_b] - r) and A(x) = A(r) +
+    sum_b (A(s_b[v_b]) - A(r)).  When r and every s_b[v] are additive (A
+    = 0) so is every product, and they are products themselves: the answer
+    takes 1 + sum_b (|factors[b]| - 1) ``core._nonadditive`` passes in C,
+    not one per product."""
+    star = [f[0] for f in factors]
+    if _nonadditive(table, getter(tuple(chain(head, *star)))) is not None:
+        return False
+    for b, values in enumerate(factors):
+        first = star[b]
+        for v in values[1:]:
+            star[b] = v
+            if _nonadditive(table, getter(tuple(chain(head, *star)))) is not None:
+                return False
+        star[b] = first
+    return True
+
+
+def _rank_full(d: int, tight: Iterable[Row], settled: int) -> bool:
+    """Whether the rows ``tight`` over d coordinates, with the unit rows of
+    the coordinates in the bitmask ``settled`` beside them, have rank d: a
+    unit row settles its coordinate, and the other rows, on the unsettled
+    coordinates, go through the fraction-free elimination."""
+    unsettled = (1 << d) - 1 & ~settled
+    if not unsettled:
+        return True
+    rest = [{j: c for j, c in row.items() if unsettled >> j & 1} for row in tight]
+    return len(_eliminate(rest, d)[1]) == unsettled.bit_count()
+
+
 @derived
-def solve_state_space(table: PartialAdditionTable) -> StateSpace:
-    """Solve the additivity system exactly and enumerate the extremal states.
+def _vertices(table: PartialAdditionTable):
+    """The extremal states of ``solve_state_space``, in increasing order of
+    their value tuples, built from certified block vertices: ``(states,
+    order, factors)``, where ``factors`` holds each block's vertices as
+    ``_block_values`` gives them, and the state i is the product of the
+    factors at ``order[i]`` in ``itertools.product`` order.
 
     The vertices are the products of the vertices of the blocks of linked
-    free coordinates, each block swept on its own.  Refuses tables whose
-    solution space has more than MAX_FREE_PARAMETERS free parameters in
-    total (exactness over scalability).  An empty polytope is a legitimate
-    outcome: stateless PEAs exist.
+    free coordinates, each block swept on its own.  The blocks move
+    disjoint sets of elements, and every other element keeps its pinned
+    value, so the products are additive exactly when the star of products
+    around the first one is (``_star_additive``): each block vertex is
+    checked once, in one product.  Then every product is built by
+    ``StateVector._from_additive``; otherwise every product is left to the
+    full check of ``_from_ints``, which words the refusal on the first.
+    Each product's values are picked in C by one ``itemgetter`` from the
+    pinned values followed by the factors' values, all over the
+    denominator common to every block vertex."""
+    affine = _affine_map(table)
+    blocks = None if affine is None else _polytope_blocks(table)
+    if blocks is None:
+        return (), (), ()
+    p, _, m, _ = affine
+    found = [_block_values(p, block) for block in blocks]
+    # one vertex per tuple of block vertices, all over the denominator
+    # common to every block vertex, so each is rescaled once
+    den = math.lcm(*(bd for vertices in found for bd, _ in vertices))
+    factors = [[tuple(x * (den // bd) for _, x in values) for bd, values in vertices]
+               for vertices in found]
+    # a product's values: the pinned ones, then each block's in block order
+    position = list(range(table.size))
+    for at, (i, _) in enumerate((e for _, _, elements in blocks for e in elements), table.size):
+        position[i] = at
+    getter = _picker(position)
+    head = tuple(x * den for x in p)
+    sound = all(factors) and _star_additive(table, getter, head, factors)
+    make = StateVector._from_additive if sound else StateVector._from_ints
+    extremals = [make(table, num, m * den) for num in map(
+        getter, map(tuple, map(chain.from_iterable, map((head,).__add__, product(*factors)))))]
+    # order by value tuple: numerators over one denominator common to all
+    dens = {s._den for s in extremals}
+    if len(dens) == 1:
+        key = [s._num for s in extremals]
+    else:
+        den = math.lcm(*dens)
+        key = [tuple(x * (den // s._den) for x in s._num) for s in extremals]
+    order = sorted(range(len(extremals)), key=key.__getitem__)
+    return tuple(map(extremals.__getitem__, order)), tuple(order), found
+
+
+@derived
+def _extremal_flags(table: PartialAdditionTable) -> Tuple[bool, ...]:
+    """``is_extremal``'s verdict on each extremal state of
+    ``solve_state_space``, in its order, read from one tight-rank
+    certificate per block vertex.
+
+    The tight row of an element that moves with a block holds only that
+    block's coordinates, and a pinned element's row is 0, so the rows that
+    a product of block vertices makes tight are block-diagonal: their rank
+    is the sum of the ranks of each factor's tight rows within its block.
+    A product therefore has full rank exactly when every factor has its
+    block's full rank, and ``is_extremal`` decides a state by that rank."""
+    _, order, found = _vertices(table)
+    if not order:
+        return ()
+    _, _, m, free = _affine_map(table)
+    free = set(free)
+    flags = []
+    for (dim, _, elements), vertices in zip(_polytope_blocks(table), found):
+        # a free element's terms are ((its coordinate, m),)
+        units = [(t, 1 << terms[0][0]) for t, (i, terms) in enumerate(elements) if i in free]
+        flag = []
+        for bd, values in vertices:
+            top = m * bd
+            settled = sum(unit for t, unit in units if values[t][1] in (0, top))
+            tight = (dict(terms) for (_, terms), (_, x) in zip(elements, values) if x in (0, top))
+            flag.append(_rank_full(dim, tight, settled))
+        flags.append(flag)
+    verdicts = list(map(all, product(*flags)))
+    return tuple(map(verdicts.__getitem__, order))
+
+
+@derived
+def solve_state_space(table: PartialAdditionTable) -> StateSpace:
+    """Solve the additivity system exactly and enumerate the extremal states
+    (``_vertices``: block by block, certified per block vertex).  Refuses
+    tables whose solution space has more than MAX_FREE_PARAMETERS free
+    parameters in total (exactness over scalability).  An empty polytope is
+    a legitimate outcome: stateless PEAs exist.
     """
     _require_pea(table)
     affine = _affine_map(table)
@@ -506,29 +636,6 @@ def solve_state_space(table: PartialAdditionTable) -> StateSpace:
             "state space has %d free parameters; refusing beyond %d"
             % (len(free), MAX_FREE_PARAMETERS)
         )
-    blocks = _polytope_blocks(table)
-    extremals = []
-    if blocks is not None:
-        factors = [_block_values(p, block) for block in blocks]
-        # one vertex per tuple of block vertices, all over the denominator
-        # common to every block vertex, so each is rescaled once
-        den = math.lcm(*(bd for factor in factors for bd, _ in factor))
-        factors = [[tuple((i, x * (den // bd)) for i, x in values) for bd, values in factor]
-                   for factor in factors]
-        pinned = [x * den for x in p]
-        for combo in product(*factors):
-            num = pinned.copy()
-            for values in combo:
-                for i, x in values:
-                    num[i] = x
-            extremals.append(StateVector._from_ints(table, num, m * den))
-    # order by value tuple: numerators over one denominator common to all
-    dens = {s._den for s in extremals}
-    if len(dens) == 1:
-        extremals.sort(key=attrgetter("_num"))
-    else:
-        den = math.lcm(*dens)
-        extremals.sort(key=lambda s: tuple(x * (den // s._den) for x in s._num))
     els = table.elements
     # the free elements first, then the pivot elements in column order
     particular = dict.fromkeys([els[f] for f in free])
@@ -543,11 +650,22 @@ def solve_state_space(table: PartialAdditionTable) -> StateSpace:
         particular,
         tuple(basis),
         tuple(els[f] for f in free),
-        tuple(extremals),
+        _vertices(table)[0],
     )
 
 
 # -- discrete states ------------------------------------------------------
+
+
+def _checked_labelings(table: PartialAdditionTable, n: int):
+    """``_labelings(table, n)`` after the input checks of
+    ``discrete_labelings``; no labeling is onto when n + 1 > |E|."""
+    if not isinstance(n, int) or n < 1:
+        raise InputError("n must be a positive integer, got %r" % (n,))
+    _require_pea(table)
+    if n + 1 > table.size:
+        return (), (), True
+    return _labelings(table, n)
 
 
 def discrete_labelings(table: PartialAdditionTable, n: int) -> List[Tuple[int, ...]]:
@@ -559,40 +677,21 @@ def discrete_labelings(table: PartialAdditionTable, n: int) -> List[Tuple[int, .
     returns a fresh list.  With more labels than elements (n + 1 > |E|)
     none is surjective, and the answer is empty at once.
     """
-    if not isinstance(n, int) or n < 1:
-        raise InputError("n must be a positive integer, got %r" % (n,))
-    _require_pea(table)
-    if n + 1 > table.size:
-        return []
-    return list(_labelings(table, n))
+    return list(_checked_labelings(table, n)[0])
 
 
 @derived
-def _labelings(table: PartialAdditionTable, n: int) -> Tuple[Tuple[int, ...], ...]:
-    """The labelings of ``discrete_labelings``, found block by block.
+def _label_blocks(table: PartialAdditionTable):
+    """The middle elements (all but 0 and 1) split into blocks that share no
+    equation: ``(incident, blocks, getter)``.  ``incident`` holds each
+    element's equations, ``blocks`` the blocks as sorted index tuples, and
+    ``getter`` picks the labels of a labeling of E, in element order, from
+    (0, n) followed by every block's labels in block order.
 
-    The equations of ``_equations`` (a sum with a 0 operand holds for every
-    labeling with l(0) = 0) link the middle elements (all but 0 and 1) into
-    blocks that share no equation: the connected components of a walk over
-    each element's equations.  Each block's additive labelings into
-    {0..n}, not necessarily onto, are grouped by the set of labels they use
-    (a bitmask); a labeling of E is one labeling per block, and it is
-    surjective when those sets and {0, n} cover {0..n}.
-
-    Placing a label propagates it.  Once two labels of an equation
-    i + j = s are known the third is forced: l(s) = l(i) + l(j),
-    l(j) = l(s) - l(i) or l(i) = l(s) - l(j).  A labeling through the
-    current branch must carry the forced label, so a forced label outside
-    0..n, or one that clashes with a label already placed, refutes the
-    branch; propagation cuts no other branch.  Every equation is checked
-    when the last of its labels is placed, chosen or forced, so each
-    complete labeling satisfies all of them: the search finds exactly the
-    additive labelings of the search without propagation."""
+    The equations are those of ``_equations`` (a sum with a 0 operand holds
+    for every labeling with l(0) = 0), and the blocks are the connected
+    components of a walk over each element's equations."""
     k = table.size
-    zero, one = table.zero_i, table.one_i
-    labels = [-1] * k
-    labels[zero] = 0
-    labels[one] = n
     incident: List[List[Tuple[int, int, int]]] = [[] for _ in range(k)]
     for eq in _equations(table):
         i, j, s = eq
@@ -600,7 +699,7 @@ def _labelings(table: PartialAdditionTable, n: int) -> Tuple[Tuple[int, ...], ..
         if j != i:
             incident[j].append(eq)
         incident[s].append(eq)
-    placed = 1 << zero | 1 << one
+    placed = 1 << table.zero_i | 1 << table.one_i
     middle = (1 << k) - 1 & ~placed
     blocks = []
     for e in _bits(middle):
@@ -615,7 +714,55 @@ def _labelings(table: PartialAdditionTable, n: int) -> Tuple[Tuple[int, ...], ..
                         placed |= 1 << y
                         block.append(y)
         blocks.append(tuple(sorted(block)))
+    position = [0] * k
+    position[table.one_i] = 1
+    for at, e in enumerate((e for block in blocks for e in block), 2):
+        position[e] = at
+    return incident, blocks, _picker(position)
 
+
+def _block_used(n: int, vals: Tuple[int, ...]) -> int:
+    """The bitmask of the labels 0..n that the block labeling ``vals``
+    uses, with bit n + 1 for any label outside 0..n."""
+    used = 0
+    for v in set(vals):
+        used |= 1 << v if 0 <= v <= n else 1 << n + 1
+    return used
+
+
+def _block_parts(n: int, bits: Tuple[int, ...], vals: Tuple[int, ...]) -> Tuple[int, ...]:
+    """Per label i of 0..n, the bitmask of the elements of a block that the
+    block labeling ``vals`` labels i; ``bits`` holds 1 << e for each
+    element e of the block, in block order."""
+    parts = [0] * (n + 1)
+    for bit, v in zip(bits, vals):
+        if 0 <= v <= n:
+            parts[v] |= bit
+    return tuple(parts)
+
+
+def _block_labelings(table: PartialAdditionTable, n: int) -> Optional[Tuple[List[Tuple[int, ...]], ...]]:
+    """Per block of ``_label_blocks``, its additive labelings into {0..n},
+    not necessarily onto, each as the labels of the block's elements in
+    block order; None when some block has none.
+
+    Placing a label propagates it.  Once two labels of an equation
+    i + j = s are known the third is forced: l(s) = l(i) + l(j),
+    l(j) = l(s) - l(i) or l(i) = l(s) - l(j).  A labeling through the
+    current branch must carry the forced label, so a forced label outside
+    0..n, or one that clashes with a label already placed, refutes the
+    branch; propagation cuts no other branch.  Every equation is checked
+    when the last of its labels is placed, chosen or forced, so each
+    complete labeling satisfies all of them: the search finds exactly the
+    additive labelings of the search without propagation.  A branch is also
+    cut when more labels are missing than elements are left to place, in
+    this block and in the others, since then no labeling through it is
+    part of a surjective one."""
+    incident, blocks, _ = _label_blocks(table)
+    labels = [-1] * table.size
+    labels[table.zero_i] = 0
+    labels[table.one_i] = n
+    middle = table.size - 2
     # how many placed elements carry each label (0 and 1 are placed), and
     # the elements placed in the current block, in placing order
     count = [0] * (n + 1)
@@ -660,21 +807,14 @@ def _labelings(table: PartialAdditionTable, n: int) -> Tuple[Tuple[int, ...], ..
             count[labels[e]] -= 1
             labels[e] = -1
 
-    def search(block: Tuple[int, ...], spare: int) -> Dict[int, List[Tuple[int, ...]]]:
-        """The labelings of ``block`` by label set.  A branch is cut when
-        more labels are missing than elements are left to place, here and
-        in the ``spare`` elements of the other blocks."""
-        found: Dict[int, List[Tuple[int, ...]]] = {}
+    def search(block: Tuple[int, ...], spare: int) -> List[Tuple[int, ...]]:
+        found: List[Tuple[int, ...]] = []
 
         def rec(pos: int) -> None:
             while pos < len(block) and labels[block[pos]] >= 0:
                 pos += 1
             if pos == len(block):
-                vals = tuple(labels[e] for e in block)
-                used = 0
-                for v in vals:
-                    used |= 1 << v
-                found.setdefault(used, []).append(vals)
+                found.append(tuple(map(labels.__getitem__, block)))
                 return
             if count.count(0) > len(block) - len(trail) + spare:
                 return
@@ -688,12 +828,52 @@ def _labelings(table: PartialAdditionTable, n: int) -> Tuple[Tuple[int, ...], ..
         rec(0)
         return found
 
-    groups = []
+    out = []
     for block in blocks:
-        found = search(block, middle.bit_count() - len(block))
+        found = search(block, middle - len(block))
         if not found:
-            return ()
-        groups.append(found)
+            return None
+        out.append(found)
+    return tuple(out)
+
+
+@derived
+def _labelings(table: PartialAdditionTable, n: int):
+    """The labelings of ``discrete_labelings`` with their decompositions,
+    built from certified block factors: ``(labels, parts, sound)``, two
+    tuples with one row each per labeling, in lexicographic order of the
+    labels: the labels in table element order, and the parts, ``parts[i]``
+    the bitmask of the elements labelled i.
+
+    A labeling of E is one labeling per block of ``_label_blocks``
+    (``_block_labelings``), with 0 and 1 labelled 0 and n.  The block
+    labelings are grouped by the labels they use (``_block_used``), and a
+    tuple of groups gives rows exactly when the OR of their label sets is
+    {0..n}: the row is onto.  Each block labeling that some row takes is
+    certified once: its label range, its part masks (``_block_parts``),
+    and its additivity in one labeling of E (``_star_additive``: the
+    blocks label disjoint sets of elements).  ``sound`` says that every
+    label of a row lies in 0..n and that every tuple of those block
+    labelings, so every row, is additive on every defined sum; with
+    l(1) = n the complements of an element labelled i are then labelled
+    n - i, since a- + a = a + a~ = 1 are defined sums.  Each row is made in
+    C from its factors: its labels by one ``itemgetter`` over (0, n)
+    followed by the factors' labels, and its parts as the sums of the
+    factors' part masks, which are disjoint.  A row is the labeling it
+    would be if its labels were written element by element, so the rows
+    are those of a search over E, and sorting them on their labels gives
+    the labeling order."""
+    _, blocks, getter = _label_blocks(table)
+    found = _block_labelings(table, n)
+    if found is None:
+        return (), (), True
+    # per block: label set -> the labelings that use it
+    groups: List[Dict[int, List[Tuple[int, ...]]]] = []
+    for labelings in found:
+        group: Dict[int, List[Tuple[int, ...]]] = {}
+        for vals in labelings:
+            group.setdefault(_block_used(n, vals), []).append(vals)
+        groups.append(group)
     # reach[b], room[b]: the labels blocks b.. can use, and at most how many
     full = (1 << n + 1) - 1
     reach = [0] * (len(groups) + 1)
@@ -703,7 +883,7 @@ def _labelings(table: PartialAdditionTable, n: int) -> Tuple[Tuple[int, ...], ..
         for used in groups[b]:
             reach[b] |= used
         room[b] = room[b + 1] + max(used.bit_count() for used in groups[b])
-    out: List[Tuple[int, ...]] = []
+    combos: List[Tuple[int, ...]] = []
     picked: List[int] = []
 
     def combine(b: int, have: int) -> None:
@@ -711,11 +891,7 @@ def _labelings(table: PartialAdditionTable, n: int) -> Tuple[Tuple[int, ...], ..
         if missing & ~reach[b] or missing.bit_count() > room[b]:
             return
         if b == len(groups):
-            for parts in product(*(g[used] for g, used in zip(groups, picked))):
-                for block, vals in zip(blocks, parts):
-                    for e, v in zip(block, vals):
-                        labels[e] = v
-                out.append(tuple(labels))
+            combos.append(tuple(picked))  # missing == 0: the sets cover {0..n}
             return
         for used in groups[b]:
             picked.append(used)
@@ -723,12 +899,43 @@ def _labelings(table: PartialAdditionTable, n: int) -> Tuple[Tuple[int, ...], ..
             picked.pop()
 
     combine(0, 1 | 1 << n)
-    return tuple(sorted(out))
+    if not combos:
+        return (), (), True
+    # the groups that some row takes its block labeling from, each
+    # labeling with its part masks
+    kept: List[Dict[int, Tuple[list, list]]] = [{} for _ in groups]
+    bits = [tuple(1 << e for e in block) for block in blocks]
+    for combo in combos:
+        for taken, group, ones, used in zip(kept, groups, bits, combo):
+            if used not in taken:
+                taken[used] = (group[used], [_block_parts(n, ones, vals) for vals in group[used]])
+    sound = max(map(max, kept), default=0) >> n + 1 == 0 and _star_additive(
+        table, getter, (0, n), [[vals for labelings, _ in taken.values() for vals in labelings]
+                                for taken in kept])
+    head = ((0, n),)
+    base = [0] * (n + 1)
+    base[0], base[n] = 1 << table.zero_i, 1 << table.one_i
+    base = (tuple(base),)
+    out: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = []
+    for combo in combos:
+        entries = [taken[used] for taken, used in zip(kept, combo)]
+        vals = product(*(labelings for labelings, _ in entries))
+        parts = product(*(masks for _, masks in entries))
+        out.extend(zip(map(getter, map(tuple, map(chain.from_iterable, map(head.__add__, vals)))),
+                       map(tuple, map(partial(map, sum), starmap(zip, map(base.__add__, parts))))))
+    out.sort()
+    labels, parts = zip(*out)
+    return labels, parts, sound
 
 
 def enumerate_discrete_states(table: PartialAdditionTable, n: int) -> List[StateVector]:
-    """All (n+1)-valued discrete states, via the integer-labeling search."""
-    return [StateVector._from_ints(table, labels, n) for labels in discrete_labelings(table, n)]
+    """All (n+1)-valued discrete states, via the integer-labeling search.
+    Certified labelings are additive, so only the range, zero and one of
+    each state are checked; a refused certificate leaves every state to the
+    full check of ``_from_ints``, which words the refusal."""
+    labels, _, sound = _checked_labelings(table, n)
+    make = StateVector._from_additive if sound else StateVector._from_ints
+    return [make(table, row, n) for row in labels]
 
 
 # -- classification and extremality ---------------------------------------
@@ -798,23 +1005,13 @@ class ExtremalityReport:
 
 def _tight_rank_full(table: PartialAdditionTable, s: StateVector) -> bool:
     """Whether the box rows tight at ``s`` have rank d, read from the
-    state's values alone: an element valued 0 or 1 makes its row tight.
-    A tight free element is a unit row and settles its coordinate; the
-    tight rows, on the unsettled coordinates, go through the fraction-free
-    elimination."""
+    state's values alone: an element valued 0 or 1 makes its row tight,
+    and a tight free element's row is the unit row of its coordinate."""
     num, den = s._num, s._den
     _, rows, _, free = _affine_map(table)
-    settled = 0
-    for j, f in enumerate(free):
-        if num[f] == 0 or num[f] == den:
-            settled |= 1 << j
-    d = len(free)
-    unsettled = (1 << d) - 1 & ~settled
-    if not unsettled:
-        return True
-    rest = [{j: c for j, c in row.items() if unsettled >> j & 1}
-            for i, row in rows if num[i] == 0 or num[i] == den]
-    return len(_eliminate(rest, d)[1]) == unsettled.bit_count()
+    settled = sum(1 << j for j, f in enumerate(free) if num[f] == 0 or num[f] == den)
+    return _rank_full(len(free), [row for i, row in rows if num[i] == 0 or num[i] == den],
+                      settled)
 
 
 def is_extremal(table: PartialAdditionTable, s: StateVector) -> ExtremalityReport:

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -11,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as hyp
 
 from peal import cli
+from peal import decompositions as dec
 from peal import states as st
 from peal.cli import build_parser, main
-from peal.constructions import boolean4_table, diamond_table
+from peal.constructions import boolean4_table, chain_table, diamond_table
 from peal.core import (
     PartialAdditionTable,
     dumps_document,
@@ -256,6 +258,69 @@ def test_decompose_text_keeps_its_pinned_bytes(docs, tmp_path, capsys, name, n):
         assert out.endswith('states: [{"0": "0", "1": "1", "a": "1/2", "b": "1/2"}]\n'
                             "[pass] bijection-mutually-inverse\n"
                             "[pass] comparability[0]  comparable\n")
+
+
+# ``decompose chain:300 300``, whose labels do not fit a byte, recorded
+# before part texts were read through byte selectors: the sha256 of the
+# text report, and of the JSON report without its argv block (it holds the
+# path).
+PINNED_WIDE_LABEL_REPORTS = {
+    "text": "e4235afd5cf7b4f861a6e0fa2351db5a83cfad8bb136a8ccd26cc9ea3fa5b6a7",
+    "json": "02da50b02b879d33d9ee5a8220697aebd20f065aba174de5d76e59ab615a42f5",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(PINNED_WIDE_LABEL_REPORTS))
+def test_decompose_with_labels_past_a_byte_keeps_its_pinned_bytes(tmp_path, capsys, fmt):
+    path = tmp_path / "chain300.json"
+    path.write_text(dumps_document(table_to_document(chain_table(300))))
+    code, out = run(capsys, ["--format", fmt, "decompose", str(path), "300"])
+    assert code == 0
+    out = re.sub(r'\n  "argv": \[\n.*?\n  \],', "", out, flags=re.S)
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_WIDE_LABEL_REPORTS[fmt]
+
+
+@pytest.mark.parametrize("tables", ["chains", "corpus"])
+def test_part_rows_match_stdlib_on_both_sides_of_a_byte(tables):
+    """The part lists of ``decompose`` are what the stdlib writes for the
+    parts of each row, in both layouts, with labels read as bytes (n < 256:
+    the chain of 255 and the corpus) and compared one by one (n >= 256:
+    the chain of 256)."""
+    pads = ("\n", "\n  ", "\n    ", "\n      ")
+    if tables == "chains":
+        cases = [(chain_table(k), k) for k in (255, 256)]
+    else:
+        cases = [(t, n) for t in generate_peas(6) for n in range(1, t.size)]
+    for table, n in cases:
+        rows = dec.labelled_decompositions(table, n)
+        expected = [[sorted(e for e, label in zip(table.elements, labels) if label == i)
+                     for i in range(n + 1)] for labels, _, _ in rows]
+        parts = cli._PartRows(table, rows, n)
+        assert list(parts) == expected
+        for layout, indent in ((pads, 2), (("",) * 4, None)):
+            out = io.StringIO()
+            cli._write_table(parts, layout, "," if indent else ", ", out)
+            assert out.getvalue() == json.dumps(expected, sort_keys=True, indent=indent)
+
+
+def test_text_verdict_lines_are_the_verdicts_of_the_rows():
+    """The text lines of a verdict table, failing and passing rows, with
+    and without details, are the verdicts its iteration gives, each written
+    as the text report writes a verdict."""
+    def line(v):
+        return "[%s] %s%s\n" % ("pass" if v["passed"] else "FAIL", v["name"],
+                                 "  " + v["detail"] if v["detail"] else "")
+
+    head = [{"name": "first", "passed": True, "detail": ""}]
+    tail = [{"name": "last", "passed": False, "detail": "why"}]
+    table = horizontal_sum(2, 2)
+    rows = dec.labelled_decompositions(table, 1)
+    tables = [cli._VerdictRows(head, "x[%d]", [0, 1, 2], [True, False, True], tail),
+              cli._VerdictRows([], "y[%d]", [0, 1]),
+              cli._ComparabilityRows(head, table, rows)]
+    for verdicts in tables:
+        assert "".join(verdicts.lines()) == "".join(map(line, verdicts))
+    assert any(w is not None for _, _, w in rows) and "".join(tables[0].lines()).count("[FAIL]") == 2
 
 
 @pytest.mark.parametrize("n", ["1", "2"])

@@ -19,8 +19,8 @@ from peal.corpus import are_isomorphic, generate_peas
 from peal.decompositions import (
     ComparabilityReport,
     Decomposition,
+    _check_labels,
     _part_masks,
-    _parts_of,
     canonical_chain_report,
     check_comparability,
     check_condition_e,
@@ -31,7 +31,8 @@ from peal.decompositions import (
     validate_decomposition,
 )
 from peal.states import StateVector, discrete_labelings, enumerate_discrete_states
-from test_states import horizontal_sum, hsum_tables
+from peal import states as states_mod
+from test_states import horizontal_sum, hsum_tables, mixed_sums
 
 
 def test_diamond_two_decomposition(diamond):
@@ -266,7 +267,7 @@ def test_decompositions_match_frozen_path(pea_corpus_full):
 def labeling_outcome(table, labels, n):
     """The error ``find_decompositions`` raises on ``labels``, or None."""
     try:
-        _parts_of(table, tuple(labels), n)
+        _check_labels(table, tuple(labels), n)
     except PealError as exc:
         return type(exc).__name__, str(exc)
     return None
@@ -310,9 +311,10 @@ def only_additivity_fails(table, labels, n):
 
 
 def test_a_nonadditive_labeling_is_refused_by_both_constructions(pea_corpus_small):
-    """The bijection finds its labelings additive once, in ``_parts_of``;
-    on their own, ``_parts_of`` and ``StateVector._from_ints`` each still
-    refuse a labeling that breaks a sum.  The labelings here move an element
+    """The bijection finds its labelings additive once, by the certificates
+    of their block factors; on their own, ``_check_labels`` (which words a
+    refused certificate) and ``StateVector._from_ints`` each still refuse a
+    labeling that breaks a sum.  The labelings here move an element
     and its complements to mirrored labels."""
     refused = 0
     for table in list(pea_corpus_small) + [horizontal_sum(3, 2), horizontal_sum(2, 3)]:
@@ -327,7 +329,7 @@ def test_a_nonadditive_labeling_is_refused_by_both_constructions(pea_corpus_smal
                         if not only_additivity_fails(table, mutated, n):
                             continue
                         with pytest.raises(InputError, match="violates additivity"):
-                            _parts_of(table, tuple(mutated), n)
+                            _check_labels(table, tuple(mutated), n)
                         with pytest.raises(InputError, match="not additive"):
                             StateVector._from_ints(table, mutated, n)
                         refused += 1
@@ -451,10 +453,11 @@ def frozen_decomposition_rows(table, n):
 
 
 def test_kernel_rows_match_frozen_decomposition_path():
-    """On every table of the corpus of at most 9 elements, for every n below
-    its size, and on horizontal_sum(4, 3) with n = 2, each kernel row has the
-    parts, state, comparability and witness of the frozen path."""
-    cases = [(t, n) for t in generate_peas(8) + generate_peas(9, min_size=9)
+    """On every table of the corpus of at most 9 elements and on the mixed
+    horizontal sums, for every n below its size, and on horizontal_sum(4, 3)
+    with n = 2, each kernel row has the parts, state, comparability and
+    witness of the frozen path."""
+    cases = [(t, n) for t in generate_peas(8) + generate_peas(9, min_size=9) + tuple(mixed_sums())
              for n in range(1, t.size)] + [(horizontal_sum(4, 3), 2)]
     seen = {True: 0, False: 0}
     for table, n in cases:
@@ -469,3 +472,38 @@ def test_kernel_rows_match_frozen_decomposition_path():
             assert report.witness == (None if witness is None else (els[witness[0]], els[witness[1]]))
             seen[report.comparable] += 1
     assert seen[True] > 50 and seen[False] > 2000, seen
+
+
+@pytest.mark.parametrize("b, k", [(0, 0), (1, -1)])
+def test_a_corrupted_block_factor_is_refused_with_the_frozen_message(monkeypatch, b, k):
+    """A block labeling moved with its complements to mirrored labels keeps
+    its complements but breaks a sum of its block.  Put in the place of
+    the first labeling of the first block, or of the last of the second
+    (a labeling no product around the first row holds but one), its
+    certificate refuses it, and the kernel raises the message that the
+    frozen validator gives on the first decomposition, in labeling order,
+    that holds it."""
+    n = 2
+    table = horizontal_sum(2, 3)
+    blocks = states_mod._label_blocks(table)[1]
+    found = [list(labelings) for labelings in states_mod._block_labelings(table, n)]
+    els = table.elements
+    labels = list(discrete_labelings(table, n)[0])
+    block = blocks[b]
+    a = els[block[0]]
+    for e, q in ((a, 1),) + tuple((c, n - 1) for c in complements(table, a)):
+        labels[table.index(e)] = q
+    bad = tuple(labels[x] for x in block)
+    assert bad not in found[b] and only_additivity_fails(table, labels, n)
+    found[b][k] = bad
+    monkeypatch.setattr(states_mod, "_block_labelings", lambda t, k: tuple(found))
+    fresh = horizontal_sum(2, 3)
+    rows, _, sound = states_mod._labelings(fresh, n)
+    assert not sound and any(tuple(r[x] for x in block) == bad for r in rows)
+    expected = next(outcome for outcome in (
+        validation_outcome(frozen_validate_decomposition, fresh, frozen_parts(fresh, r, n))
+        for r in rows) if outcome)
+    assert expected[1].endswith("violates additivity of parts")
+    with pytest.raises(InputError) as refused:
+        labelled_decompositions(fresh, n)
+    assert (type(refused.value).__name__, str(refused.value)) == expected

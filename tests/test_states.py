@@ -13,6 +13,7 @@ from hypothesis import strategies as hyp
 from peal import states
 from peal.cli import main
 from peal.constructions import chain_table, gamma_interval_finite
+from peal.corpus import generate_peas
 from peal.core import (
     InconsistencyError,
     InputError,
@@ -301,6 +302,34 @@ def horizontal_sum(blocks, atoms):
                 if x & y == 0:
                     sums[(names[x], names[y])] = names[x | y]
     return PartialAdditionTable.build(elements, "0", "1", sums)
+
+
+def mixed_sum(*blocks):
+    """The horizontal sum of the PEAs ``blocks``: their middle elements,
+    renamed per block, glued at one 0 and one 1, with each block's sums of
+    nonzero elements."""
+    elements, sums = ["0", "1"], {}
+    for b, table in enumerate(blocks):
+        els = table.elements
+        name = {e: "m%d.%s" % (b, e) for e in els}
+        name[table.zero], name[table.one] = "0", "1"
+        elements += [name[e] for e in els if e not in (table.zero, table.one)]
+        sums.update(((name[els[i]], name[els[j]]), name[els[k]])
+                    for i, j, k in table.defined_sums() if table.zero_i not in (i, j))
+    return PartialAdditionTable.build(elements, "0", "1", sums)
+
+
+def mixed_sums():
+    """Horizontal sums of a 2^2 block, a 2^3 block, a chain block and
+    blocks whose labels are all forced (the chain 0 < 1/2 < 1, and the
+    diamond, whose a and b each add only to themselves), in mixed and in
+    shuffled element order."""
+    b2, b3 = horizontal_sum(1, 2), horizontal_sum(1, 3)
+    diamond = PartialAdditionTable.build(["0", "a", "b", "1"], "0", "1",
+                                         {("a", "a"): "1", ("b", "b"): "1"})
+    tables = [mixed_sum(b2, b3, chain_table(3), diamond), mixed_sum(b3, chain_table(2), b2),
+              mixed_sum(chain_table(3), b3)]
+    return tables + [relabeled(tables[1], random.Random(5))]
 
 
 def test_diamond_unique_state(diamond):
@@ -1122,6 +1151,66 @@ def test_extremality_on_vertices_forms_no_fraction(monkeypatch):
     monkeypatch.undo()
     assert all(verdicts)
     assert made == []
+
+
+def test_factor_flags_match_the_extremality_oracle():
+    """The extremality flags of ``pea states --extremal``, read from the
+    tight-rank certificates of the block vertices, are ``is_extremal``'s
+    verdict on every vertex of the corpus of at most 8 elements, of
+    hsum-4x3, hsum-10x2 and of the mixed horizontal sums."""
+    vertices = 0
+    for table in list(generate_peas(8)) + [horizontal_sum(4, 3), horizontal_sum(10, 2)] \
+            + mixed_sums():
+        space = solve_state_space(table)
+        found, flags = states._vertices(table)[0], states._extremal_flags(table)
+        assert found == space.extremal_states and len(flags) == len(found)
+        assert list(flags) == [is_extremal(table, s).extremal for s in found]
+        vertices += len(found)
+    assert vertices > 1250, vertices
+
+
+def test_a_planted_non_vertex_gets_the_oracle_flag(monkeypatch):
+    """A midpoint of two vertices of one block, planted among that block's
+    vertices, is additive, so its products are built; each of them is
+    flagged not extremal, as ``is_extremal`` finds it."""
+    real = states._block_values
+
+    def planted(p, block):
+        found = real(p, block)
+        (d1, v1), (d2, v2) = found[:2]
+        d = math.lcm(d1, d2)
+        middle = tuple((i, x * (d // d1) + y * (d // d2)) for (i, x), (_, y) in zip(v1, v2))
+        return found + [(2 * d, middle)]
+
+    monkeypatch.setattr(states, "_block_values", planted)
+    table = horizontal_sum(2, 3)
+    found, flags = states._vertices(table)[0], states._extremal_flags(table)
+    assert len(found) == 16 and flags.count(False) == 7
+    assert list(flags) == [is_extremal(table, s).extremal for s in found]
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_a_corrupted_block_vertex_is_refused_as_not_additive(monkeypatch, k):
+    """A block vertex that breaks one of its block's equations, the first
+    vertex of the first block or the last of the last, fails its
+    certificate, and the product states are then built with the full check,
+    which refuses the first one with the usual message."""
+    real = states._block_values
+    table = horizontal_sum(2, 3)
+    target = states._polytope_blocks(table)[k]
+
+    def corrupted(p, block):
+        found = real(p, block)
+        if block is target:
+            den, values = found[k]
+            # swap the values of an atom and its complement, both in range
+            found[k] = (den, ((values[0][0], values[-1][1]),) + values[1:-1]
+                        + ((values[-1][0], values[0][1]),))
+        return found
+
+    monkeypatch.setattr(states, "_block_values", corrupted)
+    with pytest.raises(InputError, match="^state not additive at "):
+        solve_state_space(table)
 
 
 @pytest.mark.parametrize("wrong", [None, "zero", "ones"])
