@@ -14,7 +14,6 @@ import hashlib
 import json
 import os
 import sys
-from fractions import Fraction
 from itertools import chain, compress, count, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -63,7 +62,6 @@ def _write_document(path: str, table: PartialAdditionTable) -> None:
 
 
 _SCALARS = frozenset((str, int, float, bool, type(None)))
-_NUMBERS = frozenset((int, float, bool))
 
 
 @functools.cache
@@ -90,64 +88,6 @@ def _holds_scalars(value) -> bool:
     elif type(value) is not list and type(value) is not tuple:
         return False
     return bool(value) and _SCALARS.issuperset(map(type, value))
-
-
-def _scalar_texts(leaves) -> Optional[Dict]:
-    """Each distinct value of the iterable ``leaves()`` with its JSON text, or
-    None unless every value is a scalar that the memo keeps apart.
-
-    A dict merges equal values, and 1 == True == 1.0 and 0.0 == -0.0 print
-    apart.  So the memo is refused for a float, and for a bool beside an
-    int."""
-    try:
-        memo = dict.fromkeys(leaves())
-    except TypeError:  # a container
-        return None
-    kinds = set(map(type, memo))
-    if not _SCALARS.issuperset(kinds):
-        return None
-    if kinds & _NUMBERS:  # the memo's keys may hide merged values
-        kinds = set(map(type, leaves()))
-        if float in kinds or bool in kinds and int in kinds:
-            return None
-    encode = _flat_encoder(0).encode
-    for value in memo:
-        memo[value] = encode(value)
-    return memo
-
-
-def _rows(head: str, row: str, texts: Iterator, out: TextIO) -> None:
-    """Write a list at the nesting of ``head`` whose items are ``row`` filled
-    in with each of ``texts``, one item at a time."""
-    out.write("[" + head + row % next(texts))
-    out.writelines(map(("," + head + row).__mod__, texts))
-    out.write(head[:-2] + "]")
-
-
-def _dict_rows(value: list, depth: int, out: TextIO) -> bool:
-    """Write ``value``, two or more dicts with one set of str keys and scalar
-    values, from one template; False, writing nothing, for any other list.
-    The keys are sorted and escaped once, and each distinct value is encoded
-    once."""
-    keys = value[0].keys()
-    width = len(keys)
-    if not width or not all(type(k) is str for k in keys) \
-            or not all(map(width.__eq__, map(len, value))):
-        return False
-    keys = sorted(keys)
-    pick = itemgetter(*keys) if width > 1 else (lambda row, k=keys[0]: (row[k],))
-    try:  # rows of ``width`` keys that have every key of the first
-        memo = _scalar_texts(lambda: chain.from_iterable(map(pick, value)))
-    except KeyError:
-        return False
-    if memo is None:
-        return False
-    inner = "\n" + "  " * (depth + 1)
-    row = ("{" + inner + "  " + ("," + inner + "  ").join(
-        encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys) + inner + "}")
-    _rows(inner, row, map(tuple, map(functools.partial(map, memo.__getitem__), map(pick, value))),
-          out)
-    return True
 
 
 class RowTable:
@@ -181,6 +121,15 @@ def _write_table(table: RowTable, pads: Sequence[str], comma: str, out: TextIO) 
     out.write("[" + pads[1] + first)
     out.writelines(map((comma + pads[1]).__add__, texts))
     out.write(pads[0] + "]")
+
+
+def _dict_template(keys, pads: Sequence[str], comma: str) -> str:
+    """The text of a dict with str ``keys``, an item of a table written with
+    ``pads`` and ``comma``, as a ``%`` template whose fields are the encoded
+    values in sorted key order."""
+    _, p1, p2, _ = pads
+    return "{" + p2 + (comma + p2).join(
+        encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in sorted(keys)) + p1 + "}"
 
 
 class _NamedRows(RowTable):
@@ -261,7 +210,7 @@ class _StateRows(_NamedRows):
     def _fractions(self, render) -> Iterator[Iterator[str]]:
         """Each row's fractions through ``render``, in name order; one memo
         per denominator renders each distinct fraction once."""
-        lookups = _Memo(lambda den: _Memo(lambda num: render(str(Fraction(num, den)))).__getitem__)
+        lookups = _Memo(lambda den: _Memo(lambda num: render(st._fraction_string(num, den))).__getitem__)
         if self.den is None:
             lookup = map(lookups.__getitem__, map(itemgetter(1), self.rows))
         else:
@@ -272,9 +221,7 @@ class _StateRows(_NamedRows):
         return map(dict, map(zip, repeat(self.names), self._fractions(str)))
 
     def texts(self, pads: Sequence[str], comma: str) -> Iterator[str]:
-        _, p1, p2, _ = pads
-        template = "{" + p2 + (comma + p2).join(
-            encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in self.names) + p1 + "}"
+        template = _dict_template(self.names, pads, comma)
         return map(template.__mod__, map(tuple, self._fractions(encode_basestring_ascii)))
 
 
@@ -306,42 +253,40 @@ class _VerdictRows(RowTable):
             yield {"name": self.name % i, "passed": passed, "detail": detail}
         yield from self.tail
 
+    def _spliced(self, made, failing: str, passing: str, numbered: Iterator[tuple]) -> Iterator[str]:
+        """``made(v)`` for each verdict v of ``head`` and then of ``tail``,
+        around the numbered rows: ``failing`` or ``passing``, as the flags
+        say, filled in with each tuple of ``numbered``."""
+        if self.flags is None:
+            rows = map(passing.__mod__, numbered)
+        else:
+            rows = map(str.__mod__, map((failing, passing).__getitem__, self.flags), numbered)
+        return chain(map(made, self.head), rows, map(made, self.tail))
+
     def lines(self) -> Iterator[str]:
         """The lines of the text report, ``[pass] name  detail`` or
         ``[FAIL] ...``, the two spaces and the detail only when there is
-        one; the numbered rows are filled in from the flags and details."""
-        def made(verdicts: Sequence[dict]) -> Iterator[str]:
-            for v in verdicts:
-                yield "[%s] %s%s\n" % ("pass" if v["passed"] else "FAIL", v["name"],
-                                       "  " + v["detail"] if v["detail"] else "")
+        one."""
+        def made(v: dict) -> str:
+            return "[%s] %s%s\n" % ("pass" if v["passed"] else "FAIL", v["name"],
+                                    "  " + v["detail"] if v["detail"] else "")
 
         failing, passing = ("[%s] %s%%s\n" % (status, self.name) for status in ("FAIL", "pass"))
-        numbered = zip(count(), self._details(lambda detail: detail and "  " + detail))
-        if self.flags is None:
-            rows = map(passing.__mod__, numbered)
-        else:
-            rows = map(str.__mod__, map((failing, passing).__getitem__, self.flags), numbered)
-        return chain(made(self.head), rows, made(self.tail))
+        return self._spliced(made, failing, passing,
+                             zip(count(), self._details(lambda detail: detail and "  " + detail)))
 
     def texts(self, pads: Sequence[str], comma: str) -> Iterator[str]:
-        _, p1, p2, _ = pads
-        template = ("{" + p2 + '"detail": %s' + comma + p2 + '"name": %s' + comma + p2
-                    + '"passed": %s' + p1 + "}")
+        template = _dict_template(("detail", "name", "passed"), pads, comma)
 
-        def made(verdicts: Sequence[dict]) -> Iterator[str]:
-            for v in verdicts:
-                yield template % (encode_basestring_ascii(v["detail"]),
-                                  encode_basestring_ascii(v["name"]),
-                                  "true" if v["passed"] else "false")
+        def made(v: dict) -> str:
+            return template % (encode_basestring_ascii(v["detail"]),
+                               encode_basestring_ascii(v["name"]),
+                               "true" if v["passed"] else "false")
 
         failing, passing = (template % ("%s", encode_basestring_ascii(self.name), flag)
                             for flag in ("false", "true"))
-        numbered = zip(self._details(encode_basestring_ascii), count())
-        if self.flags is None:
-            rows = map(passing.__mod__, numbered)
-        else:
-            rows = map(str.__mod__, map((failing, passing).__getitem__, self.flags), numbered)
-        return chain(made(self.head), rows, made(self.tail))
+        return self._spliced(made, failing, passing,
+                             zip(self._details(encode_basestring_ascii), count()))
 
 
 class _ComparabilityRows(_VerdictRows):
@@ -354,14 +299,10 @@ class _ComparabilityRows(_VerdictRows):
         self.elements = table.elements
 
     def _details(self, render) -> Iterator[str]:
-        done = {}
-        for _, _, witness in self.rows:
-            text = done.get(witness)
-            if text is None:
-                text = done[witness] = render(
-                    "comparable" if witness is None else "not comparable: %r"
-                    % (tuple(map(self.elements.__getitem__, witness)),))
-            yield text
+        details = _Memo(lambda witness: render(
+            "comparable" if witness is None else "not comparable: %r"
+            % (tuple(map(self.elements.__getitem__, witness)),)))
+        return map(details.__getitem__, map(itemgetter(2), self.rows))
 
 
 def _indented(value, depth: int, out: TextIO) -> None:
@@ -370,19 +311,16 @@ def _indented(value, depth: int, out: TextIO) -> None:
     pure-Python encoder, which it falls back to whenever ``indent`` is set.
     A ``RowTable`` is written as the list its iteration gives.
 
-    Four layouts write a whole container at once; Python recurses only over
-    the other containers that hold containers.  Two take one call of the C
-    encoder: a container of scalars, encoded with the item separator of its
-    depth, and a list of containers of scalars of one kind, laid out with its
-    children's item separator, where a child's closing bracket followed by
-    that separator, which holds a raw newline that no encoded string has,
-    marks a separator between children.  Two are written one row at a time:
-    a ``RowTable``, whose rows are made from their compact source rows only
-    as they are written, so that its values are never held whole; and a
-    list of dicts with one set of str keys and scalar values, which fills in
-    one template per row (``_dict_rows``) and encodes each distinct scalar
-    once, through a memo that must not merge values that are equal but
-    print apart, such as 1 and True (``_scalar_texts``)."""
+    Three layouts write a whole container at once; Python recurses only
+    over the other containers that hold containers.  Two take one call of
+    the C encoder: a container of scalars, encoded with the item separator
+    of its depth, and a list of containers of scalars of one kind, laid out
+    with its children's item separator, where a child's closing bracket
+    followed by that separator, which holds a raw newline that no encoded
+    string has, marks a separator between children.  The third is a
+    ``RowTable``, written one row at a time, each row made from its compact
+    source row only as it is written, so that its values are never held
+    whole."""
     pad = "\n" + "  " * depth
     inner = pad + "  "
     if isinstance(value, RowTable):
@@ -399,8 +337,6 @@ def _indented(value, depth: int, out: TextIO) -> None:
         out.write(pad + "}")
     elif isinstance(value, (list, tuple)) and value:
         kinds = set(map(type, value))
-        if kinds == {dict} and len(value) > 1 and _dict_rows(value, depth, out):
-            return
         if (kinds == {dict} or kinds <= {list, tuple}) and all(map(_holds_scalars, value)):
             text = _flat_encoder(depth + 2).encode(value)
             start, end = text[1], text[-2]

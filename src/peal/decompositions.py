@@ -4,7 +4,6 @@ of finite n-perfect algebras."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import accumulate, compress
 from operator import and_, or_
@@ -222,35 +221,23 @@ def _comparability(table: PartialAdditionTable, labels: Tuple[int, ...],
     return None
 
 
-def _round_trip(labels: Tuple[int, ...], n: int) -> None:
-    """Raise unless the state labels / n induced by a decomposition, in
-    lowest terms num / den, gives the decomposition back: den divides n and
-    num * (n // den) are the labels."""
-    g = math.gcd(n, *labels)
-    den = n // g
-    num = labels if g == 1 else tuple(l // g for l in labels)
-    k = n // den
-    if n % den or (num if k == 1 else tuple(x * k for x in num)) != labels:
-        raise InconsistencyError("state preimages do not recover the decomposition")
-
-
 @derived
 def labelled_decompositions(table: PartialAdditionTable, n: int) -> Tuple[DecompositionRow, ...]:
     """The n-decompositions of ``table`` as rows of ints, one per labeling
     of ``discrete_labelings`` and in its order, each checked before it is
-    returned: the labels are a decomposition, the state labels / n gives
-    them back (``_round_trip``, so D_n(E) <-> S_n(E) is mutually inverse),
-    and the comparability test holds with its consequences
-    (``_comparability``).
+    returned: the labels are a decomposition, and the comparability test
+    holds with its consequences (``_comparability``).  The state labels / n
+    gives the labels back, with nothing to check: with g = gcd(n, labels),
+    its lowest terms are (labels / g) / (n / g), whose denominator divides
+    n, and the numerators times n / (n / g) = g are the labels.
 
     That the labels are a decomposition is certified once per block factor,
     not once per row (``states._labelings``): every row is onto {0..n},
     its labels lie in 0..n, and every tuple of the block labelings that the
     rows take is additive (``states._star_additive``), so every row passes
     ``_check_labels`` and its part masks are the sums of its factors'
-    masks.  A refused certificate leaves each row to ``_check_labels``,
-    before its round trip, so the first row that breaks a condition raises
-    that condition's message.
+    masks.  A refused certificate leaves each row to ``_check_labels``, so
+    the first row that breaks a condition raises that condition's message.
 
     A row is (labels, part masks, witness): the label of every element,
     part E_i as a bitmask over element indices, and the index pair of the
@@ -263,7 +250,6 @@ def labelled_decompositions(table: PartialAdditionTable, n: int) -> Tuple[Decomp
     for labels, parts in zip(found, masks):
         if not sound:
             _check_labels(table, labels, n)
-        _round_trip(labels, n)
         rows.append((labels, parts, _comparability(table, labels, parts)))
     return tuple(rows)
 
@@ -276,8 +262,11 @@ def find_decompositions(table: PartialAdditionTable, n: int) -> List[Decompositi
 
 def decomposition_state_bijection(table: PartialAdditionTable, n: int):
     """The bijection D_n(E) <-> S_n(E): each decomposition paired with its
-    induced state, the two constructions verified mutually inverse by
-    ``labelled_decompositions``."""
+    induced state.  The pair is mutually inverse by construction: the
+    state is the row's labels over n and the decomposition the parts of the
+    same labels, E_i = {x : s(x) = i/n}, so the labels n * s(x) of the state
+    give the decomposition back, and the parts of a decomposition give back
+    the labels, hence the state."""
     return [(_decomposition(table, labels, parts),
              states_mod.StateVector._from_additive(table, labels, n))
             for labels, parts, _ in labelled_decompositions(table, n)]

@@ -763,16 +763,29 @@ def test_emitter_matches_stdlib_indent(value):
     [[[True]], [[1]]],
     [[["a"]], [[["b"]]]],
     [[["a"]], ["b"]],
+    # lists of dicts of scalars, with values that print apart though equal
+    # (1 and True, 0.0 and -0.0), floats, list values, differing keys, int
+    # keys and a row short of a key
+    [{"b": "1/2", "a": "0"}, {"a": "1", "b": "0"}],
+    [{"name": "x[0]", "passed": True, "detail": ""}, {"passed": False, "name": "%s", "detail": "\n"}],
+    [{"a": 1}, {"a": 2}],
+    [{"a": None}, {"a": ""}],
+    [{"a": 1}, {"a": True}],
+    [{"a": 0.0}, {"a": -0.0}],
+    [{"a": 1.5}, {"a": 2.5}],
+    [{"a": [1]}, {"a": [2]}],
+    [{"a": "1"}, {"b": "1"}],
+    [{1: "a"}, {1: "b"}],
+    [{"a": "1"}, {"a": "1", "b": "2"}],
 ])
 def test_emitter_matches_stdlib_on_mixed_keys_and_children(value):
     assert dumps_report(value) == json.dumps(value, sort_keys=True, indent=2)
 
 
-# Wide lists: same-keyed dicts of scalars, the row-table layout, whose
-# values mix the scalars a memo of encoded values could merge (True, 1 and
-# 1.0; False, 0, 0.0 and -0.0), and lists of lists of lists of scalars,
-# with empty inner lists, tuples, and strings that look like brackets and
-# separators.
+# Wide lists: same-keyed dicts of scalars, whose values mix scalars that are
+# equal but print apart (True, 1 and 1.0; False, 0, 0.0 and -0.0), and lists
+# of lists of lists of scalars, with empty inner lists, tuples, and strings
+# that look like brackets and separators.
 ROW_SCALARS = hyp.one_of(
     hyp.sampled_from([True, False, 1, 0, 1.0, 0.0, -0.0, None, "", "%s", "%%", "],", "[[", "\n",
                       "]],\n  [[", "\u00e9"]),
@@ -808,26 +821,6 @@ def nested_rows(leaves):
                   hyp.dictionaries(TEXT, hyp.one_of(dict_rows(), nested_rows(TEXT)), max_size=3)))
 def test_row_tables_match_stdlib_indent(value):
     assert dumps_report(value) == json.dumps(value, sort_keys=True, indent=2)
-
-
-@pytest.mark.parametrize("value, layout", [
-    ([{"b": "1/2", "a": "0"}, {"a": "1", "b": "0"}], True),
-    ([{"name": "x[0]", "passed": True, "detail": ""}, {"passed": False, "name": "%s", "detail": "\n"}],
-     True),
-    ([{"a": 1}, {"a": 2}], True),
-    ([{"a": None}, {"a": ""}], True),
-    ([{"a": 1}, {"a": True}], False),    # the memo would merge 1 and True
-    ([{"a": 0.0}, {"a": -0.0}], False),  # and 0.0 and -0.0
-    ([{"a": 1.5}, {"a": 2.5}], False),
-    ([{"a": [1]}, {"a": [2]}], False),
-    ([{"a": "1"}, {"b": "1"}], False),
-    ([{1: "a"}, {1: "b"}], False),
-    ([{"a": "1"}, {"a": "1", "b": "2"}], False),
-])
-def test_dict_rows_take_the_template_only_where_the_memo_is_safe(value, layout):
-    out = io.StringIO()
-    assert cli._dict_rows(value, 0, out) == layout
-    assert out.getvalue() == (json.dumps(value, sort_keys=True, indent=2) if layout else "")
 
 
 def frozen_emit(self, fmt, stream=None):
