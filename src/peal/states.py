@@ -18,17 +18,19 @@ views and in the witness of a non-extremal state.
 The state polytope is separable.  Two free coordinates are linked when one
 box constraint 0 <= s(e) <= 1 involves both, and the polytope is the product
 of the polytopes of the linked blocks (Ziegler, *Lectures on Polytopes*,
-1995).  Each block's vertices are enumerated by an incremental double
-description sweep on integer-scaled constraint rows in which every vertex
-carries its tight constraints as an ``int`` bitmask (Fukuda & Prodon,
-"Double description method revisited", 1996); the extremal states are the
-tuples of block vertices, built straight from integer numerators.  Each
-block vertex is certified once: additive in one product (the products are
-additive exactly when the star of products around the first one is, since
-additivity is linear), and of full tight rank within its block, so no
-product is checked again.  ``MAX_FREE_PARAMETERS`` bounds the total number
-of free coordinates, not each block's, since a product of d segments
-already has 2^d vertices.
+1995); ``_split`` finds them as it finds the label blocks of the discrete
+states below, and each lies inside one label block, since elements of
+different label blocks share no equation.  Each block's vertices are
+enumerated by an incremental double description sweep on integer-scaled
+constraint rows in which every vertex carries its tight constraints as an
+``int`` bitmask (Fukuda & Prodon, "Double description method revisited",
+1996); the extremal states are the tuples of block vertices, built straight
+from integer numerators.  Each block vertex is certified once: additive in
+one product (the products are additive exactly when the star of products
+around the first one is, since additivity is linear), and of full tight rank
+within its block, so no product is checked again.  ``MAX_VERTICES`` meters
+the 2^d corners a block's sweep starts from, its vertices after each row,
+and the product of the block vertex counts before any product is built.
 
 A state is extremal exactly when the box rows it makes tight (an element
 valued 0 or 1 makes its row tight) have full rank.  ``is_extremal`` decides
@@ -66,7 +68,7 @@ from .core import (
     derived,
 )
 
-MAX_FREE_PARAMETERS = 12
+MAX_VERTICES = 1 << 16
 
 ZERO = Fraction(0)
 
@@ -302,13 +304,21 @@ def _nullspace_vector(rows: List[Row], dim: int) -> Optional[Tuple[int, ...]]:
 # -- double description vertex sweep --------------------------------------
 
 
+def _meter(count: int, what: str) -> None:
+    """Refuse ``count`` vertices past ``MAX_VERTICES``."""
+    if count > MAX_VERTICES:
+        raise PreconditionError("%s %d vertices; refusing beyond %d" % (what, count, MAX_VERTICES))
+
+
 def _dd_points(
     rows: List[Tuple[Row, int]], dim: int
 ) -> List[Tuple[Tuple[int, ...], int]]:
     """Vertices of {t : a.t <= b for all integer rows (a, b)} as points
     (numerators, denominator) reduced by their gcd, so equal points are equal
     tuples; the first 2*dim rows must be the unit box 0 <= t_i <= 1 (so the
-    region is bounded).  The points come in no particular order."""
+    region is bounded).  The points come in no particular order.  The 2^dim
+    corners it starts from and its vertices after each row are metered."""
+    _meter(1 << dim, "vertex sweep starts at")
     # (point, its tight set among the rows swept so far as a bitmask)
     verts: List[Tuple[Tuple[Tuple[int, ...], int], int]] = [
         ((tuple(mask >> i & 1 for i in range(dim)), 1),
@@ -362,6 +372,7 @@ def _dd_points(
         verts = keep
         if not verts:
             return []
+        _meter(len(verts), "vertex sweep holds")
     return [v for v, _ in verts]
 
 
@@ -560,6 +571,7 @@ def _vertices(table: PartialAdditionTable):
         return (), (), ()
     p, _, m, _ = affine
     found = [_block_values(p, block) for block in blocks]
+    _meter(math.prod(map(len, found)), "state polytope has")
     # one vertex per tuple of block vertices, all over the denominator
     # common to every block vertex, so each is rescaled once
     den = math.lcm(*(bd for vertices in found for bd, _ in vertices))
@@ -622,20 +634,16 @@ def _extremal_flags(table: PartialAdditionTable) -> Tuple[bool, ...]:
 def solve_state_space(table: PartialAdditionTable) -> StateSpace:
     """Solve the additivity system exactly and enumerate the extremal states
     (``_vertices``: block by block, certified per block vertex).  Refuses
-    tables whose solution space has more than MAX_FREE_PARAMETERS free
-    parameters in total (exactness over scalability).  An empty polytope is
-    a legitimate outcome: stateless PEAs exist.
+    with ``PreconditionError`` a polytope whose vertices, or the vertices
+    of some block's sweep, number more than ``MAX_VERTICES`` (exactness over
+    scalability).  An empty polytope is a legitimate outcome: stateless
+    PEAs exist.
     """
     _require_pea(table)
     affine = _affine_map(table)
     if affine is None:
         return StateSpace(table, False, None, (), (), ())
     p, rows, m, free = affine
-    if len(free) > MAX_FREE_PARAMETERS:
-        raise PreconditionError(
-            "state space has %d free parameters; refusing beyond %d"
-            % (len(free), MAX_FREE_PARAMETERS)
-        )
     els = table.elements
     # the free elements first, then the pivot elements in column order
     particular = dict.fromkeys([els[f] for f in free])
@@ -683,42 +691,21 @@ def discrete_labelings(table: PartialAdditionTable, n: int) -> List[Tuple[int, .
 @derived
 def _label_blocks(table: PartialAdditionTable):
     """The middle elements (all but 0 and 1) split into blocks that share no
-    equation: ``(incident, blocks, getter)``.  ``incident`` holds each
-    element's equations, ``blocks`` the blocks as sorted index tuples, and
-    ``getter`` picks the labels of a labeling of E, in element order, from
+    equation: ``(blocks, getter)``, the blocks as sorted index tuples, and
+    ``getter`` picking the labels of a labeling of E, in element order, from
     (0, n) followed by every block's labels in block order.
 
-    The equations are those of ``_equations`` (a sum with a 0 operand holds
-    for every labeling with l(0) = 0), and the blocks are the connected
-    components of a walk over each element's equations."""
-    k = table.size
-    incident: List[List[Tuple[int, int, int]]] = [[] for _ in range(k)]
-    for eq in _equations(table):
-        i, j, s = eq
-        incident[i].append(eq)
-        if j != i:
-            incident[j].append(eq)
-        incident[s].append(eq)
-    placed = 1 << table.zero_i | 1 << table.one_i
-    middle = (1 << k) - 1 & ~placed
-    blocks = []
-    for e in _bits(middle):
-        if placed >> e & 1:
-            continue
-        placed |= 1 << e
-        block = [e]
-        for x in block:
-            for eq in incident[x]:
-                for y in eq:
-                    if not placed >> y & 1:
-                        placed |= 1 << y
-                        block.append(y)
-        blocks.append(tuple(sorted(block)))
-    position = [0] * k
+    The blocks are the components (``_split``) of ``_equations`` with 0 and
+    1 left out (a sum with a 0 operand holds for every labeling with
+    l(0) = 0); every middle element a lies in one, as a + a~ = 1."""
+    ends = 1 << table.zero_i | 1 << table.one_i
+    blocks = [tuple(_bits(block)) for block in _split(
+        (1 << i | 1 << j | 1 << s) & ~ends for i, j, s in _equations(table))]
+    position = [0] * table.size
     position[table.one_i] = 1
     for at, e in enumerate((e for block in blocks for e in block), 2):
         position[e] = at
-    return incident, blocks, _picker(position)
+    return blocks, _picker(position)
 
 
 def _block_used(n: int, vals: Tuple[int, ...]) -> int:
@@ -758,7 +745,14 @@ def _block_labelings(table: PartialAdditionTable, n: int) -> Optional[Tuple[List
     cut when more labels are missing than elements are left to place, in
     this block and in the others, since then no labeling through it is
     part of a surjective one."""
-    incident, blocks, _ = _label_blocks(table)
+    blocks, _ = _label_blocks(table)
+    incident: List[List[Tuple[int, int, int]]] = [[] for _ in range(table.size)]
+    for eq in _equations(table):
+        i, j, s = eq
+        incident[i].append(eq)
+        if j != i:
+            incident[j].append(eq)
+        incident[s].append(eq)
     labels = [-1] * table.size
     labels[table.zero_i] = 0
     labels[table.one_i] = n
@@ -863,7 +857,7 @@ def _labelings(table: PartialAdditionTable, n: int):
     would be if its labels were written element by element, so the rows
     are those of a search over E, and sorting them on their labels gives
     the labeling order."""
-    _, blocks, getter = _label_blocks(table)
+    blocks, getter = _label_blocks(table)
     found = _block_labelings(table, n)
     if found is None:
         return (), (), True

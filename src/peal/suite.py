@@ -124,8 +124,8 @@ def _state_checks(table: PartialAdditionTable) -> Iterator[str]:
 
 def _bijection_checks(table: PartialAdditionTable, max_n: int) -> Iterator[str]:
     for n in range(1, max_n + 1):
-        # each row is asserted mutually inverse with its state, and its
-        # comparability biconditional and consequences, in the kernel
+        # per row: E_0 is a normal ideal and the state is classified here;
+        # labelled_decompositions checked its comparability and consequences
         for labels, parts, _ in dec.labelled_decompositions(table, n):
             if not idl._normal_ideal(table, parts[0]):
                 yield "E_0 not a normal ideal at n=%d" % (n,)

@@ -485,7 +485,7 @@ def test_a_corrupted_block_factor_is_refused_with_the_frozen_message(monkeypatch
     that holds it."""
     n = 2
     table = horizontal_sum(2, 3)
-    blocks = states_mod._label_blocks(table)[1]
+    blocks = states_mod._label_blocks(table)[0]
     found = [list(labelings) for labelings in states_mod._block_labelings(table, n)]
     els = table.elements
     labels = list(discrete_labelings(table, n)[0])

@@ -18,6 +18,7 @@ from peal.core import (
     InconsistencyError,
     InputError,
     PartialAdditionTable,
+    _equations,
     check_axioms,
     dumps_document,
     table_to_document,
@@ -518,20 +519,34 @@ def test_state_validation_rejects_non_additive(boolean4):
         )
 
 
-def test_refuses_oversized_parameter_space():
-    # 13 independent complement pairs -> 13 free parameters, above the cap
-    from peal.core import PartialAdditionTable, PreconditionError
-
+def pairs_table(pairs):
+    """``pairs`` independent complement pairs glued at 0 and 1: one free
+    parameter and two extremal states per pair."""
     names = ["0", "1"]
     sums = {}
-    for i in range(13):
+    for i in range(pairs):
         x, y = "x%d" % i, "y%d" % i
         names += [x, y]
         sums[(x, y)] = "1"
         sums[(y, x)] = "1"
-    table = PartialAdditionTable.build(names, "0", "1", sums)
-    with pytest.raises(PreconditionError):
-        solve_state_space(table)
+    return PartialAdditionTable.build(names, "0", "1", sums)
+
+
+def test_refuses_oversized_parameter_space(monkeypatch):
+    # 13 pairs (8,192 extremal states) are under the vertex meter; 17 pairs
+    # -> 2^17 = 131,072 are past it, refused before any product is built
+    from peal.core import PreconditionError
+
+    assert len(solve_state_space(pairs_table(13)).extremal_states) == 8192
+
+    def built(*args):
+        raise AssertionError("a product was built")
+
+    monkeypatch.setattr(StateVector, "_from_additive", built)
+    monkeypatch.setattr(StateVector, "_from_ints", built)
+    with pytest.raises(PreconditionError, match="^state polytope has 131072 vertices; "
+                                                "refusing beyond 65536$"):
+        solve_state_space(pairs_table(17))
 
 
 def test_sparse_elimination_matches_dense_reference(pea_corpus_full):
@@ -1237,8 +1252,115 @@ def test_twelve_parameter_horizontal_sums_are_fast(blocks, atoms, vertices):
     assert space.dimension == 12 and len(space.extremal_states) == vertices
 
 
-def test_total_free_parameter_cap_refuses_fourteen():
+def test_fourteen_free_parameters_in_small_blocks_are_accepted():
+    """hsum-7x3 has 14 free parameters in seven blocks of two: 3^7 = 2,187
+    vertices, well under the vertex meter, each flagged as ``is_extremal``
+    decides it."""
+    table = horizontal_sum(7, 3)
+    space = solve_state_space(table)
+    assert space.dimension == 14 and len(space.extremal_states) == 2187
+    flags = states._extremal_flags(table)
+    assert list(flags) == [is_extremal(table, s).extremal for s in space.extremal_states]
+    assert all(flags)
+
+
+def test_the_meter_refuses_a_block_whose_sweep_starts_past_it(monkeypatch):
+    # 2^4 is one block of 3 free parameters: its sweep starts at 2^3 corners
     from peal.core import PreconditionError
 
-    with pytest.raises(PreconditionError):
-        solve_state_space(horizontal_sum(7, 3))
+    monkeypatch.setattr(states, "MAX_VERTICES", 7)
+    with pytest.raises(PreconditionError, match="^vertex sweep starts at 8 vertices; "
+                                                "refusing beyond 7$"):
+        solve_state_space(horizontal_sum(1, 4))
+    monkeypatch.setattr(states, "MAX_VERTICES", 8)
+    assert len(solve_state_space(horizontal_sum(1, 4)).extremal_states) == 4
+
+
+def test_the_meter_refuses_a_block_whose_sweep_grows_past_it(monkeypatch):
+    # the unit square cut by t0 + t1 <= 3/2 is a pentagon: the sweep starts
+    # at 4 corners and holds 5 vertices after the cut
+    from peal.core import PreconditionError
+
+    square = [({0: -1}, 0), ({0: 1}, 1), ({1: -1}, 0), ({1: 1}, 1)]
+    monkeypatch.setattr(states, "MAX_VERTICES", 4)
+    with pytest.raises(PreconditionError, match="^vertex sweep holds 5 vertices; "
+                                                "refusing beyond 4$"):
+        _dd_points(square + [({0: 2, 1: 2}, 3)], 2)
+    monkeypatch.setattr(states, "MAX_VERTICES", 5)
+    assert sorted(_dd_points(square + [({0: 2, 1: 2}, 3)], 2)) == [
+        ((0, 0), 1), ((0, 1), 1), ((1, 0), 1), ((1, 2), 2), ((2, 1), 2)]
+
+
+def test_the_meter_refuses_a_product_past_it(monkeypatch):
+    # four pairs: each block's sweep holds 2 vertices, and their product 16
+    from peal.core import PreconditionError
+
+    monkeypatch.setattr(states, "MAX_VERTICES", 15)
+    with pytest.raises(PreconditionError, match="^state polytope has 16 vertices; "
+                                                "refusing beyond 15$"):
+        solve_state_space(pairs_table(4))
+    monkeypatch.setattr(states, "MAX_VERTICES", 16)
+    assert len(solve_state_space(pairs_table(4)).extremal_states) == 16
+
+
+def frozen_label_blocks(table):
+    """The label blocks and getter of ``_label_blocks`` as a walk over each
+    element's equations found them, before the blocks were the components
+    of ``_split``."""
+    k = table.size
+    incident = [[] for _ in range(k)]
+    for eq in _equations(table):
+        i, j, s = eq
+        incident[i].append(eq)
+        if j != i:
+            incident[j].append(eq)
+        incident[s].append(eq)
+    placed = 1 << table.zero_i | 1 << table.one_i
+    blocks = []
+    for e in range(k):
+        if placed >> e & 1:
+            continue
+        placed |= 1 << e
+        block = [e]
+        for x in block:
+            for eq in incident[x]:
+                for y in eq:
+                    if not placed >> y & 1:
+                        placed |= 1 << y
+                        block.append(y)
+        blocks.append(tuple(sorted(block)))
+    position = [0] * k
+    position[table.one_i] = 1
+    for at, e in enumerate((e for block in blocks for e in block), 2):
+        position[e] = at
+    return blocks, position
+
+
+def assert_blocks_match_frozen_walker(table):
+    blocks, getter = states._label_blocks(table)
+    frozen_blocks, position = frozen_label_blocks(table)
+    assert blocks == frozen_blocks
+    probe = tuple(range(table.size))
+    assert getter(probe) == tuple(position)
+    # each polytope block moves the elements of one label block only
+    home = {e: b for b, block in enumerate(blocks) for e in block}
+    if _affine_map(table) is not None and states._polytope_blocks(table):
+        for _, _, elements in states._polytope_blocks(table):
+            assert len({home[i] for i, _ in elements}) == 1
+
+
+def split_tables():
+    return list(generate_peas(8) + generate_peas(9, min_size=9)) + mixed_sums() + [
+        horizontal_sum(4, 3), horizontal_sum(10, 2)]
+
+
+def test_label_blocks_match_the_frozen_walker():
+    for table in split_tables():
+        assert_blocks_match_frozen_walker(table)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=hyp.data())
+def test_label_blocks_match_the_frozen_walker_under_relabelings(data):
+    table = data.draw(hyp.sampled_from(split_tables()))
+    assert_blocks_match_frozen_walker(relabeled(table, random.Random(data.draw(hyp.integers(0, 99)))))
